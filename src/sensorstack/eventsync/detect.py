@@ -9,10 +9,13 @@ from typing import IO, Iterable
 import numpy as np
 
 from ..errors import UsageError
-from .dtw import GestureTemplate, dtw_distance
+from .dtw import GestureTemplate, _backtrack, _cumulative, dtw_cost
 from .series import TimeSeries
 
 STAGES = ("coarse", "fine")
+
+# cells of one batched DTW table; bounds the memory of a block of windows
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,15 @@ class EventDetection:
             raise UsageError(f"unknown stage {self.stage!r}")
 
 
-def _scored_match(values: np.ndarray, template: GestureTemplate):
-    """Score a window against a template and locate the match inside it.
+def _scaled(values, template: GestureTemplate) -> tuple[np.ndarray, np.ndarray]:
+    """Values and template on the template's own amplitude scale."""
+    mu = float(template.values.mean())
+    sd = float(template.values.std())
+    return (np.asarray(values, dtype=float) - mu) / sd, (template.values - mu) / sd
+
+
+def normalized_dtw_score(window, template: GestureTemplate) -> float:
+    """DTW distance from a window to a template, per template sample.
 
     Both sides are expressed on the template's own amplitude scale (its
     mean and standard deviation), so the score is invariant to a joint
@@ -50,29 +60,10 @@ def _scored_match(values: np.ndarray, template: GestureTemplate):
     lets one threshold work across window configurations. A window
     sitting at the quiet baseline scores roughly mean/std of the
     template; matching windows score far below that.
-
-    The warp path also bounds the match: samples before the gesture
-    all pair with the template's first point and samples after it with
-    the last, so the gesture spans the last window index paired with
-    template index 0 through the first index paired with the final
-    template index.
     """
-    mu = float(template.values.mean())
-    sd = float(template.values.std())
-    scaled = (np.asarray(values, dtype=float) - mu) / sd
-    template_scaled = (template.values - mu) / sd
-    result = dtw_distance(scaled, template_scaled, "abs")
-    score = result.cost / len(template.values)
-    last_j = len(template.values) - 1
-    onset_idx = max(i for i, j in result.path if j == 0)
-    end_idx = min(i for i, j in result.path if j == last_j)
-    return score, onset_idx, end_idx
-
-
-def normalized_dtw_score(window, template: GestureTemplate) -> float:
-    """DTW distance from a window to a template, per template sample."""
     values = window.values if isinstance(window, TimeSeries) else window
-    return _scored_match(values, template)[0]
+    scaled, template_scaled = _scaled(values, template)
+    return dtw_cost(scaled, template_scaled, "abs") / len(template.values)
 
 
 def detect_gesture_video(
@@ -84,12 +75,27 @@ def detect_gesture_video(
 ) -> tuple[EventDetection, ...]:
     """Scan a height series for template-shaped gestures.
 
-    Every window whose normalized DTW score falls below the template
-    threshold becomes a candidate carrying the estimated gesture bounds
-    from the warp path; overlapping candidates are reduced to the
-    lowest-scoring one. Quiet and flat windows score near the
-    template's baseline distance, well above any sensible threshold,
-    so they produce no events.
+    Windows start every ``stride_ns`` and span ``window_ns``; a window
+    holding fewer than four samples is skipped. Every window whose
+    normalized DTW score falls below the template threshold becomes a
+    candidate carrying the estimated gesture bounds from the warp path;
+    overlapping candidates are reduced to the lowest-scoring one. Quiet
+    and flat windows score near the template's baseline distance, well
+    above any sensible threshold, so they produce no events.
+
+    A window's score is its `normalized_dtw_score`. The warp path
+    bounds the match: samples before the gesture all pair with the
+    template's first point and samples after it with the last, so the
+    gesture spans the last window index paired with template index 0
+    through the first index paired with the final template index.
+
+    The scores come from one batched DTW per block of windows: the
+    series is scaled once, each window's rows are cut from it and
+    padded to the longest window, and the cumulative tables of the
+    whole block advance together row by row. A window's cost is read
+    at its own last row, which the padding below it cannot reach; only
+    windows under the threshold are backtracked. Scores and bounds are
+    those of each window on its own.
     """
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
@@ -98,25 +104,43 @@ def detect_gesture_video(
     if int(ts[-1]) - int(ts[0]) + period < window_ns:
         raise UsageError("series is shorter than the detection window")
 
-    hits: list[EventDetection] = []
-    t = int(ts[0])
     last_start = int(ts[-1]) - window_ns + period
-    while t <= last_start:
-        lo = int(np.searchsorted(ts, t, side="left"))
-        hi = int(np.searchsorted(ts, t + window_ns, side="left"))
-        if hi - lo >= 4:
-            score, onset_idx, end_idx = _scored_match(z_series.values[lo:hi], template)
-            if score < template.dtw_threshold:
-                hits.append(
-                    EventDetection(
-                        stream_id=stream_id,
-                        start=int(ts[lo + onset_idx]),
-                        end=int(ts[lo + end_idx]),
-                        score=score,
-                        stage="coarse",
-                    )
+    starts = np.arange(int(ts[0]), last_start + 1, stride_ns, dtype=np.int64)
+    lo = np.searchsorted(ts, starts, side="left")
+    hi = np.searchsorted(ts, starts + window_ns, side="left")
+    keep = hi - lo >= 4
+    lo, n_rows = lo[keep], (hi - lo)[keep]
+    if len(lo) == 0:
+        return ()
+    if z_series.values.ndim != 1:
+        raise UsageError("sequences must have matching dimensionality")
+
+    scaled, template_scaled = _scaled(z_series.values, template)
+    m = len(template_scaled)
+    last_row = len(scaled) - 1
+    block = max(1, _BLOCK_CELLS // (int(n_rows.max()) * m))
+
+    hits: list[EventDetection] = []
+    for b0 in range(0, len(lo), block):
+        b_lo, b_n = lo[b0 : b0 + block], n_rows[b0 : b0 + block]
+        rows = np.minimum(b_lo[:, None] + np.arange(int(b_n.max())), last_row)
+        cost = np.abs(scaled[rows][:, :, None] - template_scaled)
+        tables = _cumulative(cost)
+        scores = tables[np.arange(len(b_lo)), b_n - 1, m - 1] / m
+        for w in np.flatnonzero(scores < template.dtw_threshold):
+            start, n_w = int(b_lo[w]), int(b_n[w])
+            path = _backtrack(tables[w, :n_w])
+            onset_idx = max(i for i, j in path if j == 0)
+            end_idx = min(i for i, j in path if j == m - 1)
+            hits.append(
+                EventDetection(
+                    stream_id=stream_id,
+                    start=int(ts[start + onset_idx]),
+                    end=int(ts[start + end_idx]),
+                    score=float(scores[w]),
+                    stage="coarse",
                 )
-        t += stride_ns
+            )
 
     return suppress_overlaps(hits)
 

@@ -49,30 +49,36 @@ def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric) -> np.ndarray:
 
 
 def _cumulative(d: np.ndarray) -> np.ndarray:
-    """Cumulative DTW cost with steps (1,0), (0,1), (1,1).
+    """Cumulative DTW cost with steps (1,0), (0,1), (1,1), for a batch of tables.
 
-    Each row is computed with a prefix-scan: within a row the recurrence
+    ``d`` holds one pairwise cost table per batch entry, shape
+    (batch, n, m); the result has the same shape. Each row is computed
+    with a prefix-scan: within a row the recurrence
     D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to a cumulative sum
-    plus a running minimum, so the whole table is O(n) vectorized row
-    updates instead of a scalar double loop.
+    plus a running minimum, so every table in the batch advances by one
+    vectorized row update per step instead of a scalar double loop.
+    Row i reads only rows above it, so the top k rows of a table are
+    the cumulative cost of the first k rows of its input alone: tables
+    of different heights can share one batch, padded to the tallest.
     """
-    n, m = d.shape
-    out = np.empty((n, m))
-    prev = np.cumsum(d[0])
-    out[0] = prev
-    shifted = np.empty(m)
+    batch, n, m = d.shape
+    # laid out (row, column, batch) so that each step works on whole
+    # contiguous rows with the batch innermost; column 0 is padding:
+    # +inf beside the table, so min(prev[0], prev[-1]) is prev[0], and
+    # 0 before each row's cumulative sum
+    out = np.empty((n, m + 1, batch))
+    out[:, 0] = np.inf
+    sums = np.empty((n, m + 1, batch))
+    sums[:, 0] = 0.0
+    np.cumsum(d.transpose(1, 2, 0), axis=1, out=sums[:, 1:])
+    out[0, 1:] = sums[0, 1:]
     for i in range(1, n):
-        row = d[i]
-        cs = np.cumsum(row)
-        m_arr = np.empty(m)
-        m_arr[0] = prev[0]
-        np.minimum(prev[1:], prev[:-1], out=m_arr[1:])
-        shifted[0] = 0.0
-        shifted[1:] = cs[:-1]
-        cur = cs + np.minimum.accumulate(m_arr - shifted)
-        out[i] = cur
-        prev = cur
-    return out
+        prev, cs = out[i - 1], sums[i]
+        step = np.minimum(prev[1:], prev[:-1])
+        np.subtract(step, cs[:-1], out=step)
+        np.minimum.accumulate(step, axis=0, out=step)
+        np.add(cs[1:], step, out=out[i, 1:])
+    return out[:, 1:].transpose(2, 0, 1)
 
 
 def _backtrack(cumulative: np.ndarray) -> list[tuple[int, int]]:
@@ -112,6 +118,14 @@ def default_metric(values: np.ndarray) -> str:
     return "abs" if values.ndim == 1 else "euclidean"
 
 
+def _cost_table(s, t, point_metric) -> np.ndarray:
+    sv = _as_values(s)
+    tv = _as_values(t)
+    if (sv.ndim == 2) != (tv.ndim == 2):
+        raise UsageError("sequences must have matching dimensionality")
+    return _pairwise_cost(sv, tv, point_metric or default_metric(sv))
+
+
 def dtw_distance(s, t, point_metric=None) -> DtwResult:
     """Minimum cumulative warp cost and one optimal path.
 
@@ -120,24 +134,13 @@ def dtw_distance(s, t, point_metric=None) -> DtwResult:
     "euclidean", "sqeuclidean", or a callable on value pairs; scalars
     default to absolute difference, vectors to euclidean distance.
     """
-    sv = _as_values(s)
-    tv = _as_values(t)
-    if (sv.ndim == 2) != (tv.ndim == 2):
-        raise UsageError("sequences must have matching dimensionality")
-    metric = point_metric or default_metric(sv)
-    d = _pairwise_cost(sv, tv, metric)
-    cum = _cumulative(d)
-    path = _backtrack(cum)
-    return DtwResult(cost=float(cum[-1, -1]), path=tuple(path))
+    cum = _cumulative(_cost_table(s, t, point_metric)[None])[0]
+    return DtwResult(cost=float(cum[-1, -1]), path=tuple(_backtrack(cum)))
 
 
 def dtw_cost(s, t, point_metric=None) -> float:
     """Cost-only variant; skips path recovery."""
-    sv = _as_values(s)
-    tv = _as_values(t)
-    metric = point_metric or default_metric(sv)
-    d = _pairwise_cost(sv, tv, metric)
-    return float(_cumulative(d)[-1, -1])
+    return float(_cumulative(_cost_table(s, t, point_metric)[None])[0, -1, -1])
 
 
 # ---------------------------------------------------------------------------

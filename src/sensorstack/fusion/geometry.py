@@ -122,7 +122,10 @@ def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:
     h = np.linalg.inv(t_dst) @ h_norm @ t_src
     if abs(h[2, 2]) <= 1e-12:
         raise FitError("fitted homography is degenerate: vanishing scale entry")
-    return PerspectiveTransform(kind="homography", matrix=h / h[2, 2])
+    try:
+        return PerspectiveTransform(kind="homography", matrix=h / h[2, 2])
+    except UsageError as exc:
+        raise FitError(f"fitted homography is degenerate: {exc}") from exc
 
 
 def reprojection_errors(transform: PerspectiveTransform, pairs: Sequence[PointPair]) -> np.ndarray:
@@ -150,7 +153,8 @@ def ransac_fit(
 
     Samples minimal 4-pair subsets, keeps the hypothesis with the most
     inliers (ties broken by mean inlier error), then refits on the full
-    inlier set. Deterministic for a given seed.
+    inlier set. A minimal subset that cannot produce a model (collinear
+    points, a singular fit) is skipped. Deterministic for a given seed.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")

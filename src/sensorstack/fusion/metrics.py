@@ -69,8 +69,12 @@ def threshold_sweep(
     """Deduplicate and score at each merge threshold.
 
     Shrinking the threshold splits merges apart, so the prediction set
-    only grows as the sweep tightens; recall can only rise while
-    precision typically falls.
+    only grows as the sweep tightens and precision typically falls.
+    Recall usually rises but is not monotone. Matching is nearest-first
+    and one-to-one, so a part split off a merge can claim, by being
+    nearer, a truth that another prediction held before; when neither
+    that prediction nor the rest of the merge has another truth within
+    the match radius, one match is lost.
     """
     if thresholds is None:
         thresholds = default_sweep_thresholds()

@@ -32,6 +32,14 @@ _CONFIG_PATH = re.compile(r"^/devices/([^/]+)/config$")
 _ROLLBACK_PATH = re.compile(r"^/devices/([^/]+)/rollback$")
 
 
+def _field(value, name: str, convert: Callable, kind: str):
+    """A body or query field converted; a malformed value is a UsageError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"field {name!r} must be {kind}") from exc
+
+
 def _error_status(error: Exception) -> int:
     if isinstance(error, AuthError):
         return 401
@@ -60,6 +68,8 @@ class ServiceRouter:
         query: Mapping | None = None,
     ) -> tuple[int, dict]:
         body = body or {}
+        if not isinstance(body, Mapping):
+            return 400, {"error": "request body must be a JSON object"}
         headers = {k.lower(): v for k, v in (headers or {}).items()}
         query = query or {}
         token = ""
@@ -82,7 +92,9 @@ class ServiceRouter:
             claims = services.validate(token)
             require_role(claims, "admin")
             issued = services.issue_token(
-                body["subject"], tuple(body.get("roles", ())), float(body.get("ttl_s", 3600))
+                body["subject"],
+                _field(body.get("roles", ()), "roles", tuple, "a list"),
+                _field(body.get("ttl_s", 3600), "ttl_s", float, "a number"),
             )
             return 201, {
                 "token": issued.token,
@@ -131,21 +143,29 @@ class ServiceRouter:
             return 202, {"action_id": action_id, "state": services.action(action_id).state}
 
         if path == "/capture" and method == "POST":
-            samples = [
-                SensorSample(
-                    device_id=s["device_id"],
-                    modality=s.get("modality", ""),
-                    local_ts=int(s["local_ts"]),
-                    payload=tuple(s.get("payload", ())),
-                )
-                for s in body.get("samples", [])
-            ]
+            try:
+                samples = [
+                    SensorSample(
+                        device_id=s["device_id"],
+                        modality=s.get("modality", ""),
+                        local_ts=int(s["local_ts"]),
+                        payload=tuple(s.get("payload", ())),
+                    )
+                    for s in body.get("samples", [])
+                ]
+            except (TypeError, ValueError) as exc:
+                # a sample that is not an object, or a non-integer
+                # timestamp or non-numeric payload inside one
+                raise UsageError(f"malformed capture sample: {exc}") from exc
             stored = services.capture_ingest(token, samples)
             return 201, {"stored": len(stored), "capture_ids": [r.capture_id for r in stored]}
 
         if path == "/capture" and method == "GET":
             hits = services.query_captures(
-                query["device_id"], int(query["start_ns"]), int(query["end_ns"]), token
+                query["device_id"],
+                _field(query["start_ns"], "start_ns", int, "an integer"),
+                _field(query["end_ns"], "end_ns", int, "an integer"),
+                token,
             )
             return 200, {"samples": [r.to_record() for r in hits]}
 
@@ -159,11 +179,15 @@ def serve(router: ServiceRouter, host: str = "127.0.0.1", port: int = 0) -> Thre
         def _run(self, method: str):
             parsed = urlparse(self.path)
             query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            body = json.loads(self.rfile.read(length)) if length else {}
-            status, payload = router.handle(
-                method, parsed.path, body, dict(self.headers), query
-            )
+            try:
+                length = int(self.headers.get("Content-Length", 0) or 0)
+                body = json.loads(self.rfile.read(length)) if length else {}
+            except ValueError:
+                status, payload = 400, {"error": "request body is not valid JSON"}
+            else:
+                status, payload = router.handle(
+                    method, parsed.path, body, dict(self.headers), query
+                )
             data = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, UsageError
 
@@ -32,6 +33,10 @@ NS_PER_SEC = 1_000_000_000
 MODALITIES = ("camera_series", "imu", "wearable", "detection")
 
 MAX_DRIFT_RATE = 0.1
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# largest float64 that converts to int64 without overflow
+_INT64_SATURATION = float(np.nextafter(2.0**63, 0))
 
 
 def to_ns(seconds: float) -> int:
@@ -342,6 +347,29 @@ class AlignedFrame:
     slots: Mapping[str, SensorSample | None]
 
 
+def _sample_limits(ts: np.ndarray, policy: BufferPolicy) -> np.ndarray:
+    """``buffer_size`` of the intervals leading up to every sample index.
+
+    Sample k sees the intervals between samples max(0, k - window) and
+    k. From k = window on that is a full window, and all of them share
+    one rolling standard deviation; the shorter prefix goes through
+    ``buffer_size`` itself. Limits beyond the int64 range saturate,
+    which no age between two int64 timestamps can exceed.
+    """
+    intervals = np.diff(ts)
+    limits = np.empty(len(ts), dtype=np.int64)
+    full = policy.window
+    for k in range(min(full, len(ts))):
+        limits[k] = min(buffer_size(policy, intervals[:k]), _INT64_MAX)
+    if len(ts) > full:
+        # contiguous rows reduce in the same order as buffer_size's 1-d std
+        windows = np.ascontiguousarray(sliding_window_view(intervals.astype(float), full))
+        scaled = np.rint(policy.beta * np.std(windows, axis=1, ddof=1))
+        scaled = np.minimum(scaled, _INT64_SATURATION).astype(np.int64)
+        limits[full:] = np.maximum(scaled, policy.b_min)
+    return limits
+
+
 def align_streams(
     streams: Sequence[SampleStream],
     policy: BufferPolicy,
@@ -352,7 +380,13 @@ def align_streams(
     Frames are emitted at every multiple of ``epoch_ns`` covering the
     corrected time span of the inputs. A slot holds the stream's latest
     sample at or before the frame time, provided its age does not exceed
-    the stream's adaptive buffer; otherwise the slot is None.
+    the stream's adaptive buffer (``buffer_size`` over the ``window``
+    intervals leading up to that sample); otherwise the slot is None.
+
+    Work is per stream, not per frame: every sample's buffer limit is
+    computed once, one search places the whole epoch grid in the
+    stream, and the freshness test runs over the grid as one array.
+    The frames are then assembled from those per-stream columns.
     """
     if epoch_ns <= 0:
         raise ConfigError("epoch must be positive")
@@ -370,22 +404,22 @@ def align_streams(
     t_min = min(int(ts[0]) for ts, _ in per_stream.values())
     t_max = max(int(ts[-1]) for ts, _ in per_stream.values())
     start = -(-t_min // epoch_ns) * epoch_ns  # ceil to the epoch grid
+    grid = np.arange(start, t_max + 1, epoch_ns, dtype=np.int64)
 
-    frames: list[AlignedFrame] = []
-    for t in range(start, t_max + 1, epoch_ns):
-        slots: dict[str, SensorSample | None] = {}
-        for key, (ts, stream) in per_stream.items():
-            idx = int(np.searchsorted(ts, t, side="right")) - 1
-            if idx < 0:
-                slots[key] = None
-                continue
-            lo = max(0, idx - policy.window)
-            intervals = np.diff(ts[lo : idx + 1])
-            limit = buffer_size(policy, intervals.tolist())
-            age = t - int(ts[idx])
-            slots[key] = stream.samples[idx] if age <= limit else None
-        frames.append(AlignedFrame(time=t, slots=slots))
-    return frames
+    columns = []
+    for ts, stream in per_stream.values():
+        idx = np.searchsorted(ts, grid, side="right") - 1
+        at = np.maximum(idx, 0)
+        fresh = (idx >= 0) & (grid - ts[at] <= _sample_limits(ts, policy)[at])
+        samples = stream.samples
+        columns.append(
+            [samples[i] if ok else None for i, ok in zip(at.tolist(), fresh.tolist())]
+        )
+    keys = list(per_stream)
+    return [
+        AlignedFrame(time=t, slots=dict(zip(keys, row)))
+        for t, row in zip(grid.tolist(), zip(*columns))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +466,12 @@ def write_samples_ndjson(samples: Iterable[SensorSample], fp: IO[str]) -> None:
 
 
 def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
-    """Group NDJSON sample records into streams keyed by device/modality."""
+    """Group NDJSON sample records into streams keyed by device/modality.
+
+    Each stream's nominal rate is inferred from its median sample
+    period; a stream whose timestamps repeat so often that the median
+    period is zero has no rate and is rejected with a DomainError.
+    """
     grouped: dict[tuple[str, str], list[SensorSample]] = {}
     for line in fp:
         line = line.strip()
@@ -444,10 +483,15 @@ def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
     for (device_id, modality), samples in grouped.items():
         samples.sort(key=lambda s: s.local_ts)
         ts = np.array([s.local_ts for s in samples], dtype=np.int64)
+        rate = 1.0
         if len(ts) > 1:
-            rate = NS_PER_SEC / float(np.median(np.diff(ts)))
-        else:
-            rate = 1.0
+            period = float(np.median(np.diff(ts)))
+            if period == 0:
+                raise DomainError(
+                    f"stream {device_id}/{modality} repeats its timestamps: "
+                    "the median sample period is zero"
+                )
+            rate = NS_PER_SEC / period
         descriptor = StreamDescriptor(device_id, modality, rate)
         streams[descriptor.key] = SampleStream(descriptor, tuple(samples))
     return streams

@@ -1,8 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
 Each oracle favors obvious-but-slow formulations (exhaustive search,
-closed forms, full sorts) so that agreement with the production code is
-meaningful. Nothing here imports the algorithms under test.
+closed forms, full sorts, one window or one frame at a time) so that
+agreement with the production code is meaningful. Nothing here imports
+the algorithms under test: besides data types, the only package code
+used is what the batched paths keep unchanged (`buffer_size`,
+`suppress_overlaps`). The per-window detector and the per-epoch
+alignment loop are the straightforward versions the batched production
+code replaced, kept here as references.
 """
 
 from __future__ import annotations
@@ -11,6 +16,10 @@ import math
 from itertools import product
 
 import numpy as np
+
+from sensorstack.errors import UsageError
+from sensorstack.eventsync import EventDetection, suppress_overlaps
+from sensorstack.timebase import AlignedFrame, buffer_size
 
 
 def ols_line_fit(times_s, values):
@@ -113,3 +122,106 @@ def shannon_entropy_reference(values, bins=16):
             p = c / total
             ent -= p * math.log2(p)
     return ent
+
+
+def dtw_table_rows(d):
+    """Cumulative DTW cost of one (n, m) table, one row update at a time."""
+    n, m = d.shape
+    out = np.empty((n, m))
+    prev = np.cumsum(d[0])
+    out[0] = prev
+    shifted = np.empty(m)
+    for i in range(1, n):
+        cs = np.cumsum(d[i])
+        m_arr = np.empty(m)
+        m_arr[0] = prev[0]
+        np.minimum(prev[1:], prev[:-1], out=m_arr[1:])
+        shifted[0] = 0.0
+        shifted[1:] = cs[:-1]
+        prev = cs + np.minimum.accumulate(m_arr - shifted)
+        out[i] = prev
+    return out
+
+
+def dtw_backtrack(table):
+    """One optimal warp path, preferring diagonal, then up, then left on ties."""
+    i, j = table.shape[0] - 1, table.shape[1] - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = table[i - 1, j - 1], table[i - 1, j], table[i, j - 1]
+            best = min(diag, up, left)
+            if diag == best:
+                i, j = i - 1, j - 1
+            elif up == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    return path[::-1]
+
+
+def detect_gesture_per_window(z_series, template, window_ns, stride_ns, stream_id=""):
+    """Gesture spotting with one full DTW and backtrack per window.
+
+    Same contract as ``detect_gesture_video``: a window starts every
+    stride, holds the samples in [start, start + window), is skipped
+    below four samples, and is scaled, scored and bounded on its own.
+    """
+    ts = z_series.timestamps
+    period = z_series.median_period_ns()
+    if int(ts[-1]) - int(ts[0]) + period < window_ns:
+        raise UsageError("series is shorter than the detection window")
+    mu = float(template.values.mean())
+    sd = float(template.values.std())
+    template_scaled = (template.values - mu) / sd
+    last_j = len(template_scaled) - 1
+    hits = []
+    t = int(ts[0])
+    while t <= int(ts[-1]) - window_ns + period:
+        lo = int(np.searchsorted(ts, t, side="left"))
+        hi = int(np.searchsorted(ts, t + window_ns, side="left"))
+        t += stride_ns
+        if hi - lo < 4:
+            continue
+        scaled = (z_series.values[lo:hi] - mu) / sd
+        if scaled.ndim != 1:
+            raise UsageError("sequences must have matching dimensionality")
+        table = dtw_table_rows(np.abs(scaled[:, None] - template_scaled[None, :]))
+        score = float(table[-1, -1]) / len(template_scaled)
+        if score < template.dtw_threshold:
+            path = dtw_backtrack(table)
+            onset = max(i for i, j in path if j == 0)
+            end = min(i for i, j in path if j == last_j)
+            hits.append(EventDetection(stream_id, int(ts[lo + onset]), int(ts[lo + end]), score))
+    return suppress_overlaps(hits)
+
+
+def align_per_epoch(streams, policy, epoch_ns):
+    """Frame alignment one epoch and one stream at a time.
+
+    Each slot searches for the newest sample at or before the frame
+    time and recomputes that sample's buffer from the intervals leading
+    up to it.
+    """
+    per_stream = {s.key: (s.corrected_timestamps(), s) for s in streams}
+    t_min = min(int(ts[0]) for ts, _ in per_stream.values())
+    t_max = max(int(ts[-1]) for ts, _ in per_stream.values())
+    start = -(-t_min // epoch_ns) * epoch_ns
+    frames = []
+    for t in range(start, t_max + 1, epoch_ns):
+        slots = {}
+        for key, (ts, stream) in per_stream.items():
+            idx = int(np.searchsorted(ts, t, side="right")) - 1
+            if idx < 0:
+                slots[key] = None
+                continue
+            intervals = np.diff(ts[max(0, idx - policy.window) : idx + 1])
+            limit = buffer_size(policy, intervals.tolist())
+            slots[key] = stream.samples[idx] if t - int(ts[idx]) <= limit else None
+        frames.append(AlignedFrame(time=t, slots=slots))
+    return frames

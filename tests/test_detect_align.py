@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from oracles import detect_gesture_per_window
 from sensorstack.errors import UsageError
+from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
     EventDetection,
     FineTuneConfig,
@@ -120,6 +126,73 @@ class TestDetection:
             write_events_ndjson(events, fp)
         with open(path) as fp:
             assert read_events_ndjson(fp) == events
+
+
+def jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp):
+    """Noisy series with gestures at random places and jittered timestamps.
+
+    A non-zero ``gap_at`` opens a 1.5 s hole in the timestamps there, so
+    some windows hold fewer than four samples.
+    """
+    rng = np.random.default_rng(seed)
+    steps = PERIOD_NS + rng.integers(-jitter_ns, jitter_ns + 1, size=total)
+    if gap_at:
+        steps[gap_at] += 1_500_000_000
+    ts = np.cumsum(steps) - steps[0]
+    values = rng.normal(0, 0.02, size=total)
+    for _ in range(gestures):
+        length = int(rng.integers(25, 70))
+        at = int(rng.integers(0, total - length))
+        values[at : at + length] += amp * raise_hold_drop(length)
+    return TimeSeries(ts, values)
+
+
+class TestBatchedDetectionMatchesPerWindow:
+    """The batched detector returns exactly what one DTW per window returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        total=st.integers(120, 360),
+        jitter_ns=st.sampled_from([0, 4_000_000, 15_000_000]),
+        gap_at=st.sampled_from([0, 0, 60, 100]),
+        gestures=st.integers(0, 3),
+        amp=st.sampled_from([0.3, 1.0, 2.5]),
+        template_len=st.integers(20, 60),
+        threshold=st.sampled_from([0.3, 0.8, 1.5]),
+        window_stride=st.sampled_from(
+            [(4_000_000_000, 250_000_000), (2_400_000_000, 250_000_000),
+             (1_200_000_000, 100_000_000), (3_000_000_000, 700_000_000)]
+        ),
+        block_cells=st.sampled_from([1, 5_000, detect_module._BLOCK_CELLS]),
+    )
+    def test_identical_detections(
+        self, seed, total, jitter_ns, gap_at, gestures, amp, template_len, threshold,
+        window_stride, block_cells,
+    ):
+        series = jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp)
+        template = gesture_template(template_len, threshold)
+        window_ns, stride_ns = window_stride
+        expected = detect_gesture_per_window(series, template, window_ns, stride_ns, "cam")
+        with mock.patch.object(detect_module, "_BLOCK_CELLS", block_cells):
+            got = detect_gesture_video(series, template, window_ns, stride_ns, "cam")
+        assert got == expected
+
+    def test_windows_too_sparse_to_score_yield_nothing(self):
+        # one sample every 1.5 s: no 1 s window ever holds four samples
+        ts = np.arange(20, dtype=np.int64) * 1_500_000_000
+        series = TimeSeries(ts, np.ones(20))
+        args = (series, gesture_template(), 1_000_000_000, 250_000_000)
+        assert detect_gesture_per_window(*args) == detect_gesture_video(*args) == ()
+
+    def test_two_channel_series_rejected_like_per_window(self):
+        ts = np.arange(200, dtype=np.int64) * PERIOD_NS
+        series = TimeSeries(ts, np.zeros((200, 2)))
+        with pytest.raises(UsageError, match="dimensionality") as expected:
+            detect_gesture_per_window(series, gesture_template(), 4_000_000_000, 250_000_000)
+        with pytest.raises(UsageError, match="dimensionality") as got:
+            detect_gesture_video(series, gesture_template())
+        assert str(got.value) == str(expected.value)
 
 
 class TestCoarseAlign:

@@ -66,6 +66,12 @@ class TestDtwDistance:
         with pytest.raises(UsageError):
             dtw_distance([], [1.0])
 
+    def test_mixed_dimensionality_rejected_by_both_variants(self):
+        s, t = np.zeros((4, 2)), np.zeros(4)
+        for dtw in (dtw_distance, dtw_cost):
+            with pytest.raises(UsageError, match="dimensionality"):
+                dtw(s, t)
+
     @given(
         s=st.lists(st.floats(-5, 5), min_size=1, max_size=12),
         t=st.lists(st.floats(-5, 5), min_size=1, max_size=12),

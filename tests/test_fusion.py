@@ -170,6 +170,23 @@ class TestRansac:
         with pytest.raises(FitError):
             ransac_fit(pairs, inlier_threshold=1.0, max_iterations=50, seed=0)
 
+    def test_singular_minimal_sample_is_skipped(self):
+        """Four general-position sources surveyed onto one line give a
+        singular homography; sampling them must not end the fit."""
+        rng = np.random.default_rng(6)
+        truth = random_homography(rng, scale=0.05)
+        line = [
+            PointPair(source, (t, 2.0 * t + 1.0))
+            for source, t in zip([(10.0, 80.0), (70.0, 15.0), (40.0, 60.0), (90.0, 90.0)],
+                                 [5.0, 20.0, 35.0, 50.0])
+        ]
+        with pytest.raises(FitError, match="non-singular"):
+            fit_homography_dlt(line)
+        pairs = self.exact_pairs(rng, truth, 8) + line
+        for seed in range(10):
+            result = ransac_fit(pairs, inlier_threshold=0.5, max_iterations=400, seed=seed)
+            assert result.inlier_mask.tolist() == [True] * 8 + [False] * 4, f"seed {seed}"
+
     def test_bad_threshold_rejected(self):
         rng = np.random.default_rng(5)
         pairs = self.exact_pairs(rng, np.eye(3), 6)

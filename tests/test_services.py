@@ -1025,6 +1025,43 @@ class TestRouter:
         status, body = router.handle("GET", "/capture", None, self.auth(admin), {})
         assert status == 400
 
+    def test_malformed_token_fields_are_bad_requests(self):
+        router, _, admin = self.make_router()
+        for bad in ({"subject": "ops", "ttl_s": "soon"}, {"subject": "ops", "roles": 5}):
+            status, body = router.handle("POST", "/tokens", bad, self.auth(admin))
+            assert status == 400
+            assert "must be" in body["error"]
+
+    def test_non_object_body_is_a_bad_request(self):
+        router, _, admin = self.make_router()
+        status, body = router.handle("POST", "/devices", [camera_payload()], self.auth(admin))
+        assert status == 400
+        assert "JSON object" in body["error"]
+
+    def test_non_integer_capture_fields_are_bad_requests(self):
+        router, _, admin = self.make_router()
+        _, body = router.handle("POST", "/devices", camera_payload(), self.auth(admin))
+        device = body["device_token"]
+        sample = {"device_id": "camera-001", "modality": "imu", "local_ts": "soon", "payload": [0.5]}
+        status, body = router.handle("POST", "/capture", {"samples": [sample]}, self.auth(device))
+        assert status == 400
+        assert "capture sample" in body["error"]
+
+        for bad in (
+            {"samples": [[1, 2]]},
+            {"samples": "camera-001"},
+            {"samples": [dict(sample, local_ts=1, payload=["x"])]},
+            {"samples": [dict(sample, local_ts=1, payload=5)]},
+        ):
+            status, body = router.handle("POST", "/capture", bad, self.auth(device))
+            assert status == 400
+
+        for field in ("start_ns", "end_ns"):
+            query = {"device_id": "camera-001", "start_ns": "1", "end_ns": "4", field: "1.5e3"}
+            status, body = router.handle("GET", "/capture", None, self.auth(admin), query)
+            assert status == 400
+            assert field in body["error"]
+
     def test_unknown_route(self):
         router, _, admin = self.make_router()
         status, body = router.handle("GET", "/nowhere", None, self.auth(admin))
@@ -1065,6 +1102,17 @@ class TestHttpServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(bare)
             assert err.value.code == 401
+
+            malformed = urllib.request.Request(
+                f"http://127.0.0.1:{port}/devices",
+                data=b'{"device_id": ',
+                headers={"Authorization": f"Bearer {admin}", "Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(malformed)
+            assert err.value.code == 400
+            assert "not valid JSON" in json.loads(err.value.read())["error"]
         finally:
             server.shutdown()
             server.server_close()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_sort_pairing, ols_line_fit
+from oracles import align_per_epoch, full_sort_pairing, ols_line_fit
 from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack import timebase as tb
 from sensorstack.timebase import (
@@ -290,6 +290,63 @@ class TestAlignStreams:
             assert got == expected
 
 
+def random_stream(rng, device, start_ns, count, period_ns, repeat_share):
+    """Jittered stream whose timestamps repeat with probability ``repeat_share``."""
+    steps = rng.integers(period_ns // 3, period_ns * 2, size=count)
+    steps[rng.random(count) < repeat_share] = 0
+    steps[0] = 0
+    ts = start_ns + np.cumsum(steps)
+    return make_stream(device, "imu", ts.tolist())
+
+
+class TestBatchedAlignmentMatchesPerEpoch:
+    """Per-stream alignment returns the frames of the per-epoch loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+        window=st.integers(2, 60),
+        beta=st.sampled_from([0.0, 0.7, 3.0, 25.0, 1e15]),
+        b_min=st.sampled_from([1, 5_000_000, 40_000_000]),
+        epoch_ns=st.sampled_from([7_000_000, 20_000_000, 100_000_000]),
+        repeat_share=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    def test_identical_frames(self, seed, counts, window, beta, b_min, epoch_ns, repeat_share):
+        rng = np.random.default_rng(seed)
+        streams = [
+            random_stream(
+                rng, f"dev-{k}", int(rng.integers(-500_000_000, 2_000_000_000)), count,
+                int(rng.choice([5_000_000, 10_000_000, 33_000_000])), repeat_share,
+            )
+            for k, count in enumerate(counts)
+        ]
+        policy = BufferPolicy(b_min=b_min, beta=beta, window=window)
+        expected = align_per_epoch(streams, policy, epoch_ns)
+        got = align_streams(streams, policy, epoch_ns)
+        assert [f.time for f in got] == [f.time for f in expected]
+        for g, e in zip(got, expected):
+            assert list(g.slots) == list(e.slots)
+            assert all(g.slots[k] is e.slots[k] for k in e.slots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 10**9), min_size=1, max_size=120),
+        window=st.integers(2, 50),
+        beta=st.floats(0.0, 50.0),
+        b_min=st.integers(1, 10**8),
+    )
+    def test_every_sample_limit_equals_buffer_size(self, steps, window, beta, b_min):
+        ts = np.cumsum(np.array(steps, dtype=np.int64))
+        policy = BufferPolicy(b_min=b_min, beta=beta, window=window)
+        limits = tb._sample_limits(ts, policy)
+        expected = [
+            buffer_size(policy, np.diff(ts[max(0, k - window) : k + 1]).tolist())
+            for k in range(len(ts))
+        ]
+        assert limits.tolist() == expected
+
+
 class TestStreamsAndIo:
     def test_stream_validation(self):
         with pytest.raises(UsageError):
@@ -329,6 +386,14 @@ class TestStreamsAndIo:
         assert got.samples[0].payload == (0.5, 1.5)
         assert got.samples[0].location == (40.0, -70.0)
         assert got.samples[0].corrected_ts == 5
+
+    def test_repeated_timestamps_rejected_with_stream_name(self):
+        samples = [SensorSample("imu-7", "imu", t, (0.0,)) for t in (5, 5, 5, 15)]
+        buf = io.StringIO()
+        write_samples_ndjson(samples, buf)
+        buf.seek(0)
+        with pytest.raises(DomainError, match="imu-7/imu"):
+            read_streams_ndjson(buf)
 
     def test_record_field_names(self):
         sample = SensorSample("cam-1", "camera_series", 123, (9.0,), location=(1.0, 2.0))

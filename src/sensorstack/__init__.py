@@ -7,7 +7,6 @@ Subpackages:
 * ``fusion``: perspective transforms and cross-camera detection merging.
 * ``edgesched``: decay-priority task scheduling and its simulator.
 * ``services``: device registry, tokens, actions, capture, distillation.
-* ``harness``: synthetic scenario generators, experiment runners, CLI.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .io import (
     write_metrics_json,
 )
 from .metrics import compute_metrics, conservation_check
-from .priority import compute_priority, crossover_wait_s, effective_urgency
+from .priority import crossover_wait_s, effective_urgency
 from .routing import (
     MonitorSnapshot,
     NodeSnapshot,
@@ -61,7 +61,6 @@ __all__ = [
     "WorkloadSpec",
     "classify_and_route",
     "compute_metrics",
-    "compute_priority",
     "conservation_check",
     "crossover_wait_s",
     "effective_urgency",

@@ -6,6 +6,7 @@ import csv
 import json
 from typing import IO, Iterable, Sequence
 
+from .. import jsonl
 from ..errors import UsageError
 from .sim import StageSpec, WorkloadSpec
 from .types import NodeSpec, SchedulerConfig, SimMetrics, TopologySpec
@@ -17,12 +18,11 @@ def write_event_log(records: Iterable[dict], fp: IO[str]):
     The serialization is intentionally rigid so that identical runs
     produce identical bytes.
     """
-    for record in records:
-        fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+    jsonl.write_records(records, fp)
 
 
 def read_event_log(fp: IO[str]) -> tuple[dict, ...]:
-    return tuple(json.loads(line) for line in fp if line.strip())
+    return jsonl.read_records(fp, dict)
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:
@@ -77,7 +77,7 @@ def workload_to_dict(workload: WorkloadSpec) -> dict:
 
 
 def workload_from_dict(doc: dict) -> WorkloadSpec:
-    try:
+    with jsonl.decoding("workload spec", UsageError):
         stages = tuple(
             StageSpec(
                 name=s["name"],
@@ -89,8 +89,6 @@ def workload_from_dict(doc: dict) -> WorkloadSpec:
             for s in doc["stages"]
         )
         return WorkloadSpec(stages=stages, duration_ns=int(doc["duration_ns"]))
-    except KeyError as missing:
-        raise UsageError(f"workload spec is missing field {missing}") from None
 
 
 def topology_to_dict(topology: TopologySpec) -> dict:
@@ -108,7 +106,7 @@ def topology_to_dict(topology: TopologySpec) -> dict:
 
 
 def topology_from_dict(doc: dict) -> TopologySpec:
-    try:
+    with jsonl.decoding("topology spec", UsageError):
         return TopologySpec(
             nodes=tuple(
                 NodeSpec(
@@ -120,14 +118,13 @@ def topology_from_dict(doc: dict) -> TopologySpec:
                 for n in doc["nodes"]
             )
         )
-    except KeyError as missing:
-        raise UsageError(f"topology spec is missing field {missing}") from None
 
 
 def scheduler_config_from_dict(doc: dict) -> SchedulerConfig:
-    return SchedulerConfig(
-        alpha=float(doc.get("alpha", 1.0)),
-        cycle_period_ns=int(doc.get("cycle_period_ns", 100_000_000)),
-        tie_break=doc.get("tie_break", "fifo"),
-        batch_window_ns=int(doc.get("batch_window_ns", 100_000_000)),
-    )
+    with jsonl.decoding("scheduler config", UsageError):
+        return SchedulerConfig(
+            alpha=float(doc.get("alpha", 1.0)),
+            cycle_period_ns=int(doc.get("cycle_period_ns", 100_000_000)),
+            tie_break=doc.get("tie_break", "fifo"),
+            batch_window_ns=int(doc.get("batch_window_ns", 100_000_000)),
+        )

@@ -93,20 +93,11 @@ def compute_metrics(records: Sequence[dict]) -> SimMetrics:
             raise IntegrityError(f"unknown event type {event!r}")
 
     duration_s = duration_ns / NS_PER_SEC
-    class_stats = {}
-    for p in sorted(set(waits_by_class) | set(latencies_by_class)):
-        latencies = latencies_by_class.get(p, [])
-        waits = waits_by_class.get(p, [])
-        class_stats[p] = ClassStats(
-            count=len(latencies),
-            mean_latency_s=float(np.mean(latencies) / NS_PER_SEC) if latencies else 0.0,
-            wait_variance_s2=float(np.var(np.array(waits) / NS_PER_SEC)) if waits else 0.0,
-        )
     return SimMetrics(
         duration_s=duration_s,
         completed=completions,
         throughput_per_s=completions / duration_s,
-        class_stats=class_stats,
+        class_stats=ClassStats.by_class(waits_by_class, latencies_by_class),
         inversion_rate=inversion_count / dispatch_count if dispatch_count else 0.0,
         offload_fraction=offload_count / dispatch_count if dispatch_count else 0.0,
         overhead_ms_mean=0.0,

@@ -9,26 +9,16 @@ from ..timebase import NS_PER_SEC
 from .types import SchedulerConfig, Task
 
 
-def compute_priority(task: Task, now_ns: int, config: SchedulerConfig) -> float:
-    """The aged priority value P_initial + alpha * ln(1 + W).
-
-    W is the wait since the task entered the queue, in seconds. The
-    logarithm makes early waiting count the most: the growth rate
-    alpha / (1 + W) keeps falling, so recently arrived tasks never
-    leapfrog each other yet nothing waits forever.
-    """
-    if now_ns < task.entry_time_ns:
-        raise UsageError("now precedes the task's entry time")
-    wait_s = (now_ns - task.entry_time_ns) / NS_PER_SEC
-    return task.initial_priority + config.alpha * math.log1p(wait_s)
-
-
 def effective_urgency(task: Task, now_ns: int, config: SchedulerConfig) -> float:
-    """Dispatch score: smaller is served first.
+    """Dispatch score P_initial - alpha * ln(1 + W): smaller is served first.
 
-    Smaller initial priority means more urgent, and waiting must help,
-    so the aging term is subtracted here. A task overtakes one that is
-    ``delta`` levels more urgent once alpha * ln(1 + W) exceeds delta.
+    W is the wait since the task entered the queue, in seconds. Smaller
+    initial priority means more urgent, and waiting must help, so the
+    aging term is subtracted. The logarithm makes early waiting count
+    the most: the rate alpha / (1 + W) at which urgency grows keeps
+    falling, so recently arrived tasks never leapfrog each other yet
+    nothing waits forever. A task overtakes one that is ``delta`` levels
+    more urgent once alpha * ln(1 + W) exceeds delta.
     """
     if now_ns < task.entry_time_ns:
         raise UsageError("now precedes the task's entry time")

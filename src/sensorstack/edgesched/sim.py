@@ -331,20 +331,11 @@ def run_simulation(
             break
 
     duration_s = workload.duration_ns / NS_PER_SEC
-    class_stats = {}
-    for p_initial in sorted(set(waits_by_class) | set(latencies_by_class)):
-        latencies = latencies_by_class.get(p_initial, [])
-        waits = waits_by_class.get(p_initial, [])
-        class_stats[p_initial] = ClassStats(
-            count=len(latencies),
-            mean_latency_s=float(np.mean(latencies) / NS_PER_SEC) if latencies else 0.0,
-            wait_variance_s2=float(np.var(np.array(waits) / NS_PER_SEC)) if waits else 0.0,
-        )
     metrics = SimMetrics(
         duration_s=duration_s,
         completed=completions,
         throughput_per_s=completions / duration_s,
-        class_stats=class_stats,
+        class_stats=ClassStats.by_class(waits_by_class, latencies_by_class),
         inversion_rate=inversion_count / dispatch_count if dispatch_count else 0.0,
         offload_fraction=offload_count / dispatch_count if dispatch_count else 0.0,
         overhead_ms_mean=float(np.mean(overhead_samples)) * 1e3 if overhead_samples else 0.0,

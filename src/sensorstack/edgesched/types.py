@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from ..errors import ConfigError, UsageError
+from ..timebase import NS_PER_SEC
 
 COMPUTE_CLASSES = ("light", "heavy")
 NODE_KINDS = ("medium", "computation_unit")
@@ -126,6 +130,22 @@ class ClassStats:
     def __post_init__(self):
         if self.wait_variance_s2 < 0:
             raise UsageError("variance cannot be negative")
+
+    @classmethod
+    def by_class(cls, waits: Mapping[float, Sequence[int]], latencies: Mapping[float, Sequence[int]]) -> dict:
+        """Stats per initial priority, ascending, from dispatch waits and
+        completion latencies in nanoseconds, both keyed by that priority.
+        """
+        stats = {}
+        for p in sorted(set(waits) | set(latencies)):
+            done = latencies.get(p, [])
+            waited = waits.get(p, [])
+            stats[p] = cls(
+                count=len(done),
+                mean_latency_s=float(np.mean(done) / NS_PER_SEC) if done else 0.0,
+                wait_variance_s2=float(np.var(np.array(waited) / NS_PER_SEC)) if waited else 0.0,
+            )
+        return stats
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import UsageError
+from ..scoring import greedy_match
 from ..timebase import SampleStream
 from .detect import EventDetection
 from .features import sliding_entropy
@@ -36,28 +37,16 @@ def coarse_align(
 ) -> tuple[MatchedPair, ...]:
     """Greedy one-to-one matching of event starts within a tolerance.
 
-    Candidate pairs are taken closest first; each event participates in
-    at most one pair. Pairs are returned ordered by the first stream's
-    event start.
+    Candidate pairs are taken closest first (`greedy_match` on the start
+    gap); each event participates in at most one pair. Pairs are
+    returned ordered by the first stream's event start; pairs sharing
+    one keep index order, which is also the order they were matched in,
+    because such events have equal gaps to every candidate.
     """
     if tolerance_ns < 0:
         raise UsageError("tolerance must be non-negative")
-    candidates = []
-    for i, ea in enumerate(events_a):
-        for j, eb in enumerate(events_b):
-            gap = abs(ea.start - eb.start)
-            if gap <= tolerance_ns:
-                candidates.append((gap, i, j))
-    candidates.sort()
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    pairs: list[MatchedPair] = []
-    for _, i, j in candidates:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        pairs.append(MatchedPair(events_a[i], events_b[j]))
+    matches = greedy_match(events_a, events_b, tolerance_ns, lambda a, b: abs(a.start - b.start))
+    pairs = [MatchedPair(events_a[i], events_b[j]) for i, j in matches]
     pairs.sort(key=lambda p: p.a.start)
     return tuple(pairs)
 

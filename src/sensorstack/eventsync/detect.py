@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
+from .. import jsonl
 from ..errors import UsageError
 from .dtw import GestureTemplate, _backtrack, _cumulative, dtw_cost
 from .series import TimeSeries
@@ -156,36 +156,23 @@ def suppress_overlaps(hits: Iterable[EventDetection]) -> tuple[EventDetection, .
 
 
 def write_events_ndjson(events: Iterable[EventDetection], fp: IO[str]) -> None:
-    for event in events:
-        fp.write(
-            json.dumps(
-                {
-                    "stream_id": event.stream_id,
-                    "start_ns": event.start,
-                    "end_ns": event.end,
-                    "score": event.score,
-                    "stage": event.stage,
-                },
-                sort_keys=True,
-            )
-        )
-        fp.write("\n")
+    jsonl.write_records(
+        (
+            {"stream_id": e.stream_id, "start_ns": e.start, "end_ns": e.end, "score": e.score, "stage": e.stage}
+            for e in events
+        ),
+        fp,
+    )
 
 
 def read_events_ndjson(fp: IO[str]) -> tuple[EventDetection, ...]:
-    events = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        events.append(
-            EventDetection(
-                stream_id=rec["stream_id"],
-                start=int(rec["start_ns"]),
-                end=int(rec["end_ns"]),
-                score=float(rec["score"]),
-                stage=rec["stage"],
-            )
-        )
-    return tuple(events)
+    return jsonl.read_records(
+        fp,
+        lambda rec: EventDetection(
+            stream_id=rec["stream_id"],
+            start=int(rec["start_ns"]),
+            end=int(rec["end_ns"]),
+            score=float(rec["score"]),
+            stage=rec["stage"],
+        ),
+    )

@@ -8,6 +8,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
+from .. import jsonl
 from ..errors import UsageError
 from ..timebase import NS_PER_SEC
 from .series import TimeSeries
@@ -244,14 +245,15 @@ class GestureTemplate:
 
     @classmethod
     def from_json(cls, text: str) -> "GestureTemplate":
-        data = json.loads(text)
-        if data.get("version") != 1 or data.get("kind") != "gesture_template":
-            raise UsageError("unrecognized template serialization")
-        return cls(
-            values=np.asarray(data["values"], dtype=float),
-            sample_rate_hz=float(data["sample_rate_hz"]),
-            dtw_threshold=float(data["dtw_threshold"]),
-        )
+        with jsonl.decoding("gesture template"):
+            data = jsonl.loads_object(text)
+            if data.get("version") != 1 or data.get("kind") != "gesture_template":
+                raise UsageError("unrecognized template serialization")
+            return cls(
+                values=np.asarray(data["values"], dtype=float),
+                sample_rate_hz=float(data["sample_rate_hz"]),
+                dtw_threshold=float(data["dtw_threshold"]),
+            )
 
 
 def dba_template(

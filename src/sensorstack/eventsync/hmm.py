@@ -15,6 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .. import jsonl
 from ..errors import ConfigError, UsageError
 
 VAR_FLOOR = 1e-6
@@ -78,15 +79,16 @@ class HmmModel:
 
     @classmethod
     def from_json(cls, text: str) -> "HmmModel":
-        data = json.loads(text)
-        if data.get("version") != 1 or data.get("kind") != "gaussian_hmm":
-            raise UsageError("unrecognized model serialization")
-        return cls(
-            start=np.asarray(data["start"], dtype=float),
-            transitions=np.asarray(data["transitions"], dtype=float),
-            means=np.asarray(data["means"], dtype=float),
-            variances=np.asarray(data["variances"], dtype=float),
-        )
+        with jsonl.decoding("hmm model"):
+            data = jsonl.loads_object(text)
+            if data.get("version") != 1 or data.get("kind") != "gaussian_hmm":
+                raise UsageError("unrecognized model serialization")
+            return cls(
+                start=np.asarray(data["start"], dtype=float),
+                transitions=np.asarray(data["transitions"], dtype=float),
+                means=np.asarray(data["means"], dtype=float),
+                variances=np.asarray(data["variances"], dtype=float),
+            )
 
 
 def _log_emissions(model_means, model_vars, obs: np.ndarray) -> np.ndarray:

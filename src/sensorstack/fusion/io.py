@@ -13,6 +13,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .. import jsonl
 from ..errors import UsageError
 from .geometry import PerspectiveTransform
 from .metrics import SweepRow
@@ -21,88 +22,71 @@ from .types import Detection, FusedDetection, PointPair
 
 
 def write_pairs_ndjson(pairs: Iterable[PointPair], fp: IO[str]):
-    for p in pairs:
-        fp.write(json.dumps({"source": list(p.source), "target": list(p.target)}) + "\n")
+    jsonl.write_records(({"source": list(p.source), "target": list(p.target)} for p in pairs), fp)
 
 
 def read_pairs_ndjson(fp: IO[str]) -> tuple[PointPair, ...]:
-    pairs = []
-    for line in fp:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        pairs.append(PointPair(source=tuple(rec["source"]), target=tuple(rec["target"])))
-    return tuple(pairs)
+    return jsonl.read_records(fp, lambda rec: PointPair(source=tuple(rec["source"]), target=tuple(rec["target"])))
 
 
 def write_detections_ndjson(detections: Iterable[Detection], fp: IO[str]):
-    for d in detections:
-        fp.write(
-            json.dumps(
-                {
-                    "camera_id": d.camera_id,
-                    "class": d.category,
-                    "center": list(d.center),
-                    "confidence": d.confidence,
-                    "frame_ts_ns": d.frame_ts,
-                }
-            )
-            + "\n"
-        )
+    jsonl.write_records(
+        (
+            {
+                "camera_id": d.camera_id,
+                "class": d.category,
+                "center": list(d.center),
+                "confidence": d.confidence,
+                "frame_ts_ns": d.frame_ts,
+            }
+            for d in detections
+        ),
+        fp,
+    )
 
 
 def read_detections_ndjson(fp: IO[str]) -> tuple[Detection, ...]:
-    out = []
-    for line in fp:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            Detection(
-                camera_id=rec["camera_id"],
-                category=rec["class"],
-                center=tuple(rec["center"]),
-                confidence=rec["confidence"],
-                frame_ts=int(rec["frame_ts_ns"]),
-            )
-        )
-    return tuple(out)
+    return jsonl.read_records(
+        fp,
+        lambda rec: Detection(
+            camera_id=rec["camera_id"],
+            category=rec["class"],
+            center=tuple(rec["center"]),
+            confidence=rec["confidence"],
+            frame_ts=int(rec["frame_ts_ns"]),
+        ),
+    )
 
 
 def write_fused_ndjson(fused: Iterable[FusedDetection], fp: IO[str]):
-    for f in fused:
-        fp.write(
-            json.dumps(
-                {
-                    "class": f.category,
-                    "center": list(f.center),
-                    "confidence": f.confidence,
-                    "cameras": list(f.cameras),
-                    "threshold": f.threshold,
-                    "merged_count": f.merged_count,
-                }
-            )
-            + "\n"
-        )
+    jsonl.write_records(
+        (
+            {
+                "class": f.category,
+                "center": list(f.center),
+                "confidence": f.confidence,
+                "cameras": list(f.cameras),
+                "threshold": f.threshold,
+                "merged_count": f.merged_count,
+            }
+            for f in fused
+        ),
+        fp,
+    )
 
 
 def read_fused_ndjson(fp: IO[str]) -> tuple[FusedDetection, ...]:
-    out = []
-    for line in fp:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            FusedDetection(
-                category=rec["class"],
-                center=tuple(rec["center"]),
-                confidence=rec["confidence"],
-                cameras=tuple(rec["cameras"]),
-                threshold=rec["threshold"],
-                merged_count=rec["merged_count"],
-            )
-        )
-    return tuple(out)
+    return jsonl.read_records(
+        fp,
+        lambda rec: FusedDetection(
+            category=rec["class"],
+            center=tuple(rec["center"]),
+            confidence=rec["confidence"],
+            cameras=tuple(rec["cameras"]),
+            threshold=rec["threshold"],
+            merged_count=rec["merged_count"],
+        ),
+    )
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fp: IO[str]):
@@ -144,18 +128,19 @@ def write_transform_json(transform: PerspectiveTransform, fp: IO[str]):
 
 
 def read_transform_json(fp: IO[str]) -> PerspectiveTransform:
-    doc = json.load(fp)
-    kind = doc.get("kind")
-    if kind == "homography":
-        return PerspectiveTransform(kind="homography", matrix=np.array(doc["matrix"], dtype=float))
-    if kind == "learned":
-        net = TransformNet(
-            architecture=tuple(doc["architecture"]),
-            params=np.array(doc["params"], dtype=float),
-            in_center=np.array(doc["in_center"], dtype=float),
-            in_scale=np.array(doc["in_scale"], dtype=float),
-            out_center=np.array(doc["out_center"], dtype=float),
-            out_scale=np.array(doc["out_scale"], dtype=float),
-        )
-        return PerspectiveTransform(kind="learned", net=net)
+    with jsonl.decoding("transform document"):
+        doc = jsonl.loads_object(fp.read())
+        kind = doc.get("kind")
+        if kind == "homography":
+            return PerspectiveTransform(kind="homography", matrix=np.array(doc["matrix"], dtype=float))
+        if kind == "learned":
+            net = TransformNet(
+                architecture=tuple(doc["architecture"]),
+                params=np.array(doc["params"], dtype=float),
+                in_center=np.array(doc["in_center"], dtype=float),
+                in_scale=np.array(doc["in_scale"], dtype=float),
+                out_center=np.array(doc["out_center"], dtype=float),
+                out_scale=np.array(doc["out_scale"], dtype=float),
+            )
+            return PerspectiveTransform(kind="learned", net=net)
     raise UsageError(f"unknown transform kind {kind!r}")

@@ -1,7 +1,7 @@
 """Request routing over the control plane.
 
-The router speaks (method, path, body, headers) tuples so the harness
-can call it in process; ``serve`` wraps the same router in a real HTTP
+The router speaks (method, path, body, headers) tuples so callers can
+use it in process; ``serve`` wraps the same router in a real HTTP
 server for external clients. Bodies are JSON and errors map onto the
 usual status codes.
 """

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from ..errors import IntegrityError
+from .. import jsonl
 
 
 class MemoryLog:
@@ -25,27 +24,24 @@ class FileLog:
     """One JSON object per line in a single file.
 
     Existing content is loaded at construction, so reopening the same
-    path resumes the log. Appends flush immediately.
+    path resumes the log. Appends flush immediately. A final line
+    without its newline is an append that never returned; reopening
+    cuts it off so the next append starts on a clean line. A corrupt
+    complete line raises an `IntegrityError` naming it.
     """
 
     def __init__(self, path):
         self._path = Path(path)
-        self._records: list[dict] = []
-        if self._path.exists():
-            with open(self._path, encoding="utf-8") as fp:
-                for line_no, line in enumerate(fp, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        self._records.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        raise IntegrityError(
-                            f"corrupt log line {line_no} in {self._path}"
-                        ) from None
+        data = self._path.read_bytes() if self._path.exists() else b""
+        complete = data[: data.rfind(b"\n") + 1]
+        self._records = list(jsonl.read_records(complete.split(b"\n"), dict))
+        if len(complete) < len(data):
+            with open(self._path, "r+b") as fp:
+                fp.truncate(len(complete))
         self._fp = open(self._path, "a", encoding="utf-8")
 
     def append(self, record: dict):
-        self._fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+        jsonl.write_records((record,), self._fp)
         self._fp.flush()
         self._records.append(record)
 

@@ -18,7 +18,6 @@ always "offset right now" and the drift term starts from zero again.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
@@ -27,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, UsageError
+from .jsonl import decoding, read_records, write_records
 
 NS_PER_SEC = 1_000_000_000
 
@@ -252,8 +252,8 @@ class SensorSample:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise UsageError(f"unknown modality {self.modality!r}")
-        if not self.device_id:
-            raise UsageError("device_id must be non-empty")
+        if not isinstance(self.device_id, str) or not self.device_id:
+            raise UsageError("device_id must be a non-empty string")
         object.__setattr__(self, "payload", tuple(float(v) for v in self.payload))
 
     def with_corrected(self, corrected_ts: int) -> "SensorSample":
@@ -441,7 +441,7 @@ def sample_to_record(sample: SensorSample) -> dict:
 
 
 def sample_from_record(record: Mapping) -> SensorSample:
-    try:
+    with decoding("sample record", UsageError):
         location = None
         if record.get("lat") is not None and record.get("lon") is not None:
             location = (float(record["lat"]), float(record["lon"]))
@@ -455,14 +455,10 @@ def sample_from_record(record: Mapping) -> SensorSample:
             ),
             location=location,
         )
-    except KeyError as exc:
-        raise UsageError(f"sample record missing field {exc}") from exc
 
 
 def write_samples_ndjson(samples: Iterable[SensorSample], fp: IO[str]) -> None:
-    for sample in samples:
-        fp.write(json.dumps(sample_to_record(sample), sort_keys=True))
-        fp.write("\n")
+    write_records((sample_to_record(s) for s in samples), fp)
 
 
 def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
@@ -473,11 +469,7 @@ def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
     period is zero has no rate and is rejected with a DomainError.
     """
     grouped: dict[tuple[str, str], list[SensorSample]] = {}
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        sample = sample_from_record(json.loads(line))
+    for sample in read_records(fp, sample_from_record):
         grouped.setdefault((sample.device_id, sample.modality), []).append(sample)
     streams: dict[str, SampleStream] = {}
     for (device_id, modality), samples in grouped.items():

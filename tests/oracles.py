@@ -7,7 +7,9 @@ the algorithms under test: besides data types, the only package code
 used is what the batched paths keep unchanged (`buffer_size`,
 `suppress_overlaps`). The per-window detector and the per-epoch
 alignment loop are the straightforward versions the batched production
-code replaced, kept here as references.
+code replaced, and the event-matching loop is the one `coarse_align`
+carried before it called the shared greedy matcher; all are kept here
+as references.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from sensorstack.errors import UsageError
-from sensorstack.eventsync import EventDetection, suppress_overlaps
+from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.timebase import AlignedFrame, buffer_size
 
 
@@ -225,3 +227,29 @@ def align_per_epoch(streams, policy, epoch_ns):
             slots[key] = stream.samples[idx] if t - int(ts[idx]) <= limit else None
         frames.append(AlignedFrame(time=t, slots=slots))
     return frames
+
+
+def coarse_align_loop(events_a, events_b, tolerance_ns):
+    """Greedy start matching with its own candidate loop.
+
+    Every pair within the tolerance is a candidate, taken in
+    (gap, index in a, index in b) order while both events are free;
+    the accepted pairs are then stably sorted by the first event's
+    start.
+    """
+    candidates = []
+    for i, ea in enumerate(events_a):
+        for j, eb in enumerate(events_b):
+            gap = abs(ea.start - eb.start)
+            if gap <= tolerance_ns:
+                candidates.append((gap, i, j))
+    candidates.sort()
+    used_a, used_b, pairs = set(), set(), []
+    for _, i, j in candidates:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        pairs.append(MatchedPair(events_a[i], events_b[j]))
+    pairs.sort(key=lambda p: p.a.start)
+    return tuple(pairs)

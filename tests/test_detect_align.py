@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import detect_gesture_per_window
+from oracles import coarse_align_loop, detect_gesture_per_window
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
@@ -240,6 +240,28 @@ class TestCoarseAlign:
 
     def test_empty_inputs(self):
         assert coarse_align([], []) == ()
+
+    def test_shared_starts_at_zero_tolerance_match_the_loop(self):
+        # equal starts on both sides tie on gap 0; the pairing and the
+        # order within a shared start must follow the loop's index order
+        a = [EventDetection("a", t, t + k, 0.1) for k, t in enumerate((5, 5, 0, 5))]
+        b = [EventDetection("b", t, t + k, 0.1) for k, t in enumerate((5, 0, 5, 7))]
+        expected = coarse_align_loop(a, b, 0)
+        assert len(expected) == 3
+        assert coarse_align(a, b, tolerance_ns=0) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 12), max_size=9),
+        st.lists(st.integers(0, 12), max_size=9),
+        st.integers(0, 4),
+    )
+    def test_matches_the_candidate_loop(self, starts_a, starts_b, tolerance):
+        # a narrow start range forces shared starts and tied gaps; distinct
+        # ends make every event distinguishable in the output
+        a = [EventDetection("a", t, t + k, 0.1) for k, t in enumerate(starts_a)]
+        b = [EventDetection("b", t, t + k, 0.1) for k, t in enumerate(starts_b)]
+        assert coarse_align(a, b, tolerance_ns=tolerance) == coarse_align_loop(a, b, tolerance)
 
 
 def burst_series(onset_ns, rate_hz=100.0, total_s=6.0, seed=0, amplitude=3.0):

@@ -872,6 +872,24 @@ class TestEventSourcing:
         with pytest.raises(IntegrityError, match="line 2"):
             FileLog(path)
 
+    def test_file_log_drops_torn_final_line(self, tmp_path):
+        path = tmp_path / "activity.ndjson"
+        log = FileLog(path)
+        log.append({"a": 1})
+        log.close()
+        intact = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as fp:
+            fp.write('{"b": ')
+        reopened = FileLog(path)
+        assert reopened.records() == ({"a": 1},)
+        assert path.read_bytes() == intact
+        reopened.append({"c": [2, 3]})
+        reopened.close()
+        again = FileLog(path)
+        assert again.records() == ({"a": 1}, {"c": [2, 3]})
+        again.close()
+        assert path.read_bytes() == intact + b'{"c":[2,3]}\n'
+
     def test_memory_log_records_are_snapshots(self):
         log = MemoryLog()
         log.append({"a": 1})

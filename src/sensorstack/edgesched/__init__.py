@@ -7,7 +7,7 @@ drives the whole pipeline deterministically and writes replayable
 event logs.
 """
 
-from .cycle import Dispatch, schedule_cycle
+from .cycle import Dispatch, TaskQueue, schedule_cycle
 from .io import (
     metrics_to_dict,
     read_event_log,
@@ -57,6 +57,7 @@ __all__ = [
     "SimResult",
     "StageSpec",
     "Task",
+    "TaskQueue",
     "TopologySpec",
     "WorkloadSpec",
     "classify_and_route",

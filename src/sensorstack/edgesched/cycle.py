@@ -1,12 +1,17 @@
-"""One dispatcher pass: age, sort, route, and place queued tasks."""
+"""One dispatcher pass: pick queued tasks by urgency, route, and place them."""
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from ..errors import UsageError
 from .priority import effective_urgency
-from .routing import classify_and_route
+from .routing import UtilizationIndex, route
 from .types import NodeState, SchedulerConfig, Task
 
 
@@ -27,8 +32,52 @@ def _default_occupy(node: NodeState, task: Task):
     node.in_flight += 1
 
 
+class TaskQueue:
+    """Queued tasks, in groups whose members never change order.
+
+    A group holds the tasks of one ``(initial_priority, compute_class,
+    stage)``. Aging ``alpha * ln(1 + W)`` is the same function of the
+    wait for every task, so inside a group urgency never falls as entry
+    time rises, and the group's dispatch order is fixed: arrival order
+    ``(entry_time_ns, task_id)``, or task id alone under the ``task_id``
+    tie break with ``alpha == 0``, where every member's urgency is the
+    group's priority. Under ``task_id`` with ``alpha > 0``, members whose
+    urgencies round to the same value are served by task id; those form
+    a run in arrival order, which the cycle scans.
+    """
+
+    def __init__(self, config: SchedulerConfig, tasks: Iterable[Task] = ()):
+        self.config = config
+        if config.tie_break == "task_id" and config.alpha == 0:
+            self._order = lambda task: task.task_id
+        else:
+            self._order = lambda task: (task.entry_time_ns, task.task_id)
+        self._groups: dict[tuple, deque[Task]] = {}
+        self._latest_entry_ns = -math.inf
+        for task in sorted(tasks, key=self._order):
+            self.append(task)
+
+    def append(self, task: Task):
+        self._latest_entry_ns = max(self._latest_entry_ns, task.entry_time_ns)
+        key = (task.initial_priority, task.compute_class, task.stage)
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = deque([task])
+        elif self._order(task) >= self._order(group[-1]):
+            group.append(task)
+        else:
+            insort(group, task, key=self._order)
+
+    def __len__(self) -> int:
+        return sum(len(group) for group in self._groups.values())
+
+    def best_priority(self) -> float:
+        """The smallest initial priority still queued; inf when empty."""
+        return min((key[0] for key in self._groups), default=math.inf)
+
+
 def schedule_cycle(
-    queue: list[Task],
+    queue: TaskQueue | list[Task],
     nodes: Sequence[NodeState],
     now_ns: int,
     config: SchedulerConfig,
@@ -37,39 +86,86 @@ def schedule_cycle(
 ) -> list[Dispatch]:
     """Dispatch the most urgent queued tasks onto willing nodes.
 
-    Every queued task is re-aged at ``now_ns``, the queue is walked in
-    urgency order (ties broken per config), and each task is placed on
-    the node the routing rule picks, provided that node still accepts
-    work. Placed tasks leave the queue; occupancy is updated through
-    ``occupy`` between placements so later routing sees the load added
-    earlier in the same cycle. Callers with richer node semantics (such
-    as batch buffers) substitute their own ``accepts``/``occupy``.
+    Tasks are taken in urgency order at ``now_ns`` (ties broken per
+    config), and each is placed on the node the routing rule picks,
+    provided that node still accepts work. Placed tasks leave the queue;
+    occupancy is updated through ``occupy`` between placements so later
+    routing sees the load added earlier in the same cycle. Callers with
+    richer node semantics (such as batch buffers) substitute their own
+    ``accepts``/``occupy``. A plain list is rewritten in place to the
+    tasks left, in their original order.
+
+    Contract on ``accepts``/``occupy``: ``occupy`` only adds load to the
+    node it is given, and once ``accepts`` refuses a task it refuses
+    every later task of the same ``(initial_priority, compute_class,
+    stage)`` in the cycle. A task's node depends only on its compute
+    class and node occupancy, and occupancy only grows, so the default
+    callables and the simulator's both keep it. A refusal therefore ends
+    that group's turn, and the group is not routed again until the next
+    cycle.
+
+    Cost on a `TaskQueue`: O(N + G + D log(N + G)) for N nodes, G
+    non-empty groups and D tasks placed, whatever the queue's length
+    (under ``task_id`` with ``alpha > 0``, plus the members whose
+    urgencies tie with a group head). A list pays O(Q log Q) more to be
+    grouped and rewritten.
     """
-    by_id = {n.node_id: n for n in nodes}
+    if not isinstance(queue, TaskQueue):
+        pending = TaskQueue(config, queue)
+        dispatches = schedule_cycle(pending, nodes, now_ns, config, accepts, occupy)
+        if dispatches:
+            taken = {d.task.task_id for d in dispatches}
+            queue[:] = [t for t in queue if t.task_id not in taken]
+        return dispatches
+    if queue.config != config:
+        raise UsageError("the task queue was built for another scheduler config")
+    if now_ns < queue._latest_entry_ns:
+        raise UsageError("now precedes the task's entry time")
 
-    def sort_key(task: Task):
+    fifo = config.tie_break == "fifo"
+    scan_ties = not fifo and config.alpha > 0
+
+    def head(group: deque[Task]):
+        """The group's next task, its index, and its full sort key."""
+        task = group[0]
+        at = 0
         urgency = effective_urgency(task, now_ns, config)
-        if config.tie_break == "fifo":
-            return (urgency, task.entry_time_ns, task.task_id)
-        return (urgency, task.task_id)
+        if scan_ties:
+            for i in range(1, len(group)):
+                if effective_urgency(group[i], now_ns, config) != urgency:
+                    break
+                if group[i].task_id < task.task_id:
+                    task, at = group[i], i
+        if fifo:
+            return (urgency, task.entry_time_ns, task.task_id), at, task
+        return (urgency, task.task_id), at, task
 
+    groups = queue._groups
+    heads = []
+    for rank, (group_key, group) in enumerate(groups.items()):
+        sort_key, at, task = head(group)
+        heads.append((sort_key, rank, group_key, at, task))
+    heapq.heapify(heads)
+
+    by_id = {n.node_id: n for n in nodes}
+    mediums = UtilizationIndex(nodes, "medium")
+    units = UtilizationIndex(nodes, "computation_unit")
     dispatches: list[Dispatch] = []
-    taken: set[str] = set()
-    for task in sorted(queue, key=sort_key):
-        decision = classify_and_route(task, nodes)
+    while heads:
+        sort_key, rank, group_key, at, task = heads[0]
+        decision = route(task, mediums.least(), units.least())
         node = by_id[decision.node_id]
         if not accepts(node, task):
+            heapq.heappop(heads)
             continue
         occupy(node, task)
-        taken.add(task.task_id)
-        dispatches.append(
-            Dispatch(
-                task=task,
-                node_id=node.node_id,
-                p_eff=effective_urgency(task, now_ns, config),
-                redirected=decision.redirected,
-            )
-        )
-    if taken:
-        queue[:] = [t for t in queue if t.task_id not in taken]
+        dispatches.append(Dispatch(task, node.node_id, sort_key[0], decision.redirected))
+        group = groups[group_key]
+        del group[at]
+        if group:
+            sort_key, at, task = head(group)
+            heapq.heapreplace(heads, (sort_key, rank, group_key, at, task))
+        else:
+            heapq.heappop(heads)
+            del groups[group_key]
     return dispatches

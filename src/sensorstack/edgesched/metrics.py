@@ -21,10 +21,10 @@ from .types import ClassStats, SimMetrics
 def compute_metrics(records: Sequence[dict]) -> SimMetrics:
     """Replay an event log into aggregate metrics.
 
-    The log must be complete: it ends with an "end" record, every
-    dispatch refers to a logged arrival, and every completion refers to
-    a logged dispatch. Anything else means the log was truncated or
-    reordered and raises an integrity error.
+    The log must be complete: it ends with an "end" record, every task
+    arrives once, every dispatch refers to a logged arrival, and every
+    completion refers to a logged dispatch. Anything else means the log
+    was truncated or reordered and raises an integrity error.
     """
     records = list(records)
     if not records or records[-1]["event"] != "end":
@@ -34,6 +34,7 @@ def compute_metrics(records: Sequence[dict]) -> SimMetrics:
     p_initial: dict[str, float] = {}
     entry: dict[str, int] = {}
     queued: set[str] = set()
+    queued_by_class: dict[float, int] = {}
     dispatched: set[str] = set()
     completions = 0
     dispatch_count = 0
@@ -48,9 +49,12 @@ def compute_metrics(records: Sequence[dict]) -> SimMetrics:
         event = record["event"]
         if event == "arrival":
             task_id = record["task_id"]
+            if task_id in p_initial:
+                raise IntegrityError(f"second arrival of task {task_id}")
             p_initial[task_id] = record["p_initial"]
             entry[task_id] = record["t_ns"]
             queued.add(task_id)
+            queued_by_class[record["p_initial"]] = queued_by_class.get(record["p_initial"], 0) + 1
             index += 1
         elif event == "dispatch":
             group = [record]
@@ -66,7 +70,11 @@ def compute_metrics(records: Sequence[dict]) -> SimMetrics:
                     raise IntegrityError(f"dispatch of unknown or finished task {task_id}")
                 queued.discard(task_id)
                 dispatched.add(task_id)
-            remaining_best = min((p_initial[t] for t in queued), default=np.inf)
+                p = p_initial[task_id]
+                queued_by_class[p] -= 1
+                if not queued_by_class[p]:
+                    del queued_by_class[p]
+            remaining_best = min(queued_by_class, default=np.inf)
             for item in group:
                 dispatch_count += 1
                 if item["node_kind"] == "computation_unit":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,34 +16,61 @@ class RouteDecision:
     redirected: bool
 
 
-def _least_utilized(nodes: Sequence[NodeState], kind: str) -> NodeState | None:
-    candidates = [n for n in nodes if n.kind == kind]
-    if not candidates:
+class UtilizationIndex:
+    """The least-``(utilization, node_id)`` node of one kind, kept as load grows.
+
+    A heap of ``(utilization, node_id)`` entries. An entry whose node has
+    since filled up is stale; it is refreshed when it reaches the top, so
+    the answer is exact as long as no node's utilization falls while the
+    index is in use, which holds within one dispatcher cycle.
+    """
+
+    def __init__(self, nodes: Sequence[NodeState], kind: str):
+        self._by_id = {n.node_id: n for n in nodes if n.kind == kind}
+        self._heap = [(n.utilization, node_id) for node_id, n in self._by_id.items()]
+        heapq.heapify(self._heap)
+
+    def least(self) -> NodeState | None:
+        heap = self._heap
+        while heap:
+            utilization, node_id = heap[0]
+            node = self._by_id[node_id]
+            if node.utilization == utilization:
+                return node
+            heapq.heapreplace(heap, (node.utilization, node_id))
         return None
-    return min(candidates, key=lambda n: (n.utilization, n.node_id))
 
 
-def classify_and_route(task: Task, nodes: Sequence[NodeState]) -> RouteDecision:
+def route(task: Task, least_medium: NodeState | None, least_unit: NodeState | None) -> RouteDecision:
     """Pick a node by compute class, spilling over under load.
 
     Light tasks prefer the least-utilized medium node; if even that one
     sits above its overload threshold the task is redirected to a
     computation unit. Heavy tasks always go to the least-utilized
-    computation unit.
+    computation unit. ``least_medium`` and ``least_unit`` are the
+    least-``(utilization, node_id)`` node of each kind, or None when the
+    topology has none.
     """
-    unit = _least_utilized(nodes, "computation_unit")
     if task.compute_class == "heavy":
-        if unit is None:
+        if least_unit is None:
             raise TopologyError("no computation unit available for a heavy task")
-        return RouteDecision(unit.node_id, redirected=False)
-    medium = _least_utilized(nodes, "medium")
-    if medium is None:
+        return RouteDecision(least_unit.node_id, redirected=False)
+    if least_medium is None:
         raise TopologyError("no medium node available for a light task")
-    if medium.utilization > medium.spec.overload_threshold:
-        if unit is None:
+    if least_medium.utilization > least_medium.spec.overload_threshold:
+        if least_unit is None:
             raise TopologyError("medium nodes overloaded and no computation unit to redirect to")
-        return RouteDecision(unit.node_id, redirected=True)
-    return RouteDecision(medium.node_id, redirected=False)
+        return RouteDecision(least_unit.node_id, redirected=True)
+    return RouteDecision(least_medium.node_id, redirected=False)
+
+
+def classify_and_route(task: Task, nodes: Sequence[NodeState]) -> RouteDecision:
+    """`route` over the least-utilized node of each kind in ``nodes``."""
+    return route(
+        task,
+        UtilizationIndex(nodes, "medium").least(),
+        UtilizationIndex(nodes, "computation_unit").least(),
+    )
 
 
 @dataclass(frozen=True)

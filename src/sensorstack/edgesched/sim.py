@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..timebase import NS_PER_SEC
-from .cycle import schedule_cycle
+from .cycle import TaskQueue, schedule_cycle
 from .routing import MonitorSnapshot, monitor_snapshot
 from .types import (
     COMPUTE_CLASSES,
@@ -164,14 +164,14 @@ def run_simulation(
     push(0, RANK_CYCLE, None)
     push(workload.duration_ns, RANK_END, None)
 
-    queue: list[Task] = []
+    queue = TaskQueue(config)
     open_batches: dict[tuple[str, str], _Batch] = {}
+    open_count = {n.node_id: 0 for n in nodes}
     waiting_batches: dict[str, list[_Batch]] = {n.node_id: [] for n in nodes}
     batch_count = 0
 
     records: list[dict] = []
     snapshots: list[MonitorSnapshot] = []
-    entry_by_id: dict[str, int] = {}
 
     completions = 0
     dispatch_count = 0
@@ -182,8 +182,7 @@ def run_simulation(
     overhead_samples: list[float] = []
 
     def committed_slots(node: NodeState) -> int:
-        opens = sum(1 for b in open_batches.values() if b.node_id == node.node_id)
-        return node.busy_slots + len(waiting_batches[node.node_id]) + opens
+        return node.busy_slots + len(waiting_batches[node.node_id]) + open_count[node.node_id]
 
     def accepts(node: NodeState, task: Task) -> bool:
         if node.kind == "medium":
@@ -212,6 +211,7 @@ def run_simulation(
             )
             batch_count += 1
             open_batches[key] = batch
+            open_count[node.node_id] += 1
             new_batches.append(batch)
         batch.tasks.append(task)
         node.queue_length += 1
@@ -229,7 +229,6 @@ def run_simulation(
         if rank == RANK_ARRIVAL:
             task = payload
             queue.append(task)
-            entry_by_id[task.task_id] = task.entry_time_ns
             records.append(
                 {
                     "t_ns": t_ns,
@@ -274,7 +273,7 @@ def run_simulation(
 
             for batch in new_batches:
                 push(batch.close_t_ns, RANK_BATCH_CLOSE, (batch.node_id, batch.stage, batch.batch_id))
-            remaining_best = min((t.initial_priority for t in queue), default=math.inf)
+            remaining_best = queue.best_priority()
             for item in dispatches:
                 dispatch_count += 1
                 node = by_id[item.node_id]
@@ -312,6 +311,7 @@ def run_simulation(
                 if batch is not None:
                     open_batches[(node_id, stage)] = batch
                 continue
+            open_count[node_id] -= 1
             node = by_id[node_id]
             if node.busy_slots < node.capacity:
                 start_batch(node, batch, t_ns)

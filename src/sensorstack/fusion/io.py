@@ -14,7 +14,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .. import jsonl
-from ..errors import UsageError
+from ..errors import IntegrityError, UsageError
 from .geometry import PerspectiveTransform
 from .metrics import SweepRow
 from .transform_net import TransformNet
@@ -134,13 +134,17 @@ def read_transform_json(fp: IO[str]) -> PerspectiveTransform:
         if kind == "homography":
             return PerspectiveTransform(kind="homography", matrix=np.array(doc["matrix"], dtype=float))
         if kind == "learned":
-            net = TransformNet(
-                architecture=tuple(doc["architecture"]),
-                params=np.array(doc["params"], dtype=float),
-                in_center=np.array(doc["in_center"], dtype=float),
-                in_scale=np.array(doc["in_scale"], dtype=float),
-                out_center=np.array(doc["out_center"], dtype=float),
-                out_scale=np.array(doc["out_scale"], dtype=float),
-            )
+            try:
+                net = TransformNet(
+                    architecture=tuple(doc["architecture"]),
+                    params=np.array(doc["params"], dtype=float),
+                    in_center=np.array(doc["in_center"], dtype=float),
+                    in_scale=np.array(doc["in_scale"], dtype=float),
+                    out_center=np.array(doc["out_center"], dtype=float),
+                    out_scale=np.array(doc["out_scale"], dtype=float),
+                )
+            except UsageError as exc:
+                # parameters that do not fit the architecture
+                raise IntegrityError(f"malformed transform document: {exc}") from exc
             return PerspectiveTransform(kind="learned", net=net)
     raise UsageError(f"unknown transform kind {kind!r}")

@@ -148,6 +148,10 @@ class TransformNet:
     out_center: np.ndarray
     out_scale: np.ndarray
 
+    def __post_init__(self):
+        if len(self.params) != param_count(self.architecture):
+            raise UsageError("parameter vector length does not match architecture")
+
     def predict(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         z = (pts - self.in_center) / self.in_scale

@@ -120,7 +120,13 @@ class CoreServices:
             raise ValidationError(f"unknown status {status!r}", fields=("status",))
         if sync_ts is None:
             sync_ts = self._clock()
-        last_sync = sync_ts if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
+        try:
+            last_sync = sync_ts if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
+        except (TypeError, OverflowError) as exc:
+            raise ValidationError(
+                "last_sync_timestamp must be a timestamp string or epoch seconds",
+                fields=("last_sync_timestamp",),
+            ) from exc
         self._devices[device_id] = replace(record, status=status, last_sync_timestamp=last_sync)
         stamp = format_timestamp(self._clock())
         return self._record(stamp, "update", {
@@ -130,7 +136,7 @@ class CoreServices:
         })
 
     def device_record(self, device_id: str) -> DeviceRecord:
-        record = self._devices.get(device_id)
+        record = self._devices.get(device_id) if isinstance(device_id, str) else None
         if record is None:
             raise NotFoundError(f"unknown device {device_id!r}")
         return record
@@ -163,7 +169,7 @@ class CoreServices:
         return self._configs[device_id]
 
     def version(self, version_id: str) -> VersionSnapshot:
-        snapshot = self._versions.get(version_id)
+        snapshot = self._versions.get(version_id) if isinstance(version_id, str) else None
         if snapshot is None:
             raise NotFoundError(f"unknown version {version_id!r}")
         return snapshot
@@ -210,6 +216,8 @@ class CoreServices:
             raise ValidationError(
                 f"target device {device_id!r} is not an actuator", fields=("device_id",)
             )
+        if not isinstance(command["payload"], Mapping):
+            raise ValidationError("action payload must be an object", fields=("payload",))
         action = ActionCommand(self._new_id(), device_id, dict(command["payload"]))
         self._actions[action.action_id] = action
         self._pending.setdefault(device_id, []).append(action.action_id)

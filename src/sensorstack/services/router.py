@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlparse
@@ -36,7 +37,7 @@ def _field(value, name: str, convert: Callable, kind: str):
     """A body or query field converted; a malformed value is a UsageError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"field {name!r} must be {kind}") from exc
 
 
@@ -153,7 +154,7 @@ class ServiceRouter:
                     )
                     for s in body.get("samples", [])
                 ]
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 # a sample that is not an object, or a non-integer
                 # timestamp or non-numeric payload inside one
                 raise UsageError(f"malformed capture sample: {exc}") from exc
@@ -173,7 +174,13 @@ class ServiceRouter:
 
 
 def serve(router: ServiceRouter, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    """Expose the router over HTTP; caller drives serve_forever/shutdown."""
+    """Expose the router over HTTP; caller drives serve_forever/shutdown.
+
+    Requests arrive on threads of their own, but the control plane
+    behind the router is not thread-safe (registration checks, then
+    inserts), so one lock per server runs one request at a time.
+    """
+    lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
         def _run(self, method: str):
@@ -185,9 +192,10 @@ def serve(router: ServiceRouter, host: str = "127.0.0.1", port: int = 0) -> Thre
             except ValueError:
                 status, payload = 400, {"error": "request body is not valid JSON"}
             else:
-                status, payload = router.handle(
-                    method, parsed.path, body, dict(self.headers), query
-                )
+                with lock:
+                    status, payload = router.handle(
+                        method, parsed.path, body, dict(self.headers), query
+                    )
             data = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -42,10 +42,13 @@ def issue_token(
 ) -> AccessToken:
     if not key:
         raise UsageError("signing key must not be empty")
-    if ttl_s < 0:
+    if not ttl_s >= 0:
+        # a NaN ttl would give a token that never expires
         raise UsageError("ttl must be non-negative")
     issued = time.time() if now is None else now
     role_tuple = tuple(roles)
+    if not isinstance(subject, str) or not all(isinstance(r, str) for r in role_tuple):
+        raise UsageError("subject and roles must be strings")
     claims = {
         "subject": subject,
         "roles": sorted(role_tuple),

@@ -32,7 +32,10 @@ def format_timestamp(epoch_s: float) -> str:
     if frac == 10_000:
         whole += 1
         frac = 0
-    stamp = datetime.fromtimestamp(whole, tz=timezone.utc)
+    try:
+        stamp = datetime.fromtimestamp(whole, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
     return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:04d}"
 
 

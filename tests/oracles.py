@@ -4,12 +4,13 @@ Each oracle favors obvious-but-slow formulations (exhaustive search,
 closed forms, full sorts, one window or one frame at a time) so that
 agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
-used is what the batched paths keep unchanged (`buffer_size`,
-`suppress_overlaps`). The per-window detector and the per-epoch
-alignment loop are the straightforward versions the batched production
-code replaced, and the event-matching loop is the one `coarse_align`
-carried before it called the shared greedy matcher; all are kept here
-as references.
+used is what the faster paths keep unchanged (`buffer_size`,
+`suppress_overlaps`, `effective_urgency`). The per-window detector and
+the per-epoch alignment loop are the straightforward versions the
+batched production code replaced, the event-matching loop is the one
+`coarse_align` carried before it called the shared greedy matcher, and
+the sorted dispatcher walk is the scheduler cycle before per-group
+queues; all are kept here as references.
 """
 
 from __future__ import annotations
@@ -18,10 +19,22 @@ import math
 from itertools import product
 
 import numpy as np
+from hypothesis import settings
 
-from sensorstack.errors import UsageError
+from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
+from sensorstack.errors import TopologyError, UsageError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.timebase import AlignedFrame, buffer_size
+
+
+def budget(examples: int) -> int:
+    """An oracle-equivalence test's Hypothesis example budget.
+
+    ``examples`` under the default profile; scaled with the active
+    profile's ``max_examples``, so the ``ci`` profile registered in
+    conftest.py searches ten times as hard.
+    """
+    return examples * settings.default.max_examples // 100
 
 
 def ols_line_fit(times_s, values):
@@ -253,3 +266,66 @@ def coarse_align_loop(events_a, events_b, tolerance_ns):
         pairs.append(MatchedPair(events_a[i], events_b[j]))
     pairs.sort(key=lambda p: p.a.start)
     return tuple(pairs)
+
+
+def _least_utilized(nodes, kind):
+    candidates = [n for n in nodes if n.kind == kind]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda n: (n.utilization, n.node_id))
+
+
+def route_by_scan(task, nodes):
+    """Compute-class routing that scans every node for each task."""
+    unit = _least_utilized(nodes, "computation_unit")
+    if task.compute_class == "heavy":
+        if unit is None:
+            raise TopologyError("no computation unit available for a heavy task")
+        return RouteDecision(unit.node_id, redirected=False)
+    medium = _least_utilized(nodes, "medium")
+    if medium is None:
+        raise TopologyError("no medium node available for a light task")
+    if medium.utilization > medium.spec.overload_threshold:
+        if unit is None:
+            raise TopologyError("medium nodes overloaded and no computation unit to redirect to")
+        return RouteDecision(unit.node_id, redirected=True)
+    return RouteDecision(medium.node_id, redirected=False)
+
+
+def schedule_cycle_sorted(queue, nodes, now_ns, config, accepts, occupy):
+    """One dispatcher cycle as a full sort of the queue.
+
+    Every queued task is aged and the whole queue sorted by
+    (urgency, entry time, task id), or (urgency, task id) under the
+    ``task_id`` tie break; each task in that order is routed by
+    `route_by_scan` and placed if its node accepts it. Placed tasks are
+    removed from ``queue`` in place, the rest keep their order.
+    """
+    by_id = {n.node_id: n for n in nodes}
+
+    def sort_key(task):
+        urgency = effective_urgency(task, now_ns, config)
+        if config.tie_break == "fifo":
+            return (urgency, task.entry_time_ns, task.task_id)
+        return (urgency, task.task_id)
+
+    dispatches = []
+    taken = set()
+    for task in sorted(queue, key=sort_key):
+        decision = route_by_scan(task, nodes)
+        node = by_id[decision.node_id]
+        if not accepts(node, task):
+            continue
+        occupy(node, task)
+        taken.add(task.task_id)
+        dispatches.append(
+            Dispatch(
+                task=task,
+                node_id=node.node_id,
+                p_eff=effective_urgency(task, now_ns, config),
+                redirected=decision.redirected,
+            )
+        )
+    if taken:
+        queue[:] = [t for t in queue if t.task_id not in taken]
+    return dispatches

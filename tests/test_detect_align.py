@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import coarse_align_loop, detect_gesture_per_window
+from oracles import budget, coarse_align_loop, detect_gesture_per_window
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
@@ -150,7 +150,7 @@ def jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp):
 class TestBatchedDetectionMatchesPerWindow:
     """The batched detector returns exactly what one DTW per window returns."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=budget(60), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         total=st.integers(120, 360),
@@ -250,7 +250,7 @@ class TestCoarseAlign:
         assert len(expected) == 3
         assert coarse_align(a, b, tolerance_ns=0) == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=budget(300), deadline=None)
     @given(
         st.lists(st.integers(0, 12), max_size=9),
         st.lists(st.integers(0, 12), max_size=9),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import itertools
 import json
@@ -9,8 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import budget, schedule_cycle_sorted
 from sensorstack.edgesched import (
+    COMPUTE_CLASSES,
     ClassStats,
     NodeSpec,
     NodeState,
@@ -18,6 +23,7 @@ from sensorstack.edgesched import (
     SimMetrics,
     StageSpec,
     Task,
+    TaskQueue,
     TopologySpec,
     WorkloadSpec,
     classify_and_route,
@@ -39,7 +45,8 @@ from sensorstack.edgesched import (
     write_metrics_csv,
     write_metrics_json,
 )
-from sensorstack.errors import ConfigError, IntegrityError, TopologyError, UsageError
+from sensorstack.edgesched.types import TIE_BREAKS
+from sensorstack.errors import ConfigError, IntegrityError, SensorStackError, TopologyError, UsageError
 
 NS = 1_000_000_000
 MS = 1_000_000
@@ -294,6 +301,30 @@ class TestScheduleCycle:
         out = schedule_cycle(queue, [medium_node(capacity=2)], 3 * NS, config)
         assert [d.task.task_id for d in out] == ["aa", "zz"]
 
+    def test_fifo_tie_break_across_groups(self):
+        config = SchedulerConfig(alpha=0.0)
+        queue = [heavy("a", 1.0, 2 * NS, stage="fuse"), heavy("b", 1.0, 1 * NS)]
+        out = schedule_cycle(queue, [unit_node(capacity=2)], 3 * NS, config)
+        assert [d.task.task_id for d in out] == ["b", "a"]
+
+    def test_rounded_urgency_ties_go_by_task_id(self):
+        # at alpha 1e-12 entries a nanosecond apart age to one urgency, so
+        # the task id orders them; half a second apart they do not tie
+        config = SchedulerConfig(alpha=1e-12, tie_break="task_id")
+        queue = [light("c", 1.0, 0), light("a", 1.0, 1), light("b", 1.0, 2), light("0", 1.0, NS // 2)]
+        assert effective_urgency(queue[0], NS, config) == effective_urgency(queue[2], NS, config)
+        out = schedule_cycle(queue, [medium_node(capacity=4, threshold=1.0)], NS, config)
+        assert [d.task.task_id for d in out] == ["a", "b", "c", "0"]
+
+    def test_now_before_a_queued_entry_rejected(self):
+        # "b" is never picked: the full node refuses "a" and ends the turn
+        full = medium_node(capacity=1)
+        full.busy_slots = 1
+        queue = [light("a", 0.0, 0), light("b", 0.0, 2 * NS)]
+        with pytest.raises(UsageError):
+            schedule_cycle(queue, [full], NS, SchedulerConfig())
+        assert [t.task_id for t in queue] == ["a", "b"]
+
     def test_order_independent_of_queue_permutation(self):
         config = SchedulerConfig()
         tasks = [light(f"t{i}", float(i % 3), (i * 100) * MS) for i in range(5)]
@@ -330,6 +361,170 @@ class TestScheduleCycle:
         queue = [light("a", 0.0, 0), light("b", 1.0, 0)]
         out = schedule_cycle(queue, nodes, 0, SchedulerConfig())
         assert {d.node_id for d in out} == {"m0", "m1"}
+
+
+def slot_occupancy():
+    """The default callables: one task per slot on every node."""
+
+    def accepts(node, task):
+        return node.busy_slots < node.capacity
+
+    def occupy(node, task):
+        node.busy_slots += 1
+        node.in_flight += 1
+
+    return accepts, occupy
+
+
+def batch_occupancy():
+    """The simulator's callables: computation units gather same-stage
+    tasks into open batches, each committing one slot."""
+    open_batches = set()
+    opened = {}
+
+    def accepts(node, task):
+        if node.kind == "medium":
+            return node.busy_slots < node.capacity
+        if (node.node_id, task.stage) in open_batches:
+            return True
+        return node.busy_slots + opened.get(node.node_id, 0) < node.capacity
+
+    def occupy(node, task):
+        node.in_flight += 1
+        if node.kind == "medium":
+            node.busy_slots += 1
+            return
+        if (node.node_id, task.stage) not in open_batches:
+            open_batches.add((node.node_id, task.stage))
+            opened[node.node_id] = opened.get(node.node_id, 0) + 1
+        node.queue_length += 1
+
+    return accepts, occupy
+
+
+def outcome(run):
+    """What one cycle returned, or the package error it raised."""
+    try:
+        return run(), None
+    except SensorStackError as error:
+        return None, (type(error), str(error))
+
+
+@st.composite
+def cycle_inputs(draw, alphas=(0.0, 1e-12, 1e-9, 0.5, 1.0, 3.0), tie_breaks=TIE_BREAKS):
+    """A queue, a topology with some slots taken, a time and a config.
+
+    Entry times sit on a few grid points a drawn unit apart, so tasks
+    share entry times, and at alpha 1e-12 distinct entry times round to
+    equal urgencies; task ids are drawn apart from entry order.
+    """
+    count = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 99), min_size=count, max_size=count, unique=True))
+    unit = draw(st.sampled_from([1, 1_000, MS, 100 * MS]))
+    tasks = [
+        Task(
+            f"t{i:02d}",
+            draw(st.sampled_from(COMPUTE_CLASSES)),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            draw(st.integers(0, 6)) * unit,
+            10 * MS,
+            stage=draw(st.sampled_from(["a", "b"])),
+        )
+        for i in ids
+    ]
+    nodes = []
+    for kind, prefix, most in (("medium", "m", 3), ("computation_unit", "cu", 2)):
+        for k in range(draw(st.integers(0, most))):
+            capacity = draw(st.integers(1, 3))
+            threshold = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0))
+            state = NodeState(spec=NodeSpec(f"{prefix}{k}", kind, capacity, threshold))
+            state.busy_slots = draw(st.integers(0, capacity + 1))
+            nodes.append(state)
+    nodes = draw(st.permutations(nodes))
+    latest = max((t.entry_time_ns for t in tasks), default=0)
+    now_ns = latest + draw(st.sampled_from([-1, 0, 1, unit, NS, 3 * NS]))
+    config = SchedulerConfig(alpha=draw(st.sampled_from(alphas)), tie_break=draw(st.sampled_from(tie_breaks)))
+    occupancy = draw(st.sampled_from([slot_occupancy, batch_occupancy]))
+    appended = draw(st.permutations(tasks))
+    return tasks, nodes, now_ns, config, occupancy, appended
+
+
+class TestScheduleCycleMatchesSortedWalk:
+    """Per-group queues dispatch exactly what the full sort dispatched."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(cycle_inputs())
+    def test_identical_cycle(self, inputs):
+        self.check(inputs)
+
+    @settings(max_examples=budget(100), deadline=None)
+    @given(cycle_inputs(alphas=(1e-12,), tie_breaks=("task_id",)))
+    def test_identical_cycle_when_urgencies_round_to_ties(self, inputs):
+        self.check(inputs)
+
+    @staticmethod
+    def check(inputs):
+        tasks, nodes, now_ns, config, occupancy, appended = inputs
+        expected_queue = list(tasks)
+        expected_nodes = copy.deepcopy(nodes)
+        expected = outcome(
+            lambda: schedule_cycle_sorted(expected_queue, expected_nodes, now_ns, config, *occupancy())
+        )
+        # the default callables are the slot model; pass only the others
+        callables = {} if occupancy is slot_occupancy else dict(zip(("accepts", "occupy"), occupancy()))
+
+        queue = list(tasks)
+        got_nodes = copy.deepcopy(nodes)
+        assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config, **callables)) == expected
+        assert queue == expected_queue
+        assert got_nodes == expected_nodes
+
+        # a queue filled in any order, out-of-order appends included
+        pending = TaskQueue(config)
+        for task in appended:
+            pending.append(task)
+        got_nodes = copy.deepcopy(nodes)
+        assert outcome(lambda: schedule_cycle(pending, got_nodes, now_ns, config, **callables)) == expected
+        assert got_nodes == expected_nodes
+        if expected[1] is None:
+            assert len(pending) == len(expected_queue)
+            assert pending.best_priority() == min((t.initial_priority for t in expected_queue), default=math.inf)
+
+    def test_refusal_costs_one_accept_per_group(self):
+        # 10,000 tasks in 4 groups: two priorities times two compute classes
+        config = SchedulerConfig()
+        tasks = [
+            Task(f"t{i:05d}", COMPUTE_CLASSES[i % 2], float(i // 2 % 2), i * MS, 10 * MS)
+            for i in range(10_000)
+        ]
+        nodes = [medium_node(f"m{k}", capacity=2, threshold=1.0) for k in range(4)]
+        nodes += [unit_node(f"cu{k}", capacity=4) for k in range(2)]
+        for node in nodes:
+            node.busy_slots = node.capacity
+        calls = []
+
+        def counted(node, task):
+            calls.append(task.task_id)
+            return node.busy_slots < node.capacity
+
+        queue = TaskQueue(config, tasks)
+        now = 10 * NS
+        assert schedule_cycle(queue, nodes, now, config, accepts=counted) == []
+        assert len(calls) <= 4
+
+        nodes[0].busy_slots = 0
+        nodes[4].busy_slots = 1
+        free = 2 + 3
+        calls.clear()
+        out = schedule_cycle(queue, nodes, now + 100 * MS, config, accepts=counted)
+        assert len(out) == free
+        assert len(calls) <= free + 4
+        assert len(queue) == len(tasks) - free
+
+    def test_queue_built_for_another_config_rejected(self):
+        queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0)])
+        with pytest.raises(UsageError):
+            schedule_cycle(queue, [medium_node()], 0, SchedulerConfig(tie_break="task_id"))
 
 
 class TestValidation:
@@ -613,6 +808,14 @@ class TestMetricsReplay:
             {"t_ns": NS, "event": "end", "task_id": None, "node_id": None, "p_eff": None},
         ]
         with pytest.raises(IntegrityError, match="unknown event"):
+            compute_metrics(records)
+
+    def test_second_arrival_of_a_task_rejected(self):
+        arrival = {"t_ns": 0, "event": "arrival", "task_id": "a", "node_id": None, "p_eff": None,
+                   "stage": "s", "compute_class": "light", "p_initial": 0.0, "demand_ns": 1}
+        records = [arrival, dict(arrival, t_ns=5), {"t_ns": NS, "event": "end", "task_id": None,
+                                                     "node_id": None, "p_eff": None}]
+        with pytest.raises(IntegrityError, match="second arrival"):
             compute_metrics(records)
 
     def test_conservation_check_rejects_lifecycle_violations(self):

@@ -371,10 +371,14 @@ class TestSingleDocumentReaders:
             '{"kind": "homography"}',
             '{"kind": "homography", "matrix": [[1, 0], [0, "a"]]}',
             '{"kind": "learned", "architecture": 3}',
+            '{"kind": "learned", "architecture": [2, 4, 2], "params": [1.0], "in_center": [0, 0], '
+            '"in_scale": [1, 1], "out_center": [0, 0], "out_scale": [1, 1]}',
+            '{"kind": "learned", "architecture": [2, 0], "params": [], "in_center": [0, 0], '
+            '"in_scale": [1, 1], "out_center": [0, 0], "out_scale": [1, 1]}',
         ],
     )
     def test_transform(self, text):
-        with pytest.raises(SensorStackError):
+        with pytest.raises(IntegrityError):
             read_transform_json(io.StringIO(text))
 
     @pytest.mark.parametrize(

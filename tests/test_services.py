@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+import sys
 import threading
+import time
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorstack.errors import (
     AuthError,
@@ -208,6 +213,15 @@ class TestTokens:
             issue_token("x", (), 10.0, b"")
         with pytest.raises(UsageError):
             validate_token("a.b", b"")
+
+    def test_unusable_ttl_subject_or_roles_are_usage_errors(self):
+        # a NaN lifetime would give a token that never expires
+        with pytest.raises(UsageError):
+            issue_token("x", (), math.nan, KEY)
+        with pytest.raises(UsageError):
+            issue_token(["x"], (), 10.0, KEY)
+        with pytest.raises(UsageError):
+            issue_token("x", (None,), 10.0, KEY)
 
     def test_require_role(self):
         claims = {"subject": "ops", "roles": ["app"]}
@@ -1045,10 +1059,36 @@ class TestRouter:
 
     def test_malformed_token_fields_are_bad_requests(self):
         router, _, admin = self.make_router()
-        for bad in ({"subject": "ops", "ttl_s": "soon"}, {"subject": "ops", "roles": 5}):
+        for bad in (
+            {"subject": "ops", "ttl_s": "soon"},
+            {"subject": "ops", "roles": 5},
+            {"subject": "ops", "ttl_s": 10**400},
+            {"subject": "ops", "ttl_s": math.nan},
+            {"subject": ["ops"]},
+            {"subject": "ops", "roles": [None]},
+        ):
             status, body = router.handle("POST", "/tokens", bad, self.auth(admin))
             assert status == 400
             assert "must be" in body["error"]
+
+    def test_malformed_control_fields_are_bad_requests(self):
+        router, services, admin = self.make_router()
+        _, body = router.handle("POST", "/devices", camera_payload(), self.auth(admin))
+        device = body["device_token"]
+        services.register_device(actuator_payload(), admin)
+        for path, bad, token in (
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": [1]}, device),
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": 1e300}, device),
+            ("/actions", {"device_id": "gate-007", "payload": [1]}, admin),
+        ):
+            status, _ = router.handle("POST", path, bad, self.auth(token))
+            assert status == 400
+        for path, bad in (
+            ("/actions", {"device_id": ["gate-007"], "payload": {}}),
+            ("/devices/camera-001/rollback", {"target_version_id": ["id-00000"]}),
+        ):
+            status, _ = router.handle("POST", path, bad, self.auth(admin))
+            assert status == 404
 
     def test_non_object_body_is_a_bad_request(self):
         router, _, admin = self.make_router()
@@ -1070,6 +1110,7 @@ class TestRouter:
             {"samples": "camera-001"},
             {"samples": [dict(sample, local_ts=1, payload=["x"])]},
             {"samples": [dict(sample, local_ts=1, payload=5)]},
+            {"samples": [dict(sample, local_ts=math.inf)]},
         ):
             status, body = router.handle("POST", "/capture", bad, self.auth(device))
             assert status == 400
@@ -1135,3 +1176,113 @@ class TestHttpServer:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+    def test_concurrent_registrations_of_one_device_conflict(self):
+        # registration checks for the id, draws a version id, then
+        # inserts; a slow id factory holds that window open, so without
+        # the server lock several requests pass the check
+        ids = sequential_ids()
+
+        def slow_ids():
+            time.sleep(0.005)
+            return ids()
+
+        services, admin = make_services(id_factory=slow_ids)
+        server = serve(ServiceRouter(services), "127.0.0.1", 0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        statuses = []
+
+        def register():
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/devices",
+                data=json.dumps(camera_payload()).encode(),
+                headers={"Authorization": f"Bearer {admin}", "Content-Type": "application/json"},
+                method="POST",
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=20) as response:
+                    statuses.append(response.status)
+            except urllib.error.HTTPError as error:
+                statuses.append(error.code)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=register) for _ in range(8)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+            assert not any(client.is_alive() for client in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert sorted(statuses) == [201] + [409] * 7
+        assert replay_log(services.log_records()) == services.state()
+
+
+FIELD_NAMES = (
+    "subject", "roles", "ttl_s", "device_id", "type", "location", "capabilities", "data_format",
+    "access_methods", "status", "last_sync_timestamp", "registration_timestamp", "owner", "config",
+    "target_version_id", "payload", "samples", "modality", "local_ts",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=6), inner, max_size=5),
+    max_leaves=16,
+)
+# one well-formed request per route: (method, path, body, query, token kind)
+WELL_FORMED = (
+    ("POST", "/tokens", {"subject": "ops", "roles": ["app"], "ttl_s": 60}, {}, "admin"),
+    ("POST", "/devices", camera_payload("camera-002"), {}, "admin"),
+    ("GET", "/devices", {}, {}, "admin"),
+    ("POST", "/devices/camera-001/status", {"status": "online", "last_sync_timestamp": 1.7e9}, {}, "device"),
+    ("POST", "/devices/gate-007/config", {"config": {"mode": "open"}}, {}, "admin"),
+    ("POST", "/devices/gate-007/rollback", {"target_version_id": "id-00001"}, {}, "admin"),
+    ("POST", "/actions", {"device_id": "gate-007", "payload": {"command": "open"}}, {}, "admin"),
+    ("POST", "/capture", {"samples": [{"device_id": "camera-001", "local_ts": 5, "payload": [1.0]}]}, {}, "device"),
+    ("GET", "/capture", {}, {"device_id": "camera-001", "start_ns": "0", "end_ns": "10"}, "device"),
+)
+
+
+@st.composite
+def requests(draw):
+    """A well-formed request with fields replaced, dropped or added, or
+    with any method, path, body, token, header and query at all."""
+    method, path, body, query, token = draw(st.sampled_from(WELL_FORMED))
+    dropped = draw(st.sets(st.sampled_from(sorted(body)), max_size=2)) if body else set()
+    body = {name: value for name, value in body.items() if name not in dropped}
+    body.update(draw(st.dictionaries(st.sampled_from(sorted(set(body) | set(FIELD_NAMES))), JSON_VALUES, max_size=2)))
+    query = dict(query, **draw(st.dictionaries(st.sampled_from(["device_id", "start_ns", "end_ns"]), st.text(max_size=12))))
+    return (
+        draw(st.just(method) | st.text(max_size=6)),
+        draw(st.just(path) | st.text(max_size=20)),
+        draw(st.just(body) | JSON_VALUES),
+        draw(st.just(token) | st.text(max_size=12)),
+        draw(st.dictionaries(st.text(max_size=12), st.text(max_size=12), max_size=3)),
+        draw(st.just(query) | st.dictionaries(st.text(max_size=6), st.text(max_size=12), max_size=3)),
+    )
+
+
+class TestRouterFuzz:
+    """Whatever arrives, the router answers with a status and an object."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(requests())
+    def test_any_request_gets_a_response(self, request):
+        method, path, body, token, headers, query = request
+        services, admin = make_services()
+        services.register_device(camera_payload(), admin)
+        services.register_device(actuator_payload(), admin)
+        device = services.issue_token("camera-001", ("device",), 3600).token
+        bearer = {"admin": admin, "device": device}.get(token, token)
+        headers = dict(headers, Authorization=f"Bearer {bearer}")
+        status, payload = ServiceRouter(services).handle(method, path, body, headers, query)
+        assert isinstance(status, int)
+        assert isinstance(payload, dict)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import align_per_epoch, full_sort_pairing, ols_line_fit
+from oracles import align_per_epoch, budget, full_sort_pairing, ols_line_fit
 from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack import timebase as tb
 from sensorstack.timebase import (
@@ -302,7 +302,7 @@ def random_stream(rng, device, start_ns, count, period_ns, repeat_share):
 class TestBatchedAlignmentMatchesPerEpoch:
     """Per-stream alignment returns the frames of the per-epoch loop."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=budget(80), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         counts=st.lists(st.integers(1, 150), min_size=1, max_size=4),
@@ -329,7 +329,7 @@ class TestBatchedAlignmentMatchesPerEpoch:
             assert list(g.slots) == list(e.slots)
             assert all(g.slots[k] is e.slots[k] for k in e.slots)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=budget(150), deadline=None)
     @given(
         steps=st.lists(st.integers(0, 10**9), min_size=1, max_size=120),
         window=st.integers(2, 50),

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import UsageError
-from ..scoring import greedy_match
+from ..scoring import match_integers
 from ..timebase import SampleStream
 from .detect import EventDetection
 from .features import sliding_entropy
@@ -37,15 +37,14 @@ def coarse_align(
 ) -> tuple[MatchedPair, ...]:
     """Greedy one-to-one matching of event starts within a tolerance.
 
-    Candidate pairs are taken closest first (`greedy_match` on the start
-    gap); each event participates in at most one pair. Pairs are
+    Candidate pairs are taken closest first (`match_integers` on the
+    start gap); each event participates in at most one pair. Starts
+    must fit in a signed 64-bit integer. Pairs are
     returned ordered by the first stream's event start; pairs sharing
     one keep index order, which is also the order they were matched in,
     because such events have equal gaps to every candidate.
     """
-    if tolerance_ns < 0:
-        raise UsageError("tolerance must be non-negative")
-    matches = greedy_match(events_a, events_b, tolerance_ns, lambda a, b: abs(a.start - b.start))
+    matches = match_integers([e.start for e in events_a], [e.start for e in events_b], tolerance_ns)
     pairs = [MatchedPair(events_a[i], events_b[j]) for i, j in matches]
     pairs.sort(key=lambda p: p.a.start)
     return tuple(pairs)

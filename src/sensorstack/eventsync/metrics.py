@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UsageError
-from ..scoring import DetectionScores, greedy_match, prf_scores
+from ..scoring import DetectionScores, match_integers, prf_scores
 from .detect import EventDetection
 
 
@@ -56,12 +56,7 @@ def eval_detection(
     timestamps; a prediction counts as a true positive when matched to
     a truth start within the tolerance.
     """
-    if tolerance_ns < 0:
-        raise UsageError("tolerance must be non-negative")
     pred_starts = [_event_start(e) for e in predicted]
     truth_starts = [_event_start(e) for e in truth]
-    pairs = greedy_match(
-        pred_starts, truth_starts, tolerance_ns, lambda a, b: abs(a - b)
-    )
-    tp = len(pairs)
+    tp = len(match_integers(pred_starts, truth_starts, tolerance_ns))
     return prf_scores(tp=tp, fp=len(pred_starts) - tp, fn=len(truth_starts) - tp)

@@ -7,10 +7,15 @@ most once, pairs beyond the cutoff discarded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import UsageError
+
+_UINT64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -36,35 +41,56 @@ def prf_scores(tp: int, fp: int, fn: int) -> DetectionScores:
     return DetectionScores(precision, recall, f1, tp, fp, fn)
 
 
-def greedy_match(
-    predicted: Sequence,
-    truth: Sequence,
-    max_distance: float,
-    distance: Callable,
-) -> list[tuple[int, int]]:
+def greedy_match(distance, pred_index, truth_index, max_distance) -> list[tuple[int, int]]:
     """Match predictions to truth one-to-one, nearest pairs first.
 
-    Returns (predicted_index, truth_index) pairs with
-    distance <= max_distance. Ties break on the lower index pair so the
-    result is deterministic.
+    The candidates are parallel arrays: candidate ``k`` pairs
+    prediction ``pred_index[k]`` with truth ``truth_index[k]`` at
+    ``distance[k]``. Candidates beyond ``max_distance`` are dropped;
+    the rest are taken in ``(distance, pred_index, truth_index)`` order
+    while both sides are free, so ties break on the lower index pair
+    and the result is deterministic. Returns the accepted
+    (pred_index, truth_index) pairs sorted. Cost: O(c log c) for c
+    candidates.
     """
-    if max_distance < 0:
+    if not max_distance >= 0:
         raise UsageError("max_distance must be non-negative")
-    candidates = []
-    for i, p in enumerate(predicted):
-        for j, t in enumerate(truth):
-            d = distance(p, t)
-            if d <= max_distance:
-                candidates.append((d, i, j))
-    candidates.sort()
+    distance = np.asarray(distance)
+    keep = distance <= max_distance
+    d = distance[keep]
+    i = np.asarray(pred_index)[keep]
+    j = np.asarray(truth_index)[keep]
+    order = np.lexsort((j, i, d))
     used_p: set[int] = set()
     used_t: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for _, i, j in candidates:
-        if i in used_p or j in used_t:
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a in used_p or b in used_t:
             continue
-        used_p.add(i)
-        used_t.add(j)
-        pairs.append((i, j))
+        used_p.add(a)
+        used_t.add(b)
+        pairs.append((a, b))
     pairs.sort()
     return pairs
+
+
+def match_integers(a: Sequence[int], b: Sequence[int], tolerance) -> list[tuple[int, int]]:
+    """``greedy_match`` of integers by their exact gap ``|a[i] - b[j]|``.
+
+    The values must fit in a signed 64-bit integer. Their gaps are
+    taken as unsigned 64-bit integers, which hold every such gap
+    exactly, and compared with ``tolerance`` rounded down.
+    """
+    if not tolerance >= 0:
+        raise UsageError("tolerance must be non-negative")
+    try:
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+    except OverflowError as exc:
+        raise UsageError("values must fit in a signed 64-bit integer") from exc
+    # a - b modulo 2**64, negated where b is the larger
+    diff = a.astype(np.uint64)[:, None] - b.astype(np.uint64)
+    gap = np.where(a[:, None] >= b, diff, -diff)
+    limit = np.uint64(_UINT64_MAX if tolerance >= _UINT64_MAX else math.floor(tolerance))
+    i, j = np.nonzero(gap <= limit)
+    return greedy_match(gap[i, j], i, j, limit)

@@ -27,6 +27,7 @@ from .types import (
     VersionSnapshot,
     canonical_json,
     format_timestamp,
+    parse_timestamp,
     record_from_payload,
 )
 
@@ -121,8 +122,8 @@ class CoreServices:
         if sync_ts is None:
             sync_ts = self._clock()
         try:
-            last_sync = sync_ts if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
-        except (TypeError, OverflowError) as exc:
+            last_sync = parse_timestamp(sync_ts) if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 "last_sync_timestamp must be a timestamp string or epoch seconds",
                 fields=("last_sync_timestamp",),

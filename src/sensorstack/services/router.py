@@ -92,9 +92,12 @@ class ServiceRouter:
         if path == "/tokens" and method == "POST":
             claims = services.validate(token)
             require_role(claims, "admin")
+            roles = body.get("roles", [])
+            if not isinstance(roles, list):
+                raise UsageError("field 'roles' must be a list")
             issued = services.issue_token(
                 body["subject"],
-                _field(body.get("roles", ()), "roles", tuple, "a list"),
+                tuple(roles),
                 _field(body.get("ttl_s", 3600), "ttl_s", float, "a number"),
             )
             return 201, {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
@@ -14,6 +15,7 @@ DEVICE_TYPES = ("sensor", "actuator")
 DEVICE_STATUSES = ("online", "offline", "maintenance")
 ACTIVITY_TYPES = ("register", "update", "rollback", "action", "data_access")
 ACTION_STATES = ("queued", "executing", "committed", "rolled_back")
+_TIMESTAMP_LAYOUT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{4}")
 
 _ACTION_TRANSITIONS = {
     "queued": ("executing",),
@@ -37,6 +39,17 @@ def format_timestamp(epoch_s: float) -> str:
     except (OverflowError, OSError, ValueError) as exc:
         raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
     return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:04d}"
+
+
+def parse_timestamp(stamp: str) -> str:
+    """``stamp`` itself if it is a calendar time in ``format_timestamp``'s layout.
+
+    Anything else raises ``ValueError``.
+    """
+    if not _TIMESTAMP_LAYOUT.fullmatch(stamp):
+        raise ValueError(f"timestamp {stamp!r} is not laid out as YYYY-MM-DDTHH:MM:SS.ffff")
+    datetime.strptime(stamp[:19], "%Y-%m-%dT%H:%M:%S")
+    return stamp
 
 
 def canonical_json(value) -> str:

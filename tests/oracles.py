@@ -5,12 +5,15 @@ closed forms, full sorts, one window or one frame at a time) so that
 agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
-`suppress_overlaps`, `effective_urgency`). The per-window detector and
-the per-epoch alignment loop are the straightforward versions the
-batched production code replaced, the event-matching loop is the one
-`coarse_align` carried before it called the shared greedy matcher, and
-the sorted dispatcher walk is the scheduler cycle before per-group
-queues; all are kept here as references.
+`suppress_overlaps`, `effective_urgency`, `prf_scores`). The
+per-window detector and the per-epoch alignment loop are the
+straightforward versions the batched production code replaced, the
+event-matching loop is the one `coarse_align` carried before it called
+the shared greedy matcher, the sorted dispatcher walk is the scheduler
+cycle before per-group queues, and the pairwise merge loop, the
+per-threshold sweep and the matcher over a distance callable are the
+fusion code before the merge graph and the array matcher; all are kept
+here as references.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from hypothesis import settings
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
 from sensorstack.errors import TopologyError, UsageError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
+from sensorstack.fusion import CATEGORIES, FusedDetection, SweepRow
+from sensorstack.scoring import prf_scores
 from sensorstack.timebase import AlignedFrame, buffer_size
 
 
@@ -266,6 +271,115 @@ def coarse_align_loop(events_a, events_b, tolerance_ns):
         pairs.append(MatchedPair(events_a[i], events_b[j]))
     pairs.sort(key=lambda p: p.a.start)
     return tuple(pairs)
+
+
+def greedy_match_callable(predicted, truth, max_distance, distance):
+    """One-to-one nearest matching over every pair a distance callable scores.
+
+    Every pair within ``max_distance`` is a candidate, taken in
+    (distance, predicted index, truth index) order while both sides are
+    free; returns the sorted (predicted index, truth index) pairs.
+    """
+    candidates = []
+    for i, p in enumerate(predicted):
+        for j, t in enumerate(truth):
+            d = distance(p, t)
+            if d <= max_distance:
+                candidates.append((d, i, j))
+    candidates.sort()
+    used_p, used_t, pairs = set(), set(), []
+    for _, i, j in candidates:
+        if i in used_p or j in used_t:
+            continue
+        used_p.add(i)
+        used_t.add(j)
+        pairs.append((i, j))
+    pairs.sort()
+    return pairs
+
+
+def _center_distance(a, b):
+    return float(np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]))
+
+
+def eval_detection_loop(predicted, truth, tolerance_ns):
+    """Event detection scores from the pairwise matcher on start gaps."""
+    starts = [[e.start if isinstance(e, EventDetection) else int(e) for e in side] for side in (predicted, truth)]
+    tp = len(greedy_match_callable(*starts, tolerance_ns, lambda a, b: abs(a - b)))
+    return prf_scores(tp, len(starts[0]) - tp, len(starts[1]) - tp)
+
+
+def deduplicate_pairwise(detections, threshold):
+    """Single-linkage merging that tests every pair of detections.
+
+    Pairs of one category from different cameras whose ``np.hypot``
+    center distance is below the threshold are joined in a union-find;
+    each group, members in index order, is merged into its
+    confidence-weighted center, and the groups are stably sorted by
+    center, then category.
+    """
+    dets = list(detections)
+    parent = list(range(len(dets)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(dets)):
+        for j in range(i + 1, len(dets)):
+            a, b = dets[i], dets[j]
+            if a.category != b.category or a.camera_id == b.camera_id:
+                continue
+            if float(np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])) < threshold:
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[rb] = ra
+    groups = {}
+    for i in range(len(dets)):
+        groups.setdefault(find(i), []).append(dets[i])
+    fused = []
+    for group in groups.values():
+        weights = np.array([d.confidence for d in group])
+        if weights.sum() <= 0:
+            weights = np.ones(len(group))
+        weights = weights / weights.sum()
+        merged = weights @ np.array([d.center for d in group])
+        fused.append(
+            FusedDetection(
+                category=group[0].category,
+                center=(float(merged[0]), float(merged[1])),
+                confidence=max(d.confidence for d in group),
+                cameras=tuple(sorted({d.camera_id for d in group})),
+                threshold=float(threshold),
+                merged_count=len(group),
+            )
+        )
+    fused.sort(key=lambda f: (f.center[0], f.center[1], f.category))
+    return tuple(fused)
+
+
+def evaluate_detections_pairwise(fused, ground_truth, match_radius):
+    """Per-category scores from the pairwise matcher on center distances."""
+    scores = {}
+    for category in CATEGORIES:
+        preds = [f for f in fused if f.category == category]
+        truth = [t for t in ground_truth if t.category == category]
+        if not preds and not truth:
+            continue
+        tp = len(greedy_match_callable(preds, truth, match_radius, _center_distance))
+        scores[category] = prf_scores(tp, len(preds) - tp, len(truth) - tp)
+    return scores
+
+
+def threshold_sweep_per_threshold(detections, ground_truth, thresholds, match_radius):
+    """Merge and score from scratch at each threshold, in the given order."""
+    rows = []
+    for threshold in thresholds:
+        fused = deduplicate_pairwise(detections, threshold)
+        for category, score in evaluate_detections_pairwise(fused, ground_truth, match_radius).items():
+            rows.append(SweepRow(float(threshold), category, score.precision, score.recall))
+    return tuple(rows)
 
 
 def _least_utilized(nodes, kind):

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import budget, coarse_align_loop, detect_gesture_per_window
+from oracles import budget, coarse_align_loop, detect_gesture_per_window, eval_detection_loop
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
@@ -262,6 +263,35 @@ class TestCoarseAlign:
         a = [EventDetection("a", t, t + k, 0.1) for k, t in enumerate(starts_a)]
         b = [EventDetection("b", t, t + k, 0.1) for k, t in enumerate(starts_b)]
         assert coarse_align(a, b, tolerance_ns=tolerance) == coarse_align_loop(a, b, tolerance)
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(st.data())
+    def test_int64_extremes_match_the_loops(self, data):
+        # starts cluster at the ends and the middle of the int64 range, so
+        # gaps reach 2**64 - 1; tolerances straddle every width limit
+        def start(anchor):
+            return st.integers(-3, 3).map(lambda k: min(max(anchor + k, -(2**63)), 2**63 - 1))
+
+        starts = st.sampled_from((-(2**63), -(2**62), 0, 2**62, 2**63 - 1)).flatmap(start)
+        starts_a = data.draw(st.lists(starts, max_size=8))
+        starts_b = data.draw(st.lists(starts, max_size=8))
+        tolerance = data.draw(
+            st.integers(0, 4)
+            | st.sampled_from((2**62, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1, 2**64, 2**70))
+            | st.sampled_from((0.5, 2.5, 9.3e18, 1.9e19, math.inf))
+        )
+        a = [EventDetection("a", t, t + k, 0.1) for k, t in enumerate(starts_a)]
+        b = [EventDetection("b", t, t + k, 0.1) for k, t in enumerate(starts_b)]
+        assert coarse_align(a, b, tolerance_ns=tolerance) == coarse_align_loop(a, b, tolerance)
+        assert eval_detection(starts_a, starts_b, tolerance) == eval_detection_loop(starts_a, starts_b, tolerance)
+
+    def test_start_outside_int64_or_nan_tolerance_rejected(self):
+        inside, outside = EventDetection("a", 0, 1, 0.1), EventDetection("b", 2**63, 2**63, 0.1)
+        for args in (([inside], [outside], 5), ([inside], [inside], math.nan), ([inside], [inside], -1)):
+            with pytest.raises(UsageError):
+                coarse_align(*args)
+        with pytest.raises(UsageError):
+            eval_detection([-(2**63) - 1], [0], 5)
 
 
 def burst_series(onset_ns, rate_hz=100.0, total_s=6.0, seed=0, amplitude=3.0):

@@ -1,11 +1,16 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import budget, deduplicate_pairwise, evaluate_detections_pairwise, threshold_sweep_per_threshold
 from sensorstack.errors import ConfigError, FitError, TrainingError, UsageError
 from sensorstack.fusion import (
+    CATEGORIES,
     Detection,
     FusedDetection,
     ObjectTruth,
@@ -452,8 +457,9 @@ class TestDeduplicate:
             deduplicate(dets, 2.0)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(UsageError):
-            deduplicate([ped("a", 0, 0, 0.5)], -1.0)
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(UsageError):
+                deduplicate([ped("a", 0, 0, 0.5)], threshold)
 
 
 class TestEvaluateDetections:
@@ -496,8 +502,9 @@ class TestEvaluateDetections:
                 assert score.f1 == pytest.approx(expected)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(UsageError):
-            evaluate_detections([], [], match_radius=-1.0)
+        for radius in (-1.0, math.nan):
+            with pytest.raises(UsageError):
+                evaluate_detections([], [], match_radius=radius)
 
 
 def occluded_scene(seed=0, n_objects=14):
@@ -572,6 +579,100 @@ class TestThresholdSweep:
     def test_empty_thresholds_rejected(self):
         with pytest.raises(UsageError):
             threshold_sweep([], [], thresholds=())
+
+    def test_negative_or_nan_threshold_rejected(self):
+        truth, detections = occluded_scene(seed=26)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(UsageError):
+                threshold_sweep(detections, truth, thresholds=(2.0, bad))
+
+    def test_infinite_threshold_merges_each_category_across_cameras(self):
+        dets = [ped("a", 0, 0, 0.5), ped("b", 1e300, -1e300, 0.5), ped("b", 3, 0, 0.5)]
+        assert [f.merged_count for f in deduplicate(dets, math.inf)] == [3]
+        rows = threshold_sweep(dets, [ObjectTruth("pedestrian", (0, 0))], thresholds=(math.inf,))
+        assert rows[0].threshold == math.inf
+
+
+@st.composite
+def merge_frames(draw):
+    """One frame of detections, merge thresholds, ground truth and a match radius.
+
+    Built for exact ties: centers come from a small pool, so duplicates
+    are common; for every finite threshold one pair sits exactly at it
+    and two one ulp either side; ground truth sits on pool centers; and
+    at scale 1e300 every coordinate is near +-1e300.
+    """
+    scale = draw(st.sampled_from((1.0, 1e300)))
+    unit = st.sampled_from((0.0, 0.5, 2.5, 5.5)) | st.floats(0, 8)
+    thresholds = [t * scale for t in draw(st.lists(unit, min_size=1, max_size=5))]
+    thresholds += draw(st.lists(st.just(math.inf), max_size=2))
+    thresholds = draw(st.permutations(thresholds))
+    coordinate = st.floats(-20, 20).map(lambda v: v * scale)
+    pool = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    cameras = [f"cam{k}" for k in range(draw(st.integers(1, 6)))]
+    confidence = st.sampled_from((0.0, 1.0)) | st.floats(0, 1)
+
+    # the bulk of the frame comes from a drawn seed: drawing 300
+    # detections field by field costs more than the loops they test
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dets = [
+        Detection(
+            cameras[rng.integers(len(cameras))],
+            CATEGORIES[rng.integers(2)],
+            pool[rng.integers(len(pool))],
+            float(rng.choice((0.0, 1.0, rng.uniform()))),
+            0,
+        )
+        for _ in range(draw(st.integers(0, 300)))
+    ]
+
+    def detection(center):
+        return Detection(
+            draw(st.sampled_from(cameras)), draw(st.sampled_from(CATEGORIES)), center, draw(confidence), 0
+        )
+
+    for t in {t for t in thresholds if math.isfinite(t)}:
+        y = draw(coordinate)
+        dets += [detection((0.0, y))] + [
+            detection((x, y)) for x in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf))
+        ]
+    dets = draw(st.permutations(dets))
+    truth = draw(st.lists(st.builds(ObjectTruth, st.sampled_from(CATEGORIES), st.sampled_from(pool)), max_size=60))
+    radius = draw(st.sampled_from((0.0, 2.0, math.inf)) | st.floats(0, 5)) * scale
+    return dets, thresholds, truth, radius
+
+
+class TestMergeGraphMatchesPairwiseLoop:
+    """The merge graph, Kruskal sweep and array matcher equal the old loops bit for bit."""
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(merge_frames())
+    def test_deduplicate(self, frame):
+        dets, thresholds, _, _ = frame
+        for threshold in thresholds:
+            assert repr(deduplicate(dets, threshold)) == repr(deduplicate_pairwise(dets, threshold))
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(merge_frames())
+    def test_evaluate_detections(self, frame):
+        dets, thresholds, truth, radius = frame
+        for preds in (dets, deduplicate(dets, thresholds[0])):
+            assert repr(evaluate_detections(preds, truth, radius)) == repr(
+                evaluate_detections_pairwise(preds, truth, radius)
+            )
+
+    @settings(max_examples=budget(40), deadline=None)
+    @given(merge_frames())
+    def test_threshold_sweep(self, frame):
+        dets, thresholds, truth, radius = frame
+        assert repr(threshold_sweep(dets, truth, thresholds, radius)) == repr(
+            threshold_sweep_per_threshold(dets, truth, thresholds, radius)
+        )
+
+    def test_negative_zero_centers_match_the_loop(self):
+        dets = [ped("a", -0.0, 1.0, 0.0), ped("b", 5.0, -0.0, 0.4), ped("c", 5.5, -0.0, 0.6)]
+        for threshold in (0.0, 1.0):
+            assert repr(deduplicate(dets, threshold)) == repr(deduplicate_pairwise(dets, threshold))
 
 
 class TestFusionIo:

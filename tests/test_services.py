@@ -1066,6 +1066,7 @@ class TestRouter:
             {"subject": "ops", "ttl_s": math.nan},
             {"subject": ["ops"]},
             {"subject": "ops", "roles": [None]},
+            {"subject": "ops", "roles": "admin"},
         ):
             status, body = router.handle("POST", "/tokens", bad, self.auth(admin))
             assert status == 400
@@ -1079,10 +1080,14 @@ class TestRouter:
         for path, bad, token in (
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": [1]}, device),
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": 1e300}, device),
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "soon"}, device),
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "2024-02-30T00:00:00.0000"}, device),
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "2024-10-05T21:19:45.388"}, device),
             ("/actions", {"device_id": "gate-007", "payload": [1]}, admin),
         ):
             status, _ = router.handle("POST", path, bad, self.auth(token))
             assert status == 400
+        assert services.device_record("camera-001").last_sync_timestamp == camera_payload()["last_sync_timestamp"]
         for path, bad in (
             ("/actions", {"device_id": ["gate-007"], "payload": {}}),
             ("/devices/camera-001/rollback", {"target_version_id": ["id-00000"]}),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -72,26 +74,92 @@ def _as_arrays(pairs: Sequence[PointPair]) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def _normalization(points: np.ndarray) -> np.ndarray:
-    """Similarity transform taking points to zero centroid, mean distance sqrt(2)."""
-    centroid = points.mean(axis=0)
-    dist = np.linalg.norm(points - centroid, axis=1).mean()
-    if dist <= 1e-12:
-        raise FitError("point pairs are degenerate: all points coincide")
-    s = np.sqrt(2.0) / dist
-    return np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _normalizations(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-set similarity transforms to zero centroid, mean distance sqrt(2).
+
+    ``points`` is (B, k, 2); returns the (B, 3, 3) transforms and a (B,)
+    mask that is False where a set's points all coincide (that set gets
+    the identity, so later stages stay finite).
+    """
+    centroid = points.mean(axis=1)
+    dist = np.linalg.norm(points - centroid[:, None, :], axis=2).mean(axis=1)
+    ok = ~(dist <= 1e-12)
+    s = np.sqrt(2.0) / np.where(ok, dist, np.sqrt(2.0))
+    centroid[~ok] = 0.0
+    t = np.zeros((len(points), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    return t, ok
 
 
 def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ones = np.ones((len(pts), 1))
-    mapped = np.hstack([pts, ones]) @ h.T
-    return mapped[:, :2] / mapped[:, 2:3]
+    """Map (B, k, 2) points through their own (B, 3, 3) matrices."""
+    ones = np.ones(pts.shape[:-1] + (1,))
+    mapped = np.concatenate([pts, ones], axis=-1) @ h.transpose(0, 2, 1)
+    return mapped[..., :2] / mapped[..., 2:3]
+
+
+# FitError messages of _fit_dlt's failure codes 1-4, in the order the rules apply
+_DLT_FAILURES = (
+    "",
+    "point pairs are degenerate: all points coincide",
+    "point pairs are degenerate: three or more source points collinear",
+    "fitted homography is degenerate: vanishing scale entry",
+    "fitted homography is degenerate: homography must be non-singular",
+)
+
+
+def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized DLT on a batch of point sets, one SVD call for all.
+
+    ``src`` and ``dst`` are (B, k, 2). Returns (B, 3, 3) matrices scaled
+    to bottom-right entry 1 and a (B,) failure code: 0 where the fit
+    succeeded, else the first rule the set breaks (its matrix is NaN):
+    1, coincident source or target points; 2, ``s[-2] <= 1e-9 s[0]``
+    (collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a non-finite or
+    ``<= 1e-12`` determinant.
+    """
+    b, k = src.shape[:2]
+    t_src, ok_src = _normalizations(src)
+    t_dst, ok_dst = _normalizations(dst)
+    sn = _apply_h(t_src, src)
+    dn = _apply_h(t_dst, dst)
+
+    # two rows per pair: [-x, -y, -1, 0, 0, 0, ux, uy, u] and [0, 0, 0, -x, -y, -1, vx, vy, v]
+    a = np.zeros((b, k, 2, 9))
+    for row in (0, 1):
+        target = dn[..., row]
+        a[:, :, row, 3 * row : 3 * row + 2] = -sn
+        a[:, :, row, 3 * row + 2] = -1.0
+        a[:, :, row, 6:8] = target[..., None] * sn
+        a[:, :, row, 8] = target
+    _, s, vt = np.linalg.svd(a.reshape(b, 2 * k, 9))
+    h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(b, 3, 3) @ t_src
+    scale = h[:, 2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = h / scale[:, None, None]
+        det = np.linalg.det(h)
+        # a PerspectiveTransform divides by its [2, 2] entry once more: score what it would hold
+        h = h / h[:, 2:, 2:]
+    code = np.select(
+        [
+            ~(ok_src & ok_dst),
+            s[:, -2] <= 1e-9 * s[:, 0],
+            np.abs(scale) <= 1e-12,
+            ~np.isfinite(det) | (np.abs(det) <= 1e-12),
+        ],
+        [1, 2, 3, 4],
+    )
+    return np.where(code[:, None, None] == 0, h, np.nan), code
+
+
+def _fit_one(src: np.ndarray, dst: np.ndarray) -> PerspectiveTransform:
+    matrices, code = _fit_dlt(src[None], dst[None])
+    if code[0]:
+        raise FitError(_DLT_FAILURES[code[0]])
+    return PerspectiveTransform(kind="homography", matrix=matrices[0])
 
 
 def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:
@@ -100,32 +168,23 @@ def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:
     Each pair contributes two rows to the homogeneous system; the
     solution is the right singular vector of the smallest singular
     value. Normalizing both point sets first keeps the system well
-    conditioned at pixel scales.
+    conditioned at pixel scales. This is ``ransac_fit``'s batched kernel
+    run on one point set.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
-    src, dst = _as_arrays(pairs)
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    sn = _apply_h(t_src, src)
-    dn = _apply_h(t_dst, dst)
+    return _fit_one(*_as_arrays(pairs))
 
-    rows = []
-    for (x, y), (u, v) in zip(sn, dn):
-        rows.append([-x, -y, -1, 0, 0, 0, u * x, u * y, u])
-        rows.append([0, 0, 0, -x, -y, -1, v * x, v * y, v])
-    a = np.array(rows)
-    _, s, vt = np.linalg.svd(a)
-    if s[-2] <= 1e-9 * s[0]:
-        raise FitError("point pairs are degenerate: three or more source points collinear")
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
-    if abs(h[2, 2]) <= 1e-12:
-        raise FitError("fitted homography is degenerate: vanishing scale entry")
-    try:
-        return PerspectiveTransform(kind="homography", matrix=h / h[2, 2])
-    except UsageError as exc:
-        raise FitError(f"fitted homography is degenerate: {exc}") from exc
+
+def _errors(matrices: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(B, n) reprojection errors of (B, 3, 3) homographies, inf where a
+    mapped point's homogeneous scale falls below W_EPSILON."""
+    h = np.hstack([src, np.ones((len(src), 1))]) @ matrices.transpose(0, 2, 1)
+    w = h[..., 2]
+    valid = np.abs(w) >= W_EPSILON
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = h[..., :2] / w[..., None]
+    return np.where(valid, np.linalg.norm(mapped - dst, axis=-1), np.inf)
 
 
 def reprojection_errors(transform: PerspectiveTransform, pairs: Sequence[PointPair]) -> np.ndarray:
@@ -143,6 +202,25 @@ class RansacResult:
     inlier_mask: np.ndarray
 
 
+# hypotheses in a block times pairs scored; bounds the (block, pairs, 3) reprojection
+_BLOCK_CELLS = 1 << 16
+
+
+def _check_ransac_args(inlier_threshold, max_iterations, seed) -> float:
+    if isinstance(inlier_threshold, bool) or not isinstance(inlier_threshold, numbers.Real):
+        raise UsageError(f"inlier threshold must be a real number, not {inlier_threshold!r}")
+    try:
+        threshold = float(inlier_threshold)
+    except OverflowError:
+        threshold = math.inf
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UsageError(f"inlier threshold must be finite and positive, not {inlier_threshold!r}")
+    for name, value, least in (("max_iterations", max_iterations, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise UsageError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return threshold
+
+
 def ransac_fit(
     pairs: Sequence[PointPair],
     inlier_threshold: float = 3.0,
@@ -151,37 +229,49 @@ def ransac_fit(
 ) -> RansacResult:
     """Consensus homography fit that tolerates wrong correspondences.
 
-    Samples minimal 4-pair subsets, keeps the hypothesis with the most
-    inliers (ties broken by mean inlier error), then refits on the full
-    inlier set. A minimal subset that cannot produce a model (collinear
+    Samples ``max_iterations`` minimal 4-pair subsets, keeps the
+    hypothesis with the most inliers, then refits on its inlier set. A
+    minimal subset that cannot produce a model (coincident or collinear
     points, a singular fit) is skipped. Deterministic for a given seed.
+
+    Selection: most inliers wins; among equal counts, the lowest mean
+    inlier error; if that ties too, the first hypothesis drawn.
+
+    Hypotheses are fitted and scored a block at a time: one SVD call
+    solves every minimal DLT of a block, and one (block, n, 3)
+    reprojection scores them, with block x n at most ``_BLOCK_CELLS``
+    so memory stays bounded whatever ``max_iterations`` and the survey
+    size. The cost is O(max_iterations * n) arithmetic in
+    ``max_iterations * n / _BLOCK_CELLS + 1`` rounds of array calls,
+    plus one ``rng.choice`` per hypothesis.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
-    if inlier_threshold <= 0:
-        raise UsageError("inlier threshold must be positive")
+    threshold = _check_ransac_args(inlier_threshold, max_iterations, seed)
+    src, dst = _as_arrays(pairs)
     rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_CELLS // len(pairs))
     best_mask: np.ndarray | None = None
     best_count = 0
     best_error = np.inf
-    for _ in range(max_iterations):
-        idx = rng.choice(len(pairs), size=4, replace=False)
-        try:
-            candidate = fit_homography_dlt([pairs[i] for i in idx])
-        except FitError:
+    for b0 in range(0, max_iterations, block):
+        draws = min(block, max_iterations - b0)
+        idx = np.array([rng.choice(len(pairs), size=4, replace=False) for _ in range(draws)])
+        matrices, code = _fit_dlt(src[idx], dst[idx])
+        errors = _errors(matrices[code == 0], src, dst)
+        mask = errors <= threshold
+        counts = mask.sum(axis=1)
+        count = int(counts.max(initial=0))
+        if count == 0 or count < best_count:
             continue
-        errors = reprojection_errors(candidate, pairs)
-        mask = errors <= inlier_threshold
-        count = int(mask.sum())
-        mean_error = float(errors[mask].mean()) if count else np.inf
-        if count > best_count or (count == best_count and mean_error < best_error):
-            best_count = count
-            best_error = mean_error
-            best_mask = mask
+        # only hypotheses on the top count can win, so only they need a mean error
+        mean_error, first = min((float(errors[c][mask[c]].mean()), c) for c in np.flatnonzero(counts == count))
+        if count > best_count or mean_error < best_error:
+            best_count, best_error, best_mask = count, mean_error, mask[first]
     if best_mask is None or best_count < 4:
         raise FitError("no consensus model with at least 4 inliers")
-    refit = fit_homography_dlt([p for p, keep in zip(pairs, best_mask) if keep])
-    final_mask = reprojection_errors(refit, pairs) <= inlier_threshold
+    refit = _fit_one(src[best_mask], dst[best_mask])
+    final_mask = _errors(refit.matrix[None], src, dst)[0] <= threshold
     return RansacResult(transform=refit, inlier_mask=final_mask)
 
 

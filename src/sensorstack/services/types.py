@@ -115,7 +115,8 @@ class DeviceRecord:
 def record_from_payload(payload: Mapping, default_timestamp: str) -> DeviceRecord:
     """Validate a registration payload, reporting every bad field at once.
 
-    Timestamps may be omitted; they default to the supplied stamp.
+    Timestamps may be omitted; they default to the supplied stamp. A
+    timestamp that is present must be in ``format_timestamp``'s layout.
     """
     bad: list[str] = []
 
@@ -169,6 +170,18 @@ def record_from_payload(payload: Mapping, default_timestamp: str) -> DeviceRecor
 
     owner = text("owner")
 
+    def timestamp(name):
+        value = payload.get(name, default_timestamp)
+        if name in payload:
+            try:
+                parse_timestamp(value)
+            except (TypeError, ValueError):
+                bad.append(name)
+        return value
+
+    last_sync = timestamp("last_sync_timestamp")
+    registered = timestamp("registration_timestamp")
+
     if bad:
         raise ValidationError(f"invalid device record: {', '.join(bad)}", fields=tuple(bad))
 
@@ -180,8 +193,8 @@ def record_from_payload(payload: Mapping, default_timestamp: str) -> DeviceRecor
         data_format=data_format,
         access_methods=AccessMethods(api_endpoint, protocols),
         status=status,
-        last_sync_timestamp=payload.get("last_sync_timestamp", default_timestamp),
-        registration_timestamp=payload.get("registration_timestamp", default_timestamp),
+        last_sync_timestamp=last_sync,
+        registration_timestamp=registered,
         owner=owner,
     )
 

@@ -12,8 +12,10 @@ event-matching loop is the one `coarse_align` carried before it called
 the shared greedy matcher, the sorted dispatcher walk is the scheduler
 cycle before per-group queues, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
-fusion code before the merge graph and the array matcher; all are kept
-here as references.
+fusion code before the merge graph and the array matcher, and the
+RANSAC loop fits one hypothesis at a time with a row-by-row DLT as
+`ransac_fit` did before it batched them; all are kept here as
+references.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 from hypothesis import settings
 
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
-from sensorstack.errors import TopologyError, UsageError
+from sensorstack.errors import FitError, TopologyError, UsageError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
-from sensorstack.fusion import CATEGORIES, FusedDetection, SweepRow
+from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
 from sensorstack.timebase import AlignedFrame, buffer_size
 
@@ -380,6 +382,85 @@ def threshold_sweep_per_threshold(detections, ground_truth, thresholds, match_ra
         for category, score in evaluate_detections_pairwise(fused, ground_truth, match_radius).items():
             rows.append(SweepRow(float(threshold), category, score.precision, score.recall))
     return tuple(rows)
+
+
+def _normalization(points):
+    centroid = points.mean(axis=0)
+    dist = np.linalg.norm(points - centroid, axis=1).mean()
+    if dist <= 1e-12:
+        raise FitError("point pairs are degenerate: all points coincide")
+    s = np.sqrt(2.0) / dist
+    return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+
+
+def _map_points(h, pts):
+    mapped = np.hstack([pts, np.ones((len(pts), 1))]) @ h.T
+    return mapped[:, :2] / mapped[:, 2:3]
+
+
+def homography_dlt_rows(pairs):
+    """Normalized DLT on one point set, its system built row by row."""
+    if len(pairs) < 4:
+        raise FitError("homography needs at least 4 point pairs")
+    src = np.array([p.source for p in pairs], dtype=float)
+    dst = np.array([p.target for p in pairs], dtype=float)
+    t_src = _normalization(src)
+    t_dst = _normalization(dst)
+    rows = []
+    for (x, y), (u, v) in zip(_map_points(t_src, src), _map_points(t_dst, dst)):
+        rows.append([-x, -y, -1, 0, 0, 0, u * x, u * y, u])
+        rows.append([0, 0, 0, -x, -y, -1, v * x, v * y, v])
+    _, s, vt = np.linalg.svd(np.array(rows))
+    if s[-2] <= 1e-9 * s[0]:
+        raise FitError("point pairs are degenerate: three or more source points collinear")
+    h = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
+    if abs(h[2, 2]) <= 1e-12:
+        raise FitError("fitted homography is degenerate: vanishing scale entry")
+    try:
+        return PerspectiveTransform(kind="homography", matrix=h / h[2, 2])
+    except UsageError as exc:
+        raise FitError(f"fitted homography is degenerate: {exc}") from exc
+
+
+def _reprojection_errors(transform, pairs):
+    mapped, valid = transform.apply(np.array([p.source for p in pairs], dtype=float))
+    dst = np.array([p.target for p in pairs], dtype=float)
+    errors = np.full(len(pairs), np.inf)
+    errors[valid] = np.linalg.norm(mapped[valid] - dst[valid], axis=1)
+    return errors
+
+
+def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
+    """RANSAC that draws, fits and scores one minimal sample at a time.
+
+    A sample whose fit raises FitError is skipped; a hypothesis replaces
+    the best so far only with more inliers, or as many with a lower mean
+    inlier error. The winner's inliers are refitted.
+    """
+    if len(pairs) < 4:
+        raise FitError("homography needs at least 4 point pairs")
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = 0
+    best_error = np.inf
+    for _ in range(max_iterations):
+        idx = rng.choice(len(pairs), size=4, replace=False)
+        try:
+            candidate = homography_dlt_rows([pairs[i] for i in idx])
+        except FitError:
+            continue
+        errors = _reprojection_errors(candidate, pairs)
+        mask = errors <= inlier_threshold
+        count = int(mask.sum())
+        mean_error = float(errors[mask].mean()) if count else np.inf
+        if count > best_count or (count == best_count and mean_error < best_error):
+            best_count = count
+            best_error = mean_error
+            best_mask = mask
+    if best_mask is None or best_count < 4:
+        raise FitError("no consensus model with at least 4 inliers")
+    refit = homography_dlt_rows([p for p, keep in zip(pairs, best_mask) if keep])
+    return RansacResult(transform=refit, inlier_mask=_reprojection_errors(refit, pairs) <= inlier_threshold)
 
 
 def _least_utilized(nodes, kind):

@@ -850,8 +850,13 @@ class TestExperiments:
             assert abs(result.metrics.offload_fraction - 0.47) <= 0.05
 
     def test_scheduling_overhead_below_one_ms(self):
-        result = run_simulation(decomposed_pipeline(), tiered_topology(), SchedulerConfig(), seed=7)
-        assert 0.0 < result.metrics.overhead_ms_mean < 1.0
+        """Wall-clock figure, so the gate is the median of five seeded runs:
+        one run on a briefly loaded host can read past the bound."""
+        overheads = [
+            run_simulation(decomposed_pipeline(), tiered_topology(), SchedulerConfig(), seed=seed).metrics.overhead_ms_mean
+            for seed in range(7, 12)
+        ]
+        assert 0.0 < float(np.median(overheads)) < 1.0
 
 
 class TestIo:

@@ -1,13 +1,21 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget, deduplicate_pairwise, evaluate_detections_pairwise, threshold_sweep_per_threshold
+from oracles import (
+    budget,
+    deduplicate_pairwise,
+    evaluate_detections_pairwise,
+    homography_dlt_rows,
+    ransac_fit_loop,
+    threshold_sweep_per_threshold,
+)
 from sensorstack.errors import ConfigError, FitError, TrainingError, UsageError
 from sensorstack.fusion import (
     CATEGORIES,
@@ -16,6 +24,7 @@ from sensorstack.fusion import (
     ObjectTruth,
     PerspectiveTransform,
     PointPair,
+    RansacResult,
     TrainingConfig,
     deduplicate,
     evaluate_detections,
@@ -42,6 +51,7 @@ from sensorstack.fusion import (
     write_sweep_csv,
     write_transform_json,
 )
+from sensorstack.fusion import geometry
 from sensorstack.fusion import transform_net as tn
 
 
@@ -197,6 +207,153 @@ class TestRansac:
         pairs = self.exact_pairs(rng, np.eye(3), 6)
         with pytest.raises(UsageError):
             ransac_fit(pairs, inlier_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"inlier_threshold": "1"},
+            {"inlier_threshold": math.nan},
+            {"inlier_threshold": math.inf},
+            {"inlier_threshold": -1.0},
+            {"inlier_threshold": True},
+            {"inlier_threshold": 10**400},
+            {"max_iterations": 2.5},
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+            {"max_iterations": True},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": "0"},
+        ],
+        ids=repr,
+    )
+    def test_bad_arguments_are_usage_errors(self, arguments):
+        rng = np.random.default_rng(5)
+        pairs = self.exact_pairs(rng, random_homography(rng), 8)
+        with pytest.raises(UsageError):
+            ransac_fit(pairs, **({"inlier_threshold": 1.0} | arguments))
+
+    def test_numpy_scalar_arguments_accepted(self):
+        rng = np.random.default_rng(5)
+        pairs = self.exact_pairs(rng, random_homography(rng), 8)
+        result = ransac_fit(pairs, inlier_threshold=np.float32(1.0), max_iterations=np.int64(20), seed=np.uint8(3))
+        assert result.inlier_mask.all()
+
+
+@st.composite
+def surveys(draw):
+    """A RANSAC survey built so that every skip rule and exact ties occur.
+
+    Sources sit on a small integer grid (duplicates and collinear runs
+    are common) or spread uniformly; targets follow a random homography,
+    one whose bottom-right entry is 0 (so fits lose their scale entry),
+    or a line (so fits are singular); a drawn share of up to 60% is then
+    replaced by random points, and some pairs are repeated verbatim so
+    that identical hypotheses tie exactly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 40))
+    if draw(st.booleans()):
+        src = rng.integers(0, 4, (n, 2)).astype(float)
+    else:
+        src = rng.uniform(0, 100, (n, 2))
+    kind = draw(st.sampled_from(("homography", "no_scale", "line")))
+    if kind == "line":
+        t = rng.uniform(0, 50, n)
+        dst = np.column_stack([t, 2.0 * t + 1.0])
+    else:
+        matrix = random_homography(rng, draw(st.sampled_from((0.0, 0.05, 0.3))))
+        if kind == "no_scale":
+            matrix[2] = (0.01, 0.01, 0.0)
+        h = np.hstack([src, np.ones((n, 1))]) @ matrix.T
+        w = np.where(np.abs(h[:, 2]) < 1e-3, 1.0, h[:, 2])
+        dst = h[:, :2] / w[:, None]
+    wrong = rng.choice(n, size=int(draw(st.floats(0, 0.6)) * n), replace=False)
+    dst[wrong] = rng.uniform(-100, 200, (len(wrong), 2))
+    pairs = [PointPair(tuple(a), tuple(b)) for a, b in zip(src, dst)]
+    for _ in range(draw(st.integers(0, 3))):
+        pairs[rng.integers(n)] = pairs[rng.integers(n)]
+    return pairs
+
+
+def fit_outcome(fit, *args):
+    """A fit's result, or the type and message of the FitError it raised."""
+    try:
+        return fit(*args)
+    except FitError as exc:
+        return repr(exc)
+
+
+def assert_same_fit(batched, looped):
+    if isinstance(looped, str) or isinstance(batched, str):
+        assert batched == looped
+        return
+    if isinstance(looped, RansacResult):
+        assert np.array_equal(batched.inlier_mask, looped.inlier_mask)
+        looped, batched = looped.transform, batched.transform
+    assert np.array_equal(batched.matrix, looped.matrix)
+
+
+class TestBatchedRansacMatchesLoop:
+    """The batched DLT and RANSAC equal the one-hypothesis-at-a-time loop bit for bit."""
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(surveys(), st.integers(4, 12))
+    def test_dlt(self, pairs, k):
+        assert_same_fit(fit_outcome(fit_homography_dlt, pairs[:k]), fit_outcome(homography_dlt_rows, pairs[:k]))
+
+    @settings(max_examples=budget(40), deadline=None)
+    @given(
+        surveys(),
+        st.sampled_from((0.5, 1.0, 3.0)) | st.floats(1e-3, 50),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 600),
+    )
+    def test_ransac(self, pairs, threshold, iterations, seed, block_cells):
+        with mock.patch.object(geometry, "_BLOCK_CELLS", block_cells):
+            batched = fit_outcome(ransac_fit, pairs, threshold, iterations, seed)
+        assert_same_fit(batched, fit_outcome(ransac_fit_loop, pairs, threshold, iterations, seed))
+
+    def test_benchmark_like_survey_at_many_seeds(self):
+        """A camera survey with 20% mismatched pairs, as a testbed calibrates."""
+        rng = np.random.default_rng(11)
+        truth = random_homography(rng, scale=0.05)
+        src = rng.uniform(0, 100, (40, 2))
+        dst = apply_homography(truth, src) + rng.normal(0, 0.3, (40, 2))
+        dst[:8] = dst[np.roll(np.arange(8), 1)]
+        pairs = [PointPair(tuple(a), tuple(b)) for a, b in zip(src, dst)]
+        for seed in range(10):
+            assert_same_fit(ransac_fit(pairs, 0.5, 200, seed), ransac_fit_loop(pairs, 0.5, 200, seed))
+
+    def test_ties_go_to_the_first_hypothesis_across_blocks(self):
+        """Two groups of six pairs: the identity fits one exactly, a shift by
+        (8, 0) the other. With those exact models every pure sample scores
+        six inliers at mean error 0.0, so only the draw order can decide,
+        and the first pure sample's group must win at every block size."""
+        grid = [(float(x), float(y)) for x, y in ((1, 2), (5, 3), (2, 7), (8, 8), (3, 4), (9, 1))]
+        pairs = [PointPair(p, p) for p in grid] + [PointPair(p, (p[0] + 8.0, p[1])) for p in grid]
+        shift = np.array([[1.0, 0.0, 8.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+        def exact_models(src, dst):
+            # sample sets drawn from one group get that group's exact model; mixed ones are skipped
+            moved = (dst[..., 0] != src[..., 0]).sum(axis=1)
+            pure = (moved == 0) | (moved == src.shape[1])
+            matrices = np.where((moved > 0)[:, None, None], shift, np.eye(3))
+            return matrices, np.where(pure, 0, 2)
+
+        winners = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            first = next(idx for idx in (rng.choice(12, 4, replace=False) for _ in range(100))
+                         if len({i < 6 for i in idx}) == 1)
+            for block_cells in (12, 36, 120, 1 << 16):
+                with mock.patch.object(geometry, "_fit_dlt", exact_models), \
+                        mock.patch.object(geometry, "_BLOCK_CELLS", block_cells):
+                    result = ransac_fit(pairs, inlier_threshold=0.5, max_iterations=100, seed=seed)
+                assert result.inlier_mask.tolist() == [first[0] < 6] * 6 + [first[0] >= 6] * 6, (seed, block_cells)
+            winners.add(bool(first[0] < 6))
+        assert winners == {True, False}
 
 
 class TestProjection:

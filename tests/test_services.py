@@ -1095,6 +1095,24 @@ class TestRouter:
             status, _ = router.handle("POST", path, bad, self.auth(admin))
             assert status == 404
 
+    def test_registration_timestamps_must_parse(self):
+        router, services, admin = self.make_router()
+        for stamps, fields in (
+            ({"last_sync_timestamp": "soon"}, ["last_sync_timestamp"]),
+            ({"registration_timestamp": 5}, ["registration_timestamp"]),
+            ({"last_sync_timestamp": "2024-02-30T00:00:00.0000", "registration_timestamp": None},
+             ["last_sync_timestamp", "registration_timestamp"]),
+        ):
+            status, body = router.handle("POST", "/devices", camera_payload() | stamps, self.auth(admin))
+            assert (status, body["fields"]) == (400, fields)
+        with pytest.raises(NotFoundError):
+            services.device_record("camera-001")
+        status, _ = router.handle("POST", "/devices", camera_payload(), self.auth(admin))
+        assert status == 201
+        record = services.device_record("camera-001")
+        assert record.last_sync_timestamp == camera_payload()["last_sync_timestamp"]
+        assert record.registration_timestamp == camera_payload()["registration_timestamp"]
+
     def test_non_object_body_is_a_bad_request(self):
         router, _, admin = self.make_router()
         status, body = router.handle("POST", "/devices", [camera_payload()], self.auth(admin))

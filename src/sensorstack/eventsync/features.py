@@ -8,10 +8,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import DomainError, UsageError
 from .series import TimeSeries
 
 ENTROPY_BINS = 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_TOO_SHORT = "series too short for the requested entropy window"
 
 DEFAULT_CHANNEL_GROUPS: dict[str, tuple[int, ...]] = {
     "accel": (0, 1, 2),
@@ -130,7 +133,13 @@ def sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int) -> TimeS
     own span, making faint sensor noise look as diverse as real motion.
 
     Multichannel values are flattened within each window. Every window
-    must span at least three samples at the series' nominal rate.
+    must span at least three samples at the series' nominal rate, and
+    windows start at the first timestamp and step by ``stride_ns`` while
+    one still begins within a period of the last full window.
+
+    Every value is binned once, by ``np.histogram``'s rule (a bin holds
+    its lower edge, the last bin also its upper one); a window's counts
+    are the difference of two rows of per-bin cumulative counts.
     """
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
@@ -140,19 +149,29 @@ def sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int) -> TimeS
     if not np.all(np.isfinite(series.values)):
         raise UsageError("entropy input must be finite")
 
-    edges = np.linspace(series.values.min(), series.values.max(), ENTROPY_BINS + 1)
     ts = series.timestamps
-    out_ts: list[int] = []
-    out_vals: list[float] = []
-    t = int(ts[0])
-    last_start = int(ts[-1]) - window_ns
-    while t <= last_start + period:
-        lo = int(np.searchsorted(ts, t, side="left"))
-        hi = int(np.searchsorted(ts, t + window_ns, side="left"))
-        if hi - lo >= 3:
-            out_ts.append(t + window_ns // 2)
-            out_vals.append(shannon_entropy(series.values[lo:hi], bins=edges))
-        t += stride_ns
-    if not out_ts:
-        raise UsageError("series too short for the requested entropy window")
-    return TimeSeries(np.array(out_ts, dtype=np.int64), np.array(out_vals))
+    first = int(ts[0])
+    count = (int(ts[-1]) - window_ns + period - first) // stride_ns + 1
+    if count <= 0:
+        raise UsageError(_TOO_SHORT)
+    if first + (count - 1) * stride_ns + window_ns > _INT64_MAX:
+        raise DomainError("entropy windows must end within the int64 range")
+    starts = np.array(range(first, first + count * stride_ns, stride_ns), dtype=np.int64)
+    lo = np.searchsorted(ts, starts, side="left")
+    hi = np.searchsorted(ts, starts + window_ns, side="left")
+    keep = hi - lo >= 3
+    if not keep.any():
+        raise UsageError(_TOO_SHORT)
+    lo, hi = lo[keep], hi[keep]
+
+    values = series.values.reshape(len(ts), -1)
+    edges = np.linspace(values.min(), values.max(), ENTROPY_BINS + 1)
+    bins = np.searchsorted(edges[:-1], values, side="right") - 1
+    cells = (np.arange(len(ts))[:, None] * ENTROPY_BINS + bins).ravel()
+    per_sample = np.bincount(cells, minlength=len(ts) * ENTROPY_BINS).reshape(len(ts), ENTROPY_BINS)
+    cumulative = np.zeros((len(ts) + 1, ENTROPY_BINS), dtype=np.int64)
+    np.cumsum(per_sample, axis=0, out=cumulative[1:])
+    counts = cumulative[hi] - cumulative[lo]
+    p = counts / ((hi - lo) * values.shape[1])[:, None]
+    entropy = -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=1)
+    return TimeSeries(starts[keep] + window_ns // 2, entropy)

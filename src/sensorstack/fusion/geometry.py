@@ -135,7 +135,8 @@ def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[:, :, row, 3 * row + 2] = -1.0
         a[:, :, row, 6:8] = target[..., None] * sn
         a[:, :, row, 8] = target
-    _, s, vt = np.linalg.svd(a.reshape(b, 2 * k, 9))
+    # with 2k >= 9 rows the reduced SVD already holds all of vt and skips the (2k, 2k) U
+    _, s, vt = np.linalg.svd(a.reshape(b, 2 * k, 9), full_matrices=2 * k < 9)
     h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(b, 3, 3) @ t_src
     scale = h[:, 2, 2]
     with np.errstate(divide="ignore", invalid="ignore"):

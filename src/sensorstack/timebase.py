@@ -14,12 +14,20 @@ The (offset, drift) pair is tracked by a two-state Kalman filter fed
 with (local, reference) observation pairs. After every update the model
 is re-anchored at the observation time, meaning the stored offset is
 always "offset right now" and the drift term starts from zero again.
+
+A ``SampleStream`` is stored as columns, not as one object per sample:
+an int64 local-timestamp column, an int64 corrected-timestamp column
+with a mask of the samples no clock model has corrected yet, and a
+float payload matrix with one row per sample. Clock correction and
+shifts are array operations on those columns, and a timestamp that
+would leave the int64 range is a DomainError. ``SensorSample`` objects
+are built only when ``.samples`` is read, once per stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +42,7 @@ MODALITIES = ("camera_series", "imu", "wearable", "detection")
 
 MAX_DRIFT_RATE = 0.1
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # largest float64 that converts to int64 without overflow
 _INT64_SATURATION = float(np.nextafter(2.0**63, 0))
@@ -234,12 +243,24 @@ def buffer_size(policy: BufferPolicy, arrival_intervals: Sequence[int]) -> int:
 # samples and streams
 
 
+def _nanoseconds(value, name: str) -> int:
+    """An integer timestamp or shift as a Python int.
+
+    Accepts ``int`` and numpy integers; a bool or a non-integral number
+    is a UsageError rather than a silently truncated count.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise UsageError(f"{name} must be an integer number of nanoseconds, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SensorSample:
     """One reading from one device.
 
     ``corrected_ts`` stays None until a clock model has been applied.
-    ``location`` is an optional (lat, lon) pair.
+    ``location`` is an optional (lat, lon) pair. Timestamps are stored
+    as Python ints.
     """
 
     device_id: str
@@ -254,10 +275,11 @@ class SensorSample:
             raise UsageError(f"unknown modality {self.modality!r}")
         if not isinstance(self.device_id, str) or not self.device_id:
             raise UsageError("device_id must be a non-empty string")
-        object.__setattr__(self, "payload", tuple(float(v) for v in self.payload))
-
-    def with_corrected(self, corrected_ts: int) -> "SensorSample":
-        return replace(self, corrected_ts=int(corrected_ts))
+        if type(self.local_ts) is not int:
+            object.__setattr__(self, "local_ts", _nanoseconds(self.local_ts, "local_ts"))
+        if self.corrected_ts is not None and type(self.corrected_ts) is not int:
+            object.__setattr__(self, "corrected_ts", _nanoseconds(self.corrected_ts, "corrected_ts"))
+        object.__setattr__(self, "payload", tuple(map(float, self.payload)))
 
 
 @dataclass(frozen=True)
@@ -277,19 +299,87 @@ class StreamDescriptor:
         return f"{self.device_id}/{self.modality}"
 
 
-@dataclass(frozen=True)
+def _timestamp_column(timestamps: list[int], key: str) -> np.ndarray:
+    try:
+        return np.array(timestamps, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"stream {key} has a timestamp outside the int64 range") from None
+
+
+def _checked_add(a: np.ndarray, b, what: str) -> np.ndarray:
+    """int64 ``a + b``, raising DomainError where a sum leaves the int64 range.
+
+    numpy wraps integer overflow silently; a wrapped sum is the one
+    whose sign differs from the signs of both addends.
+    """
+    total = a + b
+    if np.any(((a ^ total) & (b ^ total)) < 0):
+        raise DomainError(f"{what} leaves the int64 range")
+    return total
+
+
+# int64 differences below 2**53 convert to float64 exactly
+_EXACT_SPAN_NS = 2**53
+
+
+def _corrected_column(local: np.ndarray, model: ClockModel) -> np.ndarray:
+    """``correct_timestamp`` of every entry of a non-decreasing int64 column.
+
+    The result equals the scalar function's entry for entry. Below
+    2**53 ns (104 days) past the anchor, a sample's distance to it is
+    exact in float64, so numpy's division rounds as Python's int / int
+    does and ``np.rint`` rounds half to even as ``round`` does; later
+    samples take the scalar function itself.
+    """
+    if len(local) == 0:
+        return local
+    anchor = model.last_sync
+    head = int(local[0]) - anchor
+    if head < 0:
+        raise DomainError("sample precedes sync anchor")
+    limit = anchor + _EXACT_SPAN_NS
+    split = len(local) if limit > _INT64_MAX else int(np.searchsorted(local, limit))
+    parts = []
+    if split:
+        near = local[:split]
+        # (local - first) + (first - anchor): both below 2**53, wherever the anchor lies
+        dt = ((near - near[0]) + head) / NS_PER_SEC
+        shift = np.rint((model.offset + model.drift_rate * dt) * NS_PER_SEC)
+        if not np.all((shift >= -(2.0**63)) & (shift < 2.0**63)):
+            raise DomainError("clock correction leaves the int64 range")
+        parts.append(_checked_add(near, shift.astype(np.int64), "corrected timestamp"))
+    if split < len(local):
+        far = [correct_timestamp(t, model) for t in local[split:].tolist()]
+        if not all(_INT64_MIN <= t <= _INT64_MAX for t in far):
+            raise DomainError("corrected timestamp leaves the int64 range")
+        parts.append(np.array(far, dtype=np.int64))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class SampleStream:
-    """An ordered run of samples from a single (device, modality)."""
+    """An ordered run of samples from a single (device, modality).
 
-    descriptor: StreamDescriptor
-    samples: tuple[SensorSample, ...]
+    Stored as columns: ``local_timestamps()`` (int64, non-decreasing),
+    ``corrected_timestamps()`` (int64, with a per-sample mask of the
+    samples not yet corrected; uncorrected entries hold 0) and
+    ``payload_matrix()`` (float, one row per sample), plus the samples'
+    locations when any has one. The accessors return the stored arrays,
+    which are read-only and shared between a stream and the streams
+    ``with_clock`` and ``shifted`` derive from it.
 
-    def __post_init__(self):
-        samples = tuple(self.samples)
+    ``.samples`` is the tuple the stream was built from, or, for a
+    derived stream, a tuple built from the columns on first use and
+    kept. Two streams are equal when their descriptors and samples are.
+    Every timestamp must fit in int64; one that does not, at
+    construction or after a correction or shift, is a DomainError.
+    """
+
+    def __init__(self, descriptor: StreamDescriptor, samples: Iterable[SensorSample]):
+        samples = tuple(samples)
         arity = None
         prev = None
         for s in samples:
-            if s.device_id != self.descriptor.device_id or s.modality != self.descriptor.modality:
+            if s.device_id != descriptor.device_id or s.modality != descriptor.modality:
                 raise UsageError("sample does not belong to this stream")
             if arity is None:
                 arity = len(s.payload)
@@ -298,41 +388,120 @@ class SampleStream:
             if prev is not None and s.local_ts < prev:
                 raise UsageError("local timestamps must be non-decreasing")
             prev = s.local_ts
-        object.__setattr__(self, "samples", samples)
+        locations = tuple(s.location for s in samples)
+        self._set(
+            descriptor,
+            _timestamp_column([s.local_ts for s in samples], descriptor.key),
+            _timestamp_column([s.corrected_ts or 0 for s in samples], descriptor.key),
+            np.array([s.corrected_ts is None for s in samples], dtype=bool),
+            np.array([s.payload for s in samples], dtype=float),
+            None if all(loc is None for loc in locations) else locations,
+            samples,
+        )
+
+    def _set(self, descriptor, local, corrected, uncorrected, payload, locations, samples=None):
+        for column in (local, corrected, uncorrected, payload):
+            column.flags.writeable = False
+        self.__dict__.update(
+            descriptor=descriptor,
+            _local=local,
+            _corrected=corrected,
+            _uncorrected=uncorrected,
+            _payload=payload,
+            _locations=locations,
+            _samples=samples,
+        )
+
+    def _with_corrected(self, corrected: np.ndarray, uncorrected: np.ndarray) -> "SampleStream":
+        stream = object.__new__(SampleStream)
+        stream._set(self.descriptor, self._local, corrected, uncorrected, self._payload, self._locations)
+        return stream
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.descriptor == other.descriptor
+            and np.array_equal(self._local, other._local)
+            and np.array_equal(self._uncorrected, other._uncorrected)
+            and np.array_equal(self._corrected, other._corrected)
+            and np.array_equal(self._payload, other._payload)
+            and self._locations == other._locations
+        )
+
+    def __hash__(self):
+        return hash((self.descriptor, self._local.tobytes(), self._corrected.tobytes(), self._uncorrected.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"SampleStream(descriptor={self.descriptor!r}, samples=<{len(self)}>)"
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._local)
 
     @property
     def key(self) -> str:
         return self.descriptor.key
 
+    @property
+    def samples(self) -> tuple[SensorSample, ...]:
+        if self._samples is None:
+            d = self.descriptor
+            corrected = [
+                None if missing else ts
+                for ts, missing in zip(self._corrected.tolist(), self._uncorrected.tolist())
+            ]
+            locations = self._locations or (None,) * len(self)
+            built = []
+            for local, payload, ts, location in zip(
+                self._local.tolist(), self._payload.tolist(), corrected, locations
+            ):
+                # every field comes from a checked column, so the sample
+                # skips SensorSample's validation, which would triple its cost
+                sample = object.__new__(SensorSample)
+                sample.__dict__.update(
+                    device_id=d.device_id,
+                    modality=d.modality,
+                    local_ts=local,
+                    payload=tuple(payload),
+                    corrected_ts=ts,
+                    location=location,
+                )
+                built.append(sample)
+            self.__dict__["_samples"] = tuple(built)
+        return self._samples
+
     def local_timestamps(self) -> np.ndarray:
-        return np.array([s.local_ts for s in self.samples], dtype=np.int64)
+        return self._local
 
     def corrected_timestamps(self) -> np.ndarray:
-        ts = [s.corrected_ts for s in self.samples]
-        if any(t is None for t in ts):
+        if self._uncorrected.any():
             raise UsageError(f"stream {self.key} has uncorrected samples")
-        return np.array(ts, dtype=np.int64)
+        return self._corrected
 
     def payload_matrix(self) -> np.ndarray:
-        return np.array([s.payload for s in self.samples], dtype=float)
+        return self._payload
 
     def with_clock(self, model: ClockModel) -> "SampleStream":
-        """Apply a clock model, filling every sample's corrected_ts."""
-        corrected = tuple(
-            s.with_corrected(correct_timestamp(s.local_ts, model)) for s in self.samples
-        )
-        return replace(self, samples=corrected)
+        """Apply a clock model, filling every sample's corrected timestamp."""
+        return self._with_corrected(_corrected_column(self._local, model), np.zeros(len(self), dtype=bool))
 
     def shifted(self, delta_ns: int) -> "SampleStream":
-        """Shift all corrected timestamps by delta_ns."""
-        moved = tuple(
-            s.with_corrected(s.corrected_ts + delta_ns) if s.corrected_ts is not None else s
-            for s in self.samples
-        )
-        return replace(self, samples=moved)
+        """Shift all corrected timestamps by delta_ns; uncorrected samples stay uncorrected."""
+        delta = _nanoseconds(delta_ns, "shift")
+        if self._uncorrected.all():
+            return self
+        if not _INT64_MIN <= delta <= _INT64_MAX:
+            raise DomainError("shift leaves the int64 range")
+        # an uncorrected entry holds 0, so only corrected ones can overflow
+        moved = _checked_add(self._corrected, np.int64(delta), "shifted timestamp")
+        moved[self._uncorrected] = 0
+        return self._with_corrected(moved, self._uncorrected)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +643,7 @@ def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
     streams: dict[str, SampleStream] = {}
     for (device_id, modality), samples in grouped.items():
         samples.sort(key=lambda s: s.local_ts)
-        ts = np.array([s.local_ts for s in samples], dtype=np.int64)
+        ts = _timestamp_column([s.local_ts for s in samples], f"{device_id}/{modality}")
         rate = 1.0
         if len(ts) > 1:
             period = float(np.median(np.diff(ts)))

@@ -5,7 +5,8 @@ closed forms, full sorts, one window or one frame at a time) so that
 agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
-`suppress_overlaps`, `effective_urgency`, `prf_scores`). The
+`correct_timestamp`, `shannon_entropy`, `suppress_overlaps`,
+`effective_urgency`, `prf_scores`). The
 per-window detector and the per-epoch alignment loop are the
 straightforward versions the batched production code replaced, the
 event-matching loop is the one `coarse_align` carried before it called
@@ -14,13 +15,16 @@ cycle before per-group queues, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the
 RANSAC loop fits one hypothesis at a time with a row-by-row DLT as
-`ransac_fit` did before it batched them; all are kept here as
-references.
+`ransac_fit` did before it batched them, and the per-sample clock
+correction and shift and the per-window entropy histograms are the
+sync code before the columnar stream and the cumulative bin counts;
+all are kept here as references.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -28,10 +32,11 @@ from hypothesis import settings
 
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
 from sensorstack.errors import FitError, TopologyError, UsageError
-from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
+from sensorstack.eventsync import EventDetection, MatchedPair, shannon_entropy, suppress_overlaps
+from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
-from sensorstack.timebase import AlignedFrame, buffer_size
+from sensorstack.timebase import AlignedFrame, SampleStream, buffer_size, correct_timestamp
 
 
 def budget(examples: int) -> int:
@@ -524,3 +529,40 @@ def schedule_cycle_sorted(queue, nodes, now_ns, config, accepts, occupy):
     if taken:
         queue[:] = [t for t in queue if t.task_id not in taken]
     return dispatches
+
+
+def with_clock_per_sample(stream, model):
+    """``SampleStream.with_clock`` one sample at a time with the scalar ``correct_timestamp``."""
+    return SampleStream(
+        stream.descriptor,
+        tuple(replace(s, corrected_ts=correct_timestamp(s.local_ts, model)) for s in stream.samples),
+    )
+
+
+def shifted_per_sample(stream, delta_ns):
+    """``SampleStream.shifted`` one sample at a time; uncorrected samples are left alone."""
+    return SampleStream(
+        stream.descriptor,
+        tuple(
+            replace(s, corrected_ts=s.corrected_ts + delta_ns) if s.corrected_ts is not None else s
+            for s in stream.samples
+        ),
+    )
+
+
+def sliding_entropy_per_window(series, window_ns, stride_ns):
+    """``sliding_entropy`` as a loop: one ``shannon_entropy`` histogram per window."""
+    period = series.median_period_ns()
+    edges = np.linspace(series.values.min(), series.values.max(), ENTROPY_BINS + 1)
+    ts = series.timestamps
+    out_ts, out_vals = [], []
+    t = int(ts[0])
+    last_start = int(ts[-1]) - window_ns
+    while t <= last_start + period:
+        lo = int(np.searchsorted(ts, t, side="left"))
+        hi = int(np.searchsorted(ts, t + window_ns, side="left"))
+        if hi - lo >= 3:
+            out_ts.append(t + window_ns // 2)
+            out_vals.append(shannon_entropy(series.values[lo:hi], bins=edges))
+        t += stride_ns
+    return np.array(out_ts, dtype=np.int64), np.array(out_vals)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from scipy.signal import freqz, lfilter
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import butter, freqz, lfilter
 
-from oracles import shannon_entropy_reference
-from sensorstack.errors import ConfigError, UsageError
+from oracles import budget, shannon_entropy_reference, sliding_entropy_per_window
+from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack.eventsync import (
     TimeSeries,
     butterworth_lowpass,
@@ -115,6 +117,58 @@ class TestSlidingEntropy:
         with pytest.raises(UsageError):
             sliding_entropy(series, window_ns=20_000_000, stride_ns=10_000_000)
 
+    def test_windows_ending_past_int64_rejected(self):
+        ts = 2**63 - 1 - np.arange(20, dtype=np.int64)[::-1] * 10
+        series = TimeSeries(ts, np.arange(20.0))
+        with pytest.raises(DomainError, match="int64"):
+            sliding_entropy(series, window_ns=50, stride_ns=10)
+
+
+@st.composite
+def entropy_inputs(draw):
+    """A jittered series, often on a coarse value grid so many values sit
+    exactly on bin edges, the top edge (the series maximum) included."""
+    n = draw(st.integers(4, 120))
+    channels = draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    period = draw(st.sampled_from([7, 1_000, 40_000_000]))
+    steps = rng.integers(max(1, period // 2), period * 3 // 2 + 1, n)
+    ts = draw(st.integers(-(10**15), 10**15)) + np.cumsum(steps)
+    shape = (n,) if channels is None else (n, channels)
+    grid = draw(st.sampled_from([None, 2, 4, 16, 17, 32]))
+    values = rng.normal(size=shape) if grid is None else rng.integers(0, grid + 1, shape) / grid
+    if grid is not None and draw(st.booleans()):
+        values.flat[rng.integers(0, values.size, max(1, values.size // 4))] = values.max()
+    series = TimeSeries(ts, values)
+    median = series.median_period_ns()
+    window = draw(st.integers(3 * median, 40 * median))
+    stride = draw(st.integers(max(1, median // 4), 4 * median))
+    return series, window, stride
+
+
+class TestSlidingEntropyMatchesPerWindow:
+    """Cumulative bin counts give the per-window histograms' entropies."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(entropy_inputs())
+    def test_same_windows_and_values(self, case):
+        series, window, stride = case
+        expected_ts, expected = sliding_entropy_per_window(series, window, stride)
+        if len(expected_ts) == 0:
+            with pytest.raises(UsageError, match="too short"):
+                sliding_entropy(series, window, stride)
+            return
+        got = sliding_entropy(series, window, stride)
+        assert np.array_equal(got.timestamps, expected_ts)
+        # summation order differs from the per-window histogram's
+        np.testing.assert_allclose(got.values, expected, rtol=0, atol=1e-12)
+
+    def test_value_on_the_top_edge_counts_in_the_last_bin(self):
+        ts = np.arange(8, dtype=np.int64) * 10
+        series = TimeSeries(ts, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+        got = sliding_entropy(series, window_ns=40, stride_ns=20)
+        assert got.values.tolist() == pytest.approx([0.0, 1.0, 0.0])
+
 
 class TestLowpass:
     def test_dc_signal_passes_unchanged(self):
@@ -145,6 +199,16 @@ class TestLowpass:
         assert np.sum(b) / np.sum(a) == pytest.approx(1.0)
         steady = lfilter(b, a, np.ones(500))[-1]
         assert steady == pytest.approx(1.0, abs=1e-6)
+
+    def test_designs_are_cached_read_only(self):
+        b, a = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.0)
+        again = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.0)
+        assert again[0] is b and again[1] is a
+        assert not b.flags.writeable and not a.flags.writeable
+        expected_b, expected_a = butter(4, 5.0, btype="low", fs=25.0)
+        assert np.array_equal(b, expected_b) and np.array_equal(a, expected_a)
+        other = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.5)
+        assert not np.array_equal(other[0], b)
 
     def test_cutoff_at_or_above_nyquist_rejected(self):
         ts = np.arange(100, dtype=np.int64) * 10_000_000

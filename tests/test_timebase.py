@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import align_per_epoch, budget, full_sort_pairing, ols_line_fit
+from oracles import (
+    align_per_epoch,
+    budget,
+    full_sort_pairing,
+    ols_line_fit,
+    shifted_per_sample,
+    with_clock_per_sample,
+)
 from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack import timebase as tb
 from sensorstack.timebase import (
@@ -395,7 +402,201 @@ class TestStreamsAndIo:
         with pytest.raises(DomainError, match="imu-7/imu"):
             read_streams_ndjson(buf)
 
+    def test_timestamp_outside_int64_rejected_with_stream_name(self):
+        buf = io.StringIO()
+        write_samples_ndjson([SensorSample("imu-7", "imu", t, (0.0,)) for t in (5, 2**70)], buf)
+        buf.seek(0)
+        with pytest.raises(DomainError, match="imu-7/imu"):
+            read_streams_ndjson(buf)
+
     def test_record_field_names(self):
         sample = SensorSample("cam-1", "camera_series", 123, (9.0,), location=(1.0, 2.0))
         record = tb.sample_to_record(sample)
         assert set(record) == {"device_id", "modality", "local_ts_ns", "payload", "lat", "lon"}
+
+
+class TestSampleTimestampTypes:
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "7", None])
+    def test_non_integral_local_ts_rejected(self, bad):
+        with pytest.raises(UsageError, match="local_ts"):
+            SensorSample("d", "imu", bad, (1.0,))
+
+    @pytest.mark.parametrize("bad", [True, 1.5, np.float64(3.0), np.bool_(True)])
+    def test_non_integral_corrected_ts_rejected(self, bad):
+        with pytest.raises(UsageError, match="corrected_ts"):
+            SensorSample("d", "imu", 0, (1.0,), corrected_ts=bad)
+
+    @pytest.mark.parametrize("good", [7, np.int64(7), np.int32(7), np.uint64(7)])
+    def test_integers_accepted_as_python_ints(self, good):
+        sample = SensorSample("d", "imu", good, (1.0,), corrected_ts=good)
+        assert sample.local_ts == 7 and type(sample.local_ts) is int
+        assert sample.corrected_ts == 7 and type(sample.corrected_ts) is int
+
+    def test_non_integral_shift_rejected(self):
+        stream = make_stream("d", "imu", [0, 10])
+        for bad in (1.5, True):
+            with pytest.raises(UsageError, match="shift"):
+                stream.shifted(bad)
+
+
+class TestInt64Range:
+    def test_correction_past_int64_max_rejected(self):
+        stream = make_stream("d", "imu", [2**63 - 10], corrected=False)
+        with pytest.raises(DomainError, match="int64"):
+            stream.with_clock(ClockModel(1.0, 0.0, 0, np.zeros((2, 2))))
+
+    def test_correction_far_past_the_anchor_rejected(self):
+        # 2**62 ns past an anchor below int64: the scalar path checks the range too
+        stream = make_stream("d", "imu", [2**62, 2**63 - 10], corrected=False)
+        with pytest.raises(DomainError, match="int64"):
+            stream.with_clock(ClockModel(1.0, 0.0, -(2**63) - 5, np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("field", ["local_ts", "corrected_ts"])
+    @pytest.mark.parametrize("ts", [2**70, 2**63, -(2**63) - 1])
+    def test_stream_construction_rejects_timestamps_outside_int64(self, field, ts):
+        kwargs = {"local_ts": 0, "corrected_ts": 0, field: ts}
+        sample = SensorSample("d", "imu", payload=(1.0,), **kwargs)
+        with pytest.raises(DomainError, match="d/imu"):
+            SampleStream(StreamDescriptor("d", "imu", 10.0), (sample,))
+
+    @pytest.mark.parametrize("delta", [10, 2**63, -(2**64)])
+    def test_shift_past_int64_rejected(self, delta):
+        stream = make_stream("d", "imu", [0, 2**63 - 10] if delta > 0 else [-(2**63), 0])
+        with pytest.raises(DomainError, match="int64"):
+            stream.shifted(delta)
+
+    def test_shift_of_an_uncorrected_stream_changes_nothing(self):
+        stream = make_stream("d", "imu", [0, 10], corrected=False)
+        assert stream.shifted(2**70) == stream
+
+
+class TestColumnarStream:
+    def test_columns_are_stored_read_only(self):
+        stream = make_stream("d", "imu", [0, 10, 20], payloads=[(1.0, 2.0)] * 3)
+        for column in (stream.local_timestamps(), stream.corrected_timestamps(), stream.payload_matrix()):
+            assert column is not None and not column.flags.writeable
+        assert stream.local_timestamps() is stream.local_timestamps()
+        assert stream.payload_matrix().shape == (3, 2)
+
+    def test_given_samples_are_kept_and_derived_ones_built_once(self):
+        stream = make_stream("d", "imu", [0, 10], corrected=False)
+        given = stream.samples
+        assert SampleStream(stream.descriptor, given).samples is given
+        corrected = stream.with_clock(ClockModel.identity())
+        assert corrected.samples is corrected.samples
+        assert [s.corrected_ts for s in corrected.samples] == [0, 10]
+
+    def test_stream_is_immutable(self):
+        stream = make_stream("d", "imu", [0, 10])
+        with pytest.raises(AttributeError):
+            stream.descriptor = StreamDescriptor("e", "imu", 1.0)
+
+    def test_equality_is_value_equality(self):
+        a = make_stream("d", "imu", [0, 10])
+        b = make_stream("d", "imu", [0, 10])
+        assert a == b and hash(a) == hash(b)
+        assert a != make_stream("d", "imu", [0, 11])
+        assert a != make_stream("d", "imu", [0, 10], corrected=False)
+        assert a != make_stream("d", "imu", [0, 10], payloads=[(0.0,), (2.0,)])
+        assert a.shifted(5).shifted(-5) == a
+
+
+# timestamps near both ends of int64 and near zero, so corrections cross
+# the range limits and the 2**53 ns exact-float span in both directions
+EXTREME_TS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**63 - 10**12, 2**63 - 1),
+    st.integers(-(2**63), -(2**63) + 10**12),
+    st.integers(-(10**12), 10**12),
+)
+# (2j + 1) / 1024 s is (2j + 1) * 976562.5 ns: a rounding tie at every j
+TIE_OFFSETS = st.integers(-(10**4), 10**4).map(lambda j: (2 * j + 1) / 1024)
+OFFSETS = st.one_of(TIE_OFFSETS, st.floats(-10.0, 10.0), st.just(0.0))
+DRIFTS = st.one_of(st.just(0.0), st.floats(-0.09, 0.09), st.integers(-90, 90).map(lambda j: j / 1024))
+
+
+def outcome(fn, *args):
+    """A call's result, or the DomainError it raised, for equivalence checks."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def stream_of(local, corrected=None, location=None):
+    corrected = corrected or [None] * len(local)
+    return SampleStream(
+        StreamDescriptor("d", "imu", 25.0),
+        tuple(
+            SensorSample("d", "imu", t, (float(i), -float(i)), corrected_ts=c, location=location)
+            for i, (t, c) in enumerate(zip(local, corrected))
+        ),
+    )
+
+
+class TestColumnarStreamMatchesPerSample:
+    """``with_clock`` and ``shifted`` equal the per-sample loops they replaced."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(
+        local=st.lists(EXTREME_TS, min_size=1, max_size=12).map(sorted),
+        anchor_gap=st.one_of(st.integers(0, 10**10), st.integers(0, 2**65), st.integers(-(10**6), -1)),
+        offset=OFFSETS,
+        drift=DRIFTS,
+    )
+    def test_with_clock(self, local, anchor_gap, offset, drift):
+        stream = stream_of(local)
+        model = ClockModel(offset, drift, local[0] - anchor_gap, np.zeros((2, 2)))
+        got = outcome(stream.with_clock, model)
+        expected = outcome(with_clock_per_sample, stream, model)
+        assert got == expected
+        if expected is not DomainError:
+            assert got.corrected_timestamps().tolist() == [s.corrected_ts for s in expected.samples]
+
+    @settings(max_examples=budget(200), deadline=None)
+    @given(
+        local=st.lists(st.integers(0, 10**9), min_size=1, max_size=20).map(sorted),
+        anchor=st.integers(-(10**9), 0),
+        gap_days=st.integers(100, 110),
+        offset=OFFSETS,
+        drift=DRIFTS,
+    )
+    def test_with_clock_across_the_exact_float_span(self, local, anchor, gap_days, offset, drift):
+        """Streams that start just before 2**53 ns past the anchor and end after it."""
+        start = anchor + gap_days * 86_400 * NS
+        stream = stream_of([start + t for t in local])
+        model = ClockModel(offset, drift, anchor, np.zeros((2, 2)))
+        assert outcome(stream.with_clock, model) == outcome(with_clock_per_sample, stream, model)
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(
+        rows=st.lists(st.tuples(EXTREME_TS, st.booleans(), EXTREME_TS), min_size=0, max_size=12),
+        delta=EXTREME_TS,
+    )
+    def test_shifted_with_mixed_corrected_samples(self, rows, delta):
+        rows = sorted(rows)
+        stream = stream_of([r[0] for r in rows], [r[2] if r[1] else None for r in rows])
+        got = outcome(stream.shifted, delta)
+        expected = outcome(shifted_per_sample, stream, delta)
+        assert got == expected
+        if expected is not DomainError:
+            assert got.samples == expected.samples
+
+    @settings(max_examples=budget(100), deadline=None)
+    @given(
+        local=st.lists(st.integers(0, 10**12), min_size=1, max_size=30).map(sorted),
+        offset=OFFSETS,
+        delta=st.integers(-(10**9), 10**9),
+        located=st.booleans(),
+    )
+    def test_lazy_samples_equal_an_eager_streams(self, local, offset, delta, located):
+        location = (40.0, -70.0) if located else None
+        stream = stream_of(local, location=location)
+        model = ClockModel(offset, 0.0, local[0], np.zeros((2, 2)))
+        lazy = stream.with_clock(model).shifted(delta)
+        eager = shifted_per_sample(with_clock_per_sample(stream, model), delta)
+        assert lazy.samples == eager.samples
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert all(type(s.corrected_ts) is int for s in lazy.samples)
+        assert SampleStream(lazy.descriptor, lazy.samples) == lazy
+

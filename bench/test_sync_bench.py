@@ -9,10 +9,7 @@ raise-hold-drop gesture that starts at 10 s, from a device whose clock
 runs 0.4 s ahead and drifts 20 ppm, as an intersection testbed's camera
 stream is. The entropy runs over the whole stream with the
 fine-tuning's 300 ms window and one-period stride; the fine-tuning
-starts from a coarse start 150 ms late. Timed repeats of the
-fine-tuning reuse ``design_lowpass``'s cached filter, which the
-jittered streams of ``perfbench`` rarely do: there every search window
-has its own median period, hence its own filter.
+starts from a coarse start 150 ms late.
 """
 
 import numpy as np

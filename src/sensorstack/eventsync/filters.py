@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy import signal
 
@@ -12,26 +10,14 @@ from .series import TimeSeries
 
 
 def design_lowpass(order: int, cutoff_hz: float, sample_rate_hz: float):
-    """Butterworth low-pass coefficients (b, a) for the given rate.
-
-    Designs are cached per (order, cutoff, rate); the arrays are shared
-    between callers and therefore read-only.
-    """
+    """Butterworth low-pass coefficients (b, a) for the given rate."""
     if order < 1:
         raise ConfigError("filter order must be at least 1")
     if cutoff_hz <= 0:
         raise ConfigError("cutoff must be positive")
     if cutoff_hz >= sample_rate_hz / 2:
         raise ConfigError("cutoff must stay below the Nyquist frequency")
-    return _butter(order, cutoff_hz, sample_rate_hz)
-
-
-@lru_cache(maxsize=256)
-def _butter(order: int, cutoff_hz: float, sample_rate_hz: float):
-    b, a = signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz)
-    b.flags.writeable = False
-    a.flags.writeable = False
-    return b, a
+    return signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz)
 
 
 def butterworth_lowpass(series: TimeSeries, order: int = 4, cutoff_hz: float = 5.0) -> TimeSeries:

@@ -369,7 +369,9 @@ class SampleStream:
 
     ``.samples`` is the tuple the stream was built from, or, for a
     derived stream, a tuple built from the columns on first use and
-    kept. Two streams are equal when their descriptors and samples are.
+    kept. Two streams are equal when their descriptors and samples are;
+    NaN payload entries compare equal to NaN, so a stream equals itself
+    and its copies.
     Every timestamp must fit in int64; one that does not, at
     construction or after a correction or shift, is a DomainError.
     """
@@ -413,15 +415,20 @@ class SampleStream:
         )
 
     def _with_corrected(self, corrected: np.ndarray, uncorrected: np.ndarray) -> "SampleStream":
-        stream = object.__new__(SampleStream)
-        stream._set(self.descriptor, self._local, corrected, uncorrected, self._payload, self._locations)
-        return stream
+        return _rebuild_stream(self.descriptor, self._local, corrected, uncorrected, self._payload, self._locations)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through _set, so an unpickled or deep-copied stream's
+        # columns are read-only too
+        return _rebuild_stream, (
+            self.descriptor, self._local, self._corrected, self._uncorrected, self._payload, self._locations,
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -431,7 +438,7 @@ class SampleStream:
             and np.array_equal(self._local, other._local)
             and np.array_equal(self._uncorrected, other._uncorrected)
             and np.array_equal(self._corrected, other._corrected)
-            and np.array_equal(self._payload, other._payload)
+            and np.array_equal(self._payload, other._payload, equal_nan=True)
             and self._locations == other._locations
         )
 
@@ -502,6 +509,12 @@ class SampleStream:
         moved = _checked_add(self._corrected, np.int64(delta), "shifted timestamp")
         moved[self._uncorrected] = 0
         return self._with_corrected(moved, self._uncorrected)
+
+
+def _rebuild_stream(descriptor, local, corrected, uncorrected, payload, locations) -> SampleStream:
+    stream = object.__new__(SampleStream)
+    stream._set(descriptor, local, corrected, uncorrected, payload, locations)
+    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, freqz, lfilter
+from scipy.signal import freqz, lfilter
 
 from oracles import budget, shannon_entropy_reference, sliding_entropy_per_window
 from sensorstack.errors import ConfigError, DomainError, UsageError
@@ -199,16 +199,6 @@ class TestLowpass:
         assert np.sum(b) / np.sum(a) == pytest.approx(1.0)
         steady = lfilter(b, a, np.ones(500))[-1]
         assert steady == pytest.approx(1.0, abs=1e-6)
-
-    def test_designs_are_cached_read_only(self):
-        b, a = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.0)
-        again = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.0)
-        assert again[0] is b and again[1] is a
-        assert not b.flags.writeable and not a.flags.writeable
-        expected_b, expected_a = butter(4, 5.0, btype="low", fs=25.0)
-        assert np.array_equal(b, expected_b) and np.array_equal(a, expected_a)
-        other = design_lowpass(order=4, cutoff_hz=5.0, sample_rate_hz=25.5)
-        assert not np.array_equal(other[0], b)
 
     def test_cutoff_at_or_above_nyquist_rejected(self):
         ts = np.arange(100, dtype=np.int64) * 10_000_000

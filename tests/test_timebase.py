@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -499,6 +501,23 @@ class TestColumnarStream:
         assert a != make_stream("d", "imu", [0, 10], corrected=False)
         assert a != make_stream("d", "imu", [0, 10], payloads=[(0.0,), (2.0,)])
         assert a.shifted(5).shifted(-5) == a
+
+    def test_nan_payloads_compare_equal(self):
+        stream = make_stream("d", "imu", [0, 10], payloads=[(float("nan"),), (1.0,)])
+        assert stream == stream
+        assert stream == make_stream("d", "imu", [0, 10], payloads=[(float("nan"),), (1.0,)])
+        assert stream != make_stream("d", "imu", [0, 10], payloads=[(0.0,), (1.0,)])
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_keep_read_only_columns(self, duplicate):
+        stream = make_stream("d", "imu", [0, 10, 20], payloads=[(1.0, 2.0)] * 3).shifted(7)
+        clone = duplicate(stream)
+        assert clone == stream and hash(clone) == hash(stream)
+        for column in (clone.local_timestamps(), clone.corrected_timestamps(), clone.payload_matrix()):
+            assert not column.flags.writeable
+        assert clone.samples == stream.samples
+        with pytest.raises(AttributeError):
+            clone.descriptor = StreamDescriptor("e", "imu", 1.0)
 
 
 # timestamps near both ends of int64 and near zero, so corrections cross

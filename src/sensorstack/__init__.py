@@ -6,7 +6,7 @@ Subpackages:
 * ``eventsync``: gesture-event detection and cross-stream time alignment.
 * ``fusion``: perspective transforms and cross-camera detection merging.
 * ``edgesched``: decay-priority task scheduling and its simulator.
-* ``services``: device registry, tokens, actions, capture, distillation.
+* ``services``: device registry, tokens, actions, capture.
 """
 
 __version__ = "0.1.0"

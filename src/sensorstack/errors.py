@@ -23,10 +23,6 @@ class FitError(SensorStackError):
     """A geometric or statistical fit could not be computed."""
 
 
-class TrainingError(SensorStackError):
-    """Iterative model training diverged or failed to make progress."""
-
-
 class AuthError(SensorStackError):
     """Authentication or authorization failed."""
 
@@ -57,15 +53,3 @@ class TopologyError(SensorStackError):
 
 class IntegrityError(SensorStackError):
     """Persisted or logged data is inconsistent or truncated."""
-
-
-class StageFailure(SensorStackError):
-    """An experiment pipeline stage failed.
-
-    ``stage`` names the failing step so command-line diagnostics can
-    point at it directly.
-    """
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage

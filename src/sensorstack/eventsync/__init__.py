@@ -8,9 +8,8 @@ then shift streams so the refined starts coincide.
 
 from .series import TimeSeries
 from .dtw import DbaResult, DtwResult, GestureTemplate, dba, dba_template, dtw_cost, dtw_distance
-from .features import FeatureVector, GroupFeatures, extract_imu_features, shannon_entropy, sliding_entropy
+from .features import sliding_entropy
 from .filters import butterworth_lowpass, design_lowpass
-from .hmm import HmmModel, HmmTrainResult, ViterbiResult, train_hmm, viterbi_decode
 from .detect import (
     EventDetection,
     detect_gesture_video,
@@ -27,7 +26,6 @@ from .align import (
     coarse_align,
     fine_tune_event,
 )
-from .metrics import SyncScores, eval_detection, eval_sync
 
 __all__ = [
     "TimeSeries",
@@ -38,18 +36,9 @@ __all__ = [
     "dba_template",
     "dtw_cost",
     "dtw_distance",
-    "FeatureVector",
-    "GroupFeatures",
-    "extract_imu_features",
-    "shannon_entropy",
     "sliding_entropy",
     "butterworth_lowpass",
     "design_lowpass",
-    "HmmModel",
-    "HmmTrainResult",
-    "ViterbiResult",
-    "train_hmm",
-    "viterbi_decode",
     "EventDetection",
     "detect_gesture_video",
     "normalized_dtw_score",
@@ -62,7 +51,4 @@ __all__ = [
     "apply_sync",
     "coarse_align",
     "fine_tune_event",
-    "SyncScores",
-    "eval_detection",
-    "eval_sync",
 ]

@@ -31,4 +31,4 @@ def butterworth_lowpass(series: TimeSeries, order: int = 4, cutoff_hz: float = 5
     default_pad = 3 * (max(len(a), len(b)) - 1)
     padlen = min(default_pad, len(series) - 1)
     filtered = signal.filtfilt(b, a, series.values, axis=0, padlen=padlen)
-    return TimeSeries(series.timestamps, np.asarray(filtered), series.channels)
+    return TimeSeries(series.timestamps, np.asarray(filtered))

@@ -6,8 +6,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import DomainError, UsageError
 from ..timebase import NS_PER_SEC
+
+
+def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
+    """``ts`` as int64: a non-integral timestamp is a UsageError rather
+    than truncated, one outside int64 a DomainError rather than wrapped."""
+    values = ts.tolist()
+    if not all(type(t) is int or (type(t) is float and t.is_integer()) for t in values):
+        raise UsageError("timestamps must be integral nanoseconds")
+    try:
+        return np.array([int(t) for t in values], dtype=np.int64)
+    except OverflowError:
+        raise DomainError("timestamps must fit in int64") from None
 
 
 @dataclass(frozen=True)
@@ -15,30 +27,27 @@ class TimeSeries:
     """Timestamps (ns, strictly increasing) with scalar or vector values.
 
     ``values`` has shape (n,) for a single channel or (n, c) for c
-    channels; ``channels`` optionally names them.
+    channels.
     """
 
     timestamps: np.ndarray
     values: np.ndarray
-    channels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps)
         vals = np.asarray(self.values, dtype=float)
         if ts.ndim != 1:
             raise UsageError("timestamps must be one-dimensional")
         if len(ts) == 0:
             raise UsageError("series must not be empty")
+        if ts.dtype != np.int64:
+            ts = _int64_timestamps(ts)
         if vals.shape[0] != len(ts):
             raise UsageError("values and timestamps must have equal length")
         if vals.ndim not in (1, 2):
             raise UsageError("values must be 1-d or 2-d")
-        if len(ts) > 1 and np.any(np.diff(ts) <= 0):
+        if np.any(ts[1:] <= ts[:-1]):
             raise UsageError("timestamps must be strictly increasing")
-        if self.channels is not None:
-            width = 1 if vals.ndim == 1 else vals.shape[1]
-            if len(self.channels) != width:
-                raise UsageError("channel labels must match value width")
         ts.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
@@ -46,14 +55,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def start(self) -> int:
-        return int(self.timestamps[0])
-
-    @property
-    def end(self) -> int:
-        return int(self.timestamps[-1])
 
     def median_period_ns(self) -> int:
         if len(self) < 2:
@@ -77,7 +78,3 @@ class TimeSeries:
             return self
         mag = np.linalg.norm(self.values, axis=1)
         return TimeSeries(self.timestamps, mag)
-
-    def shifted(self, delta_ns: int) -> "TimeSeries":
-        """Same values on timestamps moved by delta_ns."""
-        return replace(self, timestamps=self.timestamps + int(delta_ns))

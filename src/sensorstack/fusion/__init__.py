@@ -1,10 +1,9 @@
 """Multi-camera detection fusion in a shared top-down frame.
 
 Per-camera detections are mapped into one coordinate system through a
-fitted perspective transform (a DLT homography, a RANSAC-robust
-variant, or a small trained regressor), merged across cameras by a
-distance threshold with confidence weighting, and scored against
-ground truth positions.
+fitted homography (a direct linear transform, or its RANSAC-robust
+variant), merged across cameras by a distance threshold with
+confidence weighting, and scored against ground truth positions.
 """
 
 from .dedup import deduplicate
@@ -36,18 +35,6 @@ from .metrics import (
     evaluate_detections,
     threshold_sweep,
 )
-from .transform_net import (
-    TrainingConfig,
-    TransformNet,
-    TransformNetResult,
-    fit_transform_net,
-    init_params,
-    mlp_apply,
-    mlp_loss,
-    mlp_loss_grad,
-    param_count,
-    point_rmse,
-)
 from .types import CATEGORIES, Detection, FusedDetection, ObjectTruth, PointPair
 
 __all__ = [
@@ -61,20 +48,10 @@ __all__ = [
     "ProjectionResult",
     "RansacResult",
     "SweepRow",
-    "TrainingConfig",
-    "TransformNet",
-    "TransformNetResult",
     "deduplicate",
     "default_sweep_thresholds",
     "evaluate_detections",
     "fit_homography_dlt",
-    "fit_transform_net",
-    "init_params",
-    "mlp_apply",
-    "mlp_loss",
-    "mlp_loss_grad",
-    "param_count",
-    "point_rmse",
     "project",
     "ransac_fit",
     "read_detections_ndjson",

@@ -17,55 +17,39 @@ W_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class PerspectiveTransform:
-    """Either a homography matrix or a trained coordinate regressor.
+    """A homography: a 3x3 matrix normalized to bottom-right entry 1."""
 
-    ``kind`` selects the payload: "homography" carries a 3x3 matrix
-    normalized to bottom-right entry 1, "learned" carries the regressor
-    parameters produced by fit_transform_net.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-    net: "object | None" = None
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "homography":
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (3, 3):
-                raise UsageError("homography must be a 3x3 matrix")
-            det = float(np.linalg.det(m))
-            if not np.isfinite(det) or abs(det) <= 1e-12:
-                raise UsageError("homography must be non-singular")
-            if abs(m[2, 2]) <= 1e-12:
-                raise UsageError("homography bottom-right entry must be nonzero")
-            m = m / m[2, 2]
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
-        elif self.kind == "learned":
-            if self.net is None:
-                raise UsageError("learned transform needs regressor parameters")
-        else:
-            raise UsageError(f"unknown transform kind {self.kind!r}")
+        m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (3, 3):
+            raise UsageError("homography must be a 3x3 matrix")
+        det = float(np.linalg.det(m))
+        if not np.isfinite(det) or abs(det) <= 1e-12:
+            raise UsageError("homography must be non-singular")
+        if abs(m[2, 2]) <= 1e-12:
+            raise UsageError("homography bottom-right entry must be nonzero")
+        m = m / m[2, 2]
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def apply(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map (n, 2) points; returns (mapped, valid mask).
 
-        Homography points whose homogeneous scale collapses below
-        W_EPSILON are marked invalid and filled with NaN.
+        Points whose homogeneous scale collapses below W_EPSILON are
+        marked invalid and filled with NaN.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        if self.kind == "homography":
-            ones = np.ones((len(pts), 1))
-            h = np.hstack([pts, ones]) @ self.matrix.T
-            w = h[:, 2]
-            valid = np.abs(w) >= W_EPSILON
-            out = np.full((len(pts), 2), np.nan)
-            out[valid] = h[valid, :2] / w[valid, None]
-            return out, valid
-        mapped = self.net.predict(pts)
-        return mapped, np.ones(len(pts), dtype=bool)
+        ones = np.ones((len(pts), 1))
+        h = np.hstack([pts, ones]) @ self.matrix.T
+        w = h[:, 2]
+        valid = np.abs(w) >= W_EPSILON
+        out = np.full((len(pts), 2), np.nan)
+        out[valid] = h[valid, :2] / w[valid, None]
+        return out, valid
 
 
 def _as_arrays(pairs: Sequence[PointPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +144,7 @@ def _fit_one(src: np.ndarray, dst: np.ndarray) -> PerspectiveTransform:
     matrices, code = _fit_dlt(src[None], dst[None])
     if code[0]:
         raise FitError(_DLT_FAILURES[code[0]])
-    return PerspectiveTransform(kind="homography", matrix=matrices[0])
+    return PerspectiveTransform(matrices[0])
 
 
 def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:

@@ -14,10 +14,9 @@ from typing import IO, Iterable
 import numpy as np
 
 from .. import jsonl
-from ..errors import IntegrityError, UsageError
+from ..errors import UsageError
 from .geometry import PerspectiveTransform
 from .metrics import SweepRow
-from .transform_net import TransformNet
 from .types import Detection, FusedDetection, PointPair
 
 
@@ -110,20 +109,7 @@ def read_sweep_csv(fp: IO[str]) -> tuple[SweepRow, ...]:
 
 
 def write_transform_json(transform: PerspectiveTransform, fp: IO[str]):
-    if transform.kind == "homography":
-        doc = {"kind": "homography", "matrix": transform.matrix.tolist()}
-    else:
-        net = transform.net
-        doc = {
-            "kind": "learned",
-            "architecture": list(net.architecture),
-            "params": net.params.tolist(),
-            "in_center": net.in_center.tolist(),
-            "in_scale": net.in_scale.tolist(),
-            "out_center": net.out_center.tolist(),
-            "out_scale": net.out_scale.tolist(),
-        }
-    json.dump(doc, fp)
+    json.dump({"kind": "homography", "matrix": transform.matrix.tolist()}, fp)
     fp.write("\n")
 
 
@@ -132,19 +118,5 @@ def read_transform_json(fp: IO[str]) -> PerspectiveTransform:
         doc = jsonl.loads_object(fp.read())
         kind = doc.get("kind")
         if kind == "homography":
-            return PerspectiveTransform(kind="homography", matrix=np.array(doc["matrix"], dtype=float))
-        if kind == "learned":
-            try:
-                net = TransformNet(
-                    architecture=tuple(doc["architecture"]),
-                    params=np.array(doc["params"], dtype=float),
-                    in_center=np.array(doc["in_center"], dtype=float),
-                    in_scale=np.array(doc["in_scale"], dtype=float),
-                    out_center=np.array(doc["out_center"], dtype=float),
-                    out_scale=np.array(doc["out_scale"], dtype=float),
-                )
-            except UsageError as exc:
-                # parameters that do not fit the architecture
-                raise IntegrityError(f"malformed transform document: {exc}") from exc
-            return PerspectiveTransform(kind="learned", net=net)
+            return PerspectiveTransform(np.array(doc["matrix"], dtype=float))
     raise UsageError(f"unknown transform kind {kind!r}")

@@ -3,12 +3,11 @@
 Devices register with attribute records and receive scoped bearer
 tokens; configuration changes are versioned as self-contained snapshots
 with byte-exact rollback; actions run strictly in order per device with
-automatic rollback on faults; captured samples are tagged and queryable;
-a distillation step trades utility for privacy. Every state change lands
-in an append-only activity log that alone reconstructs the state.
+automatic rollback on faults; captured samples are tagged and queryable.
+Every state change lands in an append-only activity log that alone
+reconstructs the state.
 """
 
-from .distill import DistillPolicy, distill, hash_identifier
 from .registry import CoreServices, replay_log
 from .router import ServiceRouter, serve
 from .store import FileLog, MemoryLog
@@ -42,16 +41,13 @@ __all__ = [
     "CaptureRecord",
     "CoreServices",
     "DeviceRecord",
-    "DistillPolicy",
     "FileLog",
     "Location",
     "MemoryLog",
     "ServiceRouter",
     "VersionSnapshot",
     "canonical_json",
-    "distill",
     "format_timestamp",
-    "hash_identifier",
     "issue_token",
     "record_from_payload",
     "replay_log",

@@ -5,8 +5,8 @@ closed forms, full sorts, one window or one frame at a time) so that
 agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
-`correct_timestamp`, `shannon_entropy`, `suppress_overlaps`,
-`effective_urgency`, `prf_scores`). The
+`correct_timestamp`, `suppress_overlaps`, `effective_urgency`,
+`prf_scores`). The
 per-window detector and the per-epoch alignment loop are the
 straightforward versions the batched production code replaced, the
 event-matching loop is the one `coarse_align` carried before it called
@@ -16,23 +16,23 @@ per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the
 RANSAC loop fits one hypothesis at a time with a row-by-row DLT as
 `ransac_fit` did before it batched them, and the per-sample clock
-correction and shift and the per-window entropy histograms are the
-sync code before the columnar stream and the cumulative bin counts;
-all are kept here as references.
+correction and shift and the per-window entropy histograms
+(`shannon_entropy`, one window at a time) are the sync code before the
+columnar stream and the cumulative bin counts; all are kept here as
+references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 from hypothesis import settings
 
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
 from sensorstack.errors import FitError, TopologyError, UsageError
-from sensorstack.eventsync import EventDetection, MatchedPair, shannon_entropy, suppress_overlaps
+from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
@@ -103,30 +103,6 @@ def dtw_enumerate(s, t, point_cost):
 
     walk(0, 0, 0.0)
     return best[0]
-
-
-def gaussian_log_pdf(x, mean, var):
-    return -0.5 * (math.log(2 * math.pi * var) + (x - mean) ** 2 / var)
-
-
-def viterbi_brute_force(start, transitions, means, variances, observations):
-    """Best state path by scoring every possible path explicitly."""
-    obs = np.asarray(observations, dtype=float)
-    n_states = len(start)
-    t_len = len(obs)
-    best_path = None
-    best_score = -math.inf
-    for path in product(range(n_states), repeat=t_len):
-        score = math.log(start[path[0]])
-        for t in range(t_len):
-            for d in range(obs.shape[1]):
-                score += gaussian_log_pdf(obs[t, d], means[path[t]][d], variances[path[t]][d])
-            if t + 1 < t_len:
-                score += math.log(transitions[path[t]][path[t + 1]])
-        if score > best_score:
-            best_score = score
-            best_path = path
-    return list(best_path), best_score
 
 
 def shannon_entropy_reference(values, bins=16):
@@ -309,13 +285,6 @@ def _center_distance(a, b):
     return float(np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]))
 
 
-def eval_detection_loop(predicted, truth, tolerance_ns):
-    """Event detection scores from the pairwise matcher on start gaps."""
-    starts = [[e.start if isinstance(e, EventDetection) else int(e) for e in side] for side in (predicted, truth)]
-    tp = len(greedy_match_callable(*starts, tolerance_ns, lambda a, b: abs(a - b)))
-    return prf_scores(tp, len(starts[0]) - tp, len(starts[1]) - tp)
-
-
 def deduplicate_pairwise(detections, threshold):
     """Single-linkage merging that tests every pair of detections.
 
@@ -422,7 +391,7 @@ def homography_dlt_rows(pairs):
     if abs(h[2, 2]) <= 1e-12:
         raise FitError("fitted homography is degenerate: vanishing scale entry")
     try:
-        return PerspectiveTransform(kind="homography", matrix=h / h[2, 2])
+        return PerspectiveTransform(h / h[2, 2])
     except UsageError as exc:
         raise FitError(f"fitted homography is degenerate: {exc}") from exc
 
@@ -548,6 +517,35 @@ def shifted_per_sample(stream, delta_ns):
             for s in stream.samples
         ),
     )
+
+
+def shannon_entropy(values, bins=ENTROPY_BINS):
+    """Histogram entropy in bits.
+
+    ``bins`` is either a cell count, giving equal-width cells between
+    the window minimum and maximum, or an explicit array of bin edges
+    for anchoring several windows to one shared range. Empty cells
+    contribute nothing. A window whose values span no range at all has
+    zero entropy by definition.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size == 0:
+        raise UsageError("entropy of an empty window is undefined")
+    if not np.all(np.isfinite(v)):
+        raise UsageError("entropy input must be finite")
+    if isinstance(bins, (int, np.integer)):
+        lo = float(v.min())
+        hi = float(v.max())
+        if lo == hi:
+            return 0.0
+        counts, _ = np.histogram(v, bins=bins, range=(lo, hi))
+    else:
+        edges = np.asarray(bins, dtype=float)
+        if edges[0] == edges[-1]:
+            return 0.0
+        counts, _ = np.histogram(v, bins=edges)
+    p = counts[counts > 0] / v.size
+    return float(-(p * np.log2(p)).sum())
 
 
 def sliding_entropy_per_window(series, window_ns, stride_ns):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import budget, coarse_align_loop, detect_gesture_per_window, eval_detection_loop
+from oracles import budget, coarse_align_loop, detect_gesture_per_window, greedy_match_callable
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
@@ -19,14 +19,14 @@ from sensorstack.eventsync import (
     apply_sync,
     coarse_align,
     detect_gesture_video,
-    eval_detection,
-    eval_sync,
     fine_tune_event,
     normalized_dtw_score,
     read_events_ndjson,
     suppress_overlaps,
     write_events_ndjson,
 )
+from sensorstack.scoring import match_integers
+from sensorstack.timebase import SampleStream, SensorSample, StreamDescriptor
 
 RATE = 25.0
 PERIOD_NS = 40_000_000
@@ -283,15 +283,21 @@ class TestCoarseAlign:
         a = [EventDetection("a", t, t + k, 0.1) for k, t in enumerate(starts_a)]
         b = [EventDetection("b", t, t + k, 0.1) for k, t in enumerate(starts_b)]
         assert coarse_align(a, b, tolerance_ns=tolerance) == coarse_align_loop(a, b, tolerance)
-        assert eval_detection(starts_a, starts_b, tolerance) == eval_detection_loop(starts_a, starts_b, tolerance)
+        expected = greedy_match_callable(starts_a, starts_b, tolerance, lambda x, y: abs(x - y))
+        assert match_integers(starts_a, starts_b, tolerance) == expected
 
     def test_start_outside_int64_or_nan_tolerance_rejected(self):
-        inside, outside = EventDetection("a", 0, 1, 0.1), EventDetection("b", 2**63, 2**63, 0.1)
-        for args in (([inside], [outside], 5), ([inside], [inside], math.nan), ([inside], [inside], -1)):
+        inside = EventDetection("a", 0, 1, 0.1)
+        above = EventDetection("b", 2**63, 2**63, 0.1)
+        below = EventDetection("b", -(2**63) - 1, -(2**63) - 1, 0.1)
+        for args in (
+            ([inside], [above], 5),
+            ([below], [inside], 5),
+            ([inside], [inside], math.nan),
+            ([inside], [inside], -1),
+        ):
             with pytest.raises(UsageError):
                 coarse_align(*args)
-        with pytest.raises(UsageError):
-            eval_detection([-(2**63) - 1], [0], 5)
 
 
 def burst_series(onset_ns, rate_hz=100.0, total_s=6.0, seed=0, amplitude=3.0):
@@ -345,63 +351,36 @@ class TestFineTune:
             fine_tune_event({"imu": series}, {"imu": 2_000_000_000, "cam": 1})
 
 
+def corrected_stream(device_id, series):
+    """A corrected stream holding a series' timestamps and first channel."""
+    samples = [
+        SensorSample(device_id, "imu", t, (float(v),), corrected_ts=t)
+        for t, v in zip(series.timestamps.tolist(), series.values[:, 0])
+    ]
+    return SampleStream(StreamDescriptor(device_id, "imu", 100.0), samples)
+
+
 class TestApplySync:
     def test_scalar_anchors_shift_to_reference(self):
         base = burst_series(2_000_000_000, seed=2)
-        streams = {"ref": base, "lag": base.shifted(250_000_000)}
+        streams = {"ref": corrected_stream("ref", base), "lag": corrected_stream("lag", base).shifted(250_000_000)}
         anchors = {"ref": 2_000_000_000, "lag": 2_250_000_000}
         out = apply_sync(streams, anchors, "ref")
-        assert np.array_equal(out["ref"].timestamps, base.timestamps)
-        assert np.array_equal(out["lag"].timestamps, base.timestamps)
+        assert np.array_equal(out["ref"].corrected_timestamps(), base.timestamps)
+        assert np.array_equal(out["lag"].corrected_timestamps(), base.timestamps)
 
     def test_list_anchors_use_median_difference(self):
         base = burst_series(1_000_000_000, seed=5)
-        streams = {"ref": base, "lag": base.shifted(100)}
+        streams = {"ref": corrected_stream("ref", base), "lag": corrected_stream("lag", base).shifted(100)}
         anchors = {"ref": [0, 1_000, 2_000], "lag": [100, 1_100, 9_000]}
         out = apply_sync(streams, anchors, "ref")
         # per-event differences are (100, 100, 7000); the median ignores the outlier
-        assert out["lag"].timestamps[0] == base.timestamps[0]
+        assert out["lag"].corrected_timestamps()[0] == base.timestamps[0]
 
     def test_unknown_reference_rejected(self):
-        base = burst_series(1_000_000_000)
+        base = corrected_stream("a", burst_series(1_000_000_000))
         with pytest.raises(UsageError):
             apply_sync({"a": base}, {"a": 0}, "nope")
-
-
-class TestEvalMetrics:
-    def test_sync_scores_worked_example(self):
-        scores = eval_sync([0.0, 1.0, 2.0], [0.1, 1.1, 1.9])
-        assert scores.mae == pytest.approx(0.1)
-        assert scores.rmse == pytest.approx(0.1)
-        assert scores.mto == pytest.approx(0.1 / 3)
-
-    def test_mae_bounds_rmse_and_mto(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            n = int(rng.integers(1, 40))
-            truth = rng.normal(size=n)
-            pred = truth + rng.normal(0, 0.3, size=n)
-            s = eval_sync(truth, pred)
-            assert s.mae <= s.rmse + 1e-12
-            assert abs(s.mto) <= s.mae + 1e-12
-
-    def test_detection_scores_counts(self):
-        truth = [0, 1_000_000_000, 2_000_000_000]
-        pred = [30_000_000, 2_100_000_000, 5_000_000_000]
-        scores = eval_detection(pred, truth, tolerance_ns=200_000_000)
-        assert (scores.tp, scores.fp, scores.fn) == (2, 1, 1)
-        assert scores.precision == pytest.approx(2 / 3)
-        assert scores.recall == pytest.approx(2 / 3)
-
-    def test_detection_accepts_event_objects(self):
-        truth = [EventDetection("t", 0, 10, 0.0)]
-        pred = [EventDetection("p", 5, 15, 0.0)]
-        scores = eval_detection(pred, truth, tolerance_ns=10)
-        assert scores.tp == 1
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(UsageError):
-            eval_sync([0.0], [0.0, 1.0])
 
 
 class TestMatchedPair:

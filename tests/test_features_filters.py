@@ -4,16 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
-from oracles import budget, shannon_entropy_reference, sliding_entropy_per_window
+from oracles import budget, shannon_entropy, shannon_entropy_reference, sliding_entropy_per_window
 from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack.eventsync import (
     TimeSeries,
     butterworth_lowpass,
     design_lowpass,
-    extract_imu_features,
-    shannon_entropy,
     sliding_entropy,
 )
+
+
+class TestTimeSeries:
+    def test_non_integral_timestamps_rejected(self):
+        for ts in (np.array([0.5, 1.7]), np.array([0.0, np.nan]), np.array([0.0, np.inf]), np.array([False, True])):
+            with pytest.raises(UsageError, match="integral"):
+                TimeSeries(ts, np.zeros(2))
+
+    def test_timestamps_outside_int64_rejected(self):
+        for ts in (np.array([0, 2**63]), np.array([-(2.0**64), 0.0]), [-(2**63) - 1, 0], [0, 2**70]):
+            with pytest.raises(DomainError, match="int64"):
+                TimeSeries(ts, np.zeros(2))
+
+    def test_integral_values_of_any_dtype_become_int64(self):
+        for ts in (
+            [-(2**63), 0, 2**63 - 1],
+            np.array([-(2**63), 0, 2**63 - 1], dtype=object),
+            np.array([0, 2**63 - 1], dtype=np.uint64),
+            np.array([-(2.0**63), 0.0, 2.0**62]),
+            np.array([1, 2], dtype=np.int32),
+        ):
+            got = TimeSeries(ts, np.zeros(len(ts))).timestamps
+            assert got.dtype == np.int64
+            assert got.tolist() == [int(t) for t in ts]
 
 
 class TestShannonEntropy:
@@ -43,36 +65,6 @@ class TestShannonEntropy:
             shannon_entropy(np.array([]))
         with pytest.raises(UsageError):
             shannon_entropy(np.array([1.0, np.nan]))
-
-
-class TestImuFeatures:
-    def test_moments_match_two_pass_oracle(self):
-        rng = np.random.default_rng(4)
-        window = rng.normal(size=(128, 6))
-        fv = extract_imu_features(window)
-        group = fv.groups["accel"]
-        flat = window[:, :3].ravel()
-        assert group.mean == pytest.approx(flat.mean())
-        assert group.variance == pytest.approx(((flat - flat.mean()) ** 2).mean())
-        assert group.std == pytest.approx(np.sqrt(group.variance))
-        assert group.sma == pytest.approx(np.abs(flat).sum() / len(window))
-
-    def test_six_columns_split_into_accel_and_gyro(self):
-        window = np.zeros((10, 6))
-        window[:, 3:] = 2.0
-        fv = extract_imu_features(window)
-        assert set(fv.groups) == {"accel", "gyro"}
-        assert fv.groups["accel"].mean == 0.0
-        assert fv.groups["gyro"].mean == 2.0
-
-    def test_vector_order_is_stable(self):
-        rng = np.random.default_rng(2)
-        window = rng.normal(size=(32, 6))
-        fv = extract_imu_features(window)
-        arr = fv.as_array()
-        assert arr.shape == (10,)
-        assert arr[0] == pytest.approx(fv.groups["accel"].mean)
-        assert arr[5] == pytest.approx(fv.groups["gyro"].mean)
 
 
 class TestSlidingEntropy:

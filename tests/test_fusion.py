@@ -16,7 +16,7 @@ from oracles import (
     ransac_fit_loop,
     threshold_sweep_per_threshold,
 )
-from sensorstack.errors import ConfigError, FitError, TrainingError, UsageError
+from sensorstack.errors import FitError, UsageError
 from sensorstack.fusion import (
     CATEGORIES,
     Detection,
@@ -25,17 +25,9 @@ from sensorstack.fusion import (
     PerspectiveTransform,
     PointPair,
     RansacResult,
-    TrainingConfig,
     deduplicate,
     evaluate_detections,
     fit_homography_dlt,
-    fit_transform_net,
-    init_params,
-    mlp_apply,
-    mlp_loss,
-    mlp_loss_grad,
-    param_count,
-    point_rmse,
     project,
     ransac_fit,
     read_detections_ndjson,
@@ -52,7 +44,6 @@ from sensorstack.fusion import (
     write_transform_json,
 )
 from sensorstack.fusion import geometry
-from sensorstack.fusion import transform_net as tn
 
 
 def apply_homography(matrix, points):
@@ -364,7 +355,7 @@ class TestProjection:
         ]
 
     def test_identity_transform_unchanged(self):
-        transform = PerspectiveTransform(kind="homography", matrix=np.eye(3))
+        transform = PerspectiveTransform(np.eye(3))
         dets = self.detections_at([(1.0, 2.0), (-3.0, 4.5)])
         result = project(dets, transform)
         assert result.dropped == ()
@@ -374,7 +365,7 @@ class TestProjection:
         rng = np.random.default_rng(6)
         matrix = random_homography(rng)
         centers = rng.uniform(0, 50, (7, 2))
-        result = project(self.detections_at([tuple(c) for c in centers]), PerspectiveTransform(kind="homography", matrix=matrix))
+        result = project(self.detections_at([tuple(c) for c in centers]), PerspectiveTransform(matrix))
         expected = apply_homography(matrix, centers)
         got = np.array([d.center for d in result.detections])
         assert np.allclose(got, expected, atol=1e-9)
@@ -384,23 +375,23 @@ class TestProjection:
         m1 = random_homography(rng, scale=0.05)
         m2 = random_homography(rng, scale=0.05)
         dets = self.detections_at([tuple(c) for c in rng.uniform(0, 20, (5, 2))])
-        step1 = project(dets, PerspectiveTransform(kind="homography", matrix=m1))
-        two_steps = project(step1.detections, PerspectiveTransform(kind="homography", matrix=m2))
-        combined = project(dets, PerspectiveTransform(kind="homography", matrix=m2 @ m1))
+        step1 = project(dets, PerspectiveTransform(m1))
+        two_steps = project(step1.detections, PerspectiveTransform(m2))
+        combined = project(dets, PerspectiveTransform(m2 @ m1))
         got = np.array([d.center for d in two_steps.detections])
         want = np.array([d.center for d in combined.detections])
         assert np.allclose(got, want, atol=1e-6)
 
     def test_point_at_vanishing_scale_dropped(self):
         matrix = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, -5.0]])
-        transform = PerspectiveTransform(kind="homography", matrix=matrix)
+        transform = PerspectiveTransform(matrix)
         dets = self.detections_at([(1.0, 1.0), (5.0, 0.0), (2.0, 2.0)])
         result = project(dets, transform)
         assert result.dropped == (1,)
         assert len(result.detections) == 2
 
     def test_category_and_confidence_preserved(self):
-        transform = PerspectiveTransform(kind="homography", matrix=np.diag([2.0, 2.0, 1.0]))
+        transform = PerspectiveTransform(np.diag([2.0, 2.0, 1.0]))
         det = Detection("cam9", "vehicle", (3.0, 4.0), 0.42, frame_ts=17)
         out = project([det], transform).detections[0]
         assert out.category == "vehicle"
@@ -411,120 +402,7 @@ class TestProjection:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(UsageError):
-            PerspectiveTransform(kind="homography", matrix=np.zeros((3, 3)))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(UsageError):
-            PerspectiveTransform(kind="affine", matrix=np.eye(3))
-
-
-class TestTransformNet:
-    def affine_pairs(self, rng, n=60):
-        a = np.array([[1.2, 0.3], [-0.2, 0.9]])
-        b = np.array([4.0, -2.0])
-        src = rng.uniform(0, 10, (n, 2))
-        dst = src @ a.T + b
-        return [PointPair(tuple(s), tuple(d)) for s, d in zip(src, dst)], dst
-
-    def test_param_count_formula(self):
-        assert param_count((2, 32, 32, 2)) == 3 * 32 + 33 * 32 + 33 * 2
-        assert param_count((2, 8, 2)) == 3 * 8 + 9 * 2
-
-    def test_zero_weights_zero_targets_loss_zero(self):
-        arch = (2, 8, 2)
-        x = np.random.default_rng(0).standard_normal((10, 2))
-        params = np.zeros(param_count(arch))
-        assert mlp_loss(params, arch, x, np.zeros((10, 2))) == 0.0
-
-    def test_gradient_matches_finite_differences(self):
-        arch = (2, 8, 2)
-        rng = np.random.default_rng(1)
-        params = init_params(arch, seed=1)
-        x = rng.standard_normal((16, 2))
-        y = rng.standard_normal((16, 2))
-        _, grad = mlp_loss_grad(params, arch, x, y)
-        eps = 1e-6
-        for i in range(len(params)):
-            bumped = params.copy()
-            bumped[i] += eps
-            dipped = params.copy()
-            dipped[i] -= eps
-            fd = (mlp_loss(bumped, arch, x, y) - mlp_loss(dipped, arch, x, y)) / (2 * eps)
-            assert abs(grad[i] - fd) / (abs(fd) + 1e-8) < 1e-4, f"parameter {i}"
-
-    def test_affine_pairs_reach_small_holdout_error(self):
-        rng = np.random.default_rng(3)
-        pairs, dst = self.affine_pairs(rng)
-        result = fit_transform_net(pairs, architecture=(2, 8, 2), seed=5)
-        extent = (dst.max(axis=0) - dst.min(axis=0)).max()
-        assert result.holdout_rmse < 0.01 * extent
-
-    def test_loss_history_never_increases(self):
-        rng = np.random.default_rng(4)
-        pairs, _ = self.affine_pairs(rng, n=40)
-        result = fit_transform_net(pairs, architecture=(2, 8, 2), seed=1)
-        history = np.array(result.loss_history)
-        assert np.all(np.diff(history) <= 0)
-
-    def test_learned_close_to_homography_baseline(self):
-        """On noisy pairs both fits bottom out near the noise floor."""
-        rng = np.random.default_rng(10)
-        truth = np.array([[1.1, 0.08, 5.0], [-0.05, 0.95, -3.0], [0.0008, -0.0005, 1.0]])
-        src = rng.uniform(0, 50, (100, 2))
-        dst = apply_homography(truth, src) + rng.normal(0, 0.5, (100, 2))
-        pairs = [PointPair(tuple(s), tuple(d)) for s, d in zip(src, dst)]
-        dlt_rmse = point_rmse(fit_homography_dlt(pairs).apply(src)[0], dst)
-        result = fit_transform_net(pairs, architecture=(2, 16, 2), seed=2)
-        assert result.holdout_rmse <= 2.0 * dlt_rmse
-
-    def test_predict_round_trip_through_transform(self):
-        rng = np.random.default_rng(5)
-        pairs, _ = self.affine_pairs(rng)
-        result = fit_transform_net(pairs, architecture=(2, 8, 2), seed=0)
-        src = np.array([p.source for p in pairs])
-        mapped, valid = result.transform.apply(src)
-        assert valid.all()
-        assert mapped.shape == src.shape
-
-    def test_too_few_pairs_rejected(self):
-        rng = np.random.default_rng(6)
-        pairs, _ = self.affine_pairs(rng, n=50)
-        with pytest.raises(UsageError, match="pairs"):
-            fit_transform_net(pairs, architecture=(2, 32, 32, 2))
-
-    def test_non_finite_initial_loss_raises(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        pairs, _ = self.affine_pairs(rng, n=20)
-        n = param_count((2, 8, 2))
-        monkeypatch.setattr(tn, "mlp_loss_grad", lambda *a: (float("nan"), np.zeros(n)))
-        with pytest.raises(TrainingError):
-            fit_transform_net(pairs, architecture=(2, 8, 2), seed=0)
-
-    def test_step_underflow_raises(self, monkeypatch):
-        """If no step of any size helps, training reports divergence."""
-        rng = np.random.default_rng(8)
-        pairs, _ = self.affine_pairs(rng, n=20)
-        n = param_count((2, 8, 2))
-        calls = {"count": 0}
-
-        def rigged(params, arch, x, y):
-            calls["count"] += 1
-            loss = 1.0 if calls["count"] == 1 else 2.0
-            return loss, np.ones(n)
-
-        monkeypatch.setattr(tn, "mlp_loss_grad", rigged)
-        with pytest.raises(TrainingError, match="diverged"):
-            fit_transform_net(pairs, architecture=(2, 8, 2), seed=0)
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainingConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            TrainingConfig(learning_rate=float("inf"))
-        with pytest.raises(ConfigError):
-            TrainingConfig(holdout_fraction=1.0)
-        with pytest.raises(ConfigError):
-            TrainingConfig(max_epochs=0)
+            PerspectiveTransform(np.zeros((3, 3)))
 
 
 def ped(camera, x, y, conf, ts=0):
@@ -873,27 +751,13 @@ class TestFusionIo:
         rng = np.random.default_rng(27)
         matrix = random_homography(rng)
         buf = io.StringIO()
-        write_transform_json(PerspectiveTransform(kind="homography", matrix=matrix), buf)
+        write_transform_json(PerspectiveTransform(matrix), buf)
+        assert json.loads(buf.getvalue())["kind"] == "homography"
         buf.seek(0)
         loaded = read_transform_json(buf)
-        assert loaded.kind == "homography"
         assert np.allclose(loaded.matrix, matrix)
 
-    def test_learned_transform_round_trip(self):
-        rng = np.random.default_rng(28)
-        src = rng.uniform(0, 10, (30, 2))
-        dst = src * 2.0 + 1.0
-        pairs = [PointPair(tuple(s), tuple(d)) for s, d in zip(src, dst)]
-        result = fit_transform_net(pairs, architecture=(2, 8, 2), seed=1)
-        buf = io.StringIO()
-        write_transform_json(result.transform, buf)
-        buf.seek(0)
-        loaded = read_transform_json(buf)
-        assert loaded.kind == "learned"
-        probe = rng.uniform(0, 10, (5, 2))
-        assert np.allclose(loaded.net.predict(probe), result.transform.net.predict(probe))
-
     def test_unknown_kind_rejected(self):
-        buf = io.StringIO('{"kind": "mystery"}')
-        with pytest.raises(UsageError):
-            read_transform_json(buf)
+        for kind in ("mystery", "learned"):
+            with pytest.raises(UsageError):
+                read_transform_json(io.StringIO(json.dumps({"kind": kind})))

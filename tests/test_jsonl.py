@@ -28,7 +28,7 @@ from sensorstack.edgesched import (
     workload_from_dict,
 )
 from sensorstack.errors import IntegrityError, SensorStackError, UsageError
-from sensorstack.eventsync import EventDetection, GestureTemplate, HmmModel, read_events_ndjson, write_events_ndjson
+from sensorstack.eventsync import EventDetection, GestureTemplate, read_events_ndjson, write_events_ndjson
 from sensorstack.fusion import (
     Detection,
     FusedDetection,
@@ -93,17 +93,7 @@ DOCUMENT_READERS = {
         GestureTemplate.from_json,
         documents("values", "sample_rate_hz", "dtw_threshold", version=1, kind="gesture_template"),
     ),
-    "hmm_model": (
-        HmmModel.from_json,
-        documents("start", "transitions", "means", "variances", version=1, kind="gaussian_hmm"),
-    ),
-    "transform": (
-        lambda text: read_transform_json(io.StringIO(text)),
-        st.one_of(
-            documents("matrix", kind="homography"),
-            documents("architecture", "params", "in_center", "in_scale", "out_center", "out_scale", kind="learned"),
-        ),
-    ),
+    "transform": (lambda text: read_transform_json(io.StringIO(text)), documents("matrix", kind="homography")),
 }
 
 stage_fields = ("name", "compute_class", "service_demand_ns", "initial_priority", "arrival_rate_hz")
@@ -327,7 +317,6 @@ class TestSingleDocumentReaders:
     """Each reader turns malformed input into a package error."""
 
     TEMPLATE = GestureTemplate(np.array([0.0, 1.0, 0.0]), 25.0)
-    MODEL = HmmModel(np.array([1.0]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize(
         "text",
@@ -349,32 +338,9 @@ class TestSingleDocumentReaders:
         "text",
         [
             "{not json",
-            '["gaussian_hmm"]',
-            '{"version": 1, "kind": "gaussian_hmm", "start": [1.0], "transitions": [[1.0]], "means": [[0.0]]}',
-            '{"version": 1, "kind": "gaussian_hmm", "start": [1.0], "transitions": [[1.0], [1.0, 2.0]], '
-            '"means": [[0.0]], "variances": [[1.0]]}',
-            '{"version": 1, "kind": "gaussian_hmm", "start": {"a": 1}, "transitions": [[1.0]], '
-            '"means": [[0.0]], "variances": [[1.0]]}',
-        ],
-    )
-    def test_hmm_model(self, text):
-        with pytest.raises(SensorStackError):
-            HmmModel.from_json(text)
-        restored = HmmModel.from_json(self.MODEL.to_json())
-        assert np.array_equal(restored.transitions, self.MODEL.transitions)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
             '[{"kind": "homography"}]',
             '{"kind": "homography"}',
             '{"kind": "homography", "matrix": [[1, 0], [0, "a"]]}',
-            '{"kind": "learned", "architecture": 3}',
-            '{"kind": "learned", "architecture": [2, 4, 2], "params": [1.0], "in_center": [0, 0], '
-            '"in_scale": [1, 1], "out_center": [0, 0], "out_scale": [1, 1]}',
-            '{"kind": "learned", "architecture": [2, 0], "params": [], "in_center": [0, 0], '
-            '"in_scale": [1, 1], "out_center": [0, 0], "out_scale": [1, 1]}',
         ],
     )
     def test_transform(self, text):

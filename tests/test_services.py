@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from sensorstack.errors import (
     AuthError,
-    ConfigError,
     ConflictError,
     IntegrityError,
     NotFoundError,
@@ -29,16 +28,12 @@ from sensorstack.services import (
     AccessToken,
     ActionCommand,
     ActivityLogEntry,
-    CaptureRecord,
     CoreServices,
-    DistillPolicy,
     FileLog,
     MemoryLog,
     ServiceRouter,
     canonical_json,
-    distill,
     format_timestamp,
-    hash_identifier,
     issue_token,
     record_from_payload,
     replay_log,
@@ -708,80 +703,6 @@ class TestCapture:
         last = services.log_records()[-1]
         assert last["activity_type"] == "data_access"
         assert last["details"] == {"device_id": "camera-001", "op": "query", "count": 3}
-
-
-def capture(capture_id, device_id="camera-001", t_ns=0, payload=(1.0,), location=(40.7491234, -70.1239876)):
-    return CaptureRecord(
-        capture_id=capture_id,
-        device_id=device_id,
-        modality="camera_series",
-        local_ts=t_ns,
-        corrected_ts=t_ns,
-        payload=tuple(payload),
-        location=location,
-    )
-
-
-class TestDistill:
-    def test_hash_is_deterministic_hex(self):
-        first = hash_identifier("camera-001")
-        assert first == hash_identifier("camera-001")
-        assert len(first) == 64
-        assert set(first) <= set("0123456789abcdef")
-        assert first != hash_identifier("camera-002")
-
-    def test_anonymize_hashes_and_rounds(self):
-        rows = distill([capture("c-0")], DistillPolicy(anonymize=True), now_ns=10)
-        assert rows[0]["device_id"] == hash_identifier("camera-001")
-        assert rows[0]["location"] == [40.749, -70.124]
-
-    def test_rounding_grid_is_configurable(self):
-        policy = DistillPolicy(anonymize=True, location_decimals=1)
-        rows = distill([capture("c-0")], policy, now_ns=10)
-        assert rows[0]["location"] == [40.7, -70.1]
-
-    def test_plain_rows_keep_identity(self):
-        rows = distill([capture("c-0")], DistillPolicy(), now_ns=10)
-        assert rows[0]["device_id"] == "camera-001"
-        assert rows[0]["location"] == [40.7491234, -70.1239876]
-        assert rows[0]["payload"] == [1.0]
-
-    def test_aggregation_matches_numpy_and_drops_identity(self):
-        records = [
-            capture(f"c-{i}", t_ns=t, payload=(float(t), float(t) * 2.0))
-            for i, t in enumerate([0, 3, 7, 12, 14, 25])
-        ]
-        rows = distill(records, DistillPolicy(aggregate_window_ns=10), now_ns=100)
-        assert [r["window_start_ns"] for r in rows] == [0, 10, 20]
-        for row in rows:
-            assert "device_id" not in row
-            members = [
-                r for r in records
-                if row["window_start_ns"] <= r.corrected_ts < row["window_end_ns"]
-            ]
-            values = np.array([v for r in members for v in r.payload])
-            assert row["count"] == len(members)
-            assert row["value_mean"] == pytest.approx(values.mean())
-            assert row["value_min"] == values.min()
-            assert row["value_max"] == values.max()
-
-    def test_delay_withholds_young_samples(self):
-        records = [capture(f"c-{t}", t_ns=t) for t in (10, 50, 90)]
-        rows = distill(records, DistillPolicy(delay_ns=40), now_ns=100)
-        assert [r["t_ns"] for r in rows] == [10, 50]
-
-    def test_rows_come_back_time_sorted(self):
-        records = [capture("c-b", t_ns=30), capture("c-a", t_ns=10), capture("c-c", t_ns=20)]
-        rows = distill(records, DistillPolicy(), now_ns=100)
-        assert [r["t_ns"] for r in rows] == [10, 20, 30]
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            DistillPolicy(location_decimals=-1)
-        with pytest.raises(ConfigError):
-            DistillPolicy(aggregate_window_ns=0)
-        with pytest.raises(ConfigError):
-            DistillPolicy(delay_ns=-5)
 
 
 def drive_random_ops(services, admin, seed, steps=40):

@@ -32,6 +32,10 @@ def _default_occupy(node: NodeState, task: Task):
     node.in_flight += 1
 
 
+def _arrival(task: Task) -> tuple[int, str]:
+    return task.entry_time_ns, task.task_id
+
+
 class TaskQueue:
     """Queued tasks, in groups whose members never change order.
 
@@ -39,22 +43,14 @@ class TaskQueue:
     stage)``. Aging ``alpha * ln(1 + W)`` is the same function of the
     wait for every task, so inside a group urgency never falls as entry
     time rises, and the group's dispatch order is fixed: arrival order
-    ``(entry_time_ns, task_id)``, or task id alone under the ``task_id``
-    tie break with ``alpha == 0``, where every member's urgency is the
-    group's priority. Under ``task_id`` with ``alpha > 0``, members whose
-    urgencies round to the same value are served by task id; those form
-    a run in arrival order, which the cycle scans.
+    ``(entry_time_ns, task_id)``, which also breaks urgency ties.
     """
 
     def __init__(self, config: SchedulerConfig, tasks: Iterable[Task] = ()):
         self.config = config
-        if config.tie_break == "task_id" and config.alpha == 0:
-            self._order = lambda task: task.task_id
-        else:
-            self._order = lambda task: (task.entry_time_ns, task.task_id)
         self._groups: dict[tuple, deque[Task]] = {}
         self._latest_entry_ns = -math.inf
-        for task in sorted(tasks, key=self._order):
+        for task in sorted(tasks, key=_arrival):
             self.append(task)
 
     def append(self, task: Task):
@@ -63,10 +59,10 @@ class TaskQueue:
         group = self._groups.get(key)
         if group is None:
             self._groups[key] = deque([task])
-        elif self._order(task) >= self._order(group[-1]):
+        elif _arrival(task) >= _arrival(group[-1]):
             group.append(task)
         else:
-            insort(group, task, key=self._order)
+            insort(group, task, key=_arrival)
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._groups.values())
@@ -77,7 +73,7 @@ class TaskQueue:
 
 
 def schedule_cycle(
-    queue: TaskQueue | list[Task],
+    queue: TaskQueue,
     nodes: Sequence[NodeState],
     now_ns: int,
     config: SchedulerConfig,
@@ -86,14 +82,13 @@ def schedule_cycle(
 ) -> list[Dispatch]:
     """Dispatch the most urgent queued tasks onto willing nodes.
 
-    Tasks are taken in urgency order at ``now_ns`` (ties broken per
-    config), and each is placed on the node the routing rule picks,
-    provided that node still accepts work. Placed tasks leave the queue;
-    occupancy is updated through ``occupy`` between placements so later
-    routing sees the load added earlier in the same cycle. Callers with
-    richer node semantics (such as batch buffers) substitute their own
-    ``accepts``/``occupy``. A plain list is rewritten in place to the
-    tasks left, in their original order.
+    Tasks are taken in urgency order at ``now_ns``, equal urgencies in
+    arrival order ``(entry_time_ns, task_id)``, and each is placed on the
+    node the routing rule picks, provided that node still accepts work.
+    Placed tasks leave the queue; occupancy is updated through
+    ``occupy`` between placements so later routing sees the load added
+    earlier in the same cycle. Callers with richer node semantics (such
+    as batch buffers) substitute their own ``accepts``/``occupy``.
 
     Contract on ``accepts``/``occupy``: ``occupy`` only adds load to the
     node it is given, and once ``accepts`` refuses a task it refuses
@@ -104,47 +99,26 @@ def schedule_cycle(
     that group's turn, and the group is not routed again until the next
     cycle.
 
-    Cost on a `TaskQueue`: O(N + G + D log(N + G)) for N nodes, G
-    non-empty groups and D tasks placed, whatever the queue's length
-    (under ``task_id`` with ``alpha > 0``, plus the members whose
-    urgencies tie with a group head). A list pays O(Q log Q) more to be
-    grouped and rewritten.
+    Cost: O(N + G + D log(N + G)) for N nodes, G non-empty groups and D
+    tasks placed, whatever the queue's length.
     """
     if not isinstance(queue, TaskQueue):
-        pending = TaskQueue(config, queue)
-        dispatches = schedule_cycle(pending, nodes, now_ns, config, accepts, occupy)
-        if dispatches:
-            taken = {d.task.task_id for d in dispatches}
-            queue[:] = [t for t in queue if t.task_id not in taken]
-        return dispatches
+        raise UsageError("schedule_cycle takes a TaskQueue")
     if queue.config != config:
         raise UsageError("the task queue was built for another scheduler config")
     if now_ns < queue._latest_entry_ns:
         raise UsageError("now precedes the task's entry time")
 
-    fifo = config.tie_break == "fifo"
-    scan_ties = not fifo and config.alpha > 0
-
     def head(group: deque[Task]):
-        """The group's next task, its index, and its full sort key."""
+        """The group's next task and its full sort key."""
         task = group[0]
-        at = 0
-        urgency = effective_urgency(task, now_ns, config)
-        if scan_ties:
-            for i in range(1, len(group)):
-                if effective_urgency(group[i], now_ns, config) != urgency:
-                    break
-                if group[i].task_id < task.task_id:
-                    task, at = group[i], i
-        if fifo:
-            return (urgency, task.entry_time_ns, task.task_id), at, task
-        return (urgency, task.task_id), at, task
+        return (effective_urgency(task, now_ns, config), task.entry_time_ns, task.task_id), task
 
     groups = queue._groups
     heads = []
     for rank, (group_key, group) in enumerate(groups.items()):
-        sort_key, at, task = head(group)
-        heads.append((sort_key, rank, group_key, at, task))
+        sort_key, task = head(group)
+        heads.append((sort_key, rank, group_key, task))
     heapq.heapify(heads)
 
     by_id = {n.node_id: n for n in nodes}
@@ -152,7 +126,7 @@ def schedule_cycle(
     units = UtilizationIndex(nodes, "computation_unit")
     dispatches: list[Dispatch] = []
     while heads:
-        sort_key, rank, group_key, at, task = heads[0]
+        sort_key, rank, group_key, task = heads[0]
         decision = route(task, mediums.least(), units.least())
         node = by_id[decision.node_id]
         if not accepts(node, task):
@@ -161,10 +135,10 @@ def schedule_cycle(
         occupy(node, task)
         dispatches.append(Dispatch(task, node.node_id, sort_key[0], decision.redirected))
         group = groups[group_key]
-        del group[at]
+        group.popleft()
         if group:
-            sort_key, at, task = head(group)
-            heapq.heapreplace(heads, (sort_key, rank, group_key, at, task))
+            sort_key, task = head(group)
+            heapq.heapreplace(heads, (sort_key, rank, group_key, task))
         else:
             heapq.heappop(heads)
             del groups[group_key]

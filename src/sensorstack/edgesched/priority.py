@@ -25,13 +25,3 @@ def effective_urgency(task: Task, now_ns: int, config: SchedulerConfig) -> float
     wait_s = (now_ns - task.entry_time_ns) / NS_PER_SEC
     return task.initial_priority - config.alpha * math.log1p(wait_s)
 
-
-def crossover_wait_s(priority_gap: float, alpha: float) -> float:
-    """The wait W* at which aging closes a priority gap.
-
-    Solves alpha * ln(1 + W*) = priority_gap; with gap 1 and alpha 1
-    this is e - 1, about 1.718 seconds.
-    """
-    if alpha <= 0:
-        raise UsageError("crossover requires positive alpha")
-    return math.expm1(priority_gap / alpha)

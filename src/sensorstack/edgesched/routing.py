@@ -64,15 +64,6 @@ def route(task: Task, least_medium: NodeState | None, least_unit: NodeState | No
     return RouteDecision(least_medium.node_id, redirected=False)
 
 
-def classify_and_route(task: Task, nodes: Sequence[NodeState]) -> RouteDecision:
-    """`route` over the least-utilized node of each kind in ``nodes``."""
-    return route(
-        task,
-        UtilizationIndex(nodes, "medium").least(),
-        UtilizationIndex(nodes, "computation_unit").least(),
-    )
-
-
 @dataclass(frozen=True)
 class NodeSnapshot:
     node_id: str

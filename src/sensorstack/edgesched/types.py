@@ -12,7 +12,6 @@ from ..timebase import NS_PER_SEC
 
 COMPUTE_CLASSES = ("light", "heavy")
 NODE_KINDS = ("medium", "computation_unit")
-TIE_BREAKS = ("fifo", "task_id")
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,14 @@ class Task:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Aging strength, cycle cadence, and batching for the dispatcher."""
+    """Aging strength, cycle cadence, and batching for the dispatcher.
+
+    Equal urgencies are served first in, first out: by entry time, then
+    task id.
+    """
 
     alpha: float = 1.0
     cycle_period_ns: int = 100_000_000
-    tie_break: str = "fifo"
     batch_window_ns: int = 100_000_000
 
     def __post_init__(self):
@@ -53,8 +55,6 @@ class SchedulerConfig:
             raise ConfigError("alpha must be non-negative")
         if self.cycle_period_ns <= 0:
             raise ConfigError("cycle_period_ns must be positive")
-        if self.tie_break not in TIE_BREAKS:
-            raise ConfigError(f"unknown tie break {self.tie_break!r}")
         if self.batch_window_ns < 0:
             raise ConfigError("batch_window_ns must be non-negative")
 

@@ -14,9 +14,7 @@ from .detect import (
     EventDetection,
     detect_gesture_video,
     normalized_dtw_score,
-    read_events_ndjson,
     suppress_overlaps,
-    write_events_ndjson,
 )
 from .align import (
     FineTuneConfig,
@@ -42,9 +40,7 @@ __all__ = [
     "EventDetection",
     "detect_gesture_video",
     "normalized_dtw_score",
-    "read_events_ndjson",
     "suppress_overlaps",
-    "write_events_ndjson",
     "FineTuneConfig",
     "MatchedPair",
     "RefinedStart",

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import jsonl
 from ..errors import UsageError
 from ..timebase import NS_PER_SEC
 from .series import TimeSeries
@@ -227,33 +225,6 @@ class GestureTemplate:
     @property
     def duration_ns(self) -> int:
         return round(len(self.values) / self.sample_rate_hz * NS_PER_SEC)
-
-    def to_json(self, fp: IO[str] | None = None) -> str:
-        payload = json.dumps(
-            {
-                "version": 1,
-                "kind": "gesture_template",
-                "sample_rate_hz": self.sample_rate_hz,
-                "dtw_threshold": self.dtw_threshold,
-                "values": self.values.tolist(),
-            },
-            sort_keys=True,
-        )
-        if fp is not None:
-            fp.write(payload)
-        return payload
-
-    @classmethod
-    def from_json(cls, text: str) -> "GestureTemplate":
-        with jsonl.decoding("gesture template"):
-            data = jsonl.loads_object(text)
-            if data.get("version") != 1 or data.get("kind") != "gesture_template":
-                raise UsageError("unrecognized template serialization")
-            return cls(
-                values=np.asarray(data["values"], dtype=float),
-                sample_rate_hz=float(data["sample_rate_hz"]),
-                dtw_threshold=float(data["dtw_threshold"]),
-            )
 
 
 def dba_template(

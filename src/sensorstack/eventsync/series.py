@@ -59,7 +59,11 @@ class TimeSeries:
     def median_period_ns(self) -> int:
         if len(self) < 2:
             raise UsageError("need at least two samples to infer a period")
-        return int(np.median(np.diff(self.timestamps)))
+        gaps = np.diff(self.timestamps)
+        # timestamps strictly increase, so a negative gap is one that wrapped
+        if np.any(gaps < 0):
+            raise DomainError("a sample gap leaves the int64 range")
+        return int(np.median(gaps))
 
     def sample_rate_hz(self) -> float:
         return NS_PER_SEC / self.median_period_ns()

@@ -1,9 +1,9 @@
-"""The package's one JSON-lines codec and its one decode-error mapping.
+"""The package's one JSON-lines codec, used by `services.store.FileLog`.
 
 A writer puts one compact JSON object per line, keys in record order,
 so identical records give identical bytes. The reader skips blank
 lines, accepts only JSON objects, and reports a malformed line as an
-`IntegrityError` naming it. Single-document readers share `decoding`.
+`IntegrityError` naming it.
 """
 
 from __future__ import annotations
@@ -12,22 +12,22 @@ import json
 from contextlib import contextmanager
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import IntegrityError, SensorStackError
+from .errors import IntegrityError
 
 # what malformed input provokes while it is decoded: a list where an
 # object's ``.get`` is called raises AttributeError, ``int(1e400)``
-# OverflowError
-_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+# OverflowError, a line of deeply nested brackets RecursionError
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError)
 
 
 @contextmanager
-def decoding(what: str, error: type[SensorStackError] = IntegrityError) -> Iterator[None]:
-    """Raise ``error`` naming ``what`` for any failure of malformed input."""
+def decoding(what: str) -> Iterator[None]:
+    """Raise an `IntegrityError` naming ``what`` for any failure of malformed input."""
     try:
         yield
     except _MALFORMED as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise error(f"malformed {what}: {detail}") from exc
+        raise IntegrityError(f"malformed {what}: {detail}") from exc
 
 
 def loads_object(text: str | bytes) -> dict[str, Any]:

@@ -1,6 +1,6 @@
 """Clock correction, drift estimation, and arrival-jitter buffering.
 
-Timestamps are integer nanoseconds end to end. The linear clock error
+Timestamps are integer nanoseconds throughout. The linear clock error
 model maps a device-local timestamp to the reference timeline:
 
     corrected = local + offset + drift_rate * (local - last_sync)
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, UsageError
-from .jsonl import decoding, read_records, write_records
 
 NS_PER_SEC = 1_000_000_000
 
@@ -602,70 +601,3 @@ def align_streams(
         AlignedFrame(time=t, slots=dict(zip(keys, row)))
         for t, row in zip(grid.tolist(), zip(*columns))
     ]
-
-
-# ---------------------------------------------------------------------------
-# newline-delimited JSON wire format
-
-
-def sample_to_record(sample: SensorSample) -> dict:
-    record = {
-        "device_id": sample.device_id,
-        "modality": sample.modality,
-        "local_ts_ns": sample.local_ts,
-        "payload": list(sample.payload),
-        "lat": sample.location[0] if sample.location else None,
-        "lon": sample.location[1] if sample.location else None,
-    }
-    if sample.corrected_ts is not None:
-        record["corrected_ts_ns"] = sample.corrected_ts
-    return record
-
-
-def sample_from_record(record: Mapping) -> SensorSample:
-    with decoding("sample record", UsageError):
-        location = None
-        if record.get("lat") is not None and record.get("lon") is not None:
-            location = (float(record["lat"]), float(record["lon"]))
-        return SensorSample(
-            device_id=record["device_id"],
-            modality=record["modality"],
-            local_ts=int(record["local_ts_ns"]),
-            payload=tuple(record["payload"]),
-            corrected_ts=(
-                int(record["corrected_ts_ns"]) if "corrected_ts_ns" in record else None
-            ),
-            location=location,
-        )
-
-
-def write_samples_ndjson(samples: Iterable[SensorSample], fp: IO[str]) -> None:
-    write_records((sample_to_record(s) for s in samples), fp)
-
-
-def read_streams_ndjson(fp: IO[str]) -> dict[str, SampleStream]:
-    """Group NDJSON sample records into streams keyed by device/modality.
-
-    Each stream's nominal rate is inferred from its median sample
-    period; a stream whose timestamps repeat so often that the median
-    period is zero has no rate and is rejected with a DomainError.
-    """
-    grouped: dict[tuple[str, str], list[SensorSample]] = {}
-    for sample in read_records(fp, sample_from_record):
-        grouped.setdefault((sample.device_id, sample.modality), []).append(sample)
-    streams: dict[str, SampleStream] = {}
-    for (device_id, modality), samples in grouped.items():
-        samples.sort(key=lambda s: s.local_ts)
-        ts = _timestamp_column([s.local_ts for s in samples], f"{device_id}/{modality}")
-        rate = 1.0
-        if len(ts) > 1:
-            period = float(np.median(np.diff(ts)))
-            if period == 0:
-                raise DomainError(
-                    f"stream {device_id}/{modality} repeats its timestamps: "
-                    "the median sample period is zero"
-                )
-            rate = NS_PER_SEC / period
-        descriptor = StreamDescriptor(device_id, modality, rate)
-        streams[descriptor.key] = SampleStream(descriptor, tuple(samples))
-    return streams

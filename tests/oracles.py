@@ -465,18 +465,14 @@ def schedule_cycle_sorted(queue, nodes, now_ns, config, accepts, occupy):
     """One dispatcher cycle as a full sort of the queue.
 
     Every queued task is aged and the whole queue sorted by
-    (urgency, entry time, task id), or (urgency, task id) under the
-    ``task_id`` tie break; each task in that order is routed by
+    (urgency, entry time, task id); each task in that order is routed by
     `route_by_scan` and placed if its node accepts it. Placed tasks are
     removed from ``queue`` in place, the rest keep their order.
     """
     by_id = {n.node_id: n for n in nodes}
 
     def sort_key(task):
-        urgency = effective_urgency(task, now_ns, config)
-        if config.tie_break == "fifo":
-            return (urgency, task.entry_time_ns, task.task_id)
-        return (urgency, task.task_id)
+        return (effective_urgency(task, now_ns, config), task.entry_time_ns, task.task_id)
 
     dispatches = []
     taken = set()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import dtw_enumerate
 from sensorstack.errors import UsageError
-from sensorstack.eventsync import GestureTemplate, TimeSeries, dba, dba_template, dtw_distance
+from sensorstack.eventsync import TimeSeries, dba, dba_template, dtw_distance
 from sensorstack.eventsync.dtw import dtw_cost
 
 
@@ -127,13 +127,6 @@ class TestDba:
         template = dba_template(series, iterations=4)
         assert template.sample_rate_hz == pytest.approx(25.0)
         assert template.dtw_threshold == 0.8
-
-    def test_template_serialization_round_trip(self):
-        template = GestureTemplate(np.array([0.0, 0.5, 1.0]), 25.0, 0.7)
-        restored = GestureTemplate.from_json(template.to_json())
-        assert np.array_equal(restored.values, template.values)
-        assert restored.sample_rate_hz == template.sample_rate_hz
-        assert restored.dtw_threshold == template.dtw_threshold
 
     def test_bare_arrays_need_explicit_rate(self):
         with pytest.raises(UsageError):

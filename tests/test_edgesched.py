@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import io
 import itertools
-import json
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import budget, schedule_cycle_sorted
+from sensorstack import jsonl
 from sensorstack.edgesched import (
     COMPUTE_CLASSES,
     ClassStats,
@@ -26,26 +26,14 @@ from sensorstack.edgesched import (
     TaskQueue,
     TopologySpec,
     WorkloadSpec,
-    classify_and_route,
     compute_metrics,
     conservation_check,
-    crossover_wait_s,
     effective_urgency,
-    metrics_to_dict,
     monitor_snapshot,
-    read_event_log,
     run_simulation,
     schedule_cycle,
-    scheduler_config_from_dict,
-    topology_from_dict,
-    topology_to_dict,
-    workload_from_dict,
-    workload_to_dict,
-    write_event_log,
-    write_metrics_csv,
-    write_metrics_json,
 )
-from sensorstack.edgesched.types import TIE_BREAKS
+from sensorstack.edgesched.routing import UtilizationIndex, route
 from sensorstack.errors import ConfigError, IntegrityError, SensorStackError, TopologyError, UsageError
 
 NS = 1_000_000_000
@@ -66,6 +54,23 @@ def medium_node(node_id="m0", capacity=1, threshold=0.8):
 
 def unit_node(node_id="cu0", capacity=1):
     return NodeState(spec=NodeSpec(node_id, "computation_unit", capacity))
+
+
+def route_over(task, nodes):
+    """`route` over the least-utilized node of each kind, as a cycle calls it."""
+    return route(task, UtilizationIndex(nodes, "medium").least(), UtilizationIndex(nodes, "computation_unit").least())
+
+
+def queued(queue):
+    """The tasks a `TaskQueue` still holds, by task id."""
+    return sorted((task for group in queue._groups.values() for task in group), key=lambda t: t.task_id)
+
+
+def cycle(tasks, nodes, now_ns, config):
+    """One `schedule_cycle` over a fresh queue of ``tasks``; returns its
+    dispatches and the queue."""
+    queue = TaskQueue(config, tasks)
+    return schedule_cycle(queue, nodes, now_ns, config), queue
 
 
 # -- workloads reused across the experiment tests --------------------------
@@ -174,7 +179,8 @@ class TestPriorityAging:
         config = SchedulerConfig(alpha=1.0)
         old = light("old", 1.0, 0)
         fresh_urgency = 0.0
-        w_star = crossover_wait_s(1.0, 1.0)
+        # aging closes a gap of 1 at alpha 1 once ln(1 + W) = 1
+        w_star = math.e - 1
         just_before = int((w_star - 0.01) * NS)
         just_after = int((w_star + 0.01) * NS)
         assert effective_urgency(old, just_before, config) > fresh_urgency
@@ -191,29 +197,17 @@ class TestPriorityAging:
         with pytest.raises(UsageError):
             effective_urgency(task, 4 * NS, config)
 
-    def test_crossover_values(self):
-        assert crossover_wait_s(1.0, 1.0) == pytest.approx(math.e - 1, rel=1e-12)
-        assert crossover_wait_s(2.0, 2.0) == pytest.approx(math.e - 1, rel=1e-12)
-        assert crossover_wait_s(2.0, 1.0) == pytest.approx(math.e**2 - 1, rel=1e-12)
-        assert crossover_wait_s(0.0, 1.0) == 0.0
-
-    def test_crossover_needs_positive_alpha(self):
-        with pytest.raises(UsageError):
-            crossover_wait_s(1.0, 0.0)
-        with pytest.raises(UsageError):
-            crossover_wait_s(1.0, -2.0)
-
 
 class TestRouting:
     def test_light_goes_to_idle_medium(self):
         nodes = [medium_node("m0"), unit_node("cu0")]
-        decision = classify_and_route(light("t", 0.0, 0), nodes)
+        decision = route_over(light("t", 0.0, 0), nodes)
         assert decision.node_id == "m0"
         assert not decision.redirected
 
     def test_heavy_goes_to_unit(self):
         nodes = [medium_node("m0"), unit_node("cu0")]
-        decision = classify_and_route(heavy("t", 0.0, 0), nodes)
+        decision = route_over(heavy("t", 0.0, 0), nodes)
         assert decision.node_id == "cu0"
         assert not decision.redirected
 
@@ -221,36 +215,36 @@ class TestRouting:
         busy = medium_node("m0", capacity=4)
         busy.busy_slots = 2
         idle = medium_node("m1", capacity=4)
-        assert classify_and_route(light("t", 0.0, 0), [busy, idle]).node_id == "m1"
+        assert route_over(light("t", 0.0, 0), [busy, idle]).node_id == "m1"
 
     def test_utilization_tie_breaks_by_node_id(self):
         a = medium_node("mb", capacity=2)
         b = medium_node("ma", capacity=2)
-        assert classify_and_route(light("t", 0.0, 0), [a, b]).node_id == "ma"
+        assert route_over(light("t", 0.0, 0), [a, b]).node_id == "ma"
 
     def test_overloaded_medium_redirects(self):
         full = medium_node("m0", capacity=1, threshold=0.8)
         full.busy_slots = 1
-        decision = classify_and_route(light("t", 0.0, 0), [full, unit_node("cu0")])
+        decision = route_over(light("t", 0.0, 0), [full, unit_node("cu0")])
         assert decision.node_id == "cu0"
         assert decision.redirected
 
     def test_exactly_at_threshold_stays(self):
         half = medium_node("m0", capacity=2, threshold=0.5)
         half.busy_slots = 1
-        decision = classify_and_route(light("t", 0.0, 0), [half, unit_node("cu0")])
+        decision = route_over(light("t", 0.0, 0), [half, unit_node("cu0")])
         assert decision.node_id == "m0"
         assert not decision.redirected
 
     def test_missing_node_kinds_rejected(self):
         with pytest.raises(TopologyError):
-            classify_and_route(heavy("t", 0.0, 0), [medium_node("m0")])
+            route_over(heavy("t", 0.0, 0), [medium_node("m0")])
         with pytest.raises(TopologyError):
-            classify_and_route(light("t", 0.0, 0), [unit_node("cu0")])
+            route_over(light("t", 0.0, 0), [unit_node("cu0")])
         full = medium_node("m0", capacity=1)
         full.busy_slots = 1
         with pytest.raises(TopologyError):
-            classify_and_route(light("t", 0.0, 0), [full])
+            route_over(light("t", 0.0, 0), [full])
 
     def test_monitor_snapshot_shape(self):
         a = medium_node("m1", capacity=2)
@@ -269,61 +263,53 @@ class TestRouting:
 
 class TestScheduleCycle:
     def test_urgency_order(self):
-        queue = [light("a", 3.0, 0), light("b", 1.0, 0), light("c", 2.0, 0)]
+        tasks = [light("a", 3.0, 0), light("b", 1.0, 0), light("c", 2.0, 0)]
         nodes = [medium_node("m0", capacity=3)]
-        out = schedule_cycle(queue, nodes, 0, SchedulerConfig())
+        out, queue = cycle(tasks, nodes, 0, SchedulerConfig())
         assert [d.task.task_id for d in out] == ["b", "c", "a"]
-        assert queue == []
+        assert queued(queue) == []
 
     def test_zero_free_slots_dispatches_nothing(self):
         node = medium_node("m0", capacity=1, threshold=1.0)
         node.busy_slots = 1
-        queue = [light("a", 0.0, 0)]
-        out = schedule_cycle(queue, [node], 0, SchedulerConfig())
+        out, queue = cycle([light("a", 0.0, 0)], [node], 0, SchedulerConfig())
         assert out == []
-        assert [t.task_id for t in queue] == ["a"]
+        assert [t.task_id for t in queued(queue)] == ["a"]
 
     def test_greedy_skip_keeps_losers_queued(self):
-        queue = [light("a", 2.0, 0), light("b", 0.0, 0), light("c", 1.0, 0)]
-        out = schedule_cycle(queue, [medium_node("m0", capacity=1, threshold=1.0)], 0, SchedulerConfig())
+        tasks = [light("a", 2.0, 0), light("b", 0.0, 0), light("c", 1.0, 0)]
+        out, queue = cycle(tasks, [medium_node("m0", capacity=1, threshold=1.0)], 0, SchedulerConfig())
         assert [d.task.task_id for d in out] == ["b"]
-        assert [t.task_id for t in queue] == ["a", "c"]
+        assert [t.task_id for t in queued(queue)] == ["a", "c"]
 
     def test_fifo_tie_break(self):
         config = SchedulerConfig(alpha=0.0)
-        queue = [light("late", 1.0, 2 * NS), light("early", 1.0, 1 * NS)]
-        out = schedule_cycle(queue, [medium_node(capacity=2)], 3 * NS, config)
+        tasks = [light("late", 1.0, 2 * NS), light("early", 1.0, 1 * NS)]
+        out, _ = cycle(tasks, [medium_node(capacity=2)], 3 * NS, config)
         assert [d.task.task_id for d in out] == ["early", "late"]
-
-    def test_task_id_tie_break(self):
-        config = SchedulerConfig(alpha=0.0, tie_break="task_id")
-        queue = [light("zz", 1.0, 1 * NS), light("aa", 1.0, 2 * NS)]
-        out = schedule_cycle(queue, [medium_node(capacity=2)], 3 * NS, config)
-        assert [d.task.task_id for d in out] == ["aa", "zz"]
 
     def test_fifo_tie_break_across_groups(self):
         config = SchedulerConfig(alpha=0.0)
-        queue = [heavy("a", 1.0, 2 * NS, stage="fuse"), heavy("b", 1.0, 1 * NS)]
-        out = schedule_cycle(queue, [unit_node(capacity=2)], 3 * NS, config)
+        tasks = [heavy("a", 1.0, 2 * NS, stage="fuse"), heavy("b", 1.0, 1 * NS)]
+        out, _ = cycle(tasks, [unit_node(capacity=2)], 3 * NS, config)
         assert [d.task.task_id for d in out] == ["b", "a"]
 
-    def test_rounded_urgency_ties_go_by_task_id(self):
+    def test_rounded_urgency_ties_go_by_arrival(self):
         # at alpha 1e-12 entries a nanosecond apart age to one urgency, so
-        # the task id orders them; half a second apart they do not tie
-        config = SchedulerConfig(alpha=1e-12, tie_break="task_id")
-        queue = [light("c", 1.0, 0), light("a", 1.0, 1), light("b", 1.0, 2), light("0", 1.0, NS // 2)]
-        assert effective_urgency(queue[0], NS, config) == effective_urgency(queue[2], NS, config)
-        out = schedule_cycle(queue, [medium_node(capacity=4, threshold=1.0)], NS, config)
-        assert [d.task.task_id for d in out] == ["a", "b", "c", "0"]
+        # entry time orders them; half a second apart they do not tie
+        config = SchedulerConfig(alpha=1e-12)
+        tasks = [light("c", 1.0, 0), light("a", 1.0, 1), light("b", 1.0, 2), light("0", 1.0, NS // 2)]
+        assert effective_urgency(tasks[0], NS, config) == effective_urgency(tasks[2], NS, config)
+        out, _ = cycle(tasks, [medium_node(capacity=4, threshold=1.0)], NS, config)
+        assert [d.task.task_id for d in out] == ["c", "a", "b", "0"]
 
     def test_now_before_a_queued_entry_rejected(self):
-        # "b" is never picked: the full node refuses "a" and ends the turn
         full = medium_node(capacity=1)
         full.busy_slots = 1
-        queue = [light("a", 0.0, 0), light("b", 0.0, 2 * NS)]
+        queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0), light("b", 0.0, 2 * NS)])
         with pytest.raises(UsageError):
             schedule_cycle(queue, [full], NS, SchedulerConfig())
-        assert [t.task_id for t in queue] == ["a", "b"]
+        assert [t.task_id for t in queued(queue)] == ["a", "b"]
 
     def test_order_independent_of_queue_permutation(self):
         config = SchedulerConfig()
@@ -332,7 +318,10 @@ class TestScheduleCycle:
         for perm in itertools.permutations(tasks):
             nodes = [medium_node("m0", capacity=1, threshold=1.0),
                      medium_node("m1", capacity=1, threshold=1.0)]
-            out = schedule_cycle(list(perm), nodes, 1 * NS, config)
+            queue = TaskQueue(config)
+            for task in perm:
+                queue.append(task)
+            out = schedule_cycle(queue, nodes, 1 * NS, config)
             ids = [d.task.task_id for d in out]
             if baseline is None:
                 baseline = ids
@@ -345,21 +334,20 @@ class TestScheduleCycle:
         for k in range(1, 40):
             now = k * 100 * MS
             fresh = light(f"fresh-{k}", 0.0, now)
-            out = schedule_cycle([old, fresh], [medium_node(capacity=1, threshold=1.0)], now, config)
+            out, _ = cycle([old, fresh], [medium_node(capacity=1, threshold=1.0)], now, config)
             assert len(out) == 1
             if out[0].task.task_id == "old":
                 overtake_ns = now
                 break
         assert overtake_ns is not None
-        w_star = crossover_wait_s(1.0, 1.0)
+        w_star = math.e - 1
         assert abs(overtake_ns / NS - w_star) <= config.cycle_period_ns / NS
         assert overtake_ns == 1_800 * MS
 
     def test_routing_load_updates_within_cycle(self):
         nodes = [medium_node("m0", capacity=1, threshold=1.0),
                  medium_node("m1", capacity=1, threshold=1.0)]
-        queue = [light("a", 0.0, 0), light("b", 1.0, 0)]
-        out = schedule_cycle(queue, nodes, 0, SchedulerConfig())
+        out, _ = cycle([light("a", 0.0, 0), light("b", 1.0, 0)], nodes, 0, SchedulerConfig())
         assert {d.node_id for d in out} == {"m0", "m1"}
 
 
@@ -411,7 +399,7 @@ def outcome(run):
 
 
 @st.composite
-def cycle_inputs(draw, alphas=(0.0, 1e-12, 1e-9, 0.5, 1.0, 3.0), tie_breaks=TIE_BREAKS):
+def cycle_inputs(draw, alphas=(0.0, 1e-12, 1e-9, 0.5, 1.0, 3.0)):
     """A queue, a topology with some slots taken, a time and a config.
 
     Entry times sit on a few grid points a drawn unit apart, so tasks
@@ -443,7 +431,7 @@ def cycle_inputs(draw, alphas=(0.0, 1e-12, 1e-9, 0.5, 1.0, 3.0), tie_breaks=TIE_
     nodes = draw(st.permutations(nodes))
     latest = max((t.entry_time_ns for t in tasks), default=0)
     now_ns = latest + draw(st.sampled_from([-1, 0, 1, unit, NS, 3 * NS]))
-    config = SchedulerConfig(alpha=draw(st.sampled_from(alphas)), tie_break=draw(st.sampled_from(tie_breaks)))
+    config = SchedulerConfig(alpha=draw(st.sampled_from(alphas)))
     occupancy = draw(st.sampled_from([slot_occupancy, batch_occupancy]))
     appended = draw(st.permutations(tasks))
     return tasks, nodes, now_ns, config, occupancy, appended
@@ -458,7 +446,7 @@ class TestScheduleCycleMatchesSortedWalk:
         self.check(inputs)
 
     @settings(max_examples=budget(100), deadline=None)
-    @given(cycle_inputs(alphas=(1e-12,), tie_breaks=("task_id",)))
+    @given(cycle_inputs(alphas=(1e-12,)))
     def test_identical_cycle_when_urgencies_round_to_ties(self, inputs):
         self.check(inputs)
 
@@ -470,25 +458,22 @@ class TestScheduleCycleMatchesSortedWalk:
         expected = outcome(
             lambda: schedule_cycle_sorted(expected_queue, expected_nodes, now_ns, config, *occupancy())
         )
-        # the default callables are the slot model; pass only the others
-        callables = {} if occupancy is slot_occupancy else dict(zip(("accepts", "occupy"), occupancy()))
-
-        queue = list(tasks)
-        got_nodes = copy.deepcopy(nodes)
-        assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config, **callables)) == expected
-        assert queue == expected_queue
-        assert got_nodes == expected_nodes
-
-        # a queue filled in any order, out-of-order appends included
-        pending = TaskQueue(config)
+        # a queue built from the tasks at once, and one filled in any
+        # order, out-of-order appends included
+        filled = TaskQueue(config)
         for task in appended:
-            pending.append(task)
-        got_nodes = copy.deepcopy(nodes)
-        assert outcome(lambda: schedule_cycle(pending, got_nodes, now_ns, config, **callables)) == expected
-        assert got_nodes == expected_nodes
-        if expected[1] is None:
-            assert len(pending) == len(expected_queue)
-            assert pending.best_priority() == min((t.initial_priority for t in expected_queue), default=math.inf)
+            filled.append(task)
+        for queue in (TaskQueue(config, tasks), filled):
+            # the default callables are the slot model; pass only the
+            # others, fresh per run since the batch model keeps state
+            callables = {} if occupancy is slot_occupancy else dict(zip(("accepts", "occupy"), occupancy()))
+            got_nodes = copy.deepcopy(nodes)
+            assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config, **callables)) == expected
+            assert got_nodes == expected_nodes
+            if expected[1] is None:
+                assert queued(queue) == sorted(expected_queue, key=lambda t: t.task_id)
+                assert len(queue) == len(expected_queue)
+                assert queue.best_priority() == min((t.initial_priority for t in expected_queue), default=math.inf)
 
     def test_refusal_costs_one_accept_per_group(self):
         # 10,000 tasks in 4 groups: two priorities times two compute classes
@@ -524,7 +509,11 @@ class TestScheduleCycleMatchesSortedWalk:
     def test_queue_built_for_another_config_rejected(self):
         queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0)])
         with pytest.raises(UsageError):
-            schedule_cycle(queue, [medium_node()], 0, SchedulerConfig(tie_break="task_id"))
+            schedule_cycle(queue, [medium_node()], 0, SchedulerConfig(alpha=2.0))
+
+    def test_plain_list_rejected(self):
+        with pytest.raises(UsageError, match="TaskQueue"):
+            schedule_cycle([light("a", 0.0, 0)], [medium_node()], 0, SchedulerConfig())
 
 
 class TestValidation:
@@ -539,8 +528,6 @@ class TestValidation:
             SchedulerConfig(alpha=-1.0)
         with pytest.raises(ConfigError):
             SchedulerConfig(cycle_period_ns=0)
-        with pytest.raises(ConfigError):
-            SchedulerConfig(tie_break="random")
         with pytest.raises(ConfigError):
             SchedulerConfig(batch_window_ns=-1)
 
@@ -703,7 +690,7 @@ class TestDeterminism:
         for _ in range(2):
             result = run_simulation(decomposed_pipeline(2 * NS), tiered_topology(), SchedulerConfig(), seed=21)
             out = io.StringIO()
-            write_event_log(result.records, out)
+            jsonl.write_records(result.records, out)
             buffers.append(out.getvalue())
         assert buffers[0] == buffers[1]
 
@@ -712,16 +699,16 @@ class TestDeterminism:
         for seed in (1, 2):
             result = run_simulation(decomposed_pipeline(2 * NS), tiered_topology(), SchedulerConfig(), seed=seed)
             out = io.StringIO()
-            write_event_log(result.records, out)
+            jsonl.write_records(result.records, out)
             logs.append(out.getvalue())
         assert logs[0] != logs[1]
 
     def test_log_round_trips_through_serialization(self):
         result = run_simulation(offload_mix_workload(2 * NS), offload_mix_topology(), SchedulerConfig(), seed=5)
         out = io.StringIO()
-        write_event_log(result.records, out)
+        jsonl.write_records(result.records, out)
         out.seek(0)
-        assert read_event_log(out) == result.records
+        assert jsonl.read_records(out, dict) == result.records
 
 
 class TestMetricsReplay:
@@ -746,9 +733,9 @@ class TestMetricsReplay:
     def test_replay_survives_json_round_trip(self):
         live = run_simulation(offload_mix_workload(2 * NS), offload_mix_topology(), SchedulerConfig(), seed=6)
         out = io.StringIO()
-        write_event_log(live.records, out)
+        jsonl.write_records(live.records, out)
         out.seek(0)
-        replayed = compute_metrics(read_event_log(out))
+        replayed = compute_metrics(jsonl.read_records(out, dict))
         assert replayed.class_stats == live.metrics.class_stats
         assert replayed.inversion_rate == live.metrics.inversion_rate
 
@@ -858,46 +845,3 @@ class TestExperiments:
         ]
         assert 0.0 < float(np.median(overheads)) < 1.0
 
-
-class TestIo:
-    def test_workload_round_trip(self):
-        workload = decomposed_pipeline()
-        assert workload_from_dict(workload_to_dict(workload)) == workload
-
-    def test_topology_round_trip(self):
-        topology = tiered_topology()
-        assert topology_from_dict(topology_to_dict(topology)) == topology
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(UsageError):
-            workload_from_dict({"stages": [{"name": "s"}], "duration_ns": 1})
-        with pytest.raises(UsageError):
-            topology_from_dict({"nodes": [{"node_id": "n"}]})
-
-    def test_scheduler_config_defaults_and_overrides(self):
-        assert scheduler_config_from_dict({}) == SchedulerConfig()
-        config = scheduler_config_from_dict({"alpha": 2.5, "tie_break": "task_id"})
-        assert config.alpha == 2.5
-        assert config.tie_break == "task_id"
-
-    def test_metrics_json_shape(self):
-        result = run_simulation(offload_mix_workload(NS), offload_mix_topology(), SchedulerConfig(), seed=0)
-        out = io.StringIO()
-        write_metrics_json(result.metrics, out)
-        doc = json.loads(out.getvalue())
-        assert doc["completed"] == result.metrics.completed
-        assert doc["throughput_per_s"] == result.metrics.throughput_per_s
-        assert "1.0" in doc["class_stats"] or "2.0" in doc["class_stats"]
-
-    def test_metrics_csv_shape(self):
-        result = run_simulation(offload_mix_workload(NS), offload_mix_topology(), SchedulerConfig(), seed=0)
-        out = io.StringIO()
-        write_metrics_csv(result.metrics, out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "metric,value"
-        assert any(line.startswith("throughput_per_s,") for line in lines)
-
-    def test_metrics_dict_is_json_stable(self):
-        result = run_simulation(offload_mix_workload(NS), offload_mix_topology(), SchedulerConfig(), seed=0)
-        doc = metrics_to_dict(result.metrics)
-        assert json.loads(json.dumps(doc)) == doc

@@ -37,6 +37,16 @@ class TestTimeSeries:
             assert got.dtype == np.int64
             assert got.tolist() == [int(t) for t in ts]
 
+    def test_gap_outside_int64_rejected(self):
+        # np.diff wrapped these gaps to a median period of 0 and a bare ZeroDivisionError
+        series = TimeSeries([-(2**63), 0, 2**63 - 1], np.zeros(3))
+        with pytest.raises(DomainError, match="int64"):
+            series.median_period_ns()
+        with pytest.raises(DomainError, match="int64"):
+            series.sample_rate_hz()
+        widest = TimeSeries([-(2**62), 2**62 - 1, 2**63 - 1], np.zeros(3))
+        assert widest.median_period_ns() == int(np.median([2**63 - 1, 2**62]))
+
 
 class TestShannonEntropy:
     def test_two_equal_halves_one_bit(self):

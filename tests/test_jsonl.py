@@ -1,10 +1,8 @@
-"""The JSON-lines codec and every reader built on it.
+"""The JSON-lines codec and the activity log built on it.
 
-Readers are fed arbitrary text and arbitrary JSON values: whatever the
-input, the only exceptions that may escape are `SensorStackError`s.
-Lines in the older writer layouts (sorted keys, spaced separators) must
-still read back to the same values, because only whitespace and key
-order changed.
+Readers are fed arbitrary text, arbitrary JSON values and arbitrary
+bytes: whatever the input, the only exceptions that may escape are
+`SensorStackError`s.
 """
 
 from __future__ import annotations
@@ -14,35 +12,13 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorstack import jsonl
-from sensorstack.edgesched import (
-    SchedulerConfig,
-    read_event_log,
-    scheduler_config_from_dict,
-    topology_from_dict,
-    workload_from_dict,
-)
-from sensorstack.errors import IntegrityError, SensorStackError, UsageError
-from sensorstack.eventsync import EventDetection, GestureTemplate, read_events_ndjson, write_events_ndjson
-from sensorstack.fusion import (
-    Detection,
-    FusedDetection,
-    PointPair,
-    read_detections_ndjson,
-    read_fused_ndjson,
-    read_pairs_ndjson,
-    read_transform_json,
-    write_detections_ndjson,
-    write_fused_ndjson,
-    write_pairs_ndjson,
-)
+from sensorstack.errors import IntegrityError, SensorStackError
 from sensorstack.services import FileLog
-from sensorstack.timebase import SensorSample, read_streams_ndjson, write_samples_ndjson
 
 
 def read_file_log(fp):
@@ -58,7 +34,7 @@ scalars = st.one_of(
     st.integers(-(10**20), 10**20),
     st.floats(),
     st.text(max_size=6),
-    st.sampled_from(("pedestrian", "vehicle", "coarse", "imu", "homography", "learned", "light", "medium")),
+    st.sampled_from(("arrival", "dispatch", "end", "register", "light", "medium")),
 )
 values = st.recursive(
     scalars,
@@ -67,53 +43,20 @@ values = st.recursive(
 )
 
 
-def objects(*fields, **fixed):
+def objects(*fields):
     """Objects holding every named field, each with a value of any type."""
-    return st.fixed_dictionaries({**{f: values for f in fields}, **{k: st.just(v) for k, v in fixed.items()}})
+    return st.fixed_dictionaries({f: values for f in fields})
 
 
-def documents(*fields, **fixed):
+def documents(*fields):
     """Text that is arbitrary, any JSON value, or an object with the fields."""
-    return st.one_of(st.text(max_size=40), values.map(json.dumps), objects(*fields, **fixed).map(json.dumps))
+    return st.one_of(st.text(max_size=40), values.map(json.dumps), objects(*fields).map(json.dumps))
 
 
 # reader, and the fields its records carry
 LINE_READERS = {
-    "pairs": (read_pairs_ndjson, ("source", "target")),
-    "detections": (read_detections_ndjson, ("camera_id", "class", "center", "confidence", "frame_ts_ns")),
-    "fused": (read_fused_ndjson, ("class", "center", "confidence", "cameras", "threshold", "merged_count")),
-    "events": (read_events_ndjson, ("stream_id", "start_ns", "end_ns", "score", "stage")),
-    "event_log": (read_event_log, ("t_ns", "event", "task_id")),
-    "streams": (read_streams_ndjson, ("device_id", "modality", "local_ts_ns", "payload", "lat", "lon")),
+    "event_log": (lambda fp: jsonl.read_records(fp, dict), ("t_ns", "event", "task_id")),
     "file_log": (read_file_log, ("timestamp", "activity_type", "details")),
-}
-
-DOCUMENT_READERS = {
-    "gesture_template": (
-        GestureTemplate.from_json,
-        documents("values", "sample_rate_hz", "dtw_threshold", version=1, kind="gesture_template"),
-    ),
-    "transform": (lambda text: read_transform_json(io.StringIO(text)), documents("matrix", kind="homography")),
-}
-
-stage_fields = ("name", "compute_class", "service_demand_ns", "initial_priority", "arrival_rate_hz")
-DICT_READERS = {
-    "workload": (
-        workload_from_dict,
-        st.fixed_dictionaries({"stages": st.lists(objects(*stage_fields), max_size=2) | values, "duration_ns": values}),
-    ),
-    "topology": (
-        topology_from_dict,
-        st.fixed_dictionaries(
-            {"nodes": st.lists(objects("node_id", "kind", "capacity", "overload_threshold"), max_size=2) | values}
-        ),
-    ),
-    "scheduler_config": (
-        scheduler_config_from_dict,
-        st.fixed_dictionaries(
-            {}, optional={k: values for k in ("alpha", "cycle_period_ns", "tie_break", "batch_window_ns")}
-        ),
-    ),
 }
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -134,36 +77,6 @@ def test_line_readers_raise_only_package_errors(name):
     check()
 
 
-@pytest.mark.parametrize("name", sorted(DOCUMENT_READERS))
-def test_document_readers_raise_only_package_errors(name):
-    reader, texts = DOCUMENT_READERS[name]
-
-    @FUZZ
-    @given(texts)
-    def check(text):
-        try:
-            reader(text)
-        except SensorStackError:
-            pass
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(DICT_READERS))
-def test_dict_readers_raise_only_package_errors(name):
-    reader, docs = DICT_READERS[name]
-
-    @FUZZ
-    @given(docs | values)
-    def check(doc):
-        try:
-            reader(doc)
-        except SensorStackError:
-            pass
-
-    check()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.binary(max_size=200))
 def test_file_log_raises_only_package_errors_on_any_bytes(data):
@@ -176,61 +89,16 @@ def test_file_log_raises_only_package_errors_on_any_bytes(data):
             pass
 
 
-GOOD_LINES = {
-    "pairs": '{"source": [0, 1], "target": [2, 3]}',
-    "detections": '{"camera_id": "a", "class": "vehicle", "center": [1, 2], "confidence": 0.5, "frame_ts_ns": 7}',
-    "fused": '{"class": "vehicle", "center": [1, 2], "confidence": 0.5, "cameras": ["a"], "threshold": 1.0, "merged_count": 1}',
-    "events": '{"end_ns": 9, "score": 0.5, "stage": "coarse", "start_ns": 1, "stream_id": "s"}',
-    "streams": '{"device_id": "d", "local_ts_ns": 5, "modality": "imu", "payload": [1.0]}',
-}
-# per reader: a required field to drop, and a field with a value of the wrong type
-BREAKS = {
-    "pairs": ("target", ("source", 3)),
-    "detections": ("class", ("frame_ts_ns", [1])),
-    "fused": ("cameras", ("center", "xy")),
-    "events": ("stream_id", ("start_ns", {"a": 1})),
-    "streams": ("payload", ("local_ts_ns", "soon")),
-}
-
-
-def probe_lines(name):
-    good = GOOD_LINES[name]
-    missing, (field, bad) = BREAKS[name]
-    dropped = {k: v for k, v in json.loads(good).items() if k != missing}
-    wrong = {**json.loads(good), field: bad}
-    return {
-        "bad_json": "{not json",
-        "non_object": "[1, 2]",
-        "missing_field": json.dumps(dropped),
-        "wrong_type": json.dumps(wrong),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(GOOD_LINES))
-@pytest.mark.parametrize("probe", ["bad_json", "non_object", "missing_field", "wrong_type"])
-def test_malformed_line_is_reported_as_package_error(name, probe):
-    text = GOOD_LINES[name] + "\n" + probe_lines(name)[probe] + "\n"
-    reader = LINE_READERS[name][0]
-    if name == "streams" and probe in ("missing_field", "wrong_type"):
-        # a sample record's own fields are checked by sample_from_record
-        with pytest.raises(UsageError, match="sample record"):
-            reader(io.StringIO(text))
-    else:
-        with pytest.raises(IntegrityError, match="line 2"):
-            reader(io.StringIO(text))
-
-
-def test_stream_device_id_must_be_a_string():
-    # a list id used to pass and then fail as an unhashable stream key
-    line = '{"device_id": ["d"], "modality": "imu", "local_ts_ns": 5, "payload": [1.0]}'
-    with pytest.raises(UsageError, match="device_id"):
-        read_streams_ndjson(io.StringIO(line))
-
-
 @pytest.mark.parametrize("probe", ["{not json", "[1, 2]", '"text"'])
 def test_malformed_event_log_line_names_it(probe):
     with pytest.raises(IntegrityError, match="line 3"):
-        read_event_log(io.StringIO('{"event": "end"}\n\n' + probe + "\n"))
+        jsonl.read_records(io.StringIO('{"event": "end"}\n\n' + probe + "\n"), dict)
+
+
+def test_deeply_nested_line_names_it():
+    # the JSON scanner gives up on deep nesting with a RecursionError
+    with pytest.raises(IntegrityError, match="line 2"):
+        jsonl.read_records(io.StringIO('{"a": 1}\n' + "[" * 100_000 + "\n"), dict)
 
 
 def test_writer_layout_is_compact_in_record_order():
@@ -242,138 +110,3 @@ def test_writer_layout_is_compact_in_record_order():
 def test_reader_skips_blank_lines_and_keeps_order():
     text = '\n{"a": 1}\n   \n{"a": 2}\n\n'
     assert jsonl.read_records(io.StringIO(text), dict) == ({"a": 1}, {"a": 2})
-
-
-class TestOlderWriterLayouts:
-    """Lines as the writers laid them out before the shared codec."""
-
-    def test_events_with_sorted_keys(self):
-        text = (
-            '{"end_ns": 2500000000, "score": 0.125, "stage": "coarse", "start_ns": 2000000000, "stream_id": "cam-1"}\n'
-            '{"end_ns": 40, "score": 0.1, "stage": "fine", "start_ns": 30, "stream_id": "imu-2"}\n'
-        )
-        expected = (
-            EventDetection("cam-1", 2_000_000_000, 2_500_000_000, 0.125, "coarse"),
-            EventDetection("imu-2", 30, 40, 0.1, "fine"),
-        )
-        assert read_events_ndjson(io.StringIO(text)) == expected
-        buf = io.StringIO()
-        write_events_ndjson(expected, buf)
-        buf.seek(0)
-        assert read_events_ndjson(buf) == expected
-
-    def test_samples_with_sorted_keys(self):
-        text = (
-            '{"corrected_ts_ns": 5, "device_id": "imu-7", "lat": 40.0, "local_ts_ns": 5, '
-            '"lon": -70.0, "modality": "imu", "payload": [0.5, 1.5]}\n'
-            '{"device_id": "imu-7", "lat": null, "local_ts_ns": 15, "lon": null, '
-            '"modality": "imu", "payload": [0.25, 1e-05]}\n'
-        )
-        expected = [
-            SensorSample("imu-7", "imu", 5, (0.5, 1.5), corrected_ts=5, location=(40.0, -70.0)),
-            SensorSample("imu-7", "imu", 15, (0.25, 1e-05)),
-        ]
-        assert read_streams_ndjson(io.StringIO(text))["imu-7/imu"].samples == tuple(expected)
-        buf = io.StringIO()
-        write_samples_ndjson(expected, buf)
-        buf.seek(0)
-        assert read_streams_ndjson(buf)["imu-7/imu"].samples == tuple(expected)
-
-    @pytest.mark.parametrize(
-        "reader, writer, text, expected",
-        [
-            (
-                read_pairs_ndjson,
-                write_pairs_ndjson,
-                '{"source": [0.5, 1.5], "target": [2.5, -3.5]}\n',
-                (PointPair((0.5, 1.5), (2.5, -3.5)),),
-            ),
-            (
-                read_detections_ndjson,
-                write_detections_ndjson,
-                '{"camera_id": "a", "class": "pedestrian", "center": [1.25, -2.5], '
-                '"confidence": 0.75, "frame_ts_ns": 123}\n',
-                (Detection("a", "pedestrian", (1.25, -2.5), 0.75, 123),),
-            ),
-            (
-                read_fused_ndjson,
-                write_fused_ndjson,
-                '{"class": "vehicle", "center": [0.1, 0.2], "confidence": 0.9, '
-                '"cameras": ["a", "b"], "threshold": 2.0, "merged_count": 2}\n',
-                (FusedDetection("vehicle", (0.1, 0.2), 0.9, ("a", "b"), 2.0, 2),),
-            ),
-        ],
-    )
-    def test_fusion_lines_with_spaced_separators(self, reader, writer, text, expected):
-        assert reader(io.StringIO(text)) == expected
-        buf = io.StringIO()
-        writer(expected, buf)
-        assert buf.getvalue() == text.replace(", ", ",").replace(": ", ":")
-        buf.seek(0)
-        assert reader(buf) == expected
-
-
-class TestSingleDocumentReaders:
-    """Each reader turns malformed input into a package error."""
-
-    TEMPLATE = GestureTemplate(np.array([0.0, 1.0, 0.0]), 25.0)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            "[1, 2]",
-            '{"version": 1, "kind": "gesture_template", "sample_rate_hz": 25.0, "dtw_threshold": 0.8}',
-            '{"version": 1, "kind": "gesture_template", "values": ["x", 1], "sample_rate_hz": 25, "dtw_threshold": 1}',
-            '{"version": 1, "kind": "gesture_template", "values": [0, 1], "sample_rate_hz": [25], "dtw_threshold": 1}',
-        ],
-    )
-    def test_gesture_template(self, text):
-        with pytest.raises(SensorStackError):
-            GestureTemplate.from_json(text)
-        restored = GestureTemplate.from_json(self.TEMPLATE.to_json())
-        assert np.array_equal(restored.values, self.TEMPLATE.values)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            '[{"kind": "homography"}]',
-            '{"kind": "homography"}',
-            '{"kind": "homography", "matrix": [[1, 0], [0, "a"]]}',
-        ],
-    )
-    def test_transform(self, text):
-        with pytest.raises(IntegrityError):
-            read_transform_json(io.StringIO(text))
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            [],
-            {"stages": [["s"]], "duration_ns": 1},
-            {"stages": [], "duration_ns": "soon"},
-            {"stages": 3, "duration_ns": 1},
-        ],
-    )
-    def test_workload(self, doc):
-        with pytest.raises(UsageError):
-            workload_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            ["nodes"],
-            {"nodes": [["n", "medium", 1]]},
-            {"nodes": [{"node_id": "n", "kind": "medium", "capacity": "many"}]},
-        ],
-    )
-    def test_topology(self, doc):
-        with pytest.raises(UsageError):
-            topology_from_dict(doc)
-
-    @pytest.mark.parametrize("doc", [[], {"alpha": "fast"}, {"cycle_period_ns": None}, {"alpha": [1]}])
-    def test_scheduler_config(self, doc):
-        with pytest.raises(UsageError):
-            scheduler_config_from_dict(doc)
-        assert scheduler_config_from_dict({}) == SchedulerConfig()

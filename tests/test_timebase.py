@@ -1,5 +1,4 @@
 import copy
-import io
 import math
 import pickle
 
@@ -30,8 +29,6 @@ from sensorstack.timebase import (
     buffer_size,
     correct_timestamp,
     kalman_update,
-    read_streams_ndjson,
-    write_samples_ndjson,
 )
 
 NS = tb.NS_PER_SEC
@@ -373,48 +370,16 @@ class TestStreamsAndIo:
         corrected = stream.with_clock(model)
         assert [s.corrected_ts for s in corrected.samples] == [1_000_000, 11_000_000]
 
-    def test_ndjson_round_trip(self):
-        stream = make_stream("imu-7", "imu", [5, 15, 25], payloads=[(0.5, 1.5)] * 3)
-        stream = SampleStream(
-            stream.descriptor,
-            tuple(
-                SensorSample(
-                    s.device_id, s.modality, s.local_ts, s.payload,
-                    corrected_ts=s.corrected_ts, location=(40.0, -70.0),
-                )
-                for s in stream.samples
-            ),
-        )
-        buf = io.StringIO()
-        write_samples_ndjson(stream.samples, buf)
-        buf.seek(0)
-        restored = read_streams_ndjson(buf)
-        assert set(restored) == {"imu-7/imu"}
-        got = restored["imu-7/imu"]
-        assert [s.local_ts for s in got.samples] == [5, 15, 25]
-        assert got.samples[0].payload == (0.5, 1.5)
-        assert got.samples[0].location == (40.0, -70.0)
-        assert got.samples[0].corrected_ts == 5
-
-    def test_repeated_timestamps_rejected_with_stream_name(self):
-        samples = [SensorSample("imu-7", "imu", t, (0.0,)) for t in (5, 5, 5, 15)]
-        buf = io.StringIO()
-        write_samples_ndjson(samples, buf)
-        buf.seek(0)
-        with pytest.raises(DomainError, match="imu-7/imu"):
-            read_streams_ndjson(buf)
-
     def test_timestamp_outside_int64_rejected_with_stream_name(self):
-        buf = io.StringIO()
-        write_samples_ndjson([SensorSample("imu-7", "imu", t, (0.0,)) for t in (5, 2**70)], buf)
-        buf.seek(0)
+        samples = [SensorSample("imu-7", "imu", t, (0.0,)) for t in (5, 2**70)]
         with pytest.raises(DomainError, match="imu-7/imu"):
-            read_streams_ndjson(buf)
+            SampleStream(StreamDescriptor("imu-7", "imu", 100.0), samples)
 
-    def test_record_field_names(self):
-        sample = SensorSample("cam-1", "camera_series", 123, (9.0,), location=(1.0, 2.0))
-        record = tb.sample_to_record(sample)
-        assert set(record) == {"device_id", "modality", "local_ts_ns", "payload", "lat", "lon"}
+    def test_sample_device_id_must_be_a_string(self):
+        # a list id would pass and then fail as an unhashable stream key
+        for bad in (["d"], "", None):
+            with pytest.raises(UsageError, match="device_id"):
+                SensorSample(bad, "imu", 5, (1.0,))
 
 
 class TestSampleTimestampTypes:

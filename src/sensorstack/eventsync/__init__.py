@@ -14,7 +14,9 @@ from .detect import (
     EventDetection,
     detect_gesture_video,
     normalized_dtw_score,
+    read_events_ndjson,
     suppress_overlaps,
+    write_events_ndjson,
 )
 from .align import (
     FineTuneConfig,
@@ -40,7 +42,9 @@ __all__ = [
     "EventDetection",
     "detect_gesture_video",
     "normalized_dtw_score",
+    "read_events_ndjson",
     "suppress_overlaps",
+    "write_events_ndjson",
     "FineTuneConfig",
     "MatchedPair",
     "RefinedStart",

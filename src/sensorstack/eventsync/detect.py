@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO, Iterable
 
 import numpy as np
 
+from .. import jsonl
 from ..errors import UsageError
 from .dtw import GestureTemplate, _backtrack, _cumulative, dtw_cost
 from .series import TimeSeries
@@ -153,3 +154,25 @@ def suppress_overlaps(hits: Iterable[EventDetection]) -> tuple[EventDetection, .
     kept.sort(key=lambda h: h.start)
     return tuple(kept)
 
+
+def write_events_ndjson(events: Iterable[EventDetection], fp: IO[str]) -> None:
+    jsonl.write_records(
+        (
+            {"stream_id": e.stream_id, "start_ns": e.start, "end_ns": e.end, "score": e.score, "stage": e.stage}
+            for e in events
+        ),
+        fp,
+    )
+
+
+def read_events_ndjson(fp: IO[str]) -> tuple[EventDetection, ...]:
+    return jsonl.read_records(
+        fp,
+        lambda rec: EventDetection(
+            stream_id=rec["stream_id"],
+            start=int(rec["start_ns"]),
+            end=int(rec["end_ns"]),
+            score=float(rec["score"]),
+            stage=rec["stage"],
+        ),
+    )

@@ -21,7 +21,9 @@ from sensorstack.eventsync import (
     detect_gesture_video,
     fine_tune_event,
     normalized_dtw_score,
+    read_events_ndjson,
     suppress_overlaps,
+    write_events_ndjson,
 )
 from sensorstack.scoring import match_integers
 from sensorstack.timebase import SampleStream, SensorSample, StreamDescriptor
@@ -114,6 +116,17 @@ class TestDetection:
         mk = lambda s, score: EventDetection("cam", s, s + 10, score)
         kept = suppress_overlaps((mk(0, 0.5), mk(5, 0.2), mk(8, 0.9), mk(30, 0.1)))
         assert [e.start for e in kept] == [5, 30]
+
+    def test_events_ndjson_round_trip(self, tmp_path):
+        events = (
+            EventDetection("cam0", 1_000, 2_000, 0.25, "coarse"),
+            EventDetection("imu1", 5_000, 9_000, 0.10, "fine"),
+        )
+        path = tmp_path / "events.ndjson"
+        with open(path, "w") as fp:
+            write_events_ndjson(events, fp)
+        with open(path) as fp:
+            assert read_events_ndjson(fp) == events
 
 
 def jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp):

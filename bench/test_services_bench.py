@@ -1,0 +1,115 @@
+"""Micro-benchmarks of the capture plane on an intersection-sized store.
+
+    PYTHONPATH=src python -m pytest bench                      # timed
+    PYTHONPATH=src python -m pytest bench --benchmark-disable  # one call each
+
+The store is fixed: 8 devices, each with three 24 s sessions of 25 Hz
+samples (1,800 per device, 14,400 in all) with +-2 ms of timestamp
+jitter, ingested in batches of 500 in time order, as an intersection
+testbed's capture is. The queries are 400 windows of 6 s, each on a
+random device and starting anywhere from 1 s before one of its
+sessions to 1 s past its last full window.
+"""
+
+import bisect
+
+import numpy as np
+import pytest
+
+from sensorstack.services import CoreServices
+from sensorstack.timebase import SensorSample
+
+NS = 1_000_000_000
+PERIOD_NS = 40_000_000
+KEY = b"bench-key"
+DEVICES = 8
+SESSIONS = 3
+SESSION_NS = 24 * NS
+SESSION_GAP_NS = 34 * NS
+BATCH = 500
+WINDOWS = 400
+WINDOW_NS = 6 * NS
+
+
+def registration(device_id: str) -> dict:
+    return {
+        "device_id": device_id,
+        "type": "sensor",
+        "location": {"latitude": 40.7, "longitude": -74.0, "description": "pole mount"},
+        "capabilities": ["video_stream"],
+        "data_format": "H.264",
+        "access_methods": {"api_endpoint": "https://testbed.example/", "protocols": "RTSP"},
+        "status": "online",
+        "owner": "Testbed",
+    }
+
+
+@pytest.fixture(scope="module")
+def captures():
+    """Per device: its local timestamps and its samples, in time order."""
+    rng = np.random.default_rng(2024)
+    n = SESSION_NS // PERIOD_NS
+    out = {}
+    for d in range(DEVICES):
+        device_id = f"dev{d}"
+        local = np.concatenate([
+            100 * NS + k * SESSION_GAP_NS + np.arange(n, dtype=np.int64) * PERIOD_NS
+            + rng.integers(-2_000_000, 2_000_000, n)
+            for k in range(SESSIONS)
+        ]) + int(rng.uniform(-2, 2) * NS)
+        samples = [SensorSample(device_id, "camera_series", int(t), (float(v),)) for t, v in zip(local, rng.normal(size=len(local)))]
+        out[device_id] = ([int(t) for t in local], samples)
+    return out
+
+
+@pytest.fixture(scope="module")
+def windows(captures):
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(WINDOWS):
+        device_id = f"dev{int(rng.integers(DEVICES))}"
+        local = captures[device_id][0]
+        k = int(rng.integers(SESSIONS))
+        first, last = local[k * len(local) // SESSIONS], local[(k + 1) * len(local) // SESSIONS - 1]
+        start = int(rng.integers(first - NS, last - WINDOW_NS + NS))
+        out.append((device_id, start, start + WINDOW_NS))
+    return out
+
+
+def registered_services():
+    services = CoreServices(KEY)
+    admin = services.issue_token("operator", ("admin",), 3600.0).token
+    tokens = {f"dev{d}": services.register_device(registration(f"dev{d}"), admin).token for d in range(DEVICES)}
+    return services, tokens
+
+
+def ingest_all(services, tokens, captures):
+    for device_id, (_, samples) in captures.items():
+        for i in range(0, len(samples), BATCH):
+            services.capture_ingest(tokens[device_id], samples[i:i + BATCH])
+    return services
+
+
+def test_capture_ingest(benchmark, captures):
+    services = benchmark.pedantic(
+        ingest_all, setup=lambda: (registered_services() + (captures,), {}), rounds=5
+    )
+    app = services.issue_token("app", ("app",), 3600.0).token
+    for device_id, (local, _) in captures.items():
+        hits = services.query_captures(device_id, -(2**63), 2**63, app)
+        assert [r.corrected_ts for r in hits] == local
+
+
+def test_query_captures(benchmark, captures, windows):
+    services = ingest_all(*registered_services(), captures)
+    app = services.issue_token("app", ("app",), 3600.0).token
+
+    def query_all():
+        return [services.query_captures(d, start, end, app) for d, start, end in windows]
+
+    results = benchmark(query_all)
+    for (device_id, start, end), hits in zip(windows, results):
+        local = captures[device_id][0]
+        assert len(hits) == bisect.bisect_left(local, end) - bisect.bisect_left(local, start)
+        assert all(start <= r.corrected_ts < end for r in hits)
+    assert sum(len(hits) for hits in results) > 50_000

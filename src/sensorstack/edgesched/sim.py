@@ -14,7 +14,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

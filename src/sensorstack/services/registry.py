@@ -9,10 +9,12 @@ independent accounting route; tests hold it equal to the live state.
 from __future__ import annotations
 
 import json
+import os
 import time
-import uuid
+from bisect import bisect_left
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError
 from ..timebase import ClockModel, SensorSample, correct_timestamp
@@ -35,12 +37,38 @@ DEFAULT_DEVICE_TTL_S = 30 * 86_400
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY_S = 0.1
 
+# capture timestamps are stored as int64 downstream (SampleStream columns)
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+# the order of a device's capture store and of every query result
+_capture_key = attrgetter("corrected_ts", "capture_id")
+
+
+def _random_ids(n: int) -> list[str]:
+    """``n`` random RFC 4122 version-4 UUID strings from one ``os.urandom`` call."""
+    raw = bytearray(os.urandom(16 * n))
+    raw[6::16] = bytes(b & 0x0F | 0x40 for b in raw[6::16])  # version 4
+    raw[8::16] = bytes(b & 0x3F | 0x80 for b in raw[8::16])  # variant RFC 4122
+    h = raw.hex()
+    return [
+        f"{h[i:i + 8]}-{h[i + 8:i + 12]}-{h[i + 12:i + 16]}-{h[i + 16:i + 20]}-{h[i + 20:i + 32]}"
+        for i in range(0, 32 * n, 32)
+    ]
+
 
 class CoreServices:
     """The control plane: registration, versions, actions, capture.
 
     ``clock``, ``sleeper``, and ``id_factory`` are injectable so tests
-    can pin time, observe backoff, and fix identifiers.
+    can pin time, observe backoff, and fix identifiers. An injected
+    ``id_factory`` is called once per identifier, in the order the
+    identifiers are used; without one, identifiers are random version-4
+    UUIDs drawn a batch at a time.
+
+    Each device's captures are kept sorted by ``(corrected_ts,
+    capture_id)`` beside a list of their ``corrected_ts`` values, so a
+    windowed query is two bisections and a slice.
     """
 
     def __init__(
@@ -58,7 +86,7 @@ class CoreServices:
         self._log = log if log is not None else MemoryLog()
         self._clock = clock or time.time
         self._sleep = sleeper or time.sleep
-        self._new_id = id_factory or (lambda: str(uuid.uuid4()))
+        self._id_factory = id_factory
         self._device_ttl_s = device_ttl_s
         self._devices: dict[str, DeviceRecord] = {}
         self._configs: dict[str, str] = {}
@@ -67,6 +95,12 @@ class CoreServices:
         self._actions: dict[str, ActionCommand] = {}
         self._pending: dict[str, list[str]] = {}
         self._captures: dict[str, list[CaptureRecord]] = {}
+        self._capture_keys: dict[str, list[int]] = {}
+
+    def _new_ids(self, n: int) -> list[str]:
+        if self._id_factory is None:
+            return _random_ids(n)
+        return [self._id_factory() for _ in range(n)]
 
     def now_s(self) -> float:
         return self._clock()
@@ -99,7 +133,7 @@ class CoreServices:
         if record.device_id in self._devices:
             raise ConflictError(f"device {record.device_id} is already registered")
 
-        version_id = self._new_id()
+        version_id = self._new_ids(1)[0]
         config = record.to_payload()
         self._devices[record.device_id] = record
         self._store_version(version_id, record.device_id, canonical_json(config), stamp)
@@ -155,7 +189,7 @@ class CoreServices:
     def snapshot_config(self, device_id: str, config: Mapping) -> VersionSnapshot:
         self.device_record(device_id)
         stamp = format_timestamp(self._clock())
-        version_id = self._new_id()
+        version_id = self._new_ids(1)[0]
         blob = canonical_json(config)
         self._store_version(version_id, device_id, blob, stamp)
         self._record(stamp, "update", {
@@ -219,7 +253,7 @@ class CoreServices:
             )
         if not isinstance(command["payload"], Mapping):
             raise ValidationError("action payload must be an object", fields=("payload",))
-        action = ActionCommand(self._new_id(), device_id, dict(command["payload"]))
+        action = ActionCommand(self._new_ids(1)[0], device_id, dict(command["payload"]))
         self._actions[action.action_id] = action
         self._pending.setdefault(device_id, []).append(action.action_id)
         stamp = format_timestamp(self._clock())
@@ -295,7 +329,7 @@ class CoreServices:
     def capture_ingest(
         self,
         device_token: str,
-        samples: Sequence[SensorSample],
+        samples: Iterable[SensorSample],
         clock_model: ClockModel | None = None,
     ) -> tuple[CaptureRecord, ...]:
         claims = self.validate(device_token)
@@ -304,29 +338,38 @@ class CoreServices:
         if record is None:
             raise AuthError(f"token subject {device_id!r} is not a registered device")
 
-        stored: list[CaptureRecord] = []
+        # the whole batch is checked before any id is drawn or anything
+        # stored, so a rejected batch leaves no trace
+        samples = tuple(samples)
         for sample in samples:
             if sample.device_id != device_id:
                 raise AuthError(
                     f"sample for {sample.device_id!r} submitted with token for {device_id!r}"
                 )
-            corrected = (
-                correct_timestamp(sample.local_ts, clock_model)
-                if clock_model is not None
-                else sample.local_ts
+        local = [sample.local_ts for sample in samples]
+        corrected = (
+            [correct_timestamp(ts, clock_model) for ts in local]
+            if clock_model is not None
+            else local
+        )
+        for column in (local, corrected):
+            if column and not (_INT64_MIN <= min(column) and max(column) <= _INT64_MAX):
+                raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
+
+        location = (record.location.latitude, record.location.longitude)
+        stored = [
+            CaptureRecord(
+                capture_id=capture_id,
+                device_id=device_id,
+                modality=sample.modality,
+                local_ts=sample.local_ts,
+                corrected_ts=corrected_ts,
+                payload=tuple(sample.payload),
+                location=location,
             )
-            stored.append(
-                CaptureRecord(
-                    capture_id=self._new_id(),
-                    device_id=device_id,
-                    modality=sample.modality,
-                    local_ts=sample.local_ts,
-                    corrected_ts=corrected,
-                    payload=tuple(sample.payload),
-                    location=(record.location.latitude, record.location.longitude),
-                )
-            )
-        self._captures.setdefault(device_id, []).extend(stored)
+            for sample, corrected_ts, capture_id in zip(samples, corrected, self._new_ids(len(samples)))
+        ]
+        self._store_captures(device_id, stored)
         stamp = format_timestamp(self._clock())
         self._record(stamp, "data_access", {
             "device_id": device_id,
@@ -334,6 +377,20 @@ class CoreServices:
             "count": len(stored),
         })
         return tuple(stored)
+
+    def _store_captures(self, device_id: str, batch: list[CaptureRecord]):
+        """Add ``batch`` to the device's store, keeping it sorted."""
+        batch = sorted(batch, key=_capture_key)
+        records = self._captures.setdefault(device_id, [])
+        keys = self._capture_keys.setdefault(device_id, [])
+        if batch and records and _capture_key(batch[0]) < _capture_key(records[-1]):
+            # two sorted runs: the stable sort merges them in linear time
+            records.extend(batch)
+            records.sort(key=_capture_key)
+            keys[:] = [r.corrected_ts for r in records]
+        else:
+            records.extend(batch)
+            keys.extend(r.corrected_ts for r in batch)
 
     def query_captures(
         self, device_id: str, start_ns: int, end_ns: int, token: str
@@ -344,11 +401,8 @@ class CoreServices:
             if claims["subject"] != device_id:
                 raise AuthError("capture queries need the app or admin role")
         self.device_record(device_id)
-        hits = [
-            r for r in self._captures.get(device_id, [])
-            if start_ns <= r.corrected_ts < end_ns
-        ]
-        hits.sort(key=lambda r: (r.corrected_ts, r.capture_id))
+        keys = self._capture_keys.get(device_id, [])
+        hits = self._captures.get(device_id, [])[bisect_left(keys, start_ns):bisect_left(keys, end_ns)]
         stamp = format_timestamp(self._clock())
         self._record(stamp, "data_access", {
             "device_id": device_id,

@@ -152,14 +152,14 @@ class ServiceRouter:
                     SensorSample(
                         device_id=s["device_id"],
                         modality=s.get("modality", ""),
-                        local_ts=int(s["local_ts"]),
+                        local_ts=s["local_ts"],
                         payload=tuple(s.get("payload", ())),
                     )
                     for s in body.get("samples", [])
                 ]
-            except (TypeError, ValueError, OverflowError) as exc:
-                # a sample that is not an object, or a non-integer
-                # timestamp or non-numeric payload inside one
+            except (TypeError, ValueError, OverflowError, UsageError) as exc:
+                # a sample that is not an object, or a timestamp that is
+                # not an integer or a non-numeric payload inside one
                 raise UsageError(f"malformed capture sample: {exc}") from exc
             stored = services.capture_ingest(token, samples)
             return 201, {"stored": len(stored), "capture_ids": [r.capture_id for r in stored]}

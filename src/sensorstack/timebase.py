@@ -47,17 +47,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_SATURATION = float(np.nextafter(2.0**63, 0))
 
 
-def to_ns(seconds: float) -> int:
-    """Convert seconds to integer nanoseconds, rounding to nearest."""
-    if not math.isfinite(seconds):
-        raise UsageError("seconds value must be finite")
-    return round(seconds * NS_PER_SEC)
-
-
-def to_seconds(ns: int) -> float:
-    return ns / NS_PER_SEC
-
-
 # ---------------------------------------------------------------------------
 # clock model
 
@@ -98,15 +87,7 @@ class ClockModel:
     covariance: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.offset):
-            raise DomainError("offset must be finite")
-        if not abs(self.drift_rate) < MAX_DRIFT_RATE:
-            raise DomainError("drift rate exceeds sanity bound of 0.1")
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (2, 2):
-            raise ConfigError("covariance must be a 2x2 matrix")
-        if not np.all(np.isfinite(cov)):
-            raise ConfigError("covariance must be finite")
+        cov = self._checked(self.offset, self.drift_rate, np.array(self.covariance, dtype=float))
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-9 * (1 + np.abs(cov).max())):
             raise ConfigError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -114,6 +95,36 @@ class ClockModel:
             raise ConfigError("covariance must be positive semidefinite")
         cov.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
+
+    @staticmethod
+    def _checked(offset: float, drift_rate: float, cov: np.ndarray) -> np.ndarray:
+        if not math.isfinite(offset):
+            raise DomainError("offset must be finite")
+        if not abs(drift_rate) < MAX_DRIFT_RATE:
+            raise DomainError("drift rate exceeds sanity bound of 0.1")
+        if cov.shape != (2, 2):
+            raise ConfigError("covariance must be a 2x2 matrix")
+        if not np.all(np.isfinite(cov)):
+            raise ConfigError("covariance must be finite")
+        return cov
+
+    @classmethod
+    def _from_filter(cls, offset: float, drift_rate: float, last_sync: int, cov: np.ndarray) -> "ClockModel":
+        """A model from a Joseph-form update, built without the symmetry and PSD tests.
+
+        The Joseph form maps a symmetric positive semidefinite covariance
+        to one that is symmetric and positive semidefinite up to
+        rounding, far inside the public constructor's tolerances, so
+        those two tests cannot fail here. The symmetrisation, the
+        read-only flag and every other check still apply.
+        """
+        cov = cls._checked(offset, drift_rate, cov)
+        cov = 0.5 * (cov + cov.T)
+        cov.flags.writeable = False
+        model = object.__new__(cls)
+        for name, value in (("offset", offset), ("drift_rate", drift_rate), ("last_sync", last_sync), ("covariance", cov)):
+            object.__setattr__(model, name, value)
+        return model
 
     @classmethod
     def identity(cls, anchor: int = 0) -> "ClockModel":
@@ -195,7 +206,7 @@ def kalman_update(
 
     if not abs(x[1]) < MAX_DRIFT_RATE:
         raise DomainError("drift rate exceeds sanity bound of 0.1, rejecting fit")
-    return ClockModel(float(x[0]), float(x[1]), local, p)
+    return ClockModel._from_filter(float(x[0]), float(x[1]), local, p)
 
 
 # ---------------------------------------------------------------------------

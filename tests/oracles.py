@@ -18,8 +18,11 @@ RANSAC loop fits one hypothesis at a time with a row-by-row DLT as
 `ransac_fit` did before it batched them, and the per-sample clock
 correction and shift and the per-window entropy histograms
 (`shannon_entropy`, one window at a time) are the sync code before the
-columnar stream and the cumulative bin counts; all are kept here as
-references.
+columnar stream and the cumulative bin counts, the Kalman step that
+builds its result through the fully checked ``ClockModel`` constructor
+is the filter before its internal constructor, and the scan-and-sort
+capture query is the capture store before it was kept sorted; all are
+kept here as references.
 """
 
 from __future__ import annotations
@@ -31,12 +34,20 @@ import numpy as np
 from hypothesis import settings
 
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
-from sensorstack.errors import FitError, TopologyError, UsageError
+from sensorstack.errors import DomainError, FitError, TopologyError, UsageError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
-from sensorstack.timebase import AlignedFrame, SampleStream, buffer_size, correct_timestamp
+from sensorstack.timebase import (
+    MAX_DRIFT_RATE,
+    NS_PER_SEC,
+    AlignedFrame,
+    ClockModel,
+    SampleStream,
+    buffer_size,
+    correct_timestamp,
+)
 
 
 def budget(examples: int) -> int:
@@ -560,3 +571,38 @@ def sliding_entropy_per_window(series, window_ns, stride_ns):
             out_vals.append(shannon_entropy(series.values[lo:hi], bins=edges))
         t += stride_ns
     return np.array(out_ts, dtype=np.int64), np.array(out_vals)
+
+
+def kalman_update_checked(model, observation, noise):
+    """``kalman_update`` returning its result through the public ``ClockModel`` constructor."""
+    local, reference = observation
+    if not (math.isfinite(local) and math.isfinite(reference)):
+        raise DomainError("observation timestamps must be finite")
+    if local < model.last_sync:
+        raise DomainError("observation precedes sync anchor")
+
+    dt = (local - model.last_sync) / NS_PER_SEC
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = np.diag([noise.process_offset_var, noise.process_drift_var])
+    x = np.array([model.offset, model.drift_rate])
+    p = f @ model.covariance @ f.T + q
+    x = f @ x
+
+    z = (reference - local) / NS_PER_SEC
+    h = np.array([1.0, 0.0])
+    s = float(h @ p @ h) + noise.measurement_var
+    k = (p @ h) / s
+    x = x + k * (z - float(h @ x))
+    ikh = np.eye(2) - np.outer(k, h)
+    p = ikh @ p @ ikh.T + noise.measurement_var * np.outer(k, k)
+
+    if not abs(x[1]) < MAX_DRIFT_RATE:
+        raise DomainError("drift rate exceeds sanity bound of 0.1, rejecting fit")
+    return ClockModel(float(x[0]), float(x[1]), local, p)
+
+
+def query_captures_scan(ingested, start_ns, end_ns):
+    """A device's captures in [start_ns, end_ns): scan every record ingested, in ingest order, then sort."""
+    hits = [r for r in ingested if start_ns <= r.corrected_ts < end_ns]
+    hits.sort(key=lambda r: (r.corrected_ts, r.capture_id))
+    return tuple(hits)

@@ -10,15 +10,18 @@ import sys
 import threading
 import time
 import urllib.request
+import uuid
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import budget, query_captures_scan
 from sensorstack.errors import (
     AuthError,
     ConflictError,
+    DomainError,
     IntegrityError,
     NotFoundError,
     UsageError,
@@ -695,6 +698,13 @@ class TestCapture:
         assert len(access) == 1
         assert access[0]["details"] == {"device_id": "camera-001", "op": "ingest", "count": 100}
 
+    def test_ingest_takes_any_iterable(self):
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin)
+        stored = services.capture_ingest(token.token, (s for s in self.samples("camera-001", 5)))
+        assert [r.local_ts for r in stored] == list(range(5))
+        assert len(services.query_captures("camera-001", 0, 10, admin)) == 5
+
     def test_query_logs_access(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
@@ -703,6 +713,143 @@ class TestCapture:
         last = services.log_records()[-1]
         assert last["activity_type"] == "data_access"
         assert last["details"] == {"device_id": "camera-001", "op": "query", "count": 3}
+
+
+CAPTURE_DEVICES = ("camera-a", "camera-b")
+# small timestamp ranges so batches interleave and timestamps repeat
+CAPTURE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("ingest"),
+            st.sampled_from(CAPTURE_DEVICES),
+            st.lists(st.integers(0, 40), max_size=12),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.just("query"),
+            st.sampled_from(CAPTURE_DEVICES),
+            st.integers(-5, 50),
+            st.integers(-5, 50),
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestCaptureStore:
+    """The sorted store answers every window as a scan and sort of all ingested records would."""
+
+    @settings(max_examples=budget(200), deadline=None)
+    @given(
+        ops=CAPTURE_OPS,
+        id_seed=st.integers(0, 2**16),
+        offset_ns=st.integers(-20, 20),
+        drift=st.floats(-0.05, 0.05),
+    )
+    def test_queries_match_scan_and_sort(self, ops, id_seed, offset_ns, drift):
+        # ids from a small pool: ties on corrected_ts are broken by ids
+        # that arrive out of order, and sometimes by equal ids
+        rng = random.Random(id_seed)
+        services, admin = make_services(id_factory=lambda: f"id-{rng.randrange(64):02d}")
+        tokens = {d: services.register_device(camera_payload(d), admin).token for d in CAPTURE_DEVICES}
+        model = ClockModel(offset_ns * 1e-9, drift, 0, np.zeros((2, 2)))
+        ingested = {d: [] for d in CAPTURE_DEVICES}
+        for op, device_id, a, b in ops:
+            if op == "ingest":
+                samples = [SensorSample(device_id, "imu", t, (float(i),)) for i, t in enumerate(a)]
+                stored = services.capture_ingest(tokens[device_id], samples, clock_model=model if b else None)
+                assert [r.local_ts for r in stored] == a
+                ingested[device_id].extend(stored)
+            else:
+                got = services.query_captures(device_id, a, b, admin)
+                assert got == query_captures_scan(ingested[device_id], a, b)
+        for device_id in CAPTURE_DEVICES:
+            everything = services.query_captures(device_id, -(2**63), 2**63, admin)
+            assert everything == query_captures_scan(ingested[device_id], -(2**63), 2**63)
+            assert len(everything) == len(ingested[device_id])
+
+    def test_response_rows_do_not_alias_the_store(self):
+        services, admin = make_services()
+        router = ServiceRouter(services)
+        device = services.register_device(camera_payload(), admin).token
+        samples = [{"device_id": "camera-001", "modality": "imu", "local_ts": t, "payload": [0.5, t]} for t in range(4)]
+        status, _ = router.handle("POST", "/capture", {"samples": samples}, {"Authorization": f"Bearer {device}"})
+        assert status == 201
+        query = {"device_id": "camera-001", "start_ns": "0", "end_ns": "10"}
+        status, body = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
+        original = json.loads(json.dumps(body))
+        for row in body["samples"]:
+            row["payload"].append(9.0)
+            row["payload"][0] = -1.0
+            row["location"][0] = 0.0
+            row["corrected_ts"] = -1
+            del row["capture_id"]
+        body["samples"].clear()
+        status, again = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
+        assert status == 200
+        assert again == original
+        assert len(again["samples"]) == 4
+
+    def test_default_ids_are_unique_version_4_uuids(self):
+        services = CoreServices(KEY, clock=ticking_clock())
+        admin = services.issue_token("root", ("admin",), 86_400.0).token
+        token = services.register_device(camera_payload(), admin).token
+        stored = services.capture_ingest(
+            token, [SensorSample("camera-001", "imu", t, (0.0,)) for t in range(10_000)]
+        )
+        ids = [r.capture_id for r in stored]
+        assert len(set(ids)) == 10_000
+        for capture_id in ids:
+            parsed = uuid.UUID(capture_id)
+            assert parsed.version == 4
+            assert parsed.variant == uuid.RFC_4122
+            assert str(parsed) == capture_id
+        version_id = services.state()["current_version"]["camera-001"]
+        assert uuid.UUID(version_id).version == 4
+
+    def test_injected_id_factory_called_once_per_stored_sample_in_order(self):
+        calls = []
+
+        def ids():
+            calls.append(f"cap-{len(calls):03d}")
+            return calls[-1]
+
+        services, admin = make_services(id_factory=ids)
+        token = services.register_device(camera_payload(), admin).token
+        assert calls == ["cap-000"]  # the registration's version id
+        local = [30, 10, 20, 10, 0]
+        stored = services.capture_ingest(
+            token, [SensorSample("camera-001", "imu", t, (float(t),)) for t in local]
+        )
+        assert calls == [f"cap-{i:03d}" for i in range(6)]
+        assert [(r.capture_id, r.local_ts) for r in stored] == list(zip(calls[1:], local))
+        hits = services.query_captures("camera-001", 0, 100, admin)
+        assert [r.capture_id for r in hits] == ["cap-005", "cap-002", "cap-004", "cap-003", "cap-001"]
+
+    def test_rejected_batch_stores_nothing_and_draws_no_ids(self):
+        calls = []
+
+        def ids():
+            calls.append(f"cap-{len(calls):03d}")
+            return calls[-1]
+
+        services, admin = make_services(id_factory=ids)
+        token = services.register_device(camera_payload(), admin).token
+        services.register_device(camera_payload("camera-002"), admin)
+        before = (len(calls), len(services.log_records()))
+        good = [SensorSample("camera-001", "imu", t, (0.0,)) for t in (5, 6)]
+        with pytest.raises(AuthError):
+            services.capture_ingest(token, good + [SensorSample("camera-002", "imu", 7, (0.0,))])
+        with pytest.raises(ValidationError):
+            services.capture_ingest(token, good + [SensorSample("camera-001", "imu", 2**63, (0.0,))])
+        late = ClockModel(0.0, 0.0, 6, np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            services.capture_ingest(token, good, clock_model=late)
+        ahead = ClockModel(1.0, 0.0, 0, np.zeros((2, 2)))
+        with pytest.raises(ValidationError):
+            services.capture_ingest(token, [SensorSample("camera-001", "imu", 2**63 - 10, (0.0,))], clock_model=ahead)
+        assert (len(calls), len(services.log_records())) == before
+        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == ()
 
 
 def drive_random_ops(services, admin, seed, steps=40):
@@ -1041,7 +1188,7 @@ class TestRouter:
         assert "JSON object" in body["error"]
 
     def test_non_integer_capture_fields_are_bad_requests(self):
-        router, _, admin = self.make_router()
+        router, services, admin = self.make_router()
         _, body = router.handle("POST", "/devices", camera_payload(), self.auth(admin))
         device = body["device_token"]
         sample = {"device_id": "camera-001", "modality": "imu", "local_ts": "soon", "payload": [0.5]}
@@ -1049,15 +1196,26 @@ class TestRouter:
         assert status == 400
         assert "capture sample" in body["error"]
 
+        good = dict(sample, local_ts=7)
         for bad in (
             {"samples": [[1, 2]]},
             {"samples": "camera-001"},
             {"samples": [dict(sample, local_ts=1, payload=["x"])]},
             {"samples": [dict(sample, local_ts=1, payload=5)]},
             {"samples": [dict(sample, local_ts=math.inf)]},
+            *(
+                {"samples": samples}
+                for local_ts in (1.9, 1.0, True, False, "12", None, 2**70, 2**63, -(2**63) - 1)
+                for samples in ([dict(sample, local_ts=local_ts)], [good, dict(sample, local_ts=local_ts)])
+            ),
         ):
             status, body = router.handle("POST", "/capture", bad, self.auth(device))
-            assert status == 400
+            assert status == 400, bad
+        # a rejected batch stores nothing, its good samples included
+        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == ()
+        edges = [dict(sample, local_ts=t) for t in (-(2**63), 2**63 - 1)]
+        status, body = router.handle("POST", "/capture", {"samples": edges}, self.auth(device))
+        assert (status, body["stored"]) == (201, 2)
 
         for field in ("start_ns", "end_ns"):
             query = {"device_id": "camera-001", "start_ns": "1", "end_ns": "4", field: "1.5e3"}

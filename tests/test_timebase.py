@@ -1,6 +1,9 @@
 import copy
+import importlib.util
 import math
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from oracles import (
     align_per_epoch,
     budget,
     full_sort_pairing,
+    kalman_update_checked,
     ols_line_fit,
     shifted_per_sample,
     with_clock_per_sample,
@@ -170,6 +174,33 @@ class TestKalmanUpdate:
             truth_at_centroid = truth_offset + truth_drift * centroid / NS
             errors.append(abs(est - truth_at_centroid))
         assert float(np.mean(errors)) < 3 * sigma / math.sqrt(n)
+
+    def test_identical_to_the_checked_constructor_on_benchmark_exchanges(self):
+        # the clock exchanges of perfbench's scenes, seeds 1-3 of both
+        # workloads, folded in with its noise setting and the default one
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+        spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+        scenes = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        sys.modules[spec.name] = scenes
+        spec.loader.exec_module(scenes)
+        steps = 0
+        for workload in ("parking_lot", "intersection"):
+            for seed in (1, 2, 3):
+                for session in scenes.make_scene(workload, seed, 0).sessions:
+                    for exchanges in session.exchanges.values():
+                        for noise in (NoiseConfig(measurement_var=(2e-3) ** 2), NoiseConfig()):
+                            fast = slow = ClockModel.initial(exchanges[0][0])
+                            for observation in exchanges:
+                                fast = kalman_update(fast, observation, noise)
+                                slow = kalman_update_checked(slow, observation, noise)
+                                assert (fast.offset, fast.drift_rate, fast.last_sync) == (
+                                    slow.offset, slow.drift_rate, slow.last_sync
+                                )
+                                assert fast.covariance.tobytes() == slow.covariance.tobytes()
+                                assert not fast.covariance.flags.writeable
+                                steps += 1
+        assert steps > 2000
 
     def test_anchor_moves_to_observation_time(self):
         model = ClockModel.initial(0)

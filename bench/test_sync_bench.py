@@ -9,19 +9,23 @@ raise-hold-drop gesture that starts at 10 s, from a device whose clock
 runs 0.4 s ahead and drifts 20 ppm, as an intersection testbed's camera
 stream is. The entropy runs over the whole stream with the
 fine-tuning's 300 ms window and one-period stride; the fine-tuning
-starts from a coarse start 150 ms late.
+starts from a coarse start 150 ms late. Gesture detection scans the
+whole stream for a 2 s template with the testbed pipeline's 2.4 s
+window and 250 ms stride.
 """
 
 import numpy as np
 import pytest
 
-from sensorstack.eventsync import TimeSeries, fine_tune_event, sliding_entropy
+from sensorstack.eventsync import GestureTemplate, TimeSeries, detect_gesture_video, fine_tune_event, sliding_entropy
 from sensorstack.timebase import ClockModel, SampleStream, SensorSample, StreamDescriptor
 
 NS = 1_000_000_000
 PERIOD_NS = 40_000_000
 GESTURE_NS = 110 * NS
 ENTROPY_WINDOW_NS = 300_000_000
+DETECT_WINDOW_NS = 2_400_000_000
+DETECT_STRIDE_NS = 250_000_000
 
 
 def hand_height(phase: np.ndarray) -> np.ndarray:
@@ -75,3 +79,10 @@ def test_fine_tune_event(benchmark, series):
     refined = benchmark(fine_tune_event, {"cam1": series}, {"cam1": GESTURE_NS + 150_000_000})
     assert not refined["cam1"].fallback
     assert abs(refined["cam1"].refined_ns - GESTURE_NS) < 150_000_000
+
+
+def test_detect_gesture_video(benchmark, series):
+    template = GestureTemplate(hand_height(np.linspace(0.0, 1.0, 50)), 25.0)
+    events = benchmark(detect_gesture_video, series, template, DETECT_WINDOW_NS, DETECT_STRIDE_NS, "cam1")
+    assert len(events) == 1
+    assert abs(events[0].start - GESTURE_NS) < 250_000_000

@@ -10,14 +10,7 @@ from .series import TimeSeries
 from .dtw import DbaResult, DtwResult, GestureTemplate, dba, dba_template, dtw_cost, dtw_distance
 from .features import sliding_entropy
 from .filters import butterworth_lowpass, design_lowpass
-from .detect import (
-    EventDetection,
-    detect_gesture_video,
-    normalized_dtw_score,
-    read_events_ndjson,
-    suppress_overlaps,
-    write_events_ndjson,
-)
+from .detect import EventDetection, detect_gesture_video, normalized_dtw_score, suppress_overlaps
 from .align import (
     FineTuneConfig,
     MatchedPair,
@@ -42,9 +35,7 @@ __all__ = [
     "EventDetection",
     "detect_gesture_video",
     "normalized_dtw_score",
-    "read_events_ndjson",
     "suppress_overlaps",
-    "write_events_ndjson",
     "FineTuneConfig",
     "MatchedPair",
     "RefinedStart",

@@ -9,10 +9,10 @@ import numpy as np
 
 from ..errors import UsageError
 from ..scoring import match_integers
-from ..timebase import SampleStream
+from ..timebase import NS_PER_SEC, SampleStream
 from .detect import EventDetection
-from .features import sliding_entropy
-from .filters import butterworth_lowpass
+from .features import _sliding_entropy
+from .filters import _lowpass
 from .series import TimeSeries
 
 COARSE_TOLERANCE_NS = 500_000_000
@@ -99,11 +99,14 @@ def fine_tune_event(
         if len(window) < 8:
             raise UsageError(f"series for {stream_id} does not cover the search window")
 
-        rate = window.sample_rate_hz()
+        # the filtered series keeps the window's timestamps, so one
+        # median period serves the filter, the stride and the entropy
+        period = window.median_period_ns()
+        rate = NS_PER_SEC / period
         cutoff = min(config.cutoff_hz, 0.45 * rate)
-        smooth = butterworth_lowpass(window, config.filter_order, cutoff)
-        stride = config.entropy_stride_ns or smooth.median_period_ns()
-        entropy = sliding_entropy(smooth, config.entropy_window_ns, stride)
+        smooth = _lowpass(window, config.filter_order, cutoff, rate)
+        stride = config.entropy_stride_ns or period
+        entropy = _sliding_entropy(smooth, config.entropy_window_ns, stride, period)
 
         values = entropy.values
         baseline_n = max(2, int(len(values) * config.baseline_fraction))

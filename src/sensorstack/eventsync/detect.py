@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import groupby
+from typing import Iterable
 
 import numpy as np
 
-from .. import jsonl
 from ..errors import UsageError
-from .dtw import GestureTemplate, _backtrack, _cumulative, dtw_cost
+from .dtw import GestureTemplate, _cumulative, dtw_cost
 from .series import TimeSeries
 
 STAGES = ("coarse", "fine")
 
-# cells of one batched DTW table; bounds the memory of a block of windows
+# cells of one batched DTW table; bounds the memory of a block of
+# windows. A block holding a candidate is kept until suppression ends.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -79,9 +80,10 @@ def detect_gesture_video(
     holding fewer than four samples is skipped. Every window whose
     normalized DTW score falls below the template threshold becomes a
     candidate carrying the estimated gesture bounds from the warp path;
-    overlapping candidates are reduced to the lowest-scoring one. Quiet
-    and flat windows score near the template's baseline distance, well
-    above any sensible threshold, so they produce no events.
+    overlapping candidates are reduced to the lowest-scoring one, as by
+    `suppress_overlaps`. Quiet and flat windows score near the
+    template's baseline distance, well above any sensible threshold, so
+    they produce no events. Non-finite heights are a `UsageError`.
 
     A window's score is its `normalized_dtw_score`. The warp path
     bounds the match: samples before the gesture all pair with the
@@ -93,12 +95,19 @@ def detect_gesture_video(
     series is scaled once, each window's rows are cut from it and
     padded to the longest window, and the cumulative tables of the
     whole block advance together row by row. A window's cost is read
-    at its own last row, which the padding below it cannot reach; only
-    windows under the threshold are backtracked. Scores and bounds are
-    those of each window on its own.
+    at its own last row, which the padding below it cannot reach.
+    Scores and bounds are those of each window on its own.
+
+    Only candidates that suppression may keep are walked. A
+    candidate's end is read for the whole block at once (`_end_rows`),
+    and candidates are taken in suppression order; one whose end lies
+    inside a kept event overlaps it and is dropped unwalked. The rest
+    walk from their end to column 0 (`_onset_row`).
     """
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
+    if not np.all(np.isfinite(z_series.values)):
+        raise UsageError("detection input must be finite")
     ts = z_series.timestamps
     period = z_series.median_period_ns()
     if int(ts[-1]) - int(ts[0]) + period < window_ns:
@@ -118,61 +127,106 @@ def detect_gesture_video(
     scaled, template_scaled = _scaled(z_series.values, template)
     m = len(template_scaled)
     last_row = len(scaled) - 1
-    block = max(1, _BLOCK_CELLS // (int(n_rows.max()) * m))
+    block = max(1, _BLOCK_CELLS // (int(n_rows.max()) * (m + 1)))
 
-    hits: list[EventDetection] = []
+    # (score, end time, flat table, end cell index, end row, first sample, batch)
+    candidates = []
     for b0 in range(0, len(lo), block):
         b_lo, b_n = lo[b0 : b0 + block], n_rows[b0 : b0 + block]
-        rows = np.minimum(b_lo[:, None] + np.arange(int(b_n.max())), last_row)
-        cost = np.abs(scaled[rows][:, :, None] - template_scaled)
-        tables = _cumulative(cost)
-        scores = tables[np.arange(len(b_lo)), b_n - 1, m - 1] / m
-        for w in np.flatnonzero(scores < template.dtw_threshold):
-            start, n_w = int(b_lo[w]), int(b_n[w])
-            path = _backtrack(tables[w, :n_w])
-            onset_idx = max(i for i, j in path if j == 0)
-            end_idx = min(i for i, j in path if j == m - 1)
-            hits.append(
-                EventDetection(
-                    stream_id=stream_id,
-                    start=int(ts[start + onset_idx]),
-                    end=int(ts[start + end_idx]),
-                    score=float(scores[w]),
-                    stage="coarse",
-                )
-            )
+        batch, n_max = len(b_lo), int(b_n.max())
+        rows = np.minimum(np.arange(n_max)[:, None] + b_lo, last_row)
+        table = np.empty((n_max, m + 1, batch))
+        cost = table[:, 1:]
+        np.subtract(scaled[rows][:, None, :], template_scaled[:, None], out=cost)
+        np.abs(cost, out=cost)
+        cum = _cumulative(table)
+        scores = cum[b_n - 1, m - 1, np.arange(batch)] / m
+        matched = np.flatnonzero(scores < template.dtw_threshold)
+        if len(matched) == 0:
+            continue
+        ends = _end_rows(cum, b_n)
+        cells = memoryview(table.reshape(-1))
+        for w in matched.tolist():
+            first, end = int(b_lo[w]), int(ends[w])
+            pos = ((m + 1) * end + m) * batch + w
+            candidates.append((float(scores[w]), int(ts[first + end]), cells, pos, end, first, batch))
 
-    return suppress_overlaps(hits)
+    # suppression order is (score, start); a tie on score needs every start
+    candidates.sort(key=lambda c: c[0])
+    kept: list[EventDetection] = []
+    for score, group in groupby(candidates, key=lambda c: c[0]):
+        hits = [
+            EventDetection(
+                stream_id=stream_id,
+                start=int(ts[first + _onset_row(cells, pos, end, m - 1, (m + 1) * batch, batch)]),
+                end=end_ns,
+                score=score,
+                stage="coarse",
+            )
+            for _, end_ns, cells, pos, end, first, batch in group
+            if not any(k.start < end_ns < k.end for k in kept)
+        ]
+        hits.sort(key=lambda h: h.start)
+        _keep_clear(hits, kept)
+    kept.sort(key=lambda h: h.start)
+    return tuple(kept)
+
+
+def _end_rows(cum: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
+    """Row where each table's warp path leaves its last column.
+
+    ``cum`` holds cumulative tables laid out (row, column, batch), and
+    entry w's table is its top ``n_rows[w]`` rows. Walking back from the
+    last cell, the path climbs the last column while the up move wins
+    (see `_onset_row`), which depends only on the last two columns; the
+    end is the lowest row of that climb, or row 0.
+    """
+    m = cum.shape[1]
+    near, last = cum[:, m - 2], cum[:, m - 1]
+    diag, up, left = near[:-1], last[:-1], near[1:]
+    climbs = (up <= left) & ((diag > up) | (diag > left))
+    # entry r - 1 belongs to row r: the latest row at or above r that the
+    # walk does not climb from
+    stops = np.where(climbs, 0, np.arange(1, len(cum))[:, None])
+    np.maximum.accumulate(stops, axis=0, out=stops)
+    return stops[n_rows - 2, np.arange(cum.shape[2])]
+
+
+def _onset_row(cells, pos: int, i: int, j: int, up: int, left: int) -> int:
+    """Row where the warp path through cell (i, j) first reaches column 0.
+
+    ``cells`` is a flat table, ``pos`` the cell's index in it, and
+    ``up`` and ``left`` the index distances to the cells above and to
+    the left. The path is walked back as `dtw._backtrack` walks it,
+    preferring the diagonal, then up, then left on ties; once it
+    reaches row 0 it runs left along it, so its onset is row 0.
+    """
+    diag = up + left
+    while i and j:
+        d, u, l = cells[pos - diag], cells[pos - up], cells[pos - left]
+        if d <= u and d <= l:
+            i -= 1
+            j -= 1
+            pos -= diag
+        elif u <= l:
+            i -= 1
+            pos -= up
+        else:
+            j -= 1
+            pos -= left
+    return i
 
 
 def suppress_overlaps(hits: Iterable[EventDetection]) -> tuple[EventDetection, ...]:
     """Keep the best-scoring detection out of each overlapping run."""
     kept: list[EventDetection] = []
-    for hit in sorted(hits, key=lambda h: (h.score, h.start)):
-        if all(hit.end <= k.start or hit.start >= k.end for k in kept):
-            kept.append(hit)
+    _keep_clear(sorted(hits, key=lambda h: (h.score, h.start)), kept)
     kept.sort(key=lambda h: h.start)
     return tuple(kept)
 
 
-def write_events_ndjson(events: Iterable[EventDetection], fp: IO[str]) -> None:
-    jsonl.write_records(
-        (
-            {"stream_id": e.stream_id, "start_ns": e.start, "end_ns": e.end, "score": e.score, "stage": e.stage}
-            for e in events
-        ),
-        fp,
-    )
-
-
-def read_events_ndjson(fp: IO[str]) -> tuple[EventDetection, ...]:
-    return jsonl.read_records(
-        fp,
-        lambda rec: EventDetection(
-            stream_id=rec["stream_id"],
-            start=int(rec["start_ns"]),
-            end=int(rec["end_ns"]),
-            score=float(rec["score"]),
-            stage=rec["stage"],
-        ),
-    )
+def _keep_clear(ordered: Iterable[EventDetection], kept: list[EventDetection]) -> None:
+    """Append each hit, in order, that overlaps nothing kept before it."""
+    for hit in ordered:
+        if all(hit.end <= k.start or hit.start >= k.end for k in kept):
+            kept.append(hit)

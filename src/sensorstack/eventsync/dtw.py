@@ -47,37 +47,38 @@ def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric) -> np.ndarray:
     raise UsageError(f"unknown point metric {metric!r}")
 
 
-def _cumulative(d: np.ndarray) -> np.ndarray:
-    """Cumulative DTW cost with steps (1,0), (0,1), (1,1), for a batch of tables.
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    """Cumulative DTW cost with steps (1,0), (0,1), (1,1), in place, for a batch of tables.
 
-    ``d`` holds one pairwise cost table per batch entry, shape
-    (batch, n, m); the result has the same shape. Each row is computed
-    with a prefix-scan: within a row the recurrence
-    D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to a cumulative sum
-    plus a running minimum, so every table in the batch advances by one
-    vectorized row update per step instead of a scalar double loop.
-    Row i reads only rows above it, so the top k rows of a table are
-    the cumulative cost of the first k rows of its input alone: tables
-    of different heights can share one batch, padded to the tallest.
+    ``table`` is laid out (row, column, batch), so that each step works
+    on whole contiguous rows with the batch innermost. Columns 1.. hold
+    one (n, m) pairwise cost table per batch entry; column 0 is
+    padding, set here to +inf beside the table, so min(prev[0],
+    prev[-1]) is prev[0]. The costs are overwritten with their
+    cumulative costs, and the view ``table[:, 1:]`` is returned.
+
+    Each row is computed with a prefix-scan: within a row the
+    recurrence D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to a
+    cumulative sum plus a running minimum, so every table in the batch
+    advances by one vectorized row update per step instead of a scalar
+    double loop. Row i reads only rows above it, so the top k rows of a
+    table are the cumulative cost of the first k rows of its input
+    alone: tables of different heights can share one batch, padded to
+    the tallest.
     """
-    batch, n, m = d.shape
-    # laid out (row, column, batch) so that each step works on whole
-    # contiguous rows with the batch innermost; column 0 is padding:
-    # +inf beside the table, so min(prev[0], prev[-1]) is prev[0], and
-    # 0 before each row's cumulative sum
-    out = np.empty((n, m + 1, batch))
-    out[:, 0] = np.inf
-    sums = np.empty((n, m + 1, batch))
-    sums[:, 0] = 0.0
-    np.cumsum(d.transpose(1, 2, 0), axis=1, out=sums[:, 1:])
-    out[0, 1:] = sums[0, 1:]
-    for i in range(1, n):
-        prev, cs = out[i - 1], sums[i]
-        step = np.minimum(prev[1:], prev[:-1])
-        np.subtract(step, cs[:-1], out=step)
+    table[:, 0] = np.inf
+    cost = table[:, 1:]
+    np.cumsum(cost, axis=1, out=cost)
+    step = np.empty_like(table[0, 1:])
+    # column j's running minimum starts from the row's sum before j;
+    # column 0 has none, so its entry keeps min(M[0], inf) unchanged
+    tail = step[1:]
+    for prev, prev_left, row, row_before in zip(cost, table[:, :-1], cost[1:], table[1:, 1:-1]):
+        np.minimum(prev, prev_left, out=step)
+        np.subtract(tail, row_before, out=tail)
         np.minimum.accumulate(step, axis=0, out=step)
-        np.add(cs[1:], step, out=out[i, 1:])
-    return out[:, 1:].transpose(2, 0, 1)
+        np.add(row, step, out=row)
+    return cost
 
 
 def _backtrack(cumulative: np.ndarray) -> list[tuple[int, int]]:
@@ -117,12 +118,16 @@ def default_metric(values: np.ndarray) -> str:
     return "abs" if values.ndim == 1 else "euclidean"
 
 
-def _cost_table(s, t, point_metric) -> np.ndarray:
+def _cumulative_table(s, t, point_metric) -> np.ndarray:
+    """Cumulative cost table of one pair of sequences, shape (len(s), len(t))."""
     sv = _as_values(s)
     tv = _as_values(t)
     if (sv.ndim == 2) != (tv.ndim == 2):
         raise UsageError("sequences must have matching dimensionality")
-    return _pairwise_cost(sv, tv, point_metric or default_metric(sv))
+    d = _pairwise_cost(sv, tv, point_metric or default_metric(sv))
+    table = np.empty((d.shape[0], d.shape[1] + 1, 1))
+    table[:, 1:, 0] = d
+    return _cumulative(table)[:, :, 0]
 
 
 def dtw_distance(s, t, point_metric=None) -> DtwResult:
@@ -133,13 +138,13 @@ def dtw_distance(s, t, point_metric=None) -> DtwResult:
     "euclidean", "sqeuclidean", or a callable on value pairs; scalars
     default to absolute difference, vectors to euclidean distance.
     """
-    cum = _cumulative(_cost_table(s, t, point_metric)[None])[0]
+    cum = _cumulative_table(s, t, point_metric)
     return DtwResult(cost=float(cum[-1, -1]), path=tuple(_backtrack(cum)))
 
 
 def dtw_cost(s, t, point_metric=None) -> float:
     """Cost-only variant; skips path recovery."""
-    return float(_cumulative(_cost_table(s, t, point_metric)[None])[0, -1, -1])
+    return float(_cumulative_table(s, t, point_metric)[-1, -1])
 
 
 # ---------------------------------------------------------------------------

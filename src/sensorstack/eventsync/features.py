@@ -31,9 +31,13 @@ def sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int) -> TimeS
     its lower edge, the last bin also its upper one); a window's counts
     are the difference of two rows of per-bin cumulative counts.
     """
+    return _sliding_entropy(series, window_ns, stride_ns, series.median_period_ns())
+
+
+def _sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int, period: int) -> TimeSeries:
+    """`sliding_entropy` given the series' median period."""
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
-    period = series.median_period_ns()
     if window_ns < 3 * period:
         raise UsageError("entropy window must span at least three samples")
     if not np.all(np.isfinite(series.values)):

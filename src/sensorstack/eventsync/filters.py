@@ -27,7 +27,12 @@ def butterworth_lowpass(series: TimeSeries, order: int = 4, cutoff_hz: float = 5
     signal is filtered forward and backward, so constants pass through
     unchanged and no group delay is introduced.
     """
-    b, a = design_lowpass(order, cutoff_hz, series.sample_rate_hz())
+    return _lowpass(series, order, cutoff_hz, series.sample_rate_hz())
+
+
+def _lowpass(series: TimeSeries, order: int, cutoff_hz: float, sample_rate_hz: float) -> TimeSeries:
+    """`butterworth_lowpass` at a sample rate the caller has already inferred."""
+    b, a = design_lowpass(order, cutoff_hz, sample_rate_hz)
     default_pad = 3 * (max(len(a), len(b)) - 1)
     padlen = min(default_pad, len(series) - 1)
     filtered = signal.filtfilt(b, a, series.values, axis=0, padlen=padlen)

@@ -21,8 +21,9 @@ correction and shift and the per-window entropy histograms
 columnar stream and the cumulative bin counts, the Kalman step that
 builds its result through the fully checked ``ClockModel`` constructor
 is the filter before its internal constructor, and the scan-and-sort
-capture query is the capture store before it was kept sorted; all are
-kept here as references.
+capture query is the capture store before it was kept sorted, and
+``dba_rows`` restates `dba` over the one-table row kernel
+(``dtw_table_rows``); all are kept here as references.
 """
 
 from __future__ import annotations
@@ -177,6 +178,31 @@ def dtw_backtrack(table):
                 j -= 1
         path.append((i, j))
     return path[::-1]
+
+
+def dba_rows(sequences, iterations):
+    """``dba``'s barycenter and objective trace, every DTW table built by ``dtw_table_rows``."""
+    seqs = [np.asarray(s, dtype=float) for s in sequences]
+
+    def table(a, b):
+        return dtw_table_rows((a[:, None] - b[None, :]) ** 2)
+
+    def objective(barycenter):
+        return sum(float(table(barycenter, s)[-1, -1]) for s in seqs)
+
+    totals = [sum(float(table(a, b)[-1, -1]) for b in seqs) for a in seqs]
+    barycenter = seqs[int(np.argmin(totals))].copy()
+    costs = [objective(barycenter)]
+    for _ in range(iterations):
+        sums = np.zeros_like(barycenter)
+        counts = np.zeros(len(barycenter))
+        for seq in seqs:
+            for i, j in dtw_backtrack(table(barycenter, seq)):
+                sums[i] += seq[j]
+                counts[i] += 1
+        barycenter = sums / counts
+        costs.append(objective(barycenter))
+    return barycenter, tuple(costs)
 
 
 def detect_gesture_per_window(z_series, template, window_ns, stride_ns, stream_id=""):

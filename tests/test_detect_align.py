@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import budget, coarse_align_loop, detect_gesture_per_window, greedy_match_callable
+from oracles import budget, coarse_align_loop, detect_gesture_per_window, dtw_backtrack, greedy_match_callable
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync import (
@@ -21,9 +21,7 @@ from sensorstack.eventsync import (
     detect_gesture_video,
     fine_tune_event,
     normalized_dtw_score,
-    read_events_ndjson,
     suppress_overlaps,
-    write_events_ndjson,
 )
 from sensorstack.scoring import match_integers
 from sensorstack.timebase import SampleStream, SensorSample, StreamDescriptor
@@ -112,21 +110,18 @@ class TestDetection:
         with pytest.raises(UsageError):
             detect_gesture_video(TimeSeries(ts, np.ones(10)), gesture_template())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heights_rejected(self, bad):
+        series = series_with_gesture(200)
+        values = series.values.copy()
+        values[300] = bad
+        with pytest.raises(UsageError, match="finite"):
+            detect_gesture_video(TimeSeries(series.timestamps, values), gesture_template())
+
     def test_suppression_keeps_best_of_overlapping_run(self):
         mk = lambda s, score: EventDetection("cam", s, s + 10, score)
         kept = suppress_overlaps((mk(0, 0.5), mk(5, 0.2), mk(8, 0.9), mk(30, 0.1)))
         assert [e.start for e in kept] == [5, 30]
-
-    def test_events_ndjson_round_trip(self, tmp_path):
-        events = (
-            EventDetection("cam0", 1_000, 2_000, 0.25, "coarse"),
-            EventDetection("imu1", 5_000, 9_000, 0.10, "fine"),
-        )
-        path = tmp_path / "events.ndjson"
-        with open(path, "w") as fp:
-            write_events_ndjson(events, fp)
-        with open(path) as fp:
-            assert read_events_ndjson(fp) == events
 
 
 def jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp):
@@ -179,6 +174,43 @@ class TestBatchedDetectionMatchesPerWindow:
             got = detect_gesture_video(series, template, window_ns, stride_ns, "cam")
         assert got == expected
 
+    @settings(max_examples=budget(100), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        total=st.integers(9, 90),
+        levels=st.integers(1, 3),
+        template=st.lists(st.integers(-2, 2), min_size=2, max_size=4).filter(lambda v: len(set(v)) > 1),
+        threshold=st.sampled_from([0.5, 1.0, 3.0]),
+        window_stride=st.sampled_from([(4, 1), (4, 3), (6, 2), (9, 4)]),
+        block_cells=st.sampled_from([1, 60, detect_module._BLOCK_CELLS]),
+    )
+    def test_short_integer_templates_on_integer_series(
+        self, seed, total, levels, template, threshold, window_stride, block_cells
+    ):
+        # integer heights and templates of 2-4 points tie cells within a
+        # table and scores across windows; on the exact period grid a
+        # window of four periods holds exactly four samples
+        rng = np.random.default_rng(seed)
+        ts = np.arange(total, dtype=np.int64) * PERIOD_NS
+        series = TimeSeries(ts, rng.integers(-levels, levels + 1, total).astype(float))
+        gesture = GestureTemplate(np.array(template, dtype=float), RATE, threshold)
+        window_ns, stride_ns = (k * PERIOD_NS for k in window_stride)
+        expected = detect_gesture_per_window(series, gesture, window_ns, stride_ns, "cam")
+        with mock.patch.object(detect_module, "_BLOCK_CELLS", block_cells):
+            got = detect_gesture_video(series, gesture, window_ns, stride_ns, "cam")
+        assert got == expected
+
+    def test_tied_scores_go_by_start_not_window_order(self):
+        # two windows tie on score, and the later window's warp path starts
+        # earlier: suppression must try it first, as the oracle does
+        values = np.array([2.0, 0.0, 0.0, -1.0, -2.0, -2.0, -1.0, 1.0])
+        series = TimeSeries(np.arange(8, dtype=np.int64) * PERIOD_NS, values)
+        gesture = GestureTemplate(np.array([1.0, -2.0, -1.0, 1.0]), RATE, 3.0)
+        args = (series, gesture, 4 * PERIOD_NS, PERIOD_NS, "cam")
+        expected = detect_gesture_per_window(*args)
+        assert [e.start for e in expected] == [PERIOD_NS, 4 * PERIOD_NS]
+        assert detect_gesture_video(*args) == expected
+
     def test_windows_too_sparse_to_score_yield_nothing(self):
         # one sample every 1.5 s: no 1 s window ever holds four samples
         ts = np.arange(20, dtype=np.int64) * 1_500_000_000
@@ -194,6 +226,34 @@ class TestBatchedDetectionMatchesPerWindow:
         with pytest.raises(UsageError, match="dimensionality") as got:
             detect_gesture_video(series, gesture_template())
         assert str(got.value) == str(expected.value)
+
+
+class TestBoundsWalk:
+    """Onset and end rows read without a full path match `dtw_backtrack`'s path."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_max=st.integers(2, 10),
+        m=st.integers(2, 6),
+        batch=st.integers(1, 4),
+        levels=st.sampled_from([0, 1, 2, 3]),
+    )
+    def test_bounds_match_the_backtracked_path(self, seed, n_max, m, batch, levels):
+        # any table defines a walk; small integers make ties between moves
+        rng = np.random.default_rng(seed)
+        shape = (n_max, m, batch)
+        tables = rng.integers(0, levels + 1, shape).astype(float) if levels else rng.normal(size=shape)
+        n_rows = rng.integers(2, n_max + 1, batch)
+        ends = detect_module._end_rows(tables, n_rows)
+        cells = memoryview(tables.reshape(-1))
+        for w in range(batch):
+            path = dtw_backtrack(tables[: n_rows[w], :, w])
+            onset = max(i for i, j in path if j == 0)
+            end = min(i for i, j in path if j == m - 1)
+            assert ends[w] == end
+            pos = (end * m + m - 1) * batch + w
+            assert detect_module._onset_row(cells, pos, end, m - 1, m * batch, batch) == onset
 
 
 class TestCoarseAlign:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dtw_enumerate
+from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import TimeSeries, dba, dba_template, dtw_distance
 from sensorstack.eventsync.dtw import dtw_cost
@@ -131,3 +131,47 @@ class TestDba:
     def test_bare_arrays_need_explicit_rate(self):
         with pytest.raises(UsageError):
             dba_template([np.ones(4)], iterations=1)
+
+
+def tied_or_random(rng, size, levels):
+    """Small integers when ``levels`` is set, so costs tie; normal values otherwise."""
+    if levels:
+        return rng.integers(0, levels + 1, size).astype(float)
+    return rng.normal(size=size)
+
+
+class TestKernelMatchesRowOracle:
+    """The in-place batched kernel gives the row oracle's tables bit for bit."""
+
+    @settings(max_examples=budget(150), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        m=st.integers(1, 9),
+        levels=st.sampled_from([0, 1, 2, 4]),
+        metric=st.sampled_from(["abs", "sqeuclidean"]),
+    )
+    def test_distance_path_and_cost(self, seed, n, m, levels, metric):
+        rng = np.random.default_rng(seed)
+        s, t = tied_or_random(rng, n, levels), tied_or_random(rng, m, levels)
+        diff = s[:, None] - t[None, :]
+        table = dtw_table_rows(np.abs(diff) if metric == "abs" else diff**2)
+        got = dtw_distance(s, t, metric)
+        assert got.cost == float(table[-1, -1])
+        assert list(got.path) == dtw_backtrack(table)
+        assert dtw_cost(s, t, metric) == float(table[-1, -1])
+
+    @settings(max_examples=budget(40), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+        levels=st.sampled_from([0, 1, 3]),
+        iterations=st.integers(1, 3),
+    )
+    def test_dba(self, seed, count, levels, iterations):
+        rng = np.random.default_rng(seed)
+        seqs = [tied_or_random(rng, int(rng.integers(2, 9)), levels) for _ in range(count)]
+        barycenter, costs = dba_rows(seqs, iterations)
+        got = dba(seqs, iterations)
+        assert np.array_equal(got.barycenter, barycenter)
+        assert got.costs == costs

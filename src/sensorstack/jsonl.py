@@ -1,9 +1,11 @@
-"""The package's one JSON-lines codec, used by `services.store.FileLog`.
+"""The package's one JSON-lines codec and its one decode-error mapping.
 
 A writer puts one compact JSON object per line, keys in record order,
 so identical records give identical bytes. The reader skips blank
 lines, accepts only JSON objects, and reports a malformed line as an
-`IntegrityError` naming it.
+`IntegrityError` naming it. `services.store.FileLog` and the fusion
+NDJSON formats use it; the transform document reader shares
+`decoding`.
 """
 
 from __future__ import annotations

@@ -16,18 +16,6 @@ from .geometry import (
     ransac_fit,
     reprojection_errors,
 )
-from .io import (
-    read_detections_ndjson,
-    read_fused_ndjson,
-    read_pairs_ndjson,
-    read_sweep_csv,
-    read_transform_json,
-    write_detections_ndjson,
-    write_fused_ndjson,
-    write_pairs_ndjson,
-    write_sweep_csv,
-    write_transform_json,
-)
 from .metrics import (
     DEFAULT_MATCH_RADIUS,
     SweepRow,
@@ -54,16 +42,6 @@ __all__ = [
     "fit_homography_dlt",
     "project",
     "ransac_fit",
-    "read_detections_ndjson",
-    "read_fused_ndjson",
-    "read_pairs_ndjson",
-    "read_sweep_csv",
-    "read_transform_json",
     "reprojection_errors",
     "threshold_sweep",
-    "write_detections_ndjson",
-    "write_fused_ndjson",
-    "write_pairs_ndjson",
-    "write_sweep_csv",
-    "write_transform_json",
 ]

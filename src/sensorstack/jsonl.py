@@ -3,9 +3,7 @@
 A writer puts one compact JSON object per line, keys in record order,
 so identical records give identical bytes. The reader skips blank
 lines, accepts only JSON objects, and reports a malformed line as an
-`IntegrityError` naming it. `services.store.FileLog` and the fusion
-NDJSON formats use it; the transform document reader shares
-`decoding`.
+`IntegrityError` naming it. `services.store.FileLog` uses it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 from unittest import mock
 
@@ -30,18 +28,8 @@ from sensorstack.fusion import (
     fit_homography_dlt,
     project,
     ransac_fit,
-    read_detections_ndjson,
-    read_fused_ndjson,
-    read_pairs_ndjson,
-    read_sweep_csv,
-    read_transform_json,
     reprojection_errors,
     threshold_sweep,
-    write_detections_ndjson,
-    write_fused_ndjson,
-    write_pairs_ndjson,
-    write_sweep_csv,
-    write_transform_json,
 )
 from sensorstack.fusion import geometry
 
@@ -709,55 +697,3 @@ class TestMergeGraphMatchesPairwiseLoop:
         for threshold in (0.0, 1.0):
             assert repr(deduplicate(dets, threshold)) == repr(deduplicate_pairwise(dets, threshold))
 
-
-class TestFusionIo:
-    def test_pairs_round_trip(self):
-        pairs = [PointPair((0.5, 1.5), (2.5, -3.5)), PointPair((1, 2), (3, 4))]
-        buf = io.StringIO()
-        write_pairs_ndjson(pairs, buf)
-        buf.seek(0)
-        assert read_pairs_ndjson(buf) == tuple(pairs)
-
-    def test_detections_round_trip(self):
-        dets = [ped("a", 1.25, -2.5, 0.75, ts=123), Detection("b", "vehicle", (0, 0), 1.0, 456)]
-        buf = io.StringIO()
-        write_detections_ndjson(dets, buf)
-        buf.seek(0)
-        assert read_detections_ndjson(buf) == tuple(dets)
-
-    def test_detection_wire_format_fields(self):
-        buf = io.StringIO()
-        write_detections_ndjson([ped("a", 1, 2, 0.5, ts=7)], buf)
-        record = json.loads(buf.getvalue())
-        assert set(record) == {"camera_id", "class", "center", "confidence", "frame_ts_ns"}
-
-    def test_fused_round_trip(self):
-        fused = deduplicate([ped("a", 0, 0, 0.9), ped("b", 1, 0, 0.1)], 2.0)
-        buf = io.StringIO()
-        write_fused_ndjson(fused, buf)
-        buf.seek(0)
-        assert read_fused_ndjson(buf) == fused
-
-    def test_sweep_csv_round_trip(self):
-        truth, detections = occluded_scene(seed=26)
-        rows = threshold_sweep(detections, truth, thresholds=(5.5, 0.0))
-        buf = io.StringIO()
-        write_sweep_csv(rows, buf)
-        buf.seek(0)
-        assert buf.getvalue().splitlines()[0] == "threshold,class,precision,recall"
-        assert read_sweep_csv(buf) == rows
-
-    def test_homography_transform_round_trip(self):
-        rng = np.random.default_rng(27)
-        matrix = random_homography(rng)
-        buf = io.StringIO()
-        write_transform_json(PerspectiveTransform(matrix), buf)
-        assert json.loads(buf.getvalue())["kind"] == "homography"
-        buf.seek(0)
-        loaded = read_transform_json(buf)
-        assert np.allclose(loaded.matrix, matrix)
-
-    def test_unknown_kind_rejected(self):
-        for kind in ("mystery", "learned"):
-            with pytest.raises(UsageError):
-                read_transform_json(io.StringIO(json.dumps({"kind": kind})))

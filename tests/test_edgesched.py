@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import copy
-import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import budget, schedule_cycle_sorted
-from sensorstack import jsonl
 from sensorstack.edgesched import (
     COMPUTE_CLASSES,
     ClassStats,
@@ -684,31 +683,29 @@ class TestSimulation:
         assert result.records[-1]["t_ns"] == NS
 
 
+def log_lines(records) -> list[str]:
+    """A simulator log as JSON text, one record per line."""
+    return [json.dumps(record) for record in records]
+
+
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_logs(self):
-        buffers = []
+        logs = []
         for _ in range(2):
             result = run_simulation(decomposed_pipeline(2 * NS), tiered_topology(), SchedulerConfig(), seed=21)
-            out = io.StringIO()
-            jsonl.write_records(result.records, out)
-            buffers.append(out.getvalue())
-        assert buffers[0] == buffers[1]
+            logs.append(log_lines(result.records))
+        assert logs[0] == logs[1]
 
     def test_different_seeds_differ(self):
         logs = []
         for seed in (1, 2):
             result = run_simulation(decomposed_pipeline(2 * NS), tiered_topology(), SchedulerConfig(), seed=seed)
-            out = io.StringIO()
-            jsonl.write_records(result.records, out)
-            logs.append(out.getvalue())
+            logs.append(log_lines(result.records))
         assert logs[0] != logs[1]
 
     def test_log_round_trips_through_serialization(self):
         result = run_simulation(offload_mix_workload(2 * NS), offload_mix_topology(), SchedulerConfig(), seed=5)
-        out = io.StringIO()
-        jsonl.write_records(result.records, out)
-        out.seek(0)
-        assert jsonl.read_records(out, dict) == result.records
+        assert tuple(json.loads(line) for line in log_lines(result.records)) == result.records
 
 
 class TestMetricsReplay:
@@ -732,10 +729,7 @@ class TestMetricsReplay:
 
     def test_replay_survives_json_round_trip(self):
         live = run_simulation(offload_mix_workload(2 * NS), offload_mix_topology(), SchedulerConfig(), seed=6)
-        out = io.StringIO()
-        jsonl.write_records(live.records, out)
-        out.seek(0)
-        replayed = compute_metrics(jsonl.read_records(out, dict))
+        replayed = compute_metrics([json.loads(line) for line in log_lines(live.records)])
         assert replayed.class_stats == live.metrics.class_stats
         assert replayed.inversion_rate == live.metrics.inversion_rate
 

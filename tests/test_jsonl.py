@@ -1,13 +1,12 @@
-"""The JSON-lines codec and every reader built on it.
+"""The JSON-lines file of `FileLog`: what it writes and what it reads back.
 
-Readers are fed arbitrary text, arbitrary JSON values and arbitrary
+Reopening is fed arbitrary text, arbitrary JSON values and arbitrary
 bytes: whatever the input, the only exceptions that may escape are
 `SensorStackError`s.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -16,16 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorstack import jsonl
 from sensorstack.errors import IntegrityError, SensorStackError
 from sensorstack.services import FileLog
 
 
-def read_file_log(fp):
+def reopened(data: bytes) -> tuple[dict, ...]:
+    """The records of a `FileLog` opened over ``data`` on disk."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "activity.ndjson"
-        path.write_text(fp.read(), encoding="utf-8")
-        FileLog(path).close()
+        path.write_bytes(data)
+        log = FileLog(path)
+        log.close()
+        return log.records()
 
 
 scalars = st.one_of(
@@ -53,24 +54,22 @@ def documents(*fields):
     return st.one_of(st.text(max_size=40), values.map(json.dumps), objects(*fields).map(json.dumps))
 
 
-# reader, and the fields its records carry
-LINE_READERS = {
-    "event_log": (lambda fp: jsonl.read_records(fp, dict), ("t_ns", "event", "task_id")),
-    "file_log": (read_file_log, ("timestamp", "activity_type", "details")),
+# the fields each kind of log record carries
+LINE_FIELDS = {
+    "event_log": ("t_ns", "event", "task_id"),
+    "file_log": ("timestamp", "activity_type", "details"),
 }
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-@pytest.mark.parametrize("name", sorted(LINE_READERS))
+@pytest.mark.parametrize("name", sorted(LINE_FIELDS))
 def test_line_readers_raise_only_package_errors(name):
-    reader, fields = LINE_READERS[name]
-
     @FUZZ
-    @given(st.lists(documents(*fields), max_size=3).map("\n".join))
-    def check(text):
+    @given(st.lists(documents(*LINE_FIELDS[name]), max_size=3))
+    def check(lines):
         try:
-            reader(io.StringIO(text))
+            reopened("".join(line + "\n" for line in lines).encode())
         except SensorStackError:
             pass
 
@@ -80,34 +79,31 @@ def test_line_readers_raise_only_package_errors(name):
 @settings(max_examples=60, deadline=None)
 @given(st.binary(max_size=200))
 def test_file_log_raises_only_package_errors_on_any_bytes(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "activity.ndjson"
-        path.write_bytes(data)
-        try:
-            FileLog(path).close()
-        except SensorStackError:
-            pass
+    try:
+        reopened(data)
+    except SensorStackError:
+        pass
 
 
 @pytest.mark.parametrize("probe", ["{not json", "[1, 2]", '"text"'])
 def test_malformed_event_log_line_names_it(probe):
     with pytest.raises(IntegrityError, match="line 3"):
-        jsonl.read_records(io.StringIO('{"event": "end"}\n\n' + probe + "\n"), dict)
+        reopened(('{"event": "end"}\n\n' + probe + "\n").encode())
 
 
 def test_deeply_nested_line_names_it():
-    # the JSON scanner gives up on deep nesting with a RecursionError
     with pytest.raises(IntegrityError, match="line 2"):
-        jsonl.read_records(io.StringIO('{"a": 1}\n' + "[" * 100_000 + "\n"), dict)
+        reopened(('{"a": 1}\n' + "[" * 100_000 + "\n").encode())
 
 
-def test_writer_layout_is_compact_in_record_order():
-    buf = io.StringIO()
-    jsonl.write_records([{"b": 1, "a": [1.5, None]}, {}], buf)
-    assert buf.getvalue() == '{"b":1,"a":[1.5,null]}\n{}\n'
+def test_writer_layout_is_compact_in_record_order(tmp_path):
+    path = tmp_path / "activity.ndjson"
+    log = FileLog(path)
+    log.append({"b": 1, "a": [1.5, None]})
+    log.append({})
+    log.close()
+    assert path.read_bytes() == b'{"b":1,"a":[1.5,null]}\n{}\n'
 
 
 def test_reader_skips_blank_lines_and_keeps_order():
-    text = '\n{"a": 1}\n   \n{"a": 2}\n\n'
-    assert jsonl.read_records(io.StringIO(text), dict) == ({"a": 1}, {"a": 2})
-
+    assert reopened(b'\n{"a": 1}\n   \n{"a": 2}\n\n') == ({"a": 1}, {"a": 2})

@@ -95,7 +95,7 @@ def fine_tune_event(
             raise UsageError(f"no series provided for stream {stream_id}")
         lo = coarse - config.search_half_width_ns
         hi = coarse + config.search_half_width_ns
-        window = series.magnitude().slice_time(lo, hi)
+        window = series.slice_time(lo, hi)
         if len(window) < 8:
             raise UsageError(f"series for {stream_id} does not cover the search window")
 

@@ -121,8 +121,6 @@ def detect_gesture_video(
     lo, n_rows = lo[keep], (hi - lo)[keep]
     if len(lo) == 0:
         return ()
-    if z_series.values.ndim != 1:
-        raise UsageError("sequences must have matching dimensionality")
 
     scaled, template_scaled = _scaled(z_series.values, template)
     m = len(template_scaled)

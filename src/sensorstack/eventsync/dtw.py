@@ -3,47 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import UsageError
 from ..timebase import NS_PER_SEC
-from .series import TimeSeries
-
-PointMetric = Callable[[np.ndarray, np.ndarray], float]
 
 
 def _as_values(seq) -> np.ndarray:
-    if isinstance(seq, TimeSeries):
-        vals = seq.values
-    else:
+    try:
         vals = np.asarray(seq, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] == 0:
-        raise UsageError("sequence must be a non-empty 1-d or 2-d array")
-    return vals.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"sequence must hold numbers: {exc}") from None
+    if vals.ndim != 1 or len(vals) == 0:
+        raise UsageError("sequence must be a non-empty 1-d array")
+    return vals
 
 
-def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric) -> np.ndarray:
-    if callable(metric):
-        return np.array([[float(metric(a, b)) for b in t] for a in s])
-    if s.ndim == 1:
-        s2 = s[:, None]
-        t2 = t[None, :]
-        if metric == "abs":
-            return np.abs(s2 - t2)
-        if metric == "sqeuclidean":
-            return (s2 - t2) ** 2
-        if metric == "euclidean":
-            return np.abs(s2 - t2)
-    else:
-        diff = s[:, None, :] - t[None, :, :]
-        if metric == "sqeuclidean":
-            return (diff**2).sum(axis=2)
-        if metric == "euclidean":
-            return np.sqrt((diff**2).sum(axis=2))
-        if metric == "abs":
-            return np.abs(diff).sum(axis=2)
+def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric: str) -> np.ndarray:
+    diff = s[:, None] - t[None, :]
+    if metric == "abs":
+        return np.abs(diff)
+    if metric == "sqeuclidean":
+        return diff**2
     raise UsageError(f"unknown point metric {metric!r}")
 
 
@@ -114,35 +97,26 @@ class DtwResult:
     path: tuple[tuple[int, int], ...]
 
 
-def default_metric(values: np.ndarray) -> str:
-    return "abs" if values.ndim == 1 else "euclidean"
-
-
-def _cumulative_table(s, t, point_metric) -> np.ndarray:
+def _cumulative_table(s, t, point_metric: str) -> np.ndarray:
     """Cumulative cost table of one pair of sequences, shape (len(s), len(t))."""
-    sv = _as_values(s)
-    tv = _as_values(t)
-    if (sv.ndim == 2) != (tv.ndim == 2):
-        raise UsageError("sequences must have matching dimensionality")
-    d = _pairwise_cost(sv, tv, point_metric or default_metric(sv))
+    d = _pairwise_cost(_as_values(s), _as_values(t), point_metric)
     table = np.empty((d.shape[0], d.shape[1] + 1, 1))
     table[:, 1:, 0] = d
     return _cumulative(table)[:, :, 0]
 
 
-def dtw_distance(s, t, point_metric=None) -> DtwResult:
-    """Minimum cumulative warp cost and one optimal path.
+def dtw_distance(s, t, point_metric: str = "abs") -> DtwResult:
+    """Minimum cumulative warp cost and one optimal path of two 1-d sequences.
 
     The path starts at (0, 0), ends at (len(s)-1, len(t)-1), and moves
-    by (1,0), (0,1) or (1,1) only. ``point_metric`` is "abs",
-    "euclidean", "sqeuclidean", or a callable on value pairs; scalars
-    default to absolute difference, vectors to euclidean distance.
+    by (1,0), (0,1) or (1,1) only. ``point_metric`` is "abs" (absolute
+    difference) or "sqeuclidean" (squared difference).
     """
     cum = _cumulative_table(s, t, point_metric)
     return DtwResult(cost=float(cum[-1, -1]), path=tuple(_backtrack(cum)))
 
 
-def dtw_cost(s, t, point_metric=None) -> float:
+def dtw_cost(s, t, point_metric: str = "abs") -> float:
     """Cost-only variant; skips path recovery."""
     return float(_cumulative_table(s, t, point_metric)[-1, -1])
 
@@ -173,8 +147,6 @@ def dba(sequences: Sequence, iterations: int) -> DbaResult:
     seqs = [_as_values(s) for s in sequences]
     if not seqs:
         raise UsageError("need at least one sequence")
-    if any(s.ndim != 1 for s in seqs):
-        raise UsageError("barycenter averaging expects scalar sequences")
     if iterations < 1:
         raise UsageError("iterations must be at least 1")
 
@@ -236,18 +208,9 @@ def dba_template(
     sequences: Sequence,
     iterations: int = 10,
     *,
-    sample_rate_hz: float | None = None,
+    sample_rate_hz: float,
     dtw_threshold: float = 0.8,
 ) -> GestureTemplate:
-    """Average aligned gesture instances into a matching template.
-
-    The sample rate is inferred from the first TimeSeries input unless
-    given explicitly.
-    """
-    if sample_rate_hz is None:
-        first = sequences[0] if len(sequences) else None
-        if not isinstance(first, TimeSeries):
-            raise UsageError("sample_rate_hz required when sequences are bare arrays")
-        sample_rate_hz = first.sample_rate_hz()
+    """Average aligned gesture instances, sampled at ``sample_rate_hz``, into a matching template."""
     result = dba(sequences, iterations)
     return GestureTemplate(result.barycenter, sample_rate_hz, dtw_threshold)

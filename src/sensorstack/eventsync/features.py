@@ -22,10 +22,10 @@ def sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int) -> TimeS
     ranges would hide that contrast: they rescale every window to its
     own span, making faint sensor noise look as diverse as real motion.
 
-    Multichannel values are flattened within each window. Every window
-    must span at least three samples at the series' nominal rate, and
-    windows start at the first timestamp and step by ``stride_ns`` while
-    one still begins within a period of the last full window.
+    Every window must span at least three samples at the series'
+    nominal rate, and windows start at the first timestamp and step by
+    ``stride_ns`` while one still begins within a period of the last
+    full window.
 
     Every value is binned once, by ``np.histogram``'s rule (a bin holds
     its lower edge, the last bin also its upper one); a window's counts
@@ -58,14 +58,14 @@ def _sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int, period:
         raise UsageError(_TOO_SHORT)
     lo, hi = lo[keep], hi[keep]
 
-    values = series.values.reshape(len(ts), -1)
+    values = series.values
     edges = np.linspace(values.min(), values.max(), ENTROPY_BINS + 1)
     bins = np.searchsorted(edges[:-1], values, side="right") - 1
-    cells = (np.arange(len(ts))[:, None] * ENTROPY_BINS + bins).ravel()
+    cells = np.arange(len(ts)) * ENTROPY_BINS + bins
     per_sample = np.bincount(cells, minlength=len(ts) * ENTROPY_BINS).reshape(len(ts), ENTROPY_BINS)
     cumulative = np.zeros((len(ts) + 1, ENTROPY_BINS), dtype=np.int64)
     np.cumsum(per_sample, axis=0, out=cumulative[1:])
     counts = cumulative[hi] - cumulative[lo]
-    p = counts / ((hi - lo) * values.shape[1])[:, None]
+    p = counts / (hi - lo)[:, None]
     entropy = -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=1)
     return TimeSeries(starts[keep] + window_ns // 2, entropy)

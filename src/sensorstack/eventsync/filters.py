@@ -35,5 +35,5 @@ def _lowpass(series: TimeSeries, order: int, cutoff_hz: float, sample_rate_hz: f
     b, a = design_lowpass(order, cutoff_hz, sample_rate_hz)
     default_pad = 3 * (max(len(a), len(b)) - 1)
     padlen = min(default_pad, len(series) - 1)
-    filtered = signal.filtfilt(b, a, series.values, axis=0, padlen=padlen)
+    filtered = signal.filtfilt(b, a, series.values, padlen=padlen)
     return TimeSeries(series.timestamps, np.asarray(filtered))

@@ -1,4 +1,9 @@
-"""Uniformly ordered time series with integer-nanosecond timestamps."""
+"""One-channel time series with integer-nanosecond timestamps.
+
+A `TimeSeries` is the scalar activity signal that event sync runs on:
+one value per timestamp. Streams with several channels are
+`timebase.SampleStream`s; callers pick the channel they sync on.
+"""
 
 from __future__ import annotations
 
@@ -24,11 +29,7 @@ def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Timestamps (ns, strictly increasing) with scalar or vector values.
-
-    ``values`` has shape (n,) for a single channel or (n, c) for c
-    channels.
-    """
+    """Timestamps (ns, strictly increasing) with one value each, shape (n,)."""
 
     timestamps: np.ndarray
     values: np.ndarray
@@ -42,10 +43,10 @@ class TimeSeries:
             raise UsageError("series must not be empty")
         if ts.dtype != np.int64:
             ts = _int64_timestamps(ts)
-        if vals.shape[0] != len(ts):
+        if vals.ndim != 1:
+            raise UsageError("values must be one-dimensional")
+        if len(vals) != len(ts):
             raise UsageError("values and timestamps must have equal length")
-        if vals.ndim not in (1, 2):
-            raise UsageError("values must be 1-d or 2-d")
         if np.any(ts[1:] <= ts[:-1]):
             raise UsageError("timestamps must be strictly increasing")
         ts.flags.writeable = False
@@ -75,10 +76,3 @@ class TimeSeries:
         if hi <= lo:
             raise UsageError("time slice contains no samples")
         return replace(self, timestamps=self.timestamps[lo:hi], values=self.values[lo:hi])
-
-    def magnitude(self) -> "TimeSeries":
-        """Per-sample Euclidean norm across channels; identity for 1-d."""
-        if self.values.ndim == 1:
-            return self
-        mag = np.linalg.norm(self.values, axis=1)
-        return TimeSeries(self.timestamps, mag)

@@ -229,8 +229,6 @@ def detect_gesture_per_window(z_series, template, window_ns, stride_ns, stream_i
         if hi - lo < 4:
             continue
         scaled = (z_series.values[lo:hi] - mu) / sd
-        if scaled.ndim != 1:
-            raise UsageError("sequences must have matching dimensionality")
         table = dtw_table_rows(np.abs(scaled[:, None] - template_scaled[None, :]))
         score = float(table[-1, -1]) / len(template_scaled)
         if score < template.dtw_threshold:

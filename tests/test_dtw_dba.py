@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
-from sensorstack.eventsync import TimeSeries, dba, dba_template, dtw_distance
+from sensorstack.eventsync import dba, dtw_distance
 from sensorstack.eventsync.dtw import dtw_cost
 
 
@@ -52,25 +52,23 @@ class TestDtwDistance:
         t = rng.normal(size=55)
         assert dtw_cost(s, t, "abs") == pytest.approx(dtw_distance(s, t, "abs").cost)
 
-    def test_vector_sequences_euclidean(self):
-        s = np.array([[0.0, 0.0], [1.0, 0.0]])
-        t = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert dtw_distance(s, t).cost == 0.0
-
     def test_callable_metric(self):
-        result = dtw_distance([1.0, 2.0], [2.0, 4.0], lambda a, b: (a - b) ** 2)
-        expected = dtw_enumerate([1.0, 2.0], [2.0, 4.0], lambda a, b: (a - b) ** 2)
-        assert result.cost == pytest.approx(expected)
+        # the metric is "abs" or "sqeuclidean"; a callable or any other name is rejected
+        for metric in (lambda a, b: (a - b) ** 2, "euclidean"):
+            for dtw in (dtw_distance, dtw_cost):
+                with pytest.raises(UsageError, match="point metric"):
+                    dtw([1.0, 2.0], [2.0, 4.0], metric)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(UsageError):
             dtw_distance([], [1.0])
 
     def test_mixed_dimensionality_rejected_by_both_variants(self):
-        s, t = np.zeros((4, 2)), np.zeros(4)
-        for dtw in (dtw_distance, dtw_cost):
-            with pytest.raises(UsageError, match="dimensionality"):
-                dtw(s, t)
+        # sequences are one channel: 2-d input is rejected on either side
+        for s, t in ((np.zeros((4, 2)), np.zeros(4)), (np.zeros(4), np.zeros((4, 2))), (np.zeros((4, 2)),) * 2):
+            for dtw in (dtw_distance, dtw_cost):
+                with pytest.raises(UsageError, match="1-d"):
+                    dtw(s, t)
 
     @given(
         s=st.lists(st.floats(-5, 5), min_size=1, max_size=12),
@@ -120,17 +118,6 @@ class TestDba:
         dba_total = sum(dtw_cost(result.barycenter, s, "abs") for s in seqs)
         mean_total = sum(dtw_cost(mean, s, "abs") for s in seqs)
         assert dba_total <= mean_total
-
-    def test_template_wrapper_infers_rate(self):
-        ts = np.arange(20) * 40_000_000
-        series = [TimeSeries(ts, warped_pulse(np.random.default_rng(s), 20)) for s in range(3)]
-        template = dba_template(series, iterations=4)
-        assert template.sample_rate_hz == pytest.approx(25.0)
-        assert template.dtw_threshold == 0.8
-
-    def test_bare_arrays_need_explicit_rate(self):
-        with pytest.raises(UsageError):
-            dba_template([np.ones(4)], iterations=1)
 
 
 def tied_or_random(rng, size, levels):

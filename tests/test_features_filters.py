@@ -131,16 +131,14 @@ def entropy_inputs(draw):
     """A jittered series, often on a coarse value grid so many values sit
     exactly on bin edges, the top edge (the series maximum) included."""
     n = draw(st.integers(4, 120))
-    channels = draw(st.sampled_from([None, 1, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     period = draw(st.sampled_from([7, 1_000, 40_000_000]))
     steps = rng.integers(max(1, period // 2), period * 3 // 2 + 1, n)
     ts = draw(st.integers(-(10**15), 10**15)) + np.cumsum(steps)
-    shape = (n,) if channels is None else (n, channels)
     grid = draw(st.sampled_from([None, 2, 4, 16, 17, 32]))
-    values = rng.normal(size=shape) if grid is None else rng.integers(0, grid + 1, shape) / grid
+    values = rng.normal(size=n) if grid is None else rng.integers(0, grid + 1, n) / grid
     if grid is not None and draw(st.booleans()):
-        values.flat[rng.integers(0, values.size, max(1, values.size // 4))] = values.max()
+        values[rng.integers(0, n, max(1, n // 4))] = values.max()
     series = TimeSeries(ts, values)
     median = series.median_period_ns()
     window = draw(st.integers(3 * median, 40 * median))
@@ -209,10 +207,3 @@ class TestLowpass:
             butterworth_lowpass(series, order=4, cutoff_hz=50.0)
         with pytest.raises(ConfigError):
             design_lowpass(order=0, cutoff_hz=5.0, sample_rate_hz=100.0)
-
-    def test_multichannel_filtered_per_column(self):
-        ts = np.arange(300, dtype=np.int64) * 10_000_000
-        values = np.column_stack([np.full(300, 1.0), np.full(300, -2.0)])
-        out = butterworth_lowpass(TimeSeries(ts, values), order=2, cutoff_hz=3.0)
-        assert np.allclose(out.values[:, 0], 1.0, atol=1e-9)
-        assert np.allclose(out.values[:, 1], -2.0, atol=1e-9)

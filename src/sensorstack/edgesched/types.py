@@ -29,7 +29,6 @@ class Task:
     entry_time_ns: int
     service_demand_ns: int
     stage: str = ""
-    deadline_ns: int | None = None
 
     def __post_init__(self):
         if self.compute_class not in COMPUTE_CLASSES:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -185,17 +186,20 @@ class GestureTemplate:
     dtw_threshold: float = 0.8
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"template values must be numbers: {exc}") from None
         if vals.ndim != 1 or len(vals) < 2:
             raise UsageError("template needs at least two scalar values")
         if not np.all(np.isfinite(vals)):
             raise UsageError("template values must be finite")
         if float(vals.std()) == 0.0:
             raise UsageError("template values must not be constant")
-        if not self.sample_rate_hz > 0:
-            raise UsageError("template sample rate must be positive")
-        if not self.dtw_threshold > 0:
-            raise UsageError("dtw threshold must be positive")
+        if not (isinstance(self.sample_rate_hz, Real) and self.sample_rate_hz > 0):
+            raise UsageError("template sample rate must be a positive number")
+        if not (isinstance(self.dtw_threshold, Real) and self.dtw_threshold > 0):
+            raise UsageError("dtw threshold must be a positive number")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

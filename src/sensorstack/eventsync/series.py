@@ -35,8 +35,12 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps)
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            ts = np.asarray(self.timestamps)
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            # ragged nesting, or values that are not numbers
+            raise UsageError(f"timestamps and values must be arrays of numbers: {exc}") from None
         if ts.ndim != 1:
             raise UsageError("timestamps must be one-dimensional")
         if len(ts) == 0:

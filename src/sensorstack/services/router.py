@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import re
 import threading
+from collections.abc import Callable, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import (
@@ -71,10 +71,19 @@ class ServiceRouter:
         body = body or {}
         if not isinstance(body, Mapping):
             return 400, {"error": "request body must be a JSON object"}
-        headers = {k.lower(): v for k, v in (headers or {}).items()}
+        headers = headers or {}
         query = query or {}
+        if not (isinstance(headers, Mapping) and isinstance(query, Mapping)):
+            return 400, {"error": "request headers and query must map names to values"}
+        auth = ""
+        for name, value in headers.items():
+            if not isinstance(name, str):
+                return 400, {"error": "request header names must be text"}
+            if name.lower() == "authorization":
+                auth = value
+        if not isinstance(auth, str):
+            return 401, {"error": "authorization header must be text"}
         token = ""
-        auth = headers.get("authorization", "")
         if auth.startswith("Bearer "):
             token = auth[len("Bearer "):]
         try:

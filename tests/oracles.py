@@ -6,11 +6,15 @@ agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
 `correct_timestamp`, `suppress_overlaps`, `effective_urgency`,
-`prf_scores`). The
-per-window detector and the per-epoch alignment loop are the
-straightforward versions the batched production code replaced, the
-event-matching loop is the one `coarse_align` carried before it called
-the shared greedy matcher, the sorted dispatcher walk is the scheduler
+`prf_scores`). `suppress_overlaps`, like `normalized_dtw_score` and
+`butterworth_lowpass` that the tests call, stays public in the
+package only as such a definition (``UNREACHED_BY_DESIGN`` in
+test_exports.py). The sync oracles take one-channel series, as
+`TimeSeries` holds. The per-window detector and the per-epoch
+alignment loop are the straightforward versions the batched
+production code replaced, the event-matching loop is the one
+`coarse_align` carried before it called the shared greedy matcher,
+the sorted dispatcher walk is the scheduler
 cycle before per-group queues, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
-from sensorstack.eventsync import dba, dtw_distance
+from sensorstack.eventsync import GestureTemplate, TimeSeries, dba, dtw_distance
 from sensorstack.eventsync.dtw import dtw_cost
 
 
@@ -81,6 +81,24 @@ class TestDtwDistance:
         assert fwd.cost == pytest.approx(rev.cost, abs=1e-9)
         assert valid_warp_path(fwd.path, len(s), len(t))
         assert fwd.cost >= 0.0
+
+
+BAD_SERIES_AND_TEMPLATES = {
+    "series-text-values": lambda: TimeSeries([0, 1], ["a", "b"]),
+    "series-ragged-values": lambda: TimeSeries([0, 1], [[1.0], [2.0, 3.0]]),
+    "series-ragged-timestamps": lambda: TimeSeries([[0], [1, 2]], [1.0, 2.0]),
+    "series-scalar-values": lambda: TimeSeries([0], 5),
+    "series-two-channels": lambda: TimeSeries([0, 1], [[1.0, 2.0], [3.0, 4.0]]),
+    "template-text-values": lambda: GestureTemplate(["a", "b"], 25.0),
+    "template-text-rate": lambda: GestureTemplate([0.0, 1.0], "25"),
+    "template-text-threshold": lambda: GestureTemplate([0.0, 1.0], 25.0, "0.8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERIES_AND_TEMPLATES))
+def test_bad_values_raise_usage_error(case):
+    with pytest.raises(UsageError):
+        BAD_SERIES_AND_TEMPLATES[case]()
 
 
 def warped_pulse(rng, length=60):

@@ -1388,3 +1388,22 @@ class TestRouterFuzz:
         status, payload = ServiceRouter(services).handle(method, path, body, headers, query)
         assert isinstance(status, int)
         assert isinstance(payload, dict)
+
+    @pytest.mark.parametrize(
+        "headers, query",
+        [
+            ([("Authorization", "Bearer token")], {}),
+            ({1: "Bearer token"}, {}),
+            ({"Authorization": 5}, {}),
+            ({"Authorization": None}, {}),
+            ({}, ["device_id", "start_ns", "end_ns"]),
+            ({}, "device_id=camera-001"),
+        ],
+        ids=["headers-not-a-mapping", "header-name-not-text", "authorization-number", "authorization-null",
+             "query-list", "query-text"],
+    )
+    def test_malformed_headers_and_query_get_an_error_response(self, headers, query):
+        services, _ = make_services()
+        status, payload = ServiceRouter(services).handle("GET", "/capture", None, headers, query)
+        assert status in (400, 401)
+        assert isinstance(payload["error"], str)

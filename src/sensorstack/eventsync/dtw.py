@@ -52,7 +52,10 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     """
     table[:, 0] = np.inf
     cost = table[:, 1:]
-    np.cumsum(cost, axis=1, out=cost)
+    # whole-slice adds along the middle axis: one np.cumsum(axis=1) runs
+    # as a short strided accumulate per (row, batch) pair, same bits
+    for k in range(1, cost.shape[1]):
+        np.add(cost[:, k - 1], cost[:, k], out=cost[:, k])
     step = np.empty_like(table[0, 1:])
     # column j's running minimum starts from the row's sum before j;
     # column 0 has none, so its entry keeps min(M[0], inf) unchanged

@@ -4,11 +4,12 @@
     PYTHONPATH=src python -m pytest bench --benchmark-disable  # one call each
 
 The store is fixed: 8 devices, each with three 24 s sessions of 25 Hz
-samples (1,800 per device, 14,400 in all) with +-2 ms of timestamp
+wire samples (1,800 per device, 14,400 in all) with +-2 ms of timestamp
 jitter, ingested in batches of 500 in time order, as an intersection
-testbed's capture is. The queries are 400 windows of 6 s, each on a
-random device and starting anywhere from 1 s before one of its
-sessions to 1 s past its last full window.
+testbed's capture is: in process through ``capture_ingest``, and as
+``POST /capture`` requests through ``ServiceRouter``. The queries are
+400 windows of 6 s, each on a random device and starting anywhere from
+1 s before one of its sessions to 1 s past its last full window.
 """
 
 import bisect
@@ -16,8 +17,7 @@ import bisect
 import numpy as np
 import pytest
 
-from sensorstack.services import CoreServices
-from sensorstack.timebase import SensorSample
+from sensorstack.services import CoreServices, ServiceRouter
 
 NS = 1_000_000_000
 PERIOD_NS = 40_000_000
@@ -46,7 +46,7 @@ def registration(device_id: str) -> dict:
 
 @pytest.fixture(scope="module")
 def captures():
-    """Per device: its local timestamps and its samples, in time order."""
+    """Per device: its local timestamps and its wire samples, in time order."""
     rng = np.random.default_rng(2024)
     n = SESSION_NS // PERIOD_NS
     out = {}
@@ -57,7 +57,10 @@ def captures():
             + rng.integers(-2_000_000, 2_000_000, n)
             for k in range(SESSIONS)
         ]) + int(rng.uniform(-2, 2) * NS)
-        samples = [SensorSample(device_id, "camera_series", int(t), (float(v),)) for t, v in zip(local, rng.normal(size=len(local)))]
+        samples = [
+            {"device_id": device_id, "modality": "camera_series", "local_ts": int(t), "payload": [float(v)]}
+            for t, v in zip(local, rng.normal(size=len(local)))
+        ]
         out[device_id] = ([int(t) for t in local], samples)
     return out
 
@@ -90,14 +93,35 @@ def ingest_all(services, tokens, captures):
     return services
 
 
+def post_all(services, tokens, captures):
+    router = ServiceRouter(services)
+    for device_id, (_, samples) in captures.items():
+        headers = {"Authorization": f"Bearer {tokens[device_id]}"}
+        for i in range(0, len(samples), BATCH):
+            status, _ = router.handle("POST", "/capture", {"samples": samples[i:i + BATCH]}, headers)
+            assert status == 201
+    return services
+
+
+def stored_in_time_order(services, captures):
+    app = services.issue_token("app", ("app",), 3600.0).token
+    for device_id, (local, _) in captures.items():
+        hits = services.query_captures(device_id, -(2**63), 2**63, app)
+        assert [r["corrected_ts"] for r in hits] == local
+
+
 def test_capture_ingest(benchmark, captures):
     services = benchmark.pedantic(
         ingest_all, setup=lambda: (registered_services() + (captures,), {}), rounds=5
     )
-    app = services.issue_token("app", ("app",), 3600.0).token
-    for device_id, (local, _) in captures.items():
-        hits = services.query_captures(device_id, -(2**63), 2**63, app)
-        assert [r.corrected_ts for r in hits] == local
+    stored_in_time_order(services, captures)
+
+
+def test_capture_post(benchmark, captures):
+    services = benchmark.pedantic(
+        post_all, setup=lambda: (registered_services() + (captures,), {}), rounds=5
+    )
+    stored_in_time_order(services, captures)
 
 
 def test_query_captures(benchmark, captures, windows):
@@ -111,5 +135,5 @@ def test_query_captures(benchmark, captures, windows):
     for (device_id, start, end), hits in zip(windows, results):
         local = captures[device_id][0]
         assert len(hits) == bisect.bisect_left(local, end) - bisect.bisect_left(local, start)
-        assert all(start <= r.corrected_ts < end for r in hits)
+        assert all(start <= r["corrected_ts"] < end for r in hits)
     assert sum(len(hits) for hits in results) > 50_000

@@ -3,7 +3,9 @@
 Devices register with attribute records and receive scoped bearer
 tokens; configuration changes are versioned as self-contained snapshots
 with byte-exact rollback; actions run strictly in order per device with
-automatic rollback on faults; captured samples are tagged and queryable.
+automatic rollback on faults; captured wire samples are checked once,
+stored as plain rows tagged with capture id, corrected time and device
+location, and read back by time window.
 Every state change lands in an append-only activity log that alone
 reconstructs the state.
 """
@@ -20,7 +22,6 @@ from .types import (
     AccessMethods,
     ActionCommand,
     ActivityLogEntry,
-    CaptureRecord,
     DeviceRecord,
     Location,
     VersionSnapshot,
@@ -38,7 +39,6 @@ __all__ = [
     "AccessToken",
     "ActionCommand",
     "ActivityLogEntry",
-    "CaptureRecord",
     "CoreServices",
     "DeviceRecord",
     "FileLog",

@@ -4,6 +4,10 @@ Every state-changing operation appends exactly one activity entry, and
 the entry carries enough detail that replaying the log from empty
 rebuilds the control-plane state. ``replay_log`` is that second,
 independent accounting route; tests hold it equal to the live state.
+
+The capture store takes wire samples as ``POST /capture`` carries them,
+checks each once, and keeps it as one plain row; a query builds the
+``GET /capture`` rows from those. No object is made per sample.
 """
 
 from __future__ import annotations
@@ -13,18 +17,18 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import replace
-from operator import attrgetter
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError
-from ..timebase import ClockModel, SensorSample, correct_timestamp
+from ..timebase import MODALITIES, ClockModel, _nanoseconds, correct_timestamp
 from .store import MemoryLog
 from .tokens import AccessToken, issue_token, require_role, validate_token
 from .types import (
     DEVICE_STATUSES,
     ActionCommand,
     ActivityLogEntry,
-    CaptureRecord,
     DeviceRecord,
     VersionSnapshot,
     canonical_json,
@@ -41,8 +45,10 @@ RETRY_BASE_DELAY_S = 0.1
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+# a stored capture row, one tuple per sample:
+# (corrected_ts, capture_id, local_ts, modality, payload, location);
 # the order of a device's capture store and of every query result
-_capture_key = attrgetter("corrected_ts", "capture_id")
+_capture_key = itemgetter(0, 1)
 
 
 def _random_ids(n: int) -> list[str]:
@@ -57,6 +63,42 @@ def _random_ids(n: int) -> list[str]:
     ]
 
 
+def _parse_samples(samples: Iterable[Mapping]) -> tuple[set, list, list, list]:
+    """The device ids, modalities, local timestamps and payloads of a wire batch.
+
+    Each sample is checked once. A batch that is not iterable, a sample
+    that is not a mapping or lacks ``device_id``, ``modality`` or
+    ``local_ts``, an unknown modality, a device id that is not a
+    non-empty string, a ``local_ts`` that is not an integer, or a
+    payload that does not convert to floats is a UsageError.
+    """
+    devices: set[str] = set()
+    modalities: list[str] = []
+    local: list[int] = []
+    payloads: list[tuple[float, ...]] = []
+    try:
+        for sample in samples:
+            if type(sample) is not dict and not isinstance(sample, Mapping):
+                raise UsageError(f"capture sample must be an object, not {type(sample).__name__}")
+            device_id, modality, local_ts = sample["device_id"], sample["modality"], sample["local_ts"]
+            if not isinstance(device_id, str) or not device_id:
+                raise UsageError("capture sample device_id must be a non-empty string")
+            if modality not in MODALITIES:
+                raise UsageError(f"unknown modality {modality!r}")
+            if type(local_ts) is not int:
+                local_ts = _nanoseconds(local_ts, "capture sample local_ts")
+            devices.add(device_id)
+            modalities.append(modality)
+            local.append(local_ts)
+            payloads.append(tuple(map(float, sample.get("payload", ()))))
+    except KeyError as exc:
+        raise UsageError(f"capture sample lacks field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a batch that is not a list, or a payload that is not numbers
+        raise UsageError(f"malformed capture sample: {exc}") from exc
+    return devices, modalities, local, payloads
+
+
 class CoreServices:
     """The control plane: registration, versions, actions, capture.
 
@@ -66,9 +108,10 @@ class CoreServices:
     identifiers are used; without one, identifiers are random version-4
     UUIDs drawn a batch at a time.
 
-    Each device's captures are kept sorted by ``(corrected_ts,
-    capture_id)`` beside a list of their ``corrected_ts`` values, so a
-    windowed query is two bisections and a slice.
+    Each device's captures are rows ``(corrected_ts, capture_id,
+    local_ts, modality, payload, location)``, kept sorted by their
+    first two fields beside a list of their ``corrected_ts`` values, so
+    a windowed query is two bisections and a slice.
     """
 
     def __init__(
@@ -94,7 +137,7 @@ class CoreServices:
         self._versions: dict[str, VersionSnapshot] = {}
         self._actions: dict[str, ActionCommand] = {}
         self._pending: dict[str, list[str]] = {}
-        self._captures: dict[str, list[CaptureRecord]] = {}
+        self._captures: dict[str, list[tuple]] = {}
         self._capture_keys: dict[str, list[int]] = {}
 
     def _new_ids(self, n: int) -> list[str]:
@@ -329,9 +372,17 @@ class CoreServices:
     def capture_ingest(
         self,
         device_token: str,
-        samples: Iterable[SensorSample],
+        samples: Iterable[Mapping],
         clock_model: ClockModel | None = None,
-    ) -> tuple[CaptureRecord, ...]:
+    ) -> tuple[str, ...]:
+        """Store a batch of wire samples; returns their capture ids in input order.
+
+        Each sample is a mapping as in a ``POST /capture`` body:
+        ``device_id``, ``modality``, ``local_ts`` and an optional
+        ``payload``. The batch's shape is checked before the token, so
+        a malformed batch is a UsageError whatever token comes with it.
+        """
+        devices, modalities, local, payloads = _parse_samples(samples)
         claims = self.validate(device_token)
         device_id = claims["subject"]
         record = self._devices.get(device_id)
@@ -340,13 +391,9 @@ class CoreServices:
 
         # the whole batch is checked before any id is drawn or anything
         # stored, so a rejected batch leaves no trace
-        samples = tuple(samples)
-        for sample in samples:
-            if sample.device_id != device_id:
-                raise AuthError(
-                    f"sample for {sample.device_id!r} submitted with token for {device_id!r}"
-                )
-        local = [sample.local_ts for sample in samples]
+        stray = devices - {device_id}
+        if stray:
+            raise AuthError(f"sample for {min(stray)!r} submitted with token for {device_id!r}")
         corrected = (
             [correct_timestamp(ts, clock_model) for ts in local]
             if clock_model is not None
@@ -357,45 +404,40 @@ class CoreServices:
                 raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
 
         location = (record.location.latitude, record.location.longitude)
-        stored = [
-            CaptureRecord(
-                capture_id=capture_id,
-                device_id=device_id,
-                modality=sample.modality,
-                local_ts=sample.local_ts,
-                corrected_ts=corrected_ts,
-                payload=tuple(sample.payload),
-                location=location,
-            )
-            for sample, corrected_ts, capture_id in zip(samples, corrected, self._new_ids(len(samples)))
-        ]
-        self._store_captures(device_id, stored)
+        capture_ids = self._new_ids(len(local))
+        self._store_captures(
+            device_id, list(zip(corrected, capture_ids, local, modalities, payloads, repeat(location)))
+        )
         stamp = format_timestamp(self._clock())
         self._record(stamp, "data_access", {
             "device_id": device_id,
             "op": "ingest",
-            "count": len(stored),
+            "count": len(capture_ids),
         })
-        return tuple(stored)
+        return tuple(capture_ids)
 
-    def _store_captures(self, device_id: str, batch: list[CaptureRecord]):
+    def _store_captures(self, device_id: str, batch: list[tuple]):
         """Add ``batch`` to the device's store, keeping it sorted."""
-        batch = sorted(batch, key=_capture_key)
-        records = self._captures.setdefault(device_id, [])
+        batch.sort(key=_capture_key)
+        rows = self._captures.setdefault(device_id, [])
         keys = self._capture_keys.setdefault(device_id, [])
-        if batch and records and _capture_key(batch[0]) < _capture_key(records[-1]):
+        if batch and rows and _capture_key(batch[0]) < _capture_key(rows[-1]):
             # two sorted runs: the stable sort merges them in linear time
-            records.extend(batch)
-            records.sort(key=_capture_key)
-            keys[:] = [r.corrected_ts for r in records]
+            rows.extend(batch)
+            rows.sort(key=_capture_key)
+            keys[:] = [row[0] for row in rows]
         else:
-            records.extend(batch)
-            keys.extend(r.corrected_ts for r in batch)
+            rows.extend(batch)
+            keys.extend(row[0] for row in batch)
 
-    def query_captures(
-        self, device_id: str, start_ns: int, end_ns: int, token: str
-    ) -> tuple[CaptureRecord, ...]:
-        """Samples for one device in [start_ns, end_ns), time-sorted."""
+    def query_captures(self, device_id: str, start_ns: int, end_ns: int, token: str) -> list[dict]:
+        """``GET /capture`` rows for one device in [start_ns, end_ns), time-sorted.
+
+        The rows are built afresh on every call and share nothing with
+        the store.
+        """
+        start_ns = _nanoseconds(start_ns, "start_ns")
+        end_ns = _nanoseconds(end_ns, "end_ns")
         claims = self.validate(token)
         if "admin" not in claims.get("roles", []) and "app" not in claims.get("roles", []):
             if claims["subject"] != device_id:
@@ -409,7 +451,18 @@ class CoreServices:
             "op": "query",
             "count": len(hits),
         })
-        return tuple(hits)
+        return [
+            {
+                "capture_id": capture_id,
+                "device_id": device_id,
+                "modality": modality,
+                "local_ts": local_ts,
+                "corrected_ts": corrected_ts,
+                "payload": list(payload),
+                "location": list(location),
+            }
+            for corrected_ts, capture_id, local_ts, modality, payload, location in hits
+        ]
 
     # -- state for replay equality ------------------------------------
 

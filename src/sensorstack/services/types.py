@@ -250,26 +250,3 @@ class ActionCommand:
             raise UsageError(f"illegal action transition {self.state} -> {new_state}")
         self.state = new_state
 
-
-@dataclass(frozen=True)
-class CaptureRecord:
-    """One ingested sample with the metadata stamped at capture time."""
-
-    capture_id: str
-    device_id: str
-    modality: str
-    local_ts: int
-    corrected_ts: int
-    payload: tuple[float, ...]
-    location: tuple[float, float]
-
-    def to_record(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "device_id": self.device_id,
-            "modality": self.modality,
-            "local_ts": self.local_ts,
-            "corrected_ts": self.corrected_ts,
-            "payload": list(self.payload),
-            "location": list(self.location),
-        }

@@ -28,28 +28,37 @@ is the filter before its internal constructor, and the scan-and-sort
 capture query is the capture store before it was kept sorted, and
 ``dba_rows`` restates `dba` over the one-table row kernel
 (``dtw_table_rows``); all are kept here as references.
+``CaptureRouterOracle`` is ``POST``/``GET /capture`` as they were before
+the store kept plain rows: the router builds a ``SensorSample`` per wire
+sample, ingest stamps a frozen ``CaptureRecord`` per sample into a
+sorted store, and a query answers ``CaptureRecord.to_record`` per hit;
+every other route is ``ServiceRouter``'s own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 from hypothesis import settings
 
 from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
-from sensorstack.errors import DomainError, FitError, TopologyError, UsageError
+from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, TopologyError, UsageError, ValidationError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
+from sensorstack.services import ServiceRouter, format_timestamp
 from sensorstack.timebase import (
     MAX_DRIFT_RATE,
     NS_PER_SEC,
     AlignedFrame,
     ClockModel,
     SampleStream,
+    SensorSample,
     buffer_size,
     correct_timestamp,
 )
@@ -630,7 +639,129 @@ def kalman_update_checked(model, observation, noise):
 
 
 def query_captures_scan(ingested, start_ns, end_ns):
-    """A device's captures in [start_ns, end_ns): scan every record ingested, in ingest order, then sort."""
-    hits = [r for r in ingested if start_ns <= r.corrected_ts < end_ns]
-    hits.sort(key=lambda r: (r.corrected_ts, r.capture_id))
-    return tuple(hits)
+    """A device's ``GET /capture`` rows in [start_ns, end_ns): scan every row ingested, in ingest order, then sort."""
+    hits = [r for r in ingested if start_ns <= r["corrected_ts"] < end_ns]
+    hits.sort(key=lambda r: (r["corrected_ts"], r["capture_id"]))
+    return hits
+
+
+@dataclass(frozen=True)
+class CaptureRecord:
+    """One ingested sample with the metadata stamped at capture time."""
+
+    capture_id: str
+    device_id: str
+    modality: str
+    local_ts: int
+    corrected_ts: int
+    payload: tuple[float, ...]
+    location: tuple[float, float]
+
+    def to_record(self) -> dict:
+        return {
+            "capture_id": self.capture_id,
+            "device_id": self.device_id,
+            "modality": self.modality,
+            "local_ts": self.local_ts,
+            "corrected_ts": self.corrected_ts,
+            "payload": list(self.payload),
+            "location": list(self.location),
+        }
+
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+_capture_key = attrgetter("corrected_ts", "capture_id")
+
+
+def _query_int(value, name):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"field {name!r} must be an integer") from exc
+
+
+class CaptureRouterOracle(ServiceRouter):
+    """``ServiceRouter`` with the capture routes of one validated object per stage.
+
+    It keeps its own capture store and writes the same activity entries
+    through the services it wraps, drawing ids and time from them.
+    """
+
+    def __init__(self, services):
+        super().__init__(services)
+        self._captures: dict[str, list[CaptureRecord]] = {}
+        self._capture_keys: dict[str, list[int]] = {}
+
+    def _dispatch(self, method, path, body, token, query):
+        if path == "/capture" and method == "POST":
+            try:
+                samples = [
+                    SensorSample(
+                        device_id=s["device_id"],
+                        modality=s.get("modality", ""),
+                        local_ts=s["local_ts"],
+                        payload=tuple(s.get("payload", ())),
+                    )
+                    for s in body.get("samples", [])
+                ]
+            except (TypeError, ValueError, OverflowError, UsageError) as exc:
+                raise UsageError(f"malformed capture sample: {exc}") from exc
+            stored = self._ingest(token, samples)
+            return 201, {"stored": len(stored), "capture_ids": [r.capture_id for r in stored]}
+        if path == "/capture" and method == "GET":
+            hits = self._query(
+                query["device_id"],
+                _query_int(query["start_ns"], "start_ns"),
+                _query_int(query["end_ns"], "end_ns"),
+                token,
+            )
+            return 200, {"samples": [r.to_record() for r in hits]}
+        return super()._dispatch(method, path, body, token, query)
+
+    def _log(self, details):
+        self._services._record(format_timestamp(self._services.now_s()), "data_access", details)
+
+    def _ingest(self, device_token, samples):
+        services = self._services
+        device_id = services.validate(device_token)["subject"]
+        try:
+            record = services.device_record(device_id)
+        except NotFoundError:
+            raise AuthError(f"token subject {device_id!r} is not a registered device") from None
+        for sample in samples:
+            if sample.device_id != device_id:
+                raise AuthError(f"sample for {sample.device_id!r} submitted with token for {device_id!r}")
+        # the router passes no clock model: corrected_ts is local_ts
+        local = [sample.local_ts for sample in samples]
+        if local and not (_INT64_MIN <= min(local) and max(local) <= _INT64_MAX):
+            raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
+        location = (record.location.latitude, record.location.longitude)
+        stored = [
+            CaptureRecord(capture_id, device_id, s.modality, s.local_ts, s.local_ts, tuple(s.payload), location)
+            for s, capture_id in zip(samples, services._new_ids(len(samples)))
+        ]
+        batch = sorted(stored, key=_capture_key)
+        records = self._captures.setdefault(device_id, [])
+        keys = self._capture_keys.setdefault(device_id, [])
+        if batch and records and _capture_key(batch[0]) < _capture_key(records[-1]):
+            records.extend(batch)
+            records.sort(key=_capture_key)
+            keys[:] = [r.corrected_ts for r in records]
+        else:
+            records.extend(batch)
+            keys.extend(r.corrected_ts for r in batch)
+        self._log({"device_id": device_id, "op": "ingest", "count": len(stored)})
+        return tuple(stored)
+
+    def _query(self, device_id, start_ns, end_ns, token):
+        services = self._services
+        claims = services.validate(token)
+        if "admin" not in claims.get("roles", []) and "app" not in claims.get("roles", []):
+            if claims["subject"] != device_id:
+                raise AuthError("capture queries need the app or admin role")
+        services.device_record(device_id)
+        keys = self._capture_keys.get(device_id, [])
+        hits = self._captures.get(device_id, [])[bisect_left(keys, start_ns):bisect_left(keys, end_ns)]
+        self._log({"device_id": device_id, "op": "query", "count": len(hits)})
+        return tuple(hits)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget, query_captures_scan
+from oracles import CaptureRouterOracle, budget, query_captures_scan
 from sensorstack.errors import (
     AuthError,
     ConflictError,
@@ -44,7 +45,7 @@ from sensorstack.services import (
     serve,
     validate_token,
 )
-from sensorstack.timebase import ClockModel, SensorSample, correct_timestamp
+from sensorstack.timebase import MODALITIES, ClockModel, correct_timestamp
 
 KEY = b"unit-test-key"
 
@@ -621,37 +622,53 @@ class TestActions:
             assert states[2] in ("committed", "rolled_back")
 
 
-class TestCapture:
-    def samples(self, device_id, count=100, modality="camera_series"):
-        return [
-            SensorSample(device_id, modality, t_ns, (float(t_ns % 7),))
-            for t_ns in range(count)
-        ]
+def wire_samples(device_id, count=100, modality="camera_series"):
+    """``count`` wire samples for ``POST /capture``, local_ts 0..count-1."""
+    return [
+        {"device_id": device_id, "modality": modality, "local_ts": t_ns, "payload": [float(t_ns % 7)]}
+        for t_ns in range(count)
+    ]
 
+
+def response_row(sample, capture_id, corrected_ts, location=(40.0, -70.0)):
+    """The ``GET /capture`` row a stored wire sample should come back as."""
+    return {
+        "capture_id": capture_id,
+        "device_id": sample["device_id"],
+        "modality": sample["modality"],
+        "local_ts": sample["local_ts"],
+        "corrected_ts": corrected_ts,
+        "payload": [float(v) for v in sample.get("payload", ())],
+        "location": list(location),
+    }
+
+
+class TestCapture:
     def test_range_query_is_half_open_and_sorted(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        shuffled = self.samples("camera-001")
+        shuffled = wire_samples("camera-001")
         random.Random(3).shuffle(shuffled)
         services.capture_ingest(token.token, shuffled)
         hits = services.query_captures("camera-001", 10, 20, admin)
-        assert [h.corrected_ts for h in hits] == list(range(10, 20))
+        assert [h["corrected_ts"] for h in hits] == list(range(10, 20))
 
     def test_full_query_matches_sort_oracle(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        shuffled = self.samples("camera-001", count=50)
+        shuffled = wire_samples("camera-001", count=50)
         random.Random(11).shuffle(shuffled)
-        stored = services.capture_ingest(token.token, shuffled)
+        ids = services.capture_ingest(token.token, shuffled)
         hits = services.query_captures("camera-001", 0, 10**9, admin)
-        oracle = sorted(stored, key=lambda r: (r.corrected_ts, r.capture_id))
-        assert list(hits) == oracle
+        rows = [response_row(s, i, s["local_ts"]) for s, i in zip(shuffled, ids)]
+        assert hits == sorted(rows, key=lambda r: (r["corrected_ts"], r["capture_id"]))
+        assert [list(h) for h in hits] == [list(rows[0])] * 50
 
     def test_location_stamped_from_registry(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        stored = services.capture_ingest(token.token, self.samples("camera-001", 1))
-        assert stored[0].location == (40.0, -70.0)
+        services.capture_ingest(token.token, wire_samples("camera-001", 1))
+        assert services.query_captures("camera-001", 0, 1, admin)[0]["location"] == [40.0, -70.0]
 
     def test_clock_model_correction_applied(self):
         services, admin = make_services()
@@ -659,29 +676,30 @@ class TestCapture:
         model = ClockModel(
             offset=0.005, drift_rate=1e-6, last_sync=0, covariance=np.eye(2)
         )
-        sample = SensorSample("camera-001", "imu", 2_000_000_000, (1.0,))
-        stored = services.capture_ingest(token.token, [sample], clock_model=model)
-        assert stored[0].corrected_ts == correct_timestamp(2_000_000_000, model)
-        assert stored[0].local_ts == 2_000_000_000
+        sample = {"device_id": "camera-001", "modality": "imu", "local_ts": 2_000_000_000, "payload": [1.0]}
+        services.capture_ingest(token.token, [sample], clock_model=model)
+        (row,) = services.query_captures("camera-001", 0, 2**63, admin)
+        assert row["corrected_ts"] == correct_timestamp(2_000_000_000, model)
+        assert row["local_ts"] == 2_000_000_000
 
     def test_sample_device_must_match_token_subject(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
         services.register_device(camera_payload("camera-002"), admin)
         with pytest.raises(AuthError):
-            services.capture_ingest(token.token, self.samples("camera-002", 1))
+            services.capture_ingest(token.token, wire_samples("camera-002", 1))
 
     def test_unregistered_subject_cannot_ingest(self):
         services, admin = make_services()
         ghost = services.issue_token("ghost-9", ("device",), 3600.0).token
         with pytest.raises(AuthError):
-            services.capture_ingest(ghost, self.samples("ghost-9", 1))
+            services.capture_ingest(ghost, wire_samples("ghost-9", 1))
 
     def test_query_permissions(self):
         services, admin = make_services()
         cam_a = services.register_device(camera_payload("camera-a"), admin)
         cam_b = services.register_device(camera_payload("camera-b"), admin)
-        services.capture_ingest(cam_a.token, self.samples("camera-a", 5))
+        services.capture_ingest(cam_a.token, wire_samples("camera-a", 5))
         app = services.issue_token("ops", ("app",), 3600.0).token
 
         assert len(services.query_captures("camera-a", 0, 10, cam_a.token)) == 5
@@ -693,7 +711,7 @@ class TestCapture:
     def test_ingest_writes_one_access_entry(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        services.capture_ingest(token.token, self.samples("camera-001"))
+        services.capture_ingest(token.token, wire_samples("camera-001"))
         access = [r for r in services.log_records() if r["activity_type"] == "data_access"]
         assert len(access) == 1
         assert access[0]["details"] == {"device_id": "camera-001", "op": "ingest", "count": 100}
@@ -701,18 +719,65 @@ class TestCapture:
     def test_ingest_takes_any_iterable(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        stored = services.capture_ingest(token.token, (s for s in self.samples("camera-001", 5)))
-        assert [r.local_ts for r in stored] == list(range(5))
-        assert len(services.query_captures("camera-001", 0, 10, admin)) == 5
+        ids = services.capture_ingest(token.token, (s for s in wire_samples("camera-001", 5)))
+        assert len(ids) == 5
+        hits = services.query_captures("camera-001", 0, 10, admin)
+        assert [(h["capture_id"], h["local_ts"]) for h in hits] == list(zip(ids, range(5)))
 
     def test_query_logs_access(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
-        services.capture_ingest(token.token, self.samples("camera-001", 5))
+        services.capture_ingest(token.token, wire_samples("camera-001", 5))
         services.query_captures("camera-001", 0, 3, admin)
         last = services.log_records()[-1]
         assert last["activity_type"] == "data_access"
         assert last["details"] == {"device_id": "camera-001", "op": "query", "count": 3}
+
+    @pytest.mark.parametrize("bound", ["a", None, 1.5, True, False, 10.0, "5"])
+    @pytest.mark.parametrize("which", ["start_ns", "end_ns"])
+    def test_query_bounds_must_be_integers(self, which, bound):
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin)
+        services.capture_ingest(token.token, wire_samples("camera-001", 5))
+        bounds = {"start_ns": 0, "end_ns": 10, which: bound}
+        with pytest.raises(UsageError, match=which):
+            services.query_captures("camera-001", bounds["start_ns"], bounds["end_ns"], admin)
+        numpy_bounds = services.query_captures("camera-001", np.int64(1), np.uint8(3), admin)
+        assert [h["local_ts"] for h in numpy_bounds] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            None,
+            5,
+            [None],
+            [wire_samples("camera-001", 1)[0], "camera-001"],
+            [{"modality": "imu", "local_ts": 1, "payload": [0.5]}],
+            [{"device_id": "camera-001", "modality": "imu", "payload": [0.5]}],
+            [{"device_id": "camera-001", "local_ts": 1, "payload": [0.5]}],
+            [{"device_id": "", "modality": "imu", "local_ts": 1}],
+            [{"device_id": 7, "modality": "imu", "local_ts": 1}],
+            [{"device_id": "camera-001", "modality": "imu", "local_ts": 1, "payload": None}],
+            [{"device_id": "camera-001", "modality": "imu", "local_ts": 1, "payload": [10**400]}],
+            # indexes by field name like a sample, but is no mapping
+            np.array([("camera-001", "imu", 1)], dtype=[("device_id", "U10"), ("modality", "U6"), ("local_ts", "i8")]),
+        ],
+        ids=["null", "number", "null-sample", "text-sample", "no-device-id", "no-local-ts", "no-modality",
+             "empty-device-id", "numeric-device-id", "null-payload", "payload-overflows-float", "structured-record"],
+    )
+    def test_malformed_batch_is_a_usage_error(self, batch):
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin).token
+        before = len(services.log_records())
+        with pytest.raises(UsageError):
+            services.capture_ingest(token, batch)
+        assert len(services.log_records()) == before
+        status, body = ServiceRouter(services).handle(
+            "POST", "/capture", {"samples": batch}, {"Authorization": f"Bearer {token}"}
+        )
+        assert status == 400
+        assert isinstance(body["error"], str)
+        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == []
 
 
 CAPTURE_DEVICES = ("camera-a", "camera-b")
@@ -737,7 +802,7 @@ CAPTURE_OPS = st.lists(
 
 
 class TestCaptureStore:
-    """The sorted store answers every window as a scan and sort of all ingested records would."""
+    """The sorted store answers every window as a scan and sort of all ingested rows would."""
 
     @settings(max_examples=budget(200), deadline=None)
     @given(
@@ -750,16 +815,26 @@ class TestCaptureStore:
         # ids from a small pool: ties on corrected_ts are broken by ids
         # that arrive out of order, and sometimes by equal ids
         rng = random.Random(id_seed)
-        services, admin = make_services(id_factory=lambda: f"id-{rng.randrange(64):02d}")
+        drawn = []
+
+        def ids():
+            drawn.append(f"id-{rng.randrange(64):02d}")
+            return drawn[-1]
+
+        services, admin = make_services(id_factory=ids)
         tokens = {d: services.register_device(camera_payload(d), admin).token for d in CAPTURE_DEVICES}
         model = ClockModel(offset_ns * 1e-9, drift, 0, np.zeros((2, 2)))
         ingested = {d: [] for d in CAPTURE_DEVICES}
         for op, device_id, a, b in ops:
             if op == "ingest":
-                samples = [SensorSample(device_id, "imu", t, (float(i),)) for i, t in enumerate(a)]
-                stored = services.capture_ingest(tokens[device_id], samples, clock_model=model if b else None)
-                assert [r.local_ts for r in stored] == a
-                ingested[device_id].extend(stored)
+                samples = [{"device_id": device_id, "modality": "imu", "local_ts": t, "payload": [float(i)]} for i, t in enumerate(a)]
+                capture_ids = services.capture_ingest(tokens[device_id], samples, clock_model=model if b else None)
+                # one id per sample, drawn and returned in input order
+                assert capture_ids == tuple(drawn[len(drawn) - len(a):])
+                ingested[device_id].extend(
+                    response_row(s, i, correct_timestamp(s["local_ts"], model) if b else s["local_ts"])
+                    for s, i in zip(samples, capture_ids)
+                )
             else:
                 got = services.query_captures(device_id, a, b, admin)
                 assert got == query_captures_scan(ingested[device_id], a, b)
@@ -789,15 +864,18 @@ class TestCaptureStore:
         assert status == 200
         assert again == original
         assert len(again["samples"]) == 4
+        # nor do the posted samples: changing them after the POST changes nothing stored
+        for sample in samples:
+            sample["payload"][0] = 7.0
+            sample["local_ts"] = 99
+        status, again = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
+        assert again == original
 
     def test_default_ids_are_unique_version_4_uuids(self):
         services = CoreServices(KEY, clock=ticking_clock())
         admin = services.issue_token("root", ("admin",), 86_400.0).token
         token = services.register_device(camera_payload(), admin).token
-        stored = services.capture_ingest(
-            token, [SensorSample("camera-001", "imu", t, (0.0,)) for t in range(10_000)]
-        )
-        ids = [r.capture_id for r in stored]
+        ids = services.capture_ingest(token, wire_samples("camera-001", 10_000))
         assert len(set(ids)) == 10_000
         for capture_id in ids:
             parsed = uuid.UUID(capture_id)
@@ -818,13 +896,14 @@ class TestCaptureStore:
         token = services.register_device(camera_payload(), admin).token
         assert calls == ["cap-000"]  # the registration's version id
         local = [30, 10, 20, 10, 0]
-        stored = services.capture_ingest(
-            token, [SensorSample("camera-001", "imu", t, (float(t),)) for t in local]
+        capture_ids = services.capture_ingest(
+            token, [{"device_id": "camera-001", "modality": "imu", "local_ts": t, "payload": [float(t)]} for t in local]
         )
         assert calls == [f"cap-{i:03d}" for i in range(6)]
-        assert [(r.capture_id, r.local_ts) for r in stored] == list(zip(calls[1:], local))
+        assert capture_ids == tuple(calls[1:])
         hits = services.query_captures("camera-001", 0, 100, admin)
-        assert [r.capture_id for r in hits] == ["cap-005", "cap-002", "cap-004", "cap-003", "cap-001"]
+        assert [r["capture_id"] for r in hits] == ["cap-005", "cap-002", "cap-004", "cap-003", "cap-001"]
+        assert {r["capture_id"]: r["local_ts"] for r in hits} == dict(zip(calls[1:], local))
 
     def test_rejected_batch_stores_nothing_and_draws_no_ids(self):
         calls = []
@@ -833,23 +912,28 @@ class TestCaptureStore:
             calls.append(f"cap-{len(calls):03d}")
             return calls[-1]
 
+        def sample(device_id, local_ts):
+            return {"device_id": device_id, "modality": "imu", "local_ts": local_ts, "payload": [0.0]}
+
         services, admin = make_services(id_factory=ids)
         token = services.register_device(camera_payload(), admin).token
         services.register_device(camera_payload("camera-002"), admin)
         before = (len(calls), len(services.log_records()))
-        good = [SensorSample("camera-001", "imu", t, (0.0,)) for t in (5, 6)]
+        good = [sample("camera-001", t) for t in (5, 6)]
         with pytest.raises(AuthError):
-            services.capture_ingest(token, good + [SensorSample("camera-002", "imu", 7, (0.0,))])
+            services.capture_ingest(token, good + [sample("camera-002", 7)])
         with pytest.raises(ValidationError):
-            services.capture_ingest(token, good + [SensorSample("camera-001", "imu", 2**63, (0.0,))])
+            services.capture_ingest(token, good + [sample("camera-001", 2**63)])
         late = ClockModel(0.0, 0.0, 6, np.zeros((2, 2)))
         with pytest.raises(DomainError):
             services.capture_ingest(token, good, clock_model=late)
         ahead = ClockModel(1.0, 0.0, 0, np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            services.capture_ingest(token, [SensorSample("camera-001", "imu", 2**63 - 10, (0.0,))], clock_model=ahead)
+            services.capture_ingest(token, [sample("camera-001", 2**63 - 10)], clock_model=ahead)
+        with pytest.raises(UsageError):
+            services.capture_ingest(token, good + [sample("camera-001", 7.0)])
         assert (len(calls), len(services.log_records())) == before
-        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == ()
+        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == []
 
 
 def drive_random_ops(services, admin, seed, steps=40):
@@ -900,7 +984,7 @@ def drive_random_ops(services, admin, seed, steps=40):
                 versions[target].append(services.state()["current_version"][target])
         elif op == "capture":
             samples = [
-                SensorSample(device_id, "imu", rng.randrange(10**6), (rng.random(),))
+                {"device_id": device_id, "modality": "imu", "local_ts": rng.randrange(10**6), "payload": [rng.random()]}
                 for _ in range(3)
             ]
             services.capture_ingest(tokens[device_id], samples)
@@ -1212,7 +1296,7 @@ class TestRouter:
             status, body = router.handle("POST", "/capture", bad, self.auth(device))
             assert status == 400, bad
         # a rejected batch stores nothing, its good samples included
-        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == ()
+        assert services.query_captures("camera-001", -(2**63), 2**63, admin) == []
         edges = [dict(sample, local_ts=t) for t in (-(2**63), 2**63 - 1)]
         status, body = router.handle("POST", "/capture", {"samples": edges}, self.auth(device))
         assert (status, body["stored"]) == (201, 2)
@@ -1370,6 +1454,110 @@ def requests(draw):
         draw(st.dictionaries(st.text(max_size=12), st.text(max_size=12), max_size=3)),
         draw(st.just(query) | st.dictionaries(st.text(max_size=6), st.text(max_size=12), max_size=3)),
     )
+
+
+# every bad field value that test_non_integer_capture_fields_are_bad_requests sends, and more
+BAD_LOCAL_TS = ("soon", 1.9, 1.0, True, False, "12", None, 2**70, 2**63, -(2**63) - 1, math.inf, [1])
+BAD_PAYLOADS = (["x"], 5, None, [None], [[1.0]], [10**400], {"a": 1.0})
+BAD_MODALITIES = ("", "video", None, 5, ["imu"])
+NOT_SAMPLES = ([1, 2], "camera-a", None, 5, True)
+NOT_BATCHES = (None, 5, "camera-a", {"device_id": "camera-a"}, {}, True, 1.5)
+EDGE_TS = (-(2**63), 2**63 - 1)
+BAD_BOUNDS = ("1.5e3", "x", "", str(-(2**63)), str(2**70))
+SAMPLE_FAULTS = ("none",) * 6 + ("local_ts", "payload", "modality", "device", "drop", "not_mapping")
+TOKEN_KINDS = ("own",) * 8 + ("other", "admin", "app", "ghost", "garbage")
+
+
+@st.composite
+def capture_requests(draw):
+    """One ``POST /capture`` or windowed ``GET /capture``: (method, body, query, device, token kind)."""
+    device_id = draw(st.sampled_from(CAPTURE_DEVICES * 3 + ("camera-z",)))
+    token = draw(st.sampled_from(TOKEN_KINDS))
+    if draw(st.booleans()):
+        start = draw(st.integers(-5, 30))
+        bounds = [
+            str(value) if draw(st.integers(0, 7)) else draw(st.sampled_from(BAD_BOUNDS))
+            for value in (start, start + draw(st.integers(-2, 35)))
+        ]
+        query = {"device_id": device_id, "start_ns": bounds[0], "end_ns": bounds[1]}
+        return "GET", None, query, device_id, token
+    if draw(st.integers(0, 9)) == 0:
+        return "POST", draw(st.sampled_from(({"samples": draw(st.sampled_from(NOT_BATCHES))}, {}))), None, device_id, token
+    # one batch in four is drawn with faults, in about half its samples
+    faulty = draw(st.integers(0, 3)) == 0
+    batch = []
+    for _ in range(draw(st.integers(0, 8))):
+        sample = {
+            "device_id": device_id,
+            "modality": draw(st.sampled_from(MODALITIES)),
+            "local_ts": draw(st.integers(0, 30)) if draw(st.integers(0, 7)) else draw(st.sampled_from(EDGE_TS)),
+            "payload": draw(st.lists(st.floats(allow_nan=False) | st.integers(-3, 3) | st.booleans(), max_size=3)),
+        }
+        fault = draw(st.sampled_from(SAMPLE_FAULTS)) if faulty else "none"
+        if fault == "local_ts":
+            sample["local_ts"] = draw(st.sampled_from(BAD_LOCAL_TS))
+        elif fault == "payload":
+            sample["payload"] = draw(st.sampled_from(BAD_PAYLOADS))
+        elif fault == "modality":
+            sample["modality"] = draw(st.sampled_from(BAD_MODALITIES))
+        elif fault == "device":
+            sample["device_id"] = draw(st.sampled_from(CAPTURE_DEVICES + ("camera-z", "", 7, None)))
+        elif fault == "drop":
+            del sample[draw(st.sampled_from(sorted(sample)))]
+        elif fault == "not_mapping":
+            sample = draw(st.sampled_from(NOT_SAMPLES))
+        batch.append(sample)
+    return "POST", {"samples": batch}, None, device_id, token
+
+
+class TestCaptureRoutesMatchOracle:
+    """``POST``/``GET /capture`` answer as the one-object-per-sample path in ``oracles`` does."""
+
+    @staticmethod
+    def side(router_type, id_seed):
+        rng = random.Random(id_seed)
+        # ids from a small pool, so that ids repeat and ties need them
+        services, admin = make_services(id_factory=lambda: f"id-{rng.randrange(16):02d}")
+        router = router_type(services)
+        tokens = {"admin": admin, "app": services.issue_token("ops", ("app",), 3600.0).token}
+        tokens["ghost"] = services.issue_token("camera-z", ("device",), 3600.0).token
+        for device_id in CAPTURE_DEVICES:
+            tokens[device_id] = services.register_device(camera_payload(device_id), admin).token
+        return router, services, tokens
+
+    @settings(max_examples=budget(200), deadline=None)
+    @given(st.lists(capture_requests(), min_size=1, max_size=16), st.integers(0, 2**16))
+    def test_same_answers_as_oracle(self, requests, id_seed):
+        router, services, tokens = self.side(ServiceRouter, id_seed)
+        oracle, oracle_services, oracle_tokens = self.side(CaptureRouterOracle, id_seed)
+        assert tokens == oracle_tokens
+        for method, body, query, device_id, kind in requests:
+            other = CAPTURE_DEVICES[device_id == CAPTURE_DEVICES[0]]
+            token = {"own": tokens.get(device_id, "nobody"), "other": tokens[other], "garbage": "x.y"}.get(kind) or tokens[kind]
+            headers = {"Authorization": f"Bearer {token}"}
+            # each side gets its own copy: neither may see what the other did to a body
+            got = router.handle(method, "/capture", copy.deepcopy(body), headers, query)
+            want = oracle.handle(method, "/capture", copy.deepcopy(body), headers, query)
+            assert got[0] == want[0], (method, body, query, kind, got, want)
+            if 200 <= want[0] < 300:
+                assert got[1] == want[1]
+            else:
+                assert isinstance(got[1]["error"], str)
+        assert services.log_records() == oracle_services.log_records()
+
+    def test_malformed_batch_with_bad_token_is_a_bad_request(self):
+        router, services, tokens = self.side(ServiceRouter, 0)
+        oracle, *_ = self.side(CaptureRouterOracle, 0)
+        good = wire_samples("camera-a", 1)[0]
+        for batch in ([dict(good, local_ts=1.5)], [None], 5, [{"modality": "imu", "local_ts": 1}]):
+            for token in ("x.y", tokens["camera-b"], tokens["ghost"]):
+                for side in (router, oracle):
+                    status, body = side.handle("POST", "/capture", {"samples": batch}, {"Authorization": f"Bearer {token}"})
+                    assert (status, isinstance(body["error"], str)) == (400, True)
+        # a well-formed batch with those tokens is refused for the token
+        for token in ("x.y", tokens["camera-b"], tokens["ghost"]):
+            status, _ = router.handle("POST", "/capture", {"samples": [good]}, {"Authorization": f"Bearer {token}"})
+            assert status == 401
 
 
 class TestRouterFuzz:

@@ -4,10 +4,9 @@ Devices register with attribute records and receive scoped bearer
 tokens; configuration changes are versioned as self-contained snapshots
 with byte-exact rollback; actions run strictly in order per device with
 automatic rollback on faults; captured wire samples are checked once,
-stored as plain rows tagged with capture id, corrected time and device
-location, and read back by time window.
-Every state change lands in an append-only activity log that alone
-reconstructs the state.
+stored as plain tagged rows and read back by time window. Every state
+change lands in an append-only activity log that alone reconstructs
+the state.
 """
 
 from .registry import CoreServices, replay_log

@@ -4,10 +4,6 @@ Every state-changing operation appends exactly one activity entry, and
 the entry carries enough detail that replaying the log from empty
 rebuilds the control-plane state. ``replay_log`` is that second,
 independent accounting route; tests hold it equal to the live state.
-
-The capture store takes wire samples as ``POST /capture`` carries them,
-checks each once, and keeps it as one plain row; a query builds the
-``GET /capture`` rows from those. No object is made per sample.
 """
 
 from __future__ import annotations
@@ -64,18 +60,13 @@ def _random_ids(n: int) -> list[str]:
 
 
 def _parse_samples(samples: Iterable[Mapping]) -> tuple[set, list, list, list]:
-    """The device ids, modalities, local timestamps and payloads of a wire batch.
+    """The device ids, modalities, local timestamps and payloads of a wire batch, each checked once.
 
-    Each sample is checked once. A batch that is not iterable, a sample
-    that is not a mapping or lacks ``device_id``, ``modality`` or
-    ``local_ts``, an unknown modality, a device id that is not a
-    non-empty string, a ``local_ts`` that is not an integer, or a
-    payload that does not convert to floats is a UsageError.
+    A UsageError for a batch that is not iterable, a sample that is not a mapping or lacks
+    ``device_id``, ``modality`` or ``local_ts``, an unknown modality, an empty or non-text
+    device id, a ``local_ts`` that is not an integer, or a payload that is not numbers.
     """
-    devices: set[str] = set()
-    modalities: list[str] = []
-    local: list[int] = []
-    payloads: list[tuple[float, ...]] = []
+    devices, modalities, local, payloads = set(), [], [], []
     try:
         for sample in samples:
             if type(sample) is not dict and not isinstance(sample, Mapping):
@@ -375,16 +366,13 @@ class CoreServices:
         samples: Iterable[Mapping],
         clock_model: ClockModel | None = None,
     ) -> tuple[str, ...]:
-        """Store a batch of wire samples; returns their capture ids in input order.
+        """Store wire samples as in a ``POST /capture`` body; their capture ids in input order.
 
-        Each sample is a mapping as in a ``POST /capture`` body:
-        ``device_id``, ``modality``, ``local_ts`` and an optional
-        ``payload``. The batch's shape is checked before the token, so
-        a malformed batch is a UsageError whatever token comes with it.
+        The samples are checked before the token, so a malformed batch is
+        a UsageError whatever token comes with it.
         """
         devices, modalities, local, payloads = _parse_samples(samples)
-        claims = self.validate(device_token)
-        device_id = claims["subject"]
+        device_id = self.validate(device_token)["subject"]
         record = self._devices.get(device_id)
         if record is None:
             raise AuthError(f"token subject {device_id!r} is not a registered device")
@@ -394,31 +382,16 @@ class CoreServices:
         stray = devices - {device_id}
         if stray:
             raise AuthError(f"sample for {min(stray)!r} submitted with token for {device_id!r}")
-        corrected = (
-            [correct_timestamp(ts, clock_model) for ts in local]
-            if clock_model is not None
-            else local
-        )
+        corrected = local if clock_model is None else [correct_timestamp(ts, clock_model) for ts in local]
         for column in (local, corrected):
             if column and not (_INT64_MIN <= min(column) and max(column) <= _INT64_MAX):
                 raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
 
         location = (record.location.latitude, record.location.longitude)
         capture_ids = self._new_ids(len(local))
-        self._store_captures(
-            device_id, list(zip(corrected, capture_ids, local, modalities, payloads, repeat(location)))
+        batch = sorted(
+            zip(corrected, capture_ids, local, modalities, payloads, repeat(location)), key=_capture_key
         )
-        stamp = format_timestamp(self._clock())
-        self._record(stamp, "data_access", {
-            "device_id": device_id,
-            "op": "ingest",
-            "count": len(capture_ids),
-        })
-        return tuple(capture_ids)
-
-    def _store_captures(self, device_id: str, batch: list[tuple]):
-        """Add ``batch`` to the device's store, keeping it sorted."""
-        batch.sort(key=_capture_key)
         rows = self._captures.setdefault(device_id, [])
         keys = self._capture_keys.setdefault(device_id, [])
         if batch and rows and _capture_key(batch[0]) < _capture_key(rows[-1]):
@@ -429,13 +402,16 @@ class CoreServices:
         else:
             rows.extend(batch)
             keys.extend(row[0] for row in batch)
+        stamp = format_timestamp(self._clock())
+        self._record(stamp, "data_access", {
+            "device_id": device_id,
+            "op": "ingest",
+            "count": len(capture_ids),
+        })
+        return tuple(capture_ids)
 
     def query_captures(self, device_id: str, start_ns: int, end_ns: int, token: str) -> list[dict]:
-        """``GET /capture`` rows for one device in [start_ns, end_ns), time-sorted.
-
-        The rows are built afresh on every call and share nothing with
-        the store.
-        """
+        """``GET /capture`` rows for one device in [start_ns, end_ns), time-sorted, built afresh."""
         start_ns = _nanoseconds(start_ns, "start_ns")
         end_ns = _nanoseconds(end_ns, "end_ns")
         claims = self.validate(token)

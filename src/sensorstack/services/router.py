@@ -3,9 +3,8 @@
 The router speaks (method, path, body, headers) tuples so callers can
 use it in process; ``serve`` wraps the same router in a real HTTP
 server for external clients. Bodies are JSON and errors map onto the
-usual status codes. The capture routes pass wire samples to the
-control plane and its response rows back as they are; the control
-plane checks them.
+usual status codes. Capture samples and rows pass through unchanged;
+the control plane checks them.
 """
 
 from __future__ import annotations

@@ -622,10 +622,10 @@ class TestActions:
             assert states[2] in ("committed", "rolled_back")
 
 
-def wire_samples(device_id, count=100, modality="camera_series"):
+def wire_samples(device_id, count=100):
     """``count`` wire samples for ``POST /capture``, local_ts 0..count-1."""
     return [
-        {"device_id": device_id, "modality": modality, "local_ts": t_ns, "payload": [float(t_ns % 7)]}
+        {"device_id": device_id, "modality": "camera_series", "local_ts": t_ns, "payload": [float(t_ns % 7)]}
         for t_ns in range(count)
     ]
 
@@ -638,7 +638,7 @@ def response_row(sample, capture_id, corrected_ts, location=(40.0, -70.0)):
         "modality": sample["modality"],
         "local_ts": sample["local_ts"],
         "corrected_ts": corrected_ts,
-        "payload": [float(v) for v in sample.get("payload", ())],
+        "payload": [float(v) for v in sample["payload"]],
         "location": list(location),
     }
 

@@ -1532,8 +1532,12 @@ class TestCaptureRoutesMatchOracle:
         oracle, oracle_services, oracle_tokens = self.side(CaptureRouterOracle, id_seed)
         assert tokens == oracle_tokens
         for method, body, query, device_id, kind in requests:
-            other = CAPTURE_DEVICES[device_id == CAPTURE_DEVICES[0]]
-            token = {"own": tokens.get(device_id, "nobody"), "other": tokens[other], "garbage": "x.y"}.get(kind) or tokens[kind]
+            if kind == "own":
+                token = tokens.get(device_id, "x.y")  # camera-z is not registered
+            elif kind == "other":
+                token = tokens["camera-b" if device_id == "camera-a" else "camera-a"]
+            else:
+                token = tokens.get(kind, "x.y")
             headers = {"Authorization": f"Bearer {token}"}
             # each side gets its own copy: neither may see what the other did to a body
             got = router.handle(method, "/capture", copy.deepcopy(body), headers, query)

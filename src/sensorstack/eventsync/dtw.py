@@ -31,11 +31,6 @@ def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric: str) -> np.ndarray:
     raise UsageError(f"unknown point metric {metric!r}")
 
 
-# from this many tables per batch _cumulative sums rows by whole-slice adds, the
-# same bits as np.cumsum's short accumulate per (row, batch) but faster there
-_SLICE_ADD_BATCH = 32
-
-
 def _cumulative(table: np.ndarray) -> np.ndarray:
     """Cumulative DTW cost with steps (1,0), (0,1), (1,1), in place, for a batch of tables.
 
@@ -57,11 +52,7 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     """
     table[:, 0] = np.inf
     cost = table[:, 1:]
-    if table.shape[2] < _SLICE_ADD_BATCH:
-        np.cumsum(cost, axis=1, out=cost)
-    else:
-        for k in range(1, cost.shape[1]):
-            np.add(cost[:, k - 1], cost[:, k], out=cost[:, k])
+    np.cumsum(cost, axis=1, out=cost)
     step = np.empty_like(table[0, 1:])
     # column j's running minimum starts from the row's sum before j;
     # column 0 has none, so its entry keeps min(M[0], inf) unchanged

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import GestureTemplate, TimeSeries, dba, dtw_distance
-from sensorstack.eventsync import dtw as dtw_module
 from sensorstack.eventsync.dtw import dtw_cost
 
 
@@ -166,24 +165,6 @@ class TestKernelMatchesRowOracle:
         assert got.cost == float(table[-1, -1])
         assert list(got.path) == dtw_backtrack(table)
         assert dtw_cost(s, t, metric) == float(table[-1, -1])
-
-    @settings(max_examples=budget(40), deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 9),
-        m=st.integers(1, 9),
-        batch=st.sampled_from([1, 2, dtw_module._SLICE_ADD_BATCH - 1, dtw_module._SLICE_ADD_BATCH, 70]),
-        levels=st.sampled_from([0, 1, 4]),
-    )
-    def test_batch_of_tables_at_any_width(self, seed, n, m, batch, levels):
-        # narrow and wide batches take different row sums; both give the row oracle's bits
-        rng = np.random.default_rng(seed)
-        costs = np.stack([np.abs(tied_or_random(rng, n * m, levels)).reshape(n, m) for _ in range(batch)], axis=-1)
-        table = np.empty((n, m + 1, batch))
-        table[:, 1:] = costs
-        got = dtw_module._cumulative(table)
-        for b in range(batch):
-            assert np.array_equal(got[:, :, b], dtw_table_rows(costs[:, :, b]))
 
     @settings(max_examples=budget(40), deadline=None)
     @given(

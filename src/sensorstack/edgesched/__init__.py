@@ -10,12 +10,7 @@ event log.
 from .cycle import Dispatch, TaskQueue, schedule_cycle
 from .metrics import compute_metrics, conservation_check
 from .priority import effective_urgency
-from .routing import (
-    MonitorSnapshot,
-    NodeSnapshot,
-    RouteDecision,
-    monitor_snapshot,
-)
+from .routing import MonitorSnapshot, NodeSnapshot, monitor_snapshot
 from .sim import SimResult, StageSpec, WorkloadSpec, run_simulation
 from .types import (
     COMPUTE_CLASSES,
@@ -38,7 +33,6 @@ __all__ = [
     "NodeSnapshot",
     "NodeSpec",
     "NodeState",
-    "RouteDecision",
     "SchedulerConfig",
     "SimMetrics",
     "SimResult",

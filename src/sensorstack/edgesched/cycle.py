@@ -7,29 +7,23 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..errors import UsageError
+from ..errors import TopologyError, UsageError
 from .priority import effective_urgency
 from .routing import UtilizationIndex, route
-from .types import NodeState, SchedulerConfig, Task
+from .types import Batch, NodeState, SchedulerConfig, Task
 
 
 @dataclass(frozen=True)
 class Dispatch:
+    """A placed task; ``opened`` is the batch it opened on a computation unit."""
+
     task: Task
     node_id: str
     p_eff: float
     redirected: bool
-
-
-def _default_accepts(node: NodeState, task: Task) -> bool:
-    return node.busy_slots < node.capacity
-
-
-def _default_occupy(node: NodeState, task: Task):
-    node.busy_slots += 1
-    node.in_flight += 1
+    opened: Batch | None
 
 
 def _arrival(task: Task) -> tuple[int, str]:
@@ -77,27 +71,25 @@ def schedule_cycle(
     nodes: Sequence[NodeState],
     now_ns: int,
     config: SchedulerConfig,
-    accepts: Callable[[NodeState, Task], bool] = _default_accepts,
-    occupy: Callable[[NodeState, Task], None] = _default_occupy,
 ) -> list[Dispatch]:
     """Dispatch the most urgent queued tasks onto willing nodes.
 
     Tasks are taken in urgency order at ``now_ns``, equal urgencies in
     arrival order ``(entry_time_ns, task_id)``, and each is placed on the
-    node the routing rule picks, provided that node still accepts work.
-    Placed tasks leave the queue; occupancy is updated through
-    ``occupy`` between placements so later routing sees the load added
-    earlier in the same cycle. Callers with richer node semantics (such
-    as batch buffers) substitute their own ``accepts``/``occupy``.
+    node the routing rule picks, provided that node still accepts work
+    (``NodeState.accepts``). Placed tasks leave the queue; each placement
+    occupies its node at once, so later routing sees the load added
+    earlier in the same cycle. A batch opened on a computation unit is
+    due to close ``config.batch_window_ns`` from now; the caller closes
+    it with ``NodeState.close_batch``.
 
-    Contract on ``accepts``/``occupy``: ``occupy`` only adds load to the
-    node it is given, and once ``accepts`` refuses a task it refuses
-    every later task of the same ``(initial_priority, compute_class,
-    stage)`` in the cycle. A task's node depends only on its compute
-    class and node occupancy, and occupancy only grows, so the default
-    callables and the simulator's both keep it. A refusal therefore ends
-    that group's turn, and the group is not routed again until the next
-    cycle.
+    A task's node depends only on its compute class and node occupancy,
+    occupancy only grows within a cycle, and a node that refused a task
+    refuses every later one of the same ``(initial_priority,
+    compute_class, stage)``. So when routing finds no node or the node
+    refuses, that group's turn ends and its tasks wait for the next
+    cycle. Every error is raised before anything is taken, leaving the
+    queue and the nodes unchanged.
 
     Cost: O(N + G + D log(N + G)) for N nodes, G non-empty groups and D
     tasks placed, whatever the queue's length.
@@ -108,32 +100,37 @@ def schedule_cycle(
         raise UsageError("the task queue was built for another scheduler config")
     if now_ns < queue._latest_entry_ns:
         raise UsageError("now precedes the task's entry time")
+    groups = queue._groups
+    classes = {compute_class for _, compute_class, _ in groups}
+    mediums = UtilizationIndex(nodes, "medium")
+    units = UtilizationIndex(nodes, "computation_unit")
+    if "heavy" in classes and units.least() is None:
+        raise TopologyError("no computation unit available for a heavy task")
+    if "light" in classes and mediums.least() is None:
+        raise TopologyError("no medium node available for a light task")
 
     def head(group: deque[Task]):
         """The group's next task and its full sort key."""
         task = group[0]
         return (effective_urgency(task, now_ns, config), task.entry_time_ns, task.task_id), task
 
-    groups = queue._groups
     heads = []
     for rank, (group_key, group) in enumerate(groups.items()):
         sort_key, task = head(group)
         heads.append((sort_key, rank, group_key, task))
     heapq.heapify(heads)
 
-    by_id = {n.node_id: n for n in nodes}
-    mediums = UtilizationIndex(nodes, "medium")
-    units = UtilizationIndex(nodes, "computation_unit")
+    close_t_ns = now_ns + config.batch_window_ns
     dispatches: list[Dispatch] = []
     while heads:
         sort_key, rank, group_key, task = heads[0]
-        decision = route(task, mediums.least(), units.least())
-        node = by_id[decision.node_id]
-        if not accepts(node, task):
+        placed = route(task, mediums.least(), units.least())
+        if placed is None or not placed[0].accepts(task):
             heapq.heappop(heads)
             continue
-        occupy(node, task)
-        dispatches.append(Dispatch(task, node.node_id, sort_key[0], decision.redirected))
+        node, redirected = placed
+        opened = node.occupy(task, close_t_ns)
+        dispatches.append(Dispatch(task, node.node_id, sort_key[0], redirected, opened))
         group = groups[group_key]
         group.popleft()
         if group:

@@ -24,12 +24,22 @@ def compute_metrics(records: Sequence[dict]) -> SimMetrics:
     The log must be complete: it ends with an "end" record, every task
     arrives once, every dispatch refers to a logged arrival, and every
     completion refers to a logged dispatch. Anything else means the log
-    was truncated or reordered and raises an integrity error.
+    was truncated or reordered and raises an integrity error, as do an
+    end at time 0 and a record that lacks a field the replay reads.
     """
     records = list(records)
+    try:
+        return _replay(records)
+    except KeyError as missing:
+        raise IntegrityError(f"a log record lacks the field {missing}") from None
+
+
+def _replay(records: list[dict]) -> SimMetrics:
     if not records or records[-1]["event"] != "end":
         raise IntegrityError("event log is truncated: no end record")
     duration_ns = records[-1]["t_ns"]
+    if duration_ns <= 0:
+        raise IntegrityError("the end record must come after time 0")
 
     p_initial: dict[str, float] = {}
     entry: dict[str, int] = {}
@@ -118,16 +128,14 @@ def conservation_check(records: Sequence[dict]) -> dict[str, int]:
     Returns arrivals, completions, in-flight, and still-queued counts;
     the caller can assert arrived == completed + in_flight + queued.
     """
-    arrived: set[str] = set()
-    dispatched: set[str] = set()
-    completed: set[str] = set()
-    for record in records:
-        if record["event"] == "arrival":
-            arrived.add(record["task_id"])
-        elif record["event"] == "dispatch":
-            dispatched.add(record["task_id"])
-        elif record["event"] == "complete":
-            completed.add(record["task_id"])
+    lifecycle: dict[str, set[str]] = {"arrival": set(), "dispatch": set(), "complete": set()}
+    try:
+        for record in records:
+            if record["event"] in lifecycle:
+                lifecycle[record["event"]].add(record["task_id"])
+    except KeyError as missing:
+        raise IntegrityError(f"a log record lacks the field {missing}") from None
+    arrived, dispatched, completed = lifecycle.values()
     if not dispatched <= arrived or not completed <= dispatched:
         raise IntegrityError("log references tasks outside their lifecycle")
     return {

@@ -6,14 +6,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import TopologyError
 from .types import NodeState, Task
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    node_id: str
-    redirected: bool
 
 
 class UtilizationIndex:
@@ -41,7 +34,7 @@ class UtilizationIndex:
         return None
 
 
-def route(task: Task, least_medium: NodeState | None, least_unit: NodeState | None) -> RouteDecision:
+def route(task: Task, least_medium: NodeState | None, least_unit: NodeState | None) -> tuple[NodeState, bool] | None:
     """Pick a node by compute class, spilling over under load.
 
     Light tasks prefer the least-utilized medium node; if even that one
@@ -49,19 +42,17 @@ def route(task: Task, least_medium: NodeState | None, least_unit: NodeState | No
     computation unit. Heavy tasks always go to the least-utilized
     computation unit. ``least_medium`` and ``least_unit`` are the
     least-``(utilization, node_id)`` node of each kind, or None when the
-    topology has none.
+    topology has none; the task's own kind must exist. Returns the node
+    and whether the task was redirected, or None when every medium node
+    is overloaded and there is no unit to redirect to.
     """
     if task.compute_class == "heavy":
-        if least_unit is None:
-            raise TopologyError("no computation unit available for a heavy task")
-        return RouteDecision(least_unit.node_id, redirected=False)
-    if least_medium is None:
-        raise TopologyError("no medium node available for a light task")
-    if least_medium.utilization > least_medium.spec.overload_threshold:
-        if least_unit is None:
-            raise TopologyError("medium nodes overloaded and no computation unit to redirect to")
-        return RouteDecision(least_unit.node_id, redirected=True)
-    return RouteDecision(least_medium.node_id, redirected=False)
+        return least_unit, False
+    if least_medium.utilization <= least_medium.spec.overload_threshold:
+        return least_medium, False
+    if least_unit is None:
+        return None
+    return least_unit, True
 
 
 @dataclass(frozen=True)
@@ -78,10 +69,6 @@ class NodeSnapshot:
 class MonitorSnapshot:
     taken_at_ns: int
     nodes: tuple[NodeSnapshot, ...]
-
-    @property
-    def total_in_flight(self) -> int:
-        return sum(n.in_flight for n in self.nodes)
 
 
 def monitor_snapshot(nodes: Sequence[NodeState], now_ns: int) -> MonitorSnapshot:

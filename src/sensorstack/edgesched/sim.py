@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +73,6 @@ class WorkloadSpec:
             raise ConfigError("stage names must be unique")
         if self.duration_ns <= 0:
             raise ConfigError("duration_ns must be positive")
-
-
-@dataclass
-class _Batch:
-    batch_id: str
-    node_id: str
-    stage: str
-    close_t_ns: int
-    tasks: list[Task] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -164,11 +155,6 @@ def run_simulation(
     push(workload.duration_ns, RANK_END, None)
 
     queue = TaskQueue(config)
-    open_batches: dict[tuple[str, str], _Batch] = {}
-    open_count = {n.node_id: 0 for n in nodes}
-    waiting_batches: dict[str, list[_Batch]] = {n.node_id: [] for n in nodes}
-    batch_count = 0
-
     records: list[dict] = []
     snapshots: list[MonitorSnapshot] = []
 
@@ -180,50 +166,8 @@ def run_simulation(
     latencies_by_class: dict[float, list[int]] = {}
     overhead_samples: list[float] = []
 
-    def committed_slots(node: NodeState) -> int:
-        return node.busy_slots + len(waiting_batches[node.node_id]) + open_count[node.node_id]
-
-    def accepts(node: NodeState, task: Task) -> bool:
-        if node.kind == "medium":
-            return node.busy_slots < node.capacity
-        if (node.node_id, task.stage) in open_batches:
-            return True
-        return committed_slots(node) < node.capacity
-
-    new_batches: list[_Batch] = []
-    now_ns = 0
-
-    def occupy(node: NodeState, task: Task):
-        nonlocal batch_count
-        node.in_flight += 1
-        if node.kind == "medium":
-            node.busy_slots += 1
-            return
-        key = (node.node_id, task.stage)
-        batch = open_batches.get(key)
-        if batch is None:
-            batch = _Batch(
-                batch_id=f"b{batch_count:05d}",
-                node_id=node.node_id,
-                stage=task.stage,
-                close_t_ns=now_ns + config.batch_window_ns,
-            )
-            batch_count += 1
-            open_batches[key] = batch
-            open_count[node.node_id] += 1
-            new_batches.append(batch)
-        batch.tasks.append(task)
-        node.queue_length += 1
-
-    def start_batch(node: NodeState, batch: _Batch, start_ns: int):
-        node.busy_slots += 1
-        node.queue_length -= len(batch.tasks)
-        longest = max(t.service_demand_ns for t in batch.tasks)
-        push(start_ns + longest, RANK_COMPLETE, (node.node_id, tuple(batch.tasks)))
-
     while heap:
         t_ns, rank, _, payload = heapq.heappop(heap)
-        now_ns = t_ns
 
         if rank == RANK_ARRIVAL:
             task = payload
@@ -243,10 +187,7 @@ def run_simulation(
             )
 
         elif rank == RANK_COMPLETE:
-            node_id, tasks = payload
-            node = by_id[node_id]
-            node.busy_slots -= 1
-            node.in_flight -= len(tasks)
+            node, tasks = payload
             for task in tasks:
                 completions += 1
                 latencies_by_class.setdefault(task.initial_priority, []).append(
@@ -257,21 +198,19 @@ def run_simulation(
                         "t_ns": t_ns,
                         "event": "complete",
                         "task_id": task.task_id,
-                        "node_id": node_id,
+                        "node_id": node.node_id,
                         "p_eff": None,
                     }
                 )
-            if node.kind == "computation_unit" and waiting_batches[node_id] and node.busy_slots < node.capacity:
-                start_batch(node, waiting_batches[node_id].pop(0), t_ns)
+            batch = node.release(len(tasks))
+            if batch is not None:
+                push(t_ns + batch.demand_ns, RANK_COMPLETE, (node, tuple(batch.tasks)))
 
         elif rank == RANK_CYCLE:
-            new_batches.clear()
             started = time.perf_counter()
-            dispatches = schedule_cycle(queue, nodes, t_ns, config, accepts=accepts, occupy=occupy)
+            dispatches = schedule_cycle(queue, nodes, t_ns, config)
             overhead_samples.append(time.perf_counter() - started)
 
-            for batch in new_batches:
-                push(batch.close_t_ns, RANK_BATCH_CLOSE, (batch.node_id, batch.stage, batch.batch_id))
             remaining_best = queue.best_priority()
             for item in dispatches:
                 dispatch_count += 1
@@ -284,7 +223,9 @@ def run_simulation(
                     t_ns - item.task.entry_time_ns
                 )
                 if node.kind == "medium":
-                    push(t_ns + item.task.service_demand_ns, RANK_COMPLETE, (item.node_id, (item.task,)))
+                    push(t_ns + item.task.service_demand_ns, RANK_COMPLETE, (node, (item.task,)))
+                if item.opened is not None:
+                    push(item.opened.close_t_ns, RANK_BATCH_CLOSE, (node, item.opened))
                 records.append(
                     {
                         "t_ns": t_ns,
@@ -304,18 +245,9 @@ def run_simulation(
                 push(next_cycle, RANK_CYCLE, None)
 
         elif rank == RANK_BATCH_CLOSE:
-            node_id, stage, batch_id = payload
-            batch = open_batches.pop((node_id, stage), None)
-            if batch is None or batch.batch_id != batch_id:
-                if batch is not None:
-                    open_batches[(node_id, stage)] = batch
-                continue
-            open_count[node_id] -= 1
-            node = by_id[node_id]
-            if node.busy_slots < node.capacity:
-                start_batch(node, batch, t_ns)
-            else:
-                waiting_batches[node_id].append(batch)
+            node, batch = payload
+            if node.close_batch(batch):
+                push(t_ns + batch.demand_ns, RANK_COMPLETE, (node, tuple(batch.tasks)))
 
         else:
             records.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -50,8 +51,8 @@ class SchedulerConfig:
     batch_window_ns: int = 100_000_000
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError("alpha must be non-negative")
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ConfigError("alpha must be finite and non-negative")
         if self.cycle_period_ns <= 0:
             raise ConfigError("cycle_period_ns must be positive")
         if self.batch_window_ns < 0:
@@ -86,20 +87,37 @@ class TopologySpec:
 
 
 @dataclass
-class NodeState:
-    """Live occupancy of one node during a simulation or cycle.
+class Batch:
+    """Same-stage tasks gathered on a computation unit until ``close_t_ns``."""
 
-    ``busy_slots`` counts occupied execution slots (one per running
-    task on medium nodes, one per running batch on computation units);
-    ``in_flight`` counts dispatched-but-not-completed tasks, which on a
-    computation unit can exceed ``busy_slots`` while a batch is still
-    filling.
+    stage: str
+    close_t_ns: int
+    tasks: list[Task]
+
+    @property
+    def demand_ns(self) -> int:
+        """A batch holds its slot for its longest member's demand."""
+        return max(t.service_demand_ns for t in self.tasks)
+
+
+@dataclass
+class NodeState:
+    """Live occupancy of one node, and the rule for placing work on it.
+
+    A medium node runs one task per slot. A computation unit gathers
+    same-stage tasks into a batch that stays open until its window
+    closes, then runs the batch in one slot, or keeps it waiting for
+    one. ``busy_slots`` counts running tasks or batches; ``in_flight``
+    counts dispatched-but-not-completed tasks and ``queue_length`` the
+    tasks in open or waiting batches.
     """
 
     spec: NodeSpec
     busy_slots: int = 0
     in_flight: int = 0
     queue_length: int = 0
+    open_batches: dict[str, Batch] = field(default_factory=dict)
+    waiting_batches: list[Batch] = field(default_factory=list)
 
     @property
     def node_id(self) -> str:
@@ -116,6 +134,58 @@ class NodeState:
     @property
     def utilization(self) -> float:
         return self.busy_slots / self.spec.capacity
+
+    def accepts(self, task: Task) -> bool:
+        """Whether the node takes ``task`` now.
+
+        A medium node needs a free slot. A computation unit takes a task
+        whose stage has an open batch, or opens a batch while some slot
+        is neither running nor promised to a waiting or open batch.
+        Taking work never makes a node accept a task it refused.
+        """
+        if self.kind == "medium":
+            return self.busy_slots < self.capacity
+        if task.stage in self.open_batches:
+            return True
+        return self.busy_slots + len(self.waiting_batches) + len(self.open_batches) < self.capacity
+
+    def occupy(self, task: Task, close_t_ns: int) -> Batch | None:
+        """Take ``task``; returns the batch it opened, to close at ``close_t_ns``."""
+        self.in_flight += 1
+        if self.kind == "medium":
+            self.busy_slots += 1
+            return None
+        self.queue_length += 1
+        batch = self.open_batches.get(task.stage)
+        if batch is not None:
+            batch.tasks.append(task)
+            return None
+        batch = self.open_batches[task.stage] = Batch(task.stage, close_t_ns, [task])
+        return batch
+
+    def close_batch(self, batch: Batch) -> bool:
+        """Seal an open batch; returns whether it starts now rather than waits."""
+        del self.open_batches[batch.stage]
+        if self.busy_slots < self.capacity:
+            self._start(batch)
+            return True
+        self.waiting_batches.append(batch)
+        return False
+
+    def release(self, count: int) -> Batch | None:
+        """Free the slot that ``count`` completed tasks held; returns the
+        waiting batch that starts in it, if any."""
+        self.busy_slots -= 1
+        self.in_flight -= count
+        if self.waiting_batches and self.busy_slots < self.capacity:
+            batch = self.waiting_batches.pop(0)
+            self._start(batch)
+            return batch
+        return None
+
+    def _start(self, batch: Batch):
+        self.busy_slots += 1
+        self.queue_length -= len(batch.tasks)
 
 
 @dataclass(frozen=True)

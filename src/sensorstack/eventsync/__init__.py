@@ -11,14 +11,7 @@ from .dtw import DbaResult, DtwResult, GestureTemplate, dba, dba_template, dtw_c
 from .features import sliding_entropy
 from .filters import butterworth_lowpass, design_lowpass
 from .detect import EventDetection, detect_gesture_video, normalized_dtw_score, suppress_overlaps
-from .align import (
-    FineTuneConfig,
-    MatchedPair,
-    RefinedStart,
-    apply_sync,
-    coarse_align,
-    fine_tune_event,
-)
+from .align import MatchedPair, RefinedStart, apply_sync, coarse_align, fine_tune_event
 
 __all__ = [
     "TimeSeries",
@@ -36,7 +29,6 @@ __all__ = [
     "detect_gesture_video",
     "normalized_dtw_score",
     "suppress_overlaps",
-    "FineTuneConfig",
     "MatchedPair",
     "RefinedStart",
     "apply_sync",

@@ -50,22 +50,15 @@ def coarse_align(
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class FineTuneConfig:
-    """Knobs for the filter + sliding-entropy onset search.
-
-    The search window is coarse start +/- ``search_half_width_ns``. The
-    onset threshold is the mean plus ``k_sigma`` standard deviations of
-    the entropy over the leading ``baseline_fraction`` of the window.
-    """
-
-    search_half_width_ns: int = 1_000_000_000
-    filter_order: int = 4
-    cutoff_hz: float = 5.0
-    entropy_window_ns: int = 300_000_000
-    entropy_stride_ns: int | None = None
-    baseline_fraction: float = 0.25
-    k_sigma: float = 2.0
+# The fine-tune onset search. The window is coarse start +/- SEARCH_HALF_WIDTH_NS.
+# The onset threshold is the mean plus K_SIGMA standard deviations of the
+# entropy over the leading BASELINE_FRACTION of the window.
+SEARCH_HALF_WIDTH_NS = 1_000_000_000
+FILTER_ORDER = 4
+CUTOFF_HZ = 5.0
+ENTROPY_WINDOW_NS = 300_000_000
+BASELINE_FRACTION = 0.25
+K_SIGMA = 2.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,6 @@ class RefinedStart:
 def fine_tune_event(
     series_per_stream: Mapping[str, TimeSeries],
     coarse_starts: Mapping[str, int],
-    config: FineTuneConfig = FineTuneConfig(),
 ) -> dict[str, RefinedStart]:
     """Refine a coarsely matched event start in every stream.
 
@@ -93,8 +85,8 @@ def fine_tune_event(
         series = series_per_stream.get(stream_id)
         if series is None:
             raise UsageError(f"no series provided for stream {stream_id}")
-        lo = coarse - config.search_half_width_ns
-        hi = coarse + config.search_half_width_ns
+        lo = coarse - SEARCH_HALF_WIDTH_NS
+        hi = coarse + SEARCH_HALF_WIDTH_NS
         window = series.slice_time(lo, hi)
         if len(window) < 8:
             raise UsageError(f"series for {stream_id} does not cover the search window")
@@ -103,15 +95,14 @@ def fine_tune_event(
         # median period serves the filter, the stride and the entropy
         period = window.median_period_ns()
         rate = NS_PER_SEC / period
-        cutoff = min(config.cutoff_hz, 0.45 * rate)
-        smooth = _lowpass(window, config.filter_order, cutoff, rate)
-        stride = config.entropy_stride_ns or period
-        entropy = _sliding_entropy(smooth, config.entropy_window_ns, stride, period)
+        cutoff = min(CUTOFF_HZ, 0.45 * rate)
+        smooth = _lowpass(window, FILTER_ORDER, cutoff, rate)
+        entropy = _sliding_entropy(smooth, ENTROPY_WINDOW_NS, period, period)
 
         values = entropy.values
-        baseline_n = max(2, int(len(values) * config.baseline_fraction))
+        baseline_n = max(2, int(len(values) * BASELINE_FRACTION))
         baseline = values[:baseline_n]
-        threshold = float(baseline.mean() + config.k_sigma * baseline.std())
+        threshold = float(baseline.mean() + K_SIGMA * baseline.std())
 
         peak = int(np.argmax(values))
         if values[peak] <= threshold:
@@ -125,14 +116,14 @@ def fine_tune_event(
         # the instant inside it to where the raw signal leaves its quiet
         # band. The zero-phase filter smears edges backward in time, so
         # the filtered signal only localizes; the unfiltered one decides.
-        window_start = int(entropy.timestamps[rise]) - config.entropy_window_ns // 2
-        onset = _first_departure(window, window_start, config)
+        window_start = int(entropy.timestamps[rise]) - ENTROPY_WINDOW_NS // 2
+        onset = _first_departure(window, window_start)
         onset = min(max(onset, lo), hi)
         refined[stream_id] = RefinedStart(stream_id, onset, fallback=False)
     return refined
 
 
-def _first_departure(raw: TimeSeries, window_start: int, config: FineTuneConfig) -> int:
+def _first_departure(raw: TimeSeries, window_start: int) -> int:
     """First sustained departure from the quiet band at or after window_start.
 
     The band is centered on the mean of the samples preceding
@@ -147,7 +138,7 @@ def _first_departure(raw: TimeSeries, window_start: int, config: FineTuneConfig)
     split = int(np.searchsorted(ts, window_start, side="left"))
     baseline = sig[:split]
     if len(baseline) < 4:
-        baseline = sig[: max(2, int(len(sig) * config.baseline_fraction))]
+        baseline = sig[: max(2, int(len(sig) * BASELINE_FRACTION))]
     center = float(baseline.mean())
     deviation = np.abs(sig[split:] - center)
     if len(deviation) < 2:
@@ -155,7 +146,7 @@ def _first_departure(raw: TimeSeries, window_start: int, config: FineTuneConfig)
     peak = float(deviation.max())
     if peak == 0.0:
         return window_start
-    band = max(config.k_sigma * float(baseline.std()), 0.05 * peak)
+    band = max(K_SIGMA * float(baseline.std()), 0.05 * peak)
     departed = deviation > band
     hits = np.nonzero(departed[:-1] & departed[1:])[0]
     if len(hits) == 0:

@@ -18,8 +18,8 @@ from .geometry import (
 )
 from .metrics import (
     DEFAULT_MATCH_RADIUS,
+    DEFAULT_SWEEP_THRESHOLDS,
     SweepRow,
-    default_sweep_thresholds,
     evaluate_detections,
     threshold_sweep,
 )
@@ -28,6 +28,7 @@ from .types import CATEGORIES, Detection, FusedDetection, ObjectTruth, PointPair
 __all__ = [
     "CATEGORIES",
     "DEFAULT_MATCH_RADIUS",
+    "DEFAULT_SWEEP_THRESHOLDS",
     "Detection",
     "FusedDetection",
     "ObjectTruth",
@@ -37,7 +38,6 @@ __all__ = [
     "RansacResult",
     "SweepRow",
     "deduplicate",
-    "default_sweep_thresholds",
     "evaluate_detections",
     "fit_homography_dlt",
     "project",

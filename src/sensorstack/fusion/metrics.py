@@ -53,9 +53,8 @@ class SweepRow:
     recall: float
 
 
-def default_sweep_thresholds(start: float = 5.5, stop: float = 0.0, steps: int = 12) -> tuple[float, ...]:
-    """Evenly spaced merge thresholds from loose to strict."""
-    return tuple(float(t) for t in np.linspace(start, stop, steps))
+# merge thresholds from loose to strict, 0.5 apart
+DEFAULT_SWEEP_THRESHOLDS = (5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.0)
 
 
 def threshold_sweep(
@@ -82,7 +81,7 @@ def threshold_sweep(
     and one scoring per threshold.
     """
     if thresholds is None:
-        thresholds = default_sweep_thresholds()
+        thresholds = DEFAULT_SWEEP_THRESHOLDS
     thresholds = tuple(checked_threshold(t) for t in thresholds)
     if not thresholds:
         raise UsageError("thresholds must be non-empty")

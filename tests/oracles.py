@@ -45,7 +45,7 @@ from operator import attrgetter
 import numpy as np
 from hypothesis import settings
 
-from sensorstack.edgesched import Dispatch, RouteDecision, effective_urgency
+from sensorstack.edgesched import Dispatch, effective_urgency
 from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, TopologyError, UsageError, ValidationError
 from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
@@ -493,52 +493,49 @@ def _least_utilized(nodes, kind):
 
 
 def route_by_scan(task, nodes):
-    """Compute-class routing that scans every node for each task."""
+    """Compute-class routing that scans every node for each task: the
+    node and whether the task was redirected, or None when every medium
+    node is overloaded and there is no unit."""
     unit = _least_utilized(nodes, "computation_unit")
     if task.compute_class == "heavy":
-        if unit is None:
-            raise TopologyError("no computation unit available for a heavy task")
-        return RouteDecision(unit.node_id, redirected=False)
+        return unit, False
     medium = _least_utilized(nodes, "medium")
-    if medium is None:
-        raise TopologyError("no medium node available for a light task")
-    if medium.utilization > medium.spec.overload_threshold:
-        if unit is None:
-            raise TopologyError("medium nodes overloaded and no computation unit to redirect to")
-        return RouteDecision(unit.node_id, redirected=True)
-    return RouteDecision(medium.node_id, redirected=False)
+    if medium.utilization <= medium.spec.overload_threshold:
+        return medium, False
+    return None if unit is None else (unit, True)
 
 
-def schedule_cycle_sorted(queue, nodes, now_ns, config, accepts, occupy):
+def schedule_cycle_sorted(queue, nodes, now_ns, config):
     """One dispatcher cycle as a full sort of the queue.
 
     Every queued task is aged and the whole queue sorted by
     (urgency, entry time, task id); each task in that order is routed by
     `route_by_scan` and placed if its node accepts it. Placed tasks are
-    removed from ``queue`` in place, the rest keep their order.
+    removed from ``queue`` in place, the rest keep their order. A queued
+    compute class whose node kind is missing raises before anything is
+    placed.
     """
-    by_id = {n.node_id: n for n in nodes}
 
     def sort_key(task):
         return (effective_urgency(task, now_ns, config), task.entry_time_ns, task.task_id)
 
+    ordered = sorted(queue, key=sort_key)
+    classes = {task.compute_class for task in queue}
+    kinds = {node.kind for node in nodes}
+    if "heavy" in classes and "computation_unit" not in kinds:
+        raise TopologyError("no computation unit available for a heavy task")
+    if "light" in classes and "medium" not in kinds:
+        raise TopologyError("no medium node available for a light task")
     dispatches = []
     taken = set()
-    for task in sorted(queue, key=sort_key):
-        decision = route_by_scan(task, nodes)
-        node = by_id[decision.node_id]
-        if not accepts(node, task):
+    for task in ordered:
+        placed = route_by_scan(task, nodes)
+        if placed is None or not placed[0].accepts(task):
             continue
-        occupy(node, task)
+        node, redirected = placed
+        opened = node.occupy(task, now_ns + config.batch_window_ns)
         taken.add(task.task_id)
-        dispatches.append(
-            Dispatch(
-                task=task,
-                node_id=node.node_id,
-                p_eff=effective_urgency(task, now_ns, config),
-                redirected=decision.redirected,
-            )
-        )
+        dispatches.append(Dispatch(task, node.node_id, sort_key(task)[0], redirected, opened))
     if taken:
         queue[:] = [t for t in queue if t.task_id not in taken]
     return dispatches

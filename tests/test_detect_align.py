@@ -10,9 +10,9 @@ from scipy.optimize import linear_sum_assignment
 from oracles import budget, coarse_align_loop, detect_gesture_per_window, dtw_backtrack, greedy_match_callable
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
+from sensorstack.eventsync.align import SEARCH_HALF_WIDTH_NS
 from sensorstack.eventsync import (
     EventDetection,
-    FineTuneConfig,
     GestureTemplate,
     MatchedPair,
     TimeSeries,
@@ -389,10 +389,9 @@ class TestFineTune:
     def test_refined_stays_inside_search_window(self):
         onset = 2_500_000_000
         series = burst_series(onset, seed=9)
-        cfg = FineTuneConfig(search_half_width_ns=1_000_000_000)
-        out = fine_tune_event({"imu": series}, {"imu": onset + 300_000_000}, cfg)
-        lo = onset + 300_000_000 - cfg.search_half_width_ns
-        hi = onset + 300_000_000 + cfg.search_half_width_ns
+        out = fine_tune_event({"imu": series}, {"imu": onset + 300_000_000})
+        lo = onset + 300_000_000 - SEARCH_HALF_WIDTH_NS
+        hi = onset + 300_000_000 + SEARCH_HALF_WIDTH_NS
         assert lo <= out["imu"].refined_ns <= hi
 
     def test_quiet_window_falls_back_to_coarse(self):

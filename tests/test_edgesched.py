@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -33,6 +35,7 @@ from sensorstack.edgesched import (
     schedule_cycle,
 )
 from sensorstack.edgesched.routing import UtilizationIndex, route
+from sensorstack.edgesched.types import Batch
 from sensorstack.errors import ConfigError, IntegrityError, SensorStackError, TopologyError, UsageError
 
 NS = 1_000_000_000
@@ -200,50 +203,54 @@ class TestPriorityAging:
 class TestRouting:
     def test_light_goes_to_idle_medium(self):
         nodes = [medium_node("m0"), unit_node("cu0")]
-        decision = route_over(light("t", 0.0, 0), nodes)
-        assert decision.node_id == "m0"
-        assert not decision.redirected
+        node, redirected = route_over(light("t", 0.0, 0), nodes)
+        assert node.node_id == "m0"
+        assert not redirected
 
     def test_heavy_goes_to_unit(self):
         nodes = [medium_node("m0"), unit_node("cu0")]
-        decision = route_over(heavy("t", 0.0, 0), nodes)
-        assert decision.node_id == "cu0"
-        assert not decision.redirected
+        node, redirected = route_over(heavy("t", 0.0, 0), nodes)
+        assert node.node_id == "cu0"
+        assert not redirected
 
     def test_least_utilized_medium_wins(self):
         busy = medium_node("m0", capacity=4)
         busy.busy_slots = 2
         idle = medium_node("m1", capacity=4)
-        assert route_over(light("t", 0.0, 0), [busy, idle]).node_id == "m1"
+        assert route_over(light("t", 0.0, 0), [busy, idle])[0].node_id == "m1"
 
     def test_utilization_tie_breaks_by_node_id(self):
         a = medium_node("mb", capacity=2)
         b = medium_node("ma", capacity=2)
-        assert route_over(light("t", 0.0, 0), [a, b]).node_id == "ma"
+        assert route_over(light("t", 0.0, 0), [a, b])[0].node_id == "ma"
 
     def test_overloaded_medium_redirects(self):
         full = medium_node("m0", capacity=1, threshold=0.8)
         full.busy_slots = 1
-        decision = route_over(light("t", 0.0, 0), [full, unit_node("cu0")])
-        assert decision.node_id == "cu0"
-        assert decision.redirected
+        node, redirected = route_over(light("t", 0.0, 0), [full, unit_node("cu0")])
+        assert node.node_id == "cu0"
+        assert redirected
 
     def test_exactly_at_threshold_stays(self):
         half = medium_node("m0", capacity=2, threshold=0.5)
         half.busy_slots = 1
-        decision = route_over(light("t", 0.0, 0), [half, unit_node("cu0")])
-        assert decision.node_id == "m0"
-        assert not decision.redirected
+        node, redirected = route_over(light("t", 0.0, 0), [half, unit_node("cu0")])
+        assert node.node_id == "m0"
+        assert not redirected
 
     def test_missing_node_kinds_rejected(self):
-        with pytest.raises(TopologyError):
-            route_over(heavy("t", 0.0, 0), [medium_node("m0")])
-        with pytest.raises(TopologyError):
-            route_over(light("t", 0.0, 0), [unit_node("cu0")])
+        with pytest.raises(TopologyError, match="computation unit"):
+            cycle([heavy("t", 0.0, 0)], [medium_node("m0")], 0, SchedulerConfig())
+        with pytest.raises(TopologyError, match="medium node"):
+            cycle([light("t", 0.0, 0)], [unit_node("cu0")], 0, SchedulerConfig())
+
+    def test_overloaded_mediums_without_unit_make_the_task_wait(self):
         full = medium_node("m0", capacity=1)
         full.busy_slots = 1
-        with pytest.raises(TopologyError):
-            route_over(light("t", 0.0, 0), [full])
+        assert route_over(light("t", 0.0, 0), [full]) is None
+        out, queue = cycle([light("t", 0.0, 0)], [full], 0, SchedulerConfig())
+        assert out == []
+        assert [t.task_id for t in queued(queue)] == ["t"]
 
     def test_monitor_snapshot_shape(self):
         a = medium_node("m1", capacity=2)
@@ -257,7 +264,7 @@ class TestRouting:
         assert [n.node_id for n in snap.nodes] == ["cu0", "m1"]
         assert snap.nodes[1].utilization == 1.0
         assert snap.nodes[0].utilization == 0.0
-        assert snap.total_in_flight == 5
+        assert sum(n.in_flight for n in snap.nodes) == 5
 
 
 class TestScheduleCycle:
@@ -350,45 +357,6 @@ class TestScheduleCycle:
         assert {d.node_id for d in out} == {"m0", "m1"}
 
 
-def slot_occupancy():
-    """The default callables: one task per slot on every node."""
-
-    def accepts(node, task):
-        return node.busy_slots < node.capacity
-
-    def occupy(node, task):
-        node.busy_slots += 1
-        node.in_flight += 1
-
-    return accepts, occupy
-
-
-def batch_occupancy():
-    """The simulator's callables: computation units gather same-stage
-    tasks into open batches, each committing one slot."""
-    open_batches = set()
-    opened = {}
-
-    def accepts(node, task):
-        if node.kind == "medium":
-            return node.busy_slots < node.capacity
-        if (node.node_id, task.stage) in open_batches:
-            return True
-        return node.busy_slots + opened.get(node.node_id, 0) < node.capacity
-
-    def occupy(node, task):
-        node.in_flight += 1
-        if node.kind == "medium":
-            node.busy_slots += 1
-            return
-        if (node.node_id, task.stage) not in open_batches:
-            open_batches.add((node.node_id, task.stage))
-            opened[node.node_id] = opened.get(node.node_id, 0) + 1
-        node.queue_length += 1
-
-    return accepts, occupy
-
-
 def outcome(run):
     """What one cycle returned, or the package error it raised."""
     try:
@@ -426,14 +394,22 @@ def cycle_inputs(draw, alphas=(0.0, 1e-12, 1e-9, 0.5, 1.0, 3.0)):
             threshold = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0))
             state = NodeState(spec=NodeSpec(f"{prefix}{k}", kind, capacity, threshold))
             state.busy_slots = draw(st.integers(0, capacity + 1))
+            if kind == "computation_unit":
+                # batches left open or waiting by earlier cycles
+                for stage in draw(st.sets(st.sampled_from(["a", "b"]))):
+                    state.open_batches[stage] = Batch(stage, 0, [heavy(f"open-{stage}", 0.0, 0, stage=stage)])
+                for index in range(draw(st.integers(0, 1))):
+                    state.waiting_batches.append(Batch("a", 0, [heavy(f"waiting-{index}", 0.0, 0, stage="a")]))
             nodes.append(state)
     nodes = draw(st.permutations(nodes))
     latest = max((t.entry_time_ns for t in tasks), default=0)
     now_ns = latest + draw(st.sampled_from([-1, 0, 1, unit, NS, 3 * NS]))
-    config = SchedulerConfig(alpha=draw(st.sampled_from(alphas)))
-    occupancy = draw(st.sampled_from([slot_occupancy, batch_occupancy]))
+    config = SchedulerConfig(
+        alpha=draw(st.sampled_from(alphas)),
+        batch_window_ns=draw(st.sampled_from([0, SchedulerConfig().batch_window_ns])),
+    )
     appended = draw(st.permutations(tasks))
-    return tasks, nodes, now_ns, config, occupancy, appended
+    return tasks, nodes, now_ns, config, appended
 
 
 class TestScheduleCycleMatchesSortedWalk:
@@ -451,30 +427,39 @@ class TestScheduleCycleMatchesSortedWalk:
 
     @staticmethod
     def check(inputs):
-        tasks, nodes, now_ns, config, occupancy, appended = inputs
+        tasks, nodes, now_ns, config, appended = inputs
         expected_queue = list(tasks)
         expected_nodes = copy.deepcopy(nodes)
-        expected = outcome(
-            lambda: schedule_cycle_sorted(expected_queue, expected_nodes, now_ns, config, *occupancy())
-        )
+        expected = outcome(lambda: schedule_cycle_sorted(expected_queue, expected_nodes, now_ns, config))
         # a queue built from the tasks at once, and one filled in any
         # order, out-of-order appends included
         filled = TaskQueue(config)
         for task in appended:
             filled.append(task)
         for queue in (TaskQueue(config, tasks), filled):
-            # the default callables are the slot model; pass only the
-            # others, fresh per run since the batch model keeps state
-            callables = {} if occupancy is slot_occupancy else dict(zip(("accepts", "occupy"), occupancy()))
             got_nodes = copy.deepcopy(nodes)
-            assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config, **callables)) == expected
+            assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config)) == expected
             assert got_nodes == expected_nodes
-            if expected[1] is None:
-                assert queued(queue) == sorted(expected_queue, key=lambda t: t.task_id)
-                assert len(queue) == len(expected_queue)
-                assert queue.best_priority() == min((t.initial_priority for t in expected_queue), default=math.inf)
+            assert queued(queue) == sorted(expected_queue, key=lambda t: t.task_id)
+            assert len(queue) == len(expected_queue)
+            assert queue.best_priority() == min((t.initial_priority for t in expected_queue), default=math.inf)
+            if expected[1] is not None:
+                # a cycle that raises takes nothing
+                assert got_nodes == nodes
+                assert len(queue) == len(tasks)
 
-    def test_refusal_costs_one_accept_per_group(self):
+    def test_raising_cycle_leaves_queue_and_nodes_unchanged(self):
+        # the light task would be placed first, but the heavy one has no unit
+        tasks = [light("a", 0.0, 0), heavy("b", 1.0, 0)]
+        nodes = [medium_node("m0", capacity=2)]
+        before = copy.deepcopy(nodes)
+        queue = TaskQueue(SchedulerConfig(), tasks)
+        with pytest.raises(TopologyError):
+            schedule_cycle(queue, nodes, NS, SchedulerConfig())
+        assert nodes == before
+        assert queued(queue) == tasks
+
+    def test_refusal_costs_one_accept_per_group(self, monkeypatch):
         # 10,000 tasks in 4 groups: two priorities times two compute classes
         config = SchedulerConfig()
         tasks = [
@@ -486,24 +471,34 @@ class TestScheduleCycleMatchesSortedWalk:
         for node in nodes:
             node.busy_slots = node.capacity
         calls = []
+        accepts = NodeState.accepts
 
         def counted(node, task):
             calls.append(task.task_id)
-            return node.busy_slots < node.capacity
+            return accepts(node, task)
 
+        monkeypatch.setattr(NodeState, "accepts", counted)
         queue = TaskQueue(config, tasks)
         now = 10 * NS
-        assert schedule_cycle(queue, nodes, now, config, accepts=counted) == []
+        assert schedule_cycle(queue, nodes, now, config) == []
         assert len(calls) <= 4
 
+        # two medium slots free up; the units stay full
         nodes[0].busy_slots = 0
-        nodes[4].busy_slots = 1
-        free = 2 + 3
         calls.clear()
-        out = schedule_cycle(queue, nodes, now + 100 * MS, config, accepts=counted)
-        assert len(out) == free
-        assert len(calls) <= free + 4
-        assert len(queue) == len(tasks) - free
+        out = schedule_cycle(queue, nodes, now + 100 * MS, config)
+        assert [d.node_id for d in out] == ["m0", "m0"]
+        assert len(calls) <= 2 + 4
+        assert len(queue) == len(tasks) - 2
+
+        # a free unit slot opens one batch that every heavy task joins
+        nodes[4].busy_slots = 3
+        calls.clear()
+        out = schedule_cycle(queue, nodes, now + 200 * MS, config)
+        assert len(out) == len(tasks) // 2
+        assert {d.node_id for d in out} == {"cu0"}
+        assert [d.opened is not None for d in out].count(True) == 1
+        assert len(calls) <= len(out) + 4
 
     def test_queue_built_for_another_config_rejected(self):
         queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0)])
@@ -525,6 +520,10 @@ class TestValidation:
     def test_config_rejects_bad_fields(self):
         with pytest.raises(ConfigError):
             SchedulerConfig(alpha=-1.0)
+        with pytest.raises(ConfigError):
+            SchedulerConfig(alpha=math.nan)
+        with pytest.raises(ConfigError):
+            SchedulerConfig(alpha=math.inf)
         with pytest.raises(ConfigError):
             SchedulerConfig(cycle_period_ns=0)
         with pytest.raises(ConfigError):
@@ -658,7 +657,18 @@ class TestSimulation:
             completed = sum(
                 1 for r in result.records if r["event"] == "complete" and r["t_ns"] <= snap.taken_at_ns
             )
-            assert snap.total_in_flight == dispatched - completed
+            assert sum(n.in_flight for n in snap.nodes) == dispatched - completed
+
+    def test_busy_medium_node_makes_tasks_wait(self):
+        # one medium node over its 0.8 threshold and no unit to redirect to
+        workload = WorkloadSpec(stages=(StageSpec("l", "light", 50 * MS, 0.0, 40.0),), duration_ns=2 * NS)
+        topology = TopologySpec(nodes=(NodeSpec("m0", "medium", 2),))
+        result = run_simulation(workload, topology, SchedulerConfig(), seed=0)
+        counts = conservation_check(result.records)
+        assert counts["arrived"] == counts["completed"] + counts["in_flight"] + counts["queued"]
+        assert counts["queued"] > 0
+        assert compute_metrics(result.records).completed == result.metrics.completed > 0
+        assert max(n.busy_slots for snap in result.snapshots for n in snap.nodes) == 2
 
     def test_redirects_appear_under_load(self):
         result = run_simulation(decomposed_pipeline(3 * NS), tiered_topology(), SchedulerConfig(), seed=7)
@@ -688,7 +698,58 @@ def log_lines(records) -> list[str]:
     return [json.dumps(record) for record in records]
 
 
+def output_digest(result) -> str:
+    """sha256 of a run's event log, one JSON record per line, then its
+    monitor snapshots as one JSON list."""
+    digest = hashlib.sha256()
+    for line in log_lines(result.records):
+        digest.update(line.encode() + b"\n")
+    digest.update(json.dumps([dataclasses.asdict(s) for s in result.snapshots]).encode())
+    return digest.hexdigest()
+
+
+PINNED_WORKLOADS = {
+    "decomposed": (decomposed_pipeline, tiered_topology),
+    "monolithic": (monolithic_workload, single_device_topology),
+    "two_priority": (two_priority_workload, two_priority_topology),
+    "offload_mix": (offload_mix_workload, offload_mix_topology),
+}
+
+# (workload, alpha, batch_window_ns) -> output_digest at seed 0
+PINNED_DIGESTS = {
+    ("decomposed", 0.0, 0): "c2f3dd782d4cbc0e09405ff0ea3e67a6fd8ec6cd5d83b25bc087e227795be4a6",
+    ("decomposed", 0.0, 100 * MS): "e169a00970f2de1076a05a6ad9b094a41d4cb492d84786295a8bb5eea35bd586",
+    ("decomposed", 1.0, 0): "320b3bddd5111e2496448b414361c0cbc9589d4cf705c49ac826dbf29c6312fd",
+    ("decomposed", 1.0, 100 * MS): "c5a2b4af4450c08b6c4b5f8524d77596f9320629ad2e835929258dc5d542002d",
+    ("monolithic", 0.0, 0): "8f1e4279f26b9a970c51ca0ce0f3302fa41d4b289c29f8953daf62151eb9f6de",
+    ("monolithic", 0.0, 100 * MS): "8f1e4279f26b9a970c51ca0ce0f3302fa41d4b289c29f8953daf62151eb9f6de",
+    ("monolithic", 1.0, 0): "a6311219cfcd3583ef18c7e3d723575059220b48786409e946103094f33e5bab",
+    ("monolithic", 1.0, 100 * MS): "a6311219cfcd3583ef18c7e3d723575059220b48786409e946103094f33e5bab",
+    ("two_priority", 0.0, 0): "29793399b94a453c07e8aa4174cd528d9cac36b3372f78a51353a4ed9bf350a0",
+    ("two_priority", 0.0, 100 * MS): "29793399b94a453c07e8aa4174cd528d9cac36b3372f78a51353a4ed9bf350a0",
+    ("two_priority", 1.0, 0): "79111a2e73666d73c656fa2333c25fb6601cba7714b2b03e43e027f4f427d21f",
+    ("two_priority", 1.0, 100 * MS): "79111a2e73666d73c656fa2333c25fb6601cba7714b2b03e43e027f4f427d21f",
+    ("offload_mix", 0.0, 0): "9f166c1eaa8bbd54d70eb0216abea22cf2ea8d2b5d92b5ec566f79d1ecf71cb0",
+    ("offload_mix", 0.0, 100 * MS): "d7dc04bca5de570ba711a033d431519204e3024422bf978ab58e55a1ad3347b4",
+    ("offload_mix", 1.0, 0): "1604357bebfbe44f5c754d2b956dc0ff31c0e8f2dc6a3add8fea8c3936f6ffb5",
+    ("offload_mix", 1.0, 100 * MS): "5c85a81edf71377198a06a79f1a1cb57e2e6acda417f0d01ce77b69e719abbb8",
+}
+
+
 class TestDeterminism:
+    def test_outputs_match_pinned_digests(self):
+        """Logs and snapshots stay byte-identical across scheduler changes.
+
+        The arrivals come from numpy's PCG64 stream (``default_rng``);
+        the digests were taken with numpy 2.4.6, and a numpy that
+        changed that stream would change them without a scheduler fault.
+        """
+        for (name, alpha, window), expected in PINNED_DIGESTS.items():
+            workload, topology = PINNED_WORKLOADS[name]
+            config = SchedulerConfig(alpha=alpha, batch_window_ns=window)
+            result = run_simulation(workload(), topology(), config, seed=0)
+            assert output_digest(result) == expected, (name, alpha, window)
+
     def test_same_seed_gives_byte_identical_logs(self):
         logs = []
         for _ in range(2):
@@ -798,6 +859,22 @@ class TestMetricsReplay:
                                                      "node_id": None, "p_eff": None}]
         with pytest.raises(IntegrityError, match="second arrival"):
             compute_metrics(records)
+
+    def test_end_at_time_zero_rejected(self):
+        records = [{"t_ns": 0, "event": "end", "task_id": None, "node_id": None, "p_eff": None}]
+        with pytest.raises(IntegrityError, match="time 0"):
+            compute_metrics(records)
+
+    @pytest.mark.parametrize("field", ["event", "t_ns", "task_id"])
+    def test_record_without_a_field_rejected(self, field):
+        live = run_simulation(offload_mix_workload(NS), offload_mix_topology(), SchedulerConfig(), seed=0)
+        records = [dict(r) for r in live.records]
+        del records[0][field]
+        with pytest.raises(IntegrityError, match=field):
+            compute_metrics(records)
+        if field != "t_ns":
+            with pytest.raises(IntegrityError, match=field):
+                conservation_check(records)
 
     def test_conservation_check_rejects_lifecycle_violations(self):
         records = [

@@ -13,6 +13,7 @@ testbed's capture is: in process through ``capture_ingest``, and as
 """
 
 import bisect
+import gc
 
 import numpy as np
 import pytest
@@ -137,3 +138,34 @@ def test_query_captures(benchmark, captures, windows):
         assert len(hits) == bisect.bisect_left(local, end) - bisect.bisect_left(local, start)
         assert all(start <= r["corrected_ts"] < end for r in hits)
     assert sum(len(hits) for hits in results) > 50_000
+
+
+def test_capture_get(benchmark, captures, windows):
+    """The 400 windows as routed ``GET /capture``s, every row list kept alive as perfbench keeps them.
+
+    A row holds only strings, ints and the store's untracked tuples, so
+    it is never tracked by the garbage collector: a query adds its row
+    list and its activity entry for a collection to walk, not objects
+    per row.
+    """
+    services = ingest_all(*registered_services(), captures)
+    router = ServiceRouter(services)
+    headers = {"Authorization": f"Bearer {services.issue_token('app', ('app',), 3600.0).token}"}
+    queries = [{"device_id": d, "start_ns": str(start), "end_ns": str(end)} for d, start, end in windows]
+
+    def get_all():
+        kept = []
+        for query in queries:
+            status, body = router.handle("GET", "/capture", None, headers, query)
+            assert status == 200
+            kept.append(body["samples"])
+        return kept
+
+    # a collection untracks the stored tuples, as the program's own
+    # collections do between an ingest and its queries
+    gc.collect()
+    tracked = len(gc.get_objects())
+    kept = get_all()
+    assert len(gc.get_objects()) - tracked < 1_000
+    assert sum(map(len, kept)) > 50_000
+    benchmark(get_all)

@@ -102,7 +102,8 @@ class CoreServices:
     Each device's captures are rows ``(corrected_ts, capture_id,
     local_ts, modality, payload, location)``, kept sorted by their
     first two fields beside a list of their ``corrected_ts`` values, so
-    a windowed query is two bisections and a slice.
+    a windowed query is two bisections and a slice. Query rows hand out
+    the stored ``payload`` and ``location`` tuples themselves.
     """
 
     def __init__(
@@ -411,7 +412,15 @@ class CoreServices:
         return tuple(capture_ids)
 
     def query_captures(self, device_id: str, start_ns: int, end_ns: int, token: str) -> list[dict]:
-        """``GET /capture`` rows for one device in [start_ns, end_ns), time-sorted, built afresh."""
+        """``GET /capture`` rows for one device in [start_ns, end_ns), time-sorted.
+
+        Each row is a fresh dict, but its ``payload`` and ``location`` are
+        the stored row's own tuples, not list copies: a caller cannot
+        change what is stored, since tuples refuse mutation, and ``json``
+        writes them as arrays. A dict of strings, ints and untracked
+        tuples is never tracked by the garbage collector, so a large
+        result adds nothing for a collection to walk.
+        """
         start_ns = _nanoseconds(start_ns, "start_ns")
         end_ns = _nanoseconds(end_ns, "end_ns")
         claims = self.validate(token)
@@ -434,8 +443,8 @@ class CoreServices:
                 "modality": modality,
                 "local_ts": local_ts,
                 "corrected_ts": corrected_ts,
-                "payload": list(payload),
-                "location": list(location),
+                "payload": payload,
+                "location": location,
             }
             for corrected_ts, capture_id, local_ts, modality, payload, location in hits
         ]

@@ -160,6 +160,8 @@ class ServiceRouter:
             return 201, {"stored": len(capture_ids), "capture_ids": list(capture_ids)}
 
         if path == "/capture" and method == "GET":
+            # rows carry the store's immutable payload and location
+            # tuples, which json writes as arrays, so nothing is copied
             rows = services.query_captures(
                 query["device_id"],
                 _field(query["start_ns"], "start_ns", int, "an integer"),

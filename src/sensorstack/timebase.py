@@ -22,12 +22,17 @@ float payload matrix with one row per sample. Clock correction and
 shifts are array operations on those columns, and a timestamp that
 would leave the int64 range is a DomainError. ``SensorSample`` objects
 are built only when ``.samples`` is read, once per stream.
+
+``SensorSample`` and ``AlignedFrame`` are slotted frozen dataclasses
+without an instance ``__dict__``, so a sample built from the columns
+is one object for the garbage collector to walk, not an object and its
+dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -264,7 +269,7 @@ def _nanoseconds(value, name: str) -> int:
     raise UsageError(f"{name} must be an integer number of nanoseconds, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorSample:
     """One reading from one device.
 
@@ -290,6 +295,11 @@ class SensorSample:
         if self.corrected_ts is not None and type(self.corrected_ts) is not int:
             object.__setattr__(self, "corrected_ts", _nanoseconds(self.corrected_ts, "corrected_ts"))
         object.__setattr__(self, "payload", tuple(map(float, self.payload)))
+
+
+# the slot descriptors' setters, in field order, for samples built from
+# checked columns without the validation of SensorSample's constructor
+_SAMPLE_SETTERS = tuple(getattr(SensorSample, field.name).__set__ for field in fields(SensorSample))
 
 
 @dataclass(frozen=True)
@@ -378,10 +388,10 @@ class SampleStream:
     ``with_clock`` and ``shifted`` derive from it.
 
     ``.samples`` is the tuple the stream was built from, or, for a
-    derived stream, a tuple built from the columns on first use and
-    kept. Two streams are equal when their descriptors and samples are;
-    NaN payload entries compare equal to NaN, so a stream equals itself
-    and its copies.
+    derived stream, a tuple of slotted samples built from the columns
+    on first use and kept. Two streams are equal when their descriptors
+    and samples are; NaN payload entries compare equal to NaN, so a
+    stream equals itself and its copies.
     Every timestamp must fit in int64; one that does not, at
     construction or after a correction or shift, is a DomainError.
     """
@@ -474,6 +484,7 @@ class SampleStream:
                 for ts, missing in zip(self._corrected.tolist(), self._uncorrected.tolist())
             ]
             locations = self._locations or (None,) * len(self)
+            set_device, set_modality, set_local, set_payload, set_corrected, set_location = _SAMPLE_SETTERS
             built = []
             for local, payload, ts, location in zip(
                 self._local.tolist(), self._payload.tolist(), corrected, locations
@@ -481,14 +492,12 @@ class SampleStream:
                 # every field comes from a checked column, so the sample
                 # skips SensorSample's validation, which would triple its cost
                 sample = object.__new__(SensorSample)
-                sample.__dict__.update(
-                    device_id=d.device_id,
-                    modality=d.modality,
-                    local_ts=local,
-                    payload=tuple(payload),
-                    corrected_ts=ts,
-                    location=location,
-                )
+                set_device(sample, d.device_id)
+                set_modality(sample, d.modality)
+                set_local(sample, local)
+                set_payload(sample, tuple(payload))
+                set_corrected(sample, ts)
+                set_location(sample, location)
                 built.append(sample)
             self.__dict__["_samples"] = tuple(built)
         return self._samples
@@ -531,7 +540,7 @@ def _rebuild_stream(descriptor, local, corrected, uncorrected, payload, location
 # frame alignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedFrame:
     """Per-epoch snapshot: latest fresh sample of every stream, or None."""
 

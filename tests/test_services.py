@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import math
@@ -631,15 +632,15 @@ def wire_samples(device_id, count=100):
 
 
 def response_row(sample, capture_id, corrected_ts, location=(40.0, -70.0)):
-    """The ``GET /capture`` row a stored wire sample should come back as."""
+    """The ``GET /capture`` row a stored wire sample should come back as; payload and location are tuples."""
     return {
         "capture_id": capture_id,
         "device_id": sample["device_id"],
         "modality": sample["modality"],
         "local_ts": sample["local_ts"],
         "corrected_ts": corrected_ts,
-        "payload": [float(v) for v in sample["payload"]],
-        "location": list(location),
+        "payload": tuple(float(v) for v in sample["payload"]),
+        "location": tuple(location),
     }
 
 
@@ -668,7 +669,7 @@ class TestCapture:
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
         services.capture_ingest(token.token, wire_samples("camera-001", 1))
-        assert services.query_captures("camera-001", 0, 1, admin)[0]["location"] == [40.0, -70.0]
+        assert services.query_captures("camera-001", 0, 1, admin)[0]["location"] == (40.0, -70.0)
 
     def test_clock_model_correction_applied(self):
         services, admin = make_services()
@@ -852,24 +853,47 @@ class TestCaptureStore:
         assert status == 201
         query = {"device_id": "camera-001", "start_ns": "0", "end_ns": "10"}
         status, body = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
-        original = json.loads(json.dumps(body))
+        original = json.dumps(body)
         for row in body["samples"]:
-            row["payload"].append(9.0)
-            row["payload"][0] = -1.0
-            row["location"][0] = 0.0
+            # payload and location are the stored tuples, which refuse mutation
+            with pytest.raises(AttributeError):
+                row["payload"].append(9.0)
+            with pytest.raises(TypeError):
+                row["payload"][0] = -1.0
+            with pytest.raises(TypeError):
+                row["location"][0] = 0.0
             row["corrected_ts"] = -1
             del row["capture_id"]
         body["samples"].clear()
         status, again = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
         assert status == 200
-        assert again == original
+        assert json.dumps(again) == original
         assert len(again["samples"]) == 4
         # nor do the posted samples: changing them after the POST changes nothing stored
         for sample in samples:
             sample["payload"][0] = 7.0
             sample["local_ts"] = 99
         status, again = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
-        assert again == original
+        assert json.dumps(again) == original
+
+    def test_query_rows_give_the_collector_nothing_to_walk(self):
+        services, admin = make_services()
+        router = ServiceRouter(services)
+        device = services.register_device(camera_payload(), admin).token
+        samples = [{"device_id": "camera-001", "modality": "imu", "local_ts": t, "payload": [0.5, t]} for t in range(50)]
+        status, _ = router.handle("POST", "/capture", {"samples": samples}, {"Authorization": f"Bearer {device}"})
+        assert status == 201
+        # a collection untracks the stored tuples of atomic values, as the
+        # program's own collections do between an ingest and its queries
+        gc.collect()
+        query = {"device_id": "camera-001", "start_ns": "0", "end_ns": "100"}
+        status, body = router.handle("GET", "/capture", None, {"Authorization": f"Bearer {admin}"}, query)
+        assert status == 200 and len(body["samples"]) == 50
+        assert not any(gc.is_tracked(row) for row in body["samples"])
+        again = services.query_captures("camera-001", 0, 100, admin)
+        for first, second in zip(body["samples"], again, strict=True):
+            assert second["payload"] is first["payload"]
+            assert second["location"] is first["location"]
 
     def test_default_ids_are_unique_version_4_uuids(self):
         services = CoreServices(KEY, clock=ticking_clock())
@@ -1544,7 +1568,9 @@ class TestCaptureRoutesMatchOracle:
             want = oracle.handle(method, "/capture", copy.deepcopy(body), headers, query)
             assert got[0] == want[0], (method, body, query, kind, got, want)
             if 200 <= want[0] < 300:
-                assert got[1] == want[1]
+                # the oracle's rows hold lists, the router's the stored
+                # tuples: the JSON bodies they serve must match byte for byte
+                assert json.dumps(got[1]) == json.dumps(want[1])
             else:
                 assert isinstance(got[1]["error"], str)
         assert services.log_records() == oracle_services.log_records()

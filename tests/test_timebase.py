@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import math
 import pickle
@@ -615,3 +616,55 @@ class TestColumnarStreamMatchesPerSample:
         assert all(type(s.corrected_ts) is int for s in lazy.samples)
         assert SampleStream(lazy.descriptor, lazy.samples) == lazy
 
+
+
+def located_sample():
+    return SensorSample("d", "imu", 5, (1.0, 2.0), corrected_ts=7, location=(40.0, -70.0))
+
+
+def frame_of_samples():
+    return AlignedFrame(time=10, slots={"d/imu": located_sample(), "e/imu": None})
+
+
+class TestSlottedRecords:
+    """Samples and frames are slotted frozen dataclasses without an instance dict."""
+
+    @pytest.mark.parametrize("make", [located_sample, frame_of_samples])
+    def test_no_instance_dict(self, make):
+        record = make()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, dataclasses.replace],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    @pytest.mark.parametrize("make", [located_sample, frame_of_samples])
+    def test_copies_are_equal_and_slotted(self, make, duplicate):
+        record = make()
+        clone = duplicate(record)
+        assert clone == record
+        assert not hasattr(clone, "__dict__")
+
+    @pytest.mark.parametrize("corrected", [None, [None, 5, None, 9]])
+    def test_derived_samples_equal_validated_ones(self, corrected):
+        source = stream_of([0, 10, 10, 30], corrected, location=(40.0, -70.0))
+        if corrected is None:
+            derived = source.with_clock(ClockModel(0.5, 0.0, 0, np.zeros((2, 2)))).shifted(3)
+            expected = [t + NS // 2 + 3 for t in source.local_timestamps().tolist()]
+        else:
+            derived = source.shifted(3)
+            expected = [None if c is None else c + 3 for c in corrected]
+        for sample, original, corrected_ts in zip(derived.samples, source.samples, expected, strict=True):
+            assert not hasattr(sample, "__dict__")
+            validated = SensorSample(
+                original.device_id, original.modality, original.local_ts,
+                list(original.payload), corrected_ts, original.location,
+            )
+            assert sample == validated
+            for field in dataclasses.fields(SensorSample):
+                assert type(getattr(sample, field.name)) is type(getattr(validated, field.name))

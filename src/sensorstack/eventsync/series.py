@@ -7,7 +7,7 @@ one value per timestamp. Streams with several channels are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,16 @@ class TimeSeries:
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _from_checked(cls, timestamps: np.ndarray, values: np.ndarray) -> "TimeSeries":
+        """A series over the timestamps of a checked series and values of the same
+        length, built without validating them again."""
+        values.flags.writeable = False
+        series = object.__new__(cls)
+        object.__setattr__(series, "timestamps", timestamps)
+        object.__setattr__(series, "values", values)
+        return series
+
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -79,4 +89,4 @@ class TimeSeries:
         hi = int(np.searchsorted(self.timestamps, t1, side="left"))
         if hi <= lo:
             raise UsageError("time slice contains no samples")
-        return replace(self, timestamps=self.timestamps[lo:hi], values=self.values[lo:hi])
+        return TimeSeries._from_checked(self.timestamps[lo:hi], self.values[lo:hi])

@@ -32,6 +32,7 @@ dict.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -48,8 +49,8 @@ MAX_DRIFT_RATE = 0.1
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# largest float64 that converts to int64 without overflow
-_INT64_SATURATION = float(np.nextafter(2.0**63, 0))
+# the smallest float64 beyond the int64 range
+_FLOAT_INT64_BOUND = 2.0**63
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +71,32 @@ class NoiseConfig:
     measurement_var: float = 1e-4
 
     def __post_init__(self):
+        for name in ("process_offset_var", "process_drift_var", "measurement_var"):
+            _real_setting(getattr(self, name), name)
         if self.measurement_var <= 0:
             raise ConfigError("measurement variance must be positive")
         if self.process_offset_var < 0 or self.process_drift_var < 0:
             raise ConfigError("process noise variances must be non-negative")
+        # the per-step process noise matrix, built once for every update
+        q = np.diag([self.process_offset_var, self.process_drift_var])
+        q.flags.writeable = False
+        object.__setattr__(self, "_process_noise", q)
+
+
+def _real_setting(value, name: str) -> float:
+    """``value`` as a float; a ConfigError for a bool, a non-number or a non-finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, not {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return float(value)
+
+
+def _integer_setting(value, name: str) -> int:
+    """``value`` as a Python int; a ConfigError for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, not {type(value).__name__}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -195,23 +218,27 @@ def kalman_update(
 
     dt = (local - model.last_sync) / NS_PER_SEC
     f = np.array([[1.0, dt], [0.0, 1.0]])
-    q = np.diag([noise.process_offset_var, noise.process_drift_var])
-    x = np.array([model.offset, model.drift_rate])
-    p = f @ model.covariance @ f.T + q
-    x = f @ x
+    p = f @ model.covariance @ f.T + noise._process_noise
+    offset, drift = (f @ np.array([model.offset, model.drift_rate])).tolist()
 
+    # The measurement row is h = (1, 0). Every product with it is exact:
+    # h p h and p h pick out p[0, 0] and column 0 (a matmul sums from +0.0,
+    # so p holds no -0.0 to lose), h x picks out the offset, and I - k h
+    # is [[1 - k0, 0], [0 - k1, 1]]. The matmuls keep numpy's rounding.
+    (p00, _), (p10, _) = p.tolist()
+    r = noise.measurement_var
+    s = p00 + r
+    k0, k1 = p00 / s, p10 / s
     # measured discrepancy at the observation time, seconds
-    z = (reference - local) / NS_PER_SEC
-    h = np.array([1.0, 0.0])
-    s = float(h @ p @ h) + noise.measurement_var
-    k = (p @ h) / s
-    x = x + k * (z - float(h @ x))
-    ikh = np.eye(2) - np.outer(k, h)
-    p = ikh @ p @ ikh.T + noise.measurement_var * np.outer(k, k)
+    innovation = (reference - local) / NS_PER_SEC - offset
+    offset, drift = offset + k0 * innovation, drift + k1 * innovation
+    ikh = np.array([[1.0 - k0, 0.0], [0.0 - k1, 1.0]])
+    cross = r * (k0 * k1)
+    p = ikh @ p @ ikh.T + np.array([[r * (k0 * k0), cross], [cross, r * (k1 * k1)]])
 
-    if not abs(x[1]) < MAX_DRIFT_RATE:
+    if not abs(drift) < MAX_DRIFT_RATE:
         raise DomainError("drift rate exceeds sanity bound of 0.1, rejecting fit")
-    return ClockModel._from_filter(float(x[0]), float(x[1]), local, p)
+    return ClockModel._from_filter(offset, drift, local, p)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +259,11 @@ class BufferPolicy:
     window: int = 50
 
     def __post_init__(self):
-        if self.b_min <= 0:
-            raise ConfigError("b_min must be positive")
+        object.__setattr__(self, "b_min", _integer_setting(self.b_min, "b_min"))
+        object.__setattr__(self, "window", _integer_setting(self.window, "window"))
+        _real_setting(self.beta, "beta")
+        if not 0 < self.b_min <= _INT64_MAX:
+            raise ConfigError("b_min must be positive and fit in int64")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
         if self.window < 2:
@@ -245,13 +275,16 @@ def buffer_size(policy: BufferPolicy, arrival_intervals: Sequence[int]) -> int:
 
     Uses the sample standard deviation of the most recent ``window``
     intervals. With fewer than two intervals there is no jitter estimate
-    and the floor applies.
+    and the floor applies. A buffer beyond the int64 range saturates at
+    its maximum, which no age between two int64 timestamps exceeds.
     """
     recent = np.asarray(arrival_intervals[-policy.window:], dtype=float)
     if recent.size < 2:
         return policy.b_min
-    sd = float(np.std(recent, ddof=1))
-    return max(policy.b_min, round(policy.beta * sd))
+    scaled = policy.beta * float(np.std(recent, ddof=1))
+    if scaled >= _FLOAT_INT64_BOUND:
+        return _INT64_MAX
+    return max(policy.b_min, round(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +581,52 @@ class AlignedFrame:
     slots: Mapping[str, SensorSample | None]
 
 
-def _sample_limits(ts: np.ndarray, policy: BufferPolicy) -> np.ndarray:
-    """``buffer_size`` of the intervals leading up to every sample index.
+_FRAME_SETTERS = tuple(getattr(AlignedFrame, field.name).__set__ for field in fields(AlignedFrame))
+
+
+def _buffer_limits(columns: Sequence[np.ndarray], policy: BufferPolicy) -> list[np.ndarray]:
+    """``buffer_size`` of the intervals leading up to every sample of every column.
 
     Sample k sees the intervals between samples max(0, k - window) and
-    k. From k = window on that is a full window, and all of them share
-    one rolling standard deviation; the shorter prefix goes through
-    ``buffer_size`` itself. Limits beyond the int64 range saturate,
-    which no age between two int64 timestamps can exceed.
+    k. Before k = window those are the first k intervals of its column:
+    for each such k, one standard deviation runs over the stacked
+    prefixes of every column that has a sample k. From k = window on
+    they are a full window, and a column's full windows share one
+    standard deviation. Both reduce contiguous rows, which sum in the
+    same order as ``buffer_size``'s 1-d std.
     """
-    intervals = np.diff(ts)
-    limits = np.empty(len(ts), dtype=np.int64)
     full = policy.window
-    for k in range(min(full, len(ts))):
-        limits[k] = min(buffer_size(policy, intervals[:k]), _INT64_MAX)
-    if len(ts) > full:
-        # contiguous rows reduce in the same order as buffer_size's 1-d std
-        windows = np.ascontiguousarray(sliding_window_view(intervals.astype(float), full))
-        scaled = np.rint(policy.beta * np.std(windows, axis=1, ddof=1))
-        scaled = np.minimum(scaled, _INT64_SATURATION).astype(np.int64)
-        limits[full:] = np.maximum(scaled, policy.b_min)
+    intervals = [np.diff(ts).astype(float) for ts in columns]
+    heads = np.zeros((len(columns), full - 1))
+    for row, iv in enumerate(intervals):
+        head = iv[: full - 1]
+        heads[row, : len(head)] = head
+    # a jitter estimate of 0, as before two intervals, leaves the floor
+    head_sd = np.zeros((len(columns), full))
+    for k in range(2, full):
+        rows = [row for row, iv in enumerate(intervals) if len(iv) >= k]
+        if not rows:
+            break
+        head_sd[rows, k] = np.std(np.ascontiguousarray(heads[rows, :k]), axis=1, ddof=1)
+    limits = []
+    for row, iv in enumerate(intervals):
+        sd = head_sd[row, : len(iv) + 1]
+        if len(iv) >= full:
+            windows = np.ascontiguousarray(sliding_window_view(iv, full))
+            sd = np.concatenate((sd, np.std(windows, axis=1, ddof=1)))
+        limits.append(_scaled_limits(sd, policy))
     return limits
+
+
+def _scaled_limits(sd: np.ndarray, policy: BufferPolicy) -> np.ndarray:
+    """``buffer_size`` for each jitter estimate: max(b_min, round(beta * sd)), saturated."""
+    with np.errstate(over="ignore"):
+        # a product past the float range is inf, which saturates like any past int64
+        scaled = np.rint(policy.beta * sd)
+    saturated = scaled >= _FLOAT_INT64_BOUND
+    limits = np.where(saturated, 0.0, scaled).astype(np.int64)
+    limits[saturated] = _INT64_MAX
+    return np.maximum(limits, policy.b_min)
 
 
 def align_streams(
@@ -585,8 +643,9 @@ def align_streams(
     intervals leading up to that sample); otherwise the slot is None.
 
     Work is per stream, not per frame: every sample's buffer limit is
-    computed once, one search places the whole epoch grid in the
-    stream, and the freshness test runs over the grid as one array.
+    computed once, for all streams together, one search places the
+    whole epoch grid in the stream, and the freshness test runs over
+    the grid as one array.
     The frames are then assembled from those per-stream columns.
     """
     if epoch_ns <= 0:
@@ -607,17 +666,23 @@ def align_streams(
     start = -(-t_min // epoch_ns) * epoch_ns  # ceil to the epoch grid
     grid = np.arange(start, t_max + 1, epoch_ns, dtype=np.int64)
 
+    limits = _buffer_limits([ts for ts, _ in per_stream.values()], policy)
     columns = []
-    for ts, stream in per_stream.values():
+    for (ts, stream), limit in zip(per_stream.values(), limits):
         idx = np.searchsorted(ts, grid, side="right") - 1
         at = np.maximum(idx, 0)
-        fresh = (idx >= 0) & (grid - ts[at] <= _sample_limits(ts, policy)[at])
+        fresh = (idx >= 0) & (grid - ts[at] <= limit[at])
         samples = stream.samples
         columns.append(
             [samples[i] if ok else None for i, ok in zip(at.tolist(), fresh.tolist())]
         )
     keys = list(per_stream)
-    return [
-        AlignedFrame(time=t, slots=dict(zip(keys, row)))
-        for t, row in zip(grid.tolist(), zip(*columns))
-    ]
+    set_time, set_slots = _FRAME_SETTERS
+    frames = []
+    for t, row in zip(grid.tolist(), zip(*columns)):
+        # the time and the slots come from checked columns, as a sample's fields do
+        frame = object.__new__(AlignedFrame)
+        set_time(frame, t)
+        set_slots(frame, dict(zip(keys, row)))
+        frames.append(frame)
+    return frames

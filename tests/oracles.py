@@ -24,7 +24,10 @@ correction and shift and the per-window entropy histograms
 (`shannon_entropy`, one window at a time) are the sync code before the
 columnar stream and the cumulative bin counts, the Kalman step that
 builds its result through the fully checked ``ClockModel`` constructor
-is the filter before its internal constructor, and the scan-and-sort
+is the filter before its internal constructor and before it dropped
+its products with the measurement row, scipy's ``butter`` and
+``filtfilt`` are the fine-tune filter before it restated them in
+numpy, and the scan-and-sort
 capture query is the capture store before it was kept sorted, and
 ``dba_rows`` restates `dba` over the one-table row kernel
 (``dtw_table_rows``); all are kept here as references.
@@ -44,10 +47,11 @@ from operator import attrgetter
 
 import numpy as np
 from hypothesis import settings
+from scipy import signal
 
 from sensorstack.edgesched import Dispatch, effective_urgency
 from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, TopologyError, UsageError, ValidationError
-from sensorstack.eventsync import EventDetection, MatchedPair, suppress_overlaps
+from sensorstack.eventsync import EventDetection, MatchedPair, TimeSeries, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
 from sensorstack.scoring import prf_scores
@@ -607,8 +611,22 @@ def sliding_entropy_per_window(series, window_ns, stride_ns):
     return np.array(out_ts, dtype=np.int64), np.array(out_vals)
 
 
+def butter_lowpass(order, cutoff_hz, sample_rate_hz):
+    """``design_lowpass``'s coefficients as scipy designs them."""
+    return signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz)
+
+
+def lowpass_filtfilt(series, order, cutoff_hz, sample_rate_hz):
+    """The fine-tune low-pass through scipy's design and ``filtfilt``,
+    padded by ``min(3 * order, len - 1)`` samples."""
+    b, a = butter_lowpass(order, cutoff_hz, sample_rate_hz)
+    padlen = min(3 * (max(len(a), len(b)) - 1), len(series) - 1)
+    return TimeSeries(series.timestamps, np.asarray(signal.filtfilt(b, a, series.values, padlen=padlen)))
+
+
 def kalman_update_checked(model, observation, noise):
-    """``kalman_update`` returning its result through the public ``ClockModel`` constructor."""
+    """``kalman_update`` with every product with the measurement row h = (1, 0)
+    as a matmul, returning its result through the public ``ClockModel`` constructor."""
     local, reference = observation
     if not (math.isfinite(local) and math.isfinite(reference)):
         raise DomainError("observation timestamps must be finite")

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
-from oracles import budget, shannon_entropy, shannon_entropy_reference, sliding_entropy_per_window
+from oracles import (
+    budget,
+    butter_lowpass,
+    lowpass_filtfilt,
+    shannon_entropy,
+    shannon_entropy_reference,
+    sliding_entropy_per_window,
+)
 from sensorstack.errors import ConfigError, DomainError, UsageError
 from sensorstack.eventsync import (
     TimeSeries,
@@ -12,9 +21,21 @@ from sensorstack.eventsync import (
     design_lowpass,
     sliding_entropy,
 )
+from sensorstack.eventsync.filters import _lowpass
 
 
 class TestTimeSeries:
+    def test_slice_is_a_read_only_view_with_the_same_samples(self):
+        series = TimeSeries(np.arange(10, dtype=np.int64) * 5, np.arange(10.0))
+        part = series.slice_time(10, 31)
+        assert part.timestamps.tolist() == [10, 15, 20, 25, 30]
+        assert part.values.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert part.timestamps.dtype == np.int64
+        for column, whole in ((part.timestamps, series.timestamps), (part.values, series.values)):
+            assert not column.flags.writeable and np.shares_memory(column, whole)
+        with pytest.raises(UsageError):
+            series.slice_time(11, 14)
+
     def test_non_integral_timestamps_rejected(self):
         for ts in (np.array([0.5, 1.7]), np.array([0.0, np.nan]), np.array([0.0, np.inf]), np.array([False, True])):
             with pytest.raises(UsageError, match="integral"):
@@ -207,3 +228,77 @@ class TestLowpass:
             butterworth_lowpass(series, order=4, cutoff_hz=50.0)
         with pytest.raises(ConfigError):
             design_lowpass(order=0, cutoff_hz=5.0, sample_rate_hz=100.0)
+
+    @pytest.mark.parametrize(
+        "order, cutoff_hz, sample_rate_hz",
+        [
+            (2.5, 5.0, 100.0),
+            ("4", 5.0, 100.0),
+            (True, 5.0, 100.0),
+            (None, 5.0, 100.0),
+            (0, 5.0, 100.0),
+            (4, math.nan, 100.0),
+            (4, math.inf, 100.0),
+            (4, "5", 100.0),
+            (4, 5.0, math.nan),
+            (4, 5.0, math.inf),
+            (4, 5.0, -100.0),
+            (4, 5.0, False),
+        ],
+    )
+    def test_bad_design_input_is_a_config_error(self, order, cutoff_hz, sample_rate_hz):
+        with pytest.raises(ConfigError):
+            design_lowpass(order, cutoff_hz, sample_rate_hz)
+
+    @pytest.mark.parametrize("order, cutoff_hz", [(2.5, 5.0), ("4", 5.0), (True, 5.0), (4, math.nan), (4, -math.inf)])
+    def test_bad_filter_settings_are_a_config_error(self, order, cutoff_hz):
+        series = TimeSeries(np.arange(100, dtype=np.int64) * 10_000_000, np.zeros(100))
+        with pytest.raises(ConfigError):
+            butterworth_lowpass(series, order=order, cutoff_hz=cutoff_hz)
+
+    def test_numpy_scalars_design_like_python_numbers(self):
+        b, a = design_lowpass(np.int64(4), np.float32(5.0), np.float64(24.7))
+        expected_b, expected_a = design_lowpass(4, 5.0, 24.7)
+        assert b.tobytes() == expected_b.tobytes() and a.tobytes() == expected_a.tobytes()
+
+
+class TestLowpassMatchesScipy:
+    """The numpy design and zero-phase pass give scipy's bits."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(order=st.integers(1, 8), sample_rate_hz=st.floats(11.0, 200.0), fraction=st.floats(1e-4, 0.4999))
+    def test_design_is_butter_bit_for_bit(self, order, sample_rate_hz, fraction):
+        cutoff_hz = fraction * sample_rate_hz
+        b, a = design_lowpass(order, cutoff_hz, sample_rate_hz)
+        expected_b, expected_a = butter_lowpass(order, cutoff_hz, sample_rate_hz)
+        assert (b.dtype, a.dtype) == (expected_b.dtype, expected_a.dtype)
+        assert b.tobytes() == expected_b.tobytes()
+        assert a.tobytes() == expected_a.tobytes()
+
+    def test_fine_tune_designs_at_jittered_rates_are_butter_bit_for_bit(self):
+        # the fine-tune's cutoff, min(5 Hz, 0.45 rate), at rates a jittered 25 Hz stream gives
+        for period_ns in range(39_000_000, 41_000_001, 997):
+            rate = 1e9 / period_ns
+            b, a = design_lowpass(4, min(5.0, 0.45 * rate), rate)
+            expected_b, expected_a = butter_lowpass(4, min(5.0, 0.45 * rate), rate)
+            assert b.tobytes() == expected_b.tobytes() and a.tobytes() == expected_a.tobytes()
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(
+        order=st.integers(1, 8),
+        sample_rate_hz=st.floats(11.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_lowpass_is_filtfilt_at_every_padlen(self, order, sample_rate_hz, seed, scale):
+        # lengths 1 .. 3 * order + 3 take the padding through every value from 0 to len - 1
+        rng = np.random.default_rng(seed)
+        cutoff_hz = min(5.0, 0.45 * sample_rate_hz)
+        for n in range(1, 3 * order + 4):
+            ts = np.cumsum(rng.integers(1, 10**8, n))
+            series = TimeSeries(ts, rng.normal(0.0, scale, n) + rng.normal())
+            got = _lowpass(series, order, cutoff_hz, sample_rate_hz)
+            expected = lowpass_filtfilt(series, order, cutoff_hz, sample_rate_hz)
+            assert got.values.tobytes() == np.ascontiguousarray(expected.values).tobytes()
+            assert got.timestamps is series.timestamps
+            assert not got.values.flags.writeable

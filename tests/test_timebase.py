@@ -213,11 +213,60 @@ class TestKalmanUpdate:
         with pytest.raises(DomainError):
             kalman_update(model, (NS - 5, NS), NoiseConfig())
 
+    @settings(max_examples=budget(100), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 60),
+        noise=st.sampled_from(
+            [NoiseConfig(), NoiseConfig(measurement_var=(2e-3) ** 2), NoiseConfig(0.0, 0.0, 1e-12), NoiseConfig(1e-3, 0.0, 10.0)]
+        ),
+        prior=st.sampled_from(["initial", "wide", "zero", "random"]),
+    )
+    def test_identical_to_the_matmul_filter_on_random_runs(self, seed, steps, noise, prior):
+        rng = np.random.default_rng(seed)
+        local = int(rng.integers(-(10**15), 10**15))
+        offset_ns, drift = rng.normal(0.0, 1e9), rng.uniform(-5e-4, 5e-4)
+        if prior == "random":
+            root = rng.normal(size=(2, 2)) * [[1.0], [1e-3]]
+            model = ClockModel(rng.normal(), rng.uniform(-0.05, 0.05), local, root @ root.T)
+        else:
+            variances = {"initial": (1.0, 1e-4), "wide": (1e8, 1e2), "zero": (0.0, 0.0)}[prior]
+            model = ClockModel.initial(local, *variances)
+        fast = slow = model
+        for _ in range(steps):
+            local += int(rng.choice([0, rng.integers(1, 10**6), rng.integers(10**8, 3 * 10**9)]))
+            observation = (local, local + round(offset_ns + drift * local + rng.normal(0.0, 2e6)))
+            try:
+                slow = kalman_update_checked(slow, observation, noise)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    kalman_update(fast, observation, noise)
+                return
+            fast = kalman_update(fast, observation, noise)
+            assert (fast.offset, fast.drift_rate, fast.last_sync) == (slow.offset, slow.drift_rate, slow.last_sync)
+            assert fast.covariance.tobytes() == slow.covariance.tobytes()
+
     def test_nonpositive_measurement_variance_rejected(self):
         with pytest.raises(ConfigError):
             NoiseConfig(measurement_var=0.0)
         with pytest.raises(ConfigError):
             NoiseConfig(process_offset_var=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"measurement_var": math.nan},
+            {"measurement_var": math.inf},
+            {"process_offset_var": math.nan},
+            {"process_drift_var": math.inf},
+            {"measurement_var": "1e-4"},
+            {"measurement_var": None},
+            {"process_offset_var": True},
+        ],
+    )
+    def test_non_finite_or_non_numeric_noise_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            NoiseConfig(**kwargs)
 
     def test_covariance_must_be_psd(self):
         with pytest.raises(ConfigError):
@@ -268,6 +317,39 @@ class TestBufferSize:
             BufferPolicy(b_min=1, beta=-1.0)
         with pytest.raises(ConfigError):
             BufferPolicy(b_min=1, beta=1.0, window=1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"b_min": 1, "beta": math.nan},
+            {"b_min": 1, "beta": math.inf},
+            {"b_min": 1, "beta": -math.inf},
+            {"b_min": 1, "beta": "3"},
+            {"b_min": 1, "beta": True},
+            {"b_min": 1, "beta": 1.0, "window": 2.5},
+            {"b_min": 1, "beta": 1.0, "window": True},
+            {"b_min": 1.5, "beta": 1.0},
+            {"b_min": 10.0, "beta": 1.0},
+            {"b_min": 2**63, "beta": 1.0},
+        ],
+    )
+    def test_non_finite_or_non_integer_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            BufferPolicy(**kwargs)
+
+    def test_numpy_settings_become_python_numbers(self):
+        policy = BufferPolicy(b_min=np.int64(5), beta=np.float64(2.0), window=np.int32(10))
+        assert type(policy.b_min) is int and type(policy.window) is int
+        assert type(buffer_size(policy, [1, 2, 3])) is int
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e15, 1e300])
+    def test_buffer_beyond_int64_saturates(self, beta):
+        policy = BufferPolicy(b_min=1, beta=beta, window=2)
+        assert buffer_size(policy, [0, 10**9, 0]) == 2**63 - 1
+        stream = make_stream("d", "imu", [0, 10**9, 10**9, 3 * 10**9])
+        frames = align_streams([stream], policy, epoch_ns=10**9)
+        assert [f.slots["d/imu"].local_ts for f in frames] == [0, 10**9, 10**9, 3 * 10**9]
 
 
 class TestAlignStreams:
@@ -377,12 +459,37 @@ class TestBatchedAlignmentMatchesPerEpoch:
     def test_every_sample_limit_equals_buffer_size(self, steps, window, beta, b_min):
         ts = np.cumsum(np.array(steps, dtype=np.int64))
         policy = BufferPolicy(b_min=b_min, beta=beta, window=window)
-        limits = tb._sample_limits(ts, policy)
+        (limits,) = tb._buffer_limits([ts], policy)
         expected = [
             buffer_size(policy, np.diff(ts[max(0, k - window) : k + 1]).tolist())
             for k in range(len(ts))
         ]
         assert limits.tolist() == expected
+
+
+class TestBatchedBufferLimits:
+    """The limits of all of a session's streams, worked out together, are ``buffer_size``'s."""
+
+    @settings(max_examples=budget(150), deadline=None)
+    @given(
+        streams=st.lists(st.lists(st.integers(0, 10**9), max_size=120), min_size=1, max_size=8),
+        window=st.integers(2, 60),
+        beta=st.one_of(st.floats(0.0, 50.0), st.sampled_from([1e6, 1e12, 1e15])),
+        b_min=st.integers(1, 10**8),
+    )
+    def test_every_sample_of_every_stream_equals_buffer_size(self, streams, window, beta, b_min):
+        # a stream of 1 sample has no interval; short ones never fill a window
+        columns = [np.cumsum(np.array([0, *steps], dtype=np.int64)) for steps in streams]
+        policy = BufferPolicy(b_min=b_min, beta=beta, window=window)
+        limits = tb._buffer_limits(columns, policy)
+        assert len(limits) == len(columns)
+        for ts, got in zip(columns, limits):
+            expected = [
+                buffer_size(policy, np.diff(ts[max(0, k - window) : k + 1]).tolist())
+                for k in range(len(ts))
+            ]
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
 
 
 class TestStreamsAndIo:

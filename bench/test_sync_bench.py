@@ -19,6 +19,12 @@ jitter, on a 20 ms epoch grid with a 60 ms floor and beta 3. The filter
 design runs at the rate of a jittered 25 Hz window (one period of
 40.123 ms), and the Kalman step folds one clock exchange into a model
 that has seen 20, with the testbed's 2 ms measurement noise.
+
+The gesture template is averaged, with the default 10 iterations, from
+six fixed recorded instances of 45-55 samples at 25 Hz: raise-hold-drop
+gestures, each time-warped by a random power of its phase, scaled by
+up to 5%, noisy at sigma 0.02 and levelled to its first sample, as a
+testbed's set-up stage records them.
 """
 
 import numpy as np
@@ -27,6 +33,7 @@ import pytest
 from sensorstack.eventsync import (
     GestureTemplate,
     TimeSeries,
+    dba_template,
     design_lowpass,
     detect_gesture_video,
     fine_tune_event,
@@ -102,6 +109,24 @@ def test_fine_tune_event(benchmark, series):
     refined = benchmark(fine_tune_event, {"cam1": series}, {"cam1": GESTURE_NS + 150_000_000})
     assert not refined["cam1"].fallback
     assert abs(refined["cam1"].refined_ns - GESTURE_NS) < 150_000_000
+
+
+@pytest.fixture(scope="module")
+def exemplars():
+    rng = np.random.default_rng(2026)
+    out = []
+    for _ in range(6):
+        length = int(rng.integers(45, 56))
+        x = np.linspace(0.0, 1.0, length) ** rng.uniform(0.85, 1.15)
+        recorded = hand_height(x) * rng.uniform(0.95, 1.05) + rng.normal(0.0, 0.02, length)
+        out.append(recorded - recorded[0])
+    return out
+
+
+def test_dba_template(benchmark, exemplars):
+    template = benchmark(dba_template, exemplars, sample_rate_hz=25.0)
+    assert min(map(len, exemplars)) <= len(template.values) <= max(map(len, exemplars))
+    assert 0.9 < float(template.values.max()) < 1.1
 
 
 def test_detect_gesture_video(benchmark, series):

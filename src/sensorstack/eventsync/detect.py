@@ -9,14 +9,10 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import UsageError
-from .dtw import GestureTemplate, _cumulative, dtw_cost
+from .dtw import _BLOCK_CELLS, GestureTemplate, _cumulative, dtw_cost
 from .series import TimeSeries
 
 STAGES = ("coarse", "fine")
-
-# cells of one batched DTW table; bounds the memory of a block of
-# windows. A block holding a candidate is kept until suppression ends.
-_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,7 @@ def detect_gesture_video(
     scaled, template_scaled = _scaled(z_series.values, template)
     m = len(template_scaled)
     last_row = len(scaled) - 1
+    # a block of windows holding a candidate is kept until suppression ends
     block = max(1, _BLOCK_CELLS // (int(n_rows.max()) * (m + 1)))
 
     # (score, end time, flat table, end cell index, end row, first sample, batch)
@@ -195,7 +192,7 @@ def _onset_row(cells, pos: int, i: int, j: int, up: int, left: int) -> int:
 
     ``cells`` is a flat table, ``pos`` the cell's index in it, and
     ``up`` and ``left`` the index distances to the cells above and to
-    the left. The path is walked back as `dtw._backtrack` walks it,
+    the left. The path is walked back as `dtw._warp_path` walks it,
     preferring the diagonal, then up, then left on ties; once it
     reaches row 0 it runs left along it, so its onset is row 0.
     """

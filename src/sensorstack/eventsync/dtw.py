@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import UsageError
 from ..timebase import NS_PER_SEC
+
+# cells of one batched DTW table: the detector's blocks of windows and
+# the blocks of dba's medoid pairs stay under it
+_BLOCK_CELLS = 1 << 20
 
 
 def _as_values(seq) -> np.ndarray:
@@ -19,6 +23,8 @@ def _as_values(seq) -> np.ndarray:
         raise UsageError(f"sequence must hold numbers: {exc}") from None
     if vals.ndim != 1 or len(vals) == 0:
         raise UsageError("sequence must be a non-empty 1-d array")
+    if not np.isfinite(vals).all():
+        raise UsageError("sequence values must be finite")
     return vals
 
 
@@ -45,10 +51,11 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     recurrence D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to a
     cumulative sum plus a running minimum, so every table in the batch
     advances by one vectorized row update per step instead of a scalar
-    double loop. Row i reads only rows above it, so the top k rows of a
-    table are the cumulative cost of the first k rows of its input
-    alone: tables of different heights can share one batch, padded to
-    the tallest.
+    double loop. Cell (i, j) reads only cells above it and to its left,
+    so the top-left (k, l) corner of a table is the cumulative cost of
+    the first k rows and l columns of its input alone: tables of
+    different heights and different widths can share one batch, padded
+    below and to the right to the tallest and widest.
     """
     table[:, 0] = np.inf
     cost = table[:, 1:]
@@ -65,31 +72,37 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _backtrack(cumulative: np.ndarray) -> list[tuple[int, int]]:
-    """Recover one optimal path, preferring diagonal steps on ties."""
-    i = cumulative.shape[0] - 1
-    j = cumulative.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
+def _warp_path(cells, pos: int, i: int, j: int, up: int, left: int) -> tuple[list[int], list[int]]:
+    """Rows and columns of the optimal warp path through cell (i, j), walked back from it to (0, 0).
+
+    ``cells`` is a flat cumulated table, ``pos`` the cell's index in it,
+    and ``up`` and ``left`` the index distances to the cells above and
+    to the left, as `detect._onset_row` takes them. On ties the walk
+    prefers the diagonal, then up, then left; once it reaches row 0 or
+    column 0 it runs along it to (0, 0).
+    """
+    diag = up + left
+    rows, cols = [i], [j]
+    while i and j:
+        d, u, l = cells[pos - diag], cells[pos - up], cells[pos - left]
+        if d <= u and d <= l:
             i -= 1
+            j -= 1
+            pos -= diag
+        elif u <= l:
+            i -= 1
+            pos -= up
         else:
-            diag = cumulative[i - 1, j - 1]
-            up = cumulative[i - 1, j]
-            left = cumulative[i, j - 1]
-            best = min(diag, up, left)
-            if diag == best:
-                i -= 1
-                j -= 1
-            elif up == best:
-                i -= 1
-            else:
-                j -= 1
-        path.append((i, j))
-    path.reverse()
-    return path
+            j -= 1
+            pos -= left
+        rows.append(i)
+        cols.append(j)
+    # at most one of i and j is left above 0
+    rows += range(i - 1, -1, -1)
+    cols += [0] * i
+    rows += [0] * j
+    cols += range(j - 1, -1, -1)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -99,11 +112,12 @@ class DtwResult:
 
 
 def _cumulative_table(s, t, point_metric: str) -> np.ndarray:
-    """Cumulative cost table of one pair of sequences, shape (len(s), len(t))."""
+    """Cumulated table of one pair of sequences, laid out as `_cumulative` takes it: (len(s), len(t) + 1, 1)."""
     d = _pairwise_cost(_as_values(s), _as_values(t), point_metric)
     table = np.empty((d.shape[0], d.shape[1] + 1, 1))
     table[:, 1:, 0] = d
-    return _cumulative(table)[:, :, 0]
+    _cumulative(table)
+    return table
 
 
 def dtw_distance(s, t, point_metric: str = "abs") -> DtwResult:
@@ -113,13 +127,15 @@ def dtw_distance(s, t, point_metric: str = "abs") -> DtwResult:
     by (1,0), (0,1) or (1,1) only. ``point_metric`` is "abs" (absolute
     difference) or "sqeuclidean" (squared difference).
     """
-    cum = _cumulative_table(s, t, point_metric)
-    return DtwResult(cost=float(cum[-1, -1]), path=tuple(_backtrack(cum)))
+    table = _cumulative_table(s, t, point_metric)
+    n, width = table.shape[:2]
+    rows, cols = _warp_path(memoryview(table.reshape(-1)), table.size - 1, n - 1, width - 2, width, 1)
+    return DtwResult(cost=float(table[-1, -1, 0]), path=tuple(zip(reversed(rows), reversed(cols))))
 
 
 def dtw_cost(s, t, point_metric: str = "abs") -> float:
     """Cost-only variant; skips path recovery."""
-    return float(_cumulative_table(s, t, point_metric)[-1, -1])
+    return float(_cumulative_table(s, t, point_metric)[-1, -1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +148,46 @@ class DbaResult:
     costs: tuple[float, ...]
 
 
-def _dba_objective(barycenter: np.ndarray, sequences: list[np.ndarray]) -> float:
-    return sum(dtw_cost(barycenter, s, "sqeuclidean") for s in sequences)
+def _sqeuclidean_tables(lefts: list[np.ndarray], rights: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+    """Cumulated squared-distance tables of the pairs (lefts[p], rights[p]), in one batch.
+
+    Returns the (row, column, batch) table as `_cumulative` lays it
+    out, pair p's table at the top left of batch entry p and zeros
+    padded below and to its right, and each pair's DTW cost, read at
+    the pair's own last cell.
+    """
+    n, m, batch = max(map(len, lefts)), max(map(len, rights)), len(lefts)
+    rows, cols = np.zeros((n, batch)), np.zeros((m, batch))
+    for p, (a, b) in enumerate(zip(lefts, rights)):
+        rows[: len(a), p] = a
+        cols[: len(b), p] = b
+    table = np.empty((n, m + 1, batch))
+    cost = table[:, 1:]
+    np.subtract(rows[:, None], cols, out=cost)
+    np.square(cost, out=cost)
+    ends = _cumulative(table)[[len(a) - 1 for a in lefts], [len(b) - 1 for b in rights], np.arange(batch)]
+    return table, ends.tolist()
+
+
+def _aligned_mean(table: np.ndarray, seqs: list[np.ndarray]) -> np.ndarray:
+    """Each barycenter point's mean of the sequence values that the warp paths in ``table`` align to it.
+
+    ``table`` is `_sqeuclidean_tables`' batch of (barycenter, seqs[w])
+    tables. Every path's values are added in path order, one sequence
+    after another, so each point sums its values in the same order as
+    a point-by-point loop would.
+    """
+    length, width, batch = table.shape
+    cells = memoryview(table.reshape(-1))
+    rows, values = [], []
+    for w, seq in enumerate(seqs):
+        pos = ((length - 1) * width + len(seq)) * batch + w
+        path_rows, path_cols = _warp_path(cells, pos, length - 1, len(seq) - 1, width * batch, batch)
+        rows += reversed(path_rows)
+        values.append(seq[path_cols[::-1]])
+    sums = np.zeros(length)
+    np.add.at(sums, rows, np.concatenate(values))
+    return sums / np.bincount(rows, minlength=length)
 
 
 def dba(sequences: Sequence, iterations: int) -> DbaResult:
@@ -144,30 +198,40 @@ def dba(sequences: Sequence, iterations: int) -> DbaResult:
     the mean of its aligned values. The recorded objective (total
     squared-distance DTW cost to the set) never increases; a single
     input is its own fixed point.
+
+    Each step is one batched DTW: the medoid's k * k pairs share a
+    kernel call (split only past ``_BLOCK_CELLS``), and each iteration's
+    k (barycenter, sequence) tables give both the objective of the
+    barycenter and its next alignment.
     """
-    seqs = [_as_values(s) for s in sequences]
+    try:
+        seqs = [_as_values(s) for s in sequences]
+    except TypeError:
+        raise UsageError("sequences must be an iterable of sequences") from None
     if not seqs:
         raise UsageError("need at least one sequence")
+    if isinstance(iterations, bool) or not isinstance(iterations, Integral):
+        raise UsageError("iterations must be an integer")
     if iterations < 1:
         raise UsageError("iterations must be at least 1")
 
-    totals = [
-        sum(dtw_cost(seqs[i], seqs[j], "sqeuclidean") for j in range(len(seqs)))
-        for i in range(len(seqs))
-    ]
+    k = len(seqs)
+    longest = max(map(len, seqs))
+    block = max(1, _BLOCK_CELLS // (longest * (longest + 1)))
+    lefts = [a for a in seqs for _ in seqs]
+    rights = seqs * k
+    pair_costs = []
+    for p in range(0, k * k, block):
+        pair_costs += _sqeuclidean_tables(lefts[p : p + block], rights[p : p + block])[1]
+    totals = [sum(pair_costs[i : i + k]) for i in range(0, k * k, k)]
     barycenter = seqs[int(np.argmin(totals))].copy()
 
-    costs = [_dba_objective(barycenter, seqs)]
+    costs = []
     for _ in range(iterations):
-        sums = np.zeros_like(barycenter)
-        counts = np.zeros(len(barycenter))
-        for seq in seqs:
-            result = dtw_distance(barycenter, seq, "sqeuclidean")
-            for i, j in result.path:
-                sums[i] += seq[j]
-                counts[i] += 1
-        barycenter = sums / counts
-        costs.append(_dba_objective(barycenter, seqs))
+        table, ends = _sqeuclidean_tables([barycenter] * k, seqs)
+        costs.append(sum(ends))
+        barycenter = _aligned_mean(table, seqs)
+    costs.append(sum(_sqeuclidean_tables([barycenter] * k, seqs)[1]))
     return DbaResult(barycenter=barycenter, costs=tuple(costs))
 
 

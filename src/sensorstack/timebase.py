@@ -132,7 +132,7 @@ class ClockModel:
             raise DomainError("drift rate exceeds sanity bound of 0.1")
         if cov.shape != (2, 2):
             raise ConfigError("covariance must be a 2x2 matrix")
-        if not np.all(np.isfinite(cov)):
+        if not all(map(math.isfinite, cov.flat)):
             raise ConfigError("covariance must be finite")
         return cov
 

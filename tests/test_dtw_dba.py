@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import GestureTemplate, TimeSeries, dba, dtw_distance
-from sensorstack.eventsync.dtw import dtw_cost
+from sensorstack.eventsync.dtw import _cumulative, dtw_cost
 
 
 def valid_warp_path(path, n, m):
@@ -128,6 +128,25 @@ class TestDba:
             diffs = np.diff(result.costs)
             assert np.all(diffs <= 1e-9), f"seed {seed}: {result.costs}"
 
+    @pytest.mark.parametrize("iterations", [2.5, "3", True, None])
+    def test_non_integer_iterations_rejected(self, iterations):
+        with pytest.raises(UsageError, match="iterations"):
+            dba([[1.0, 2.0]], iterations)
+
+    def test_non_iterable_sequences_rejected(self):
+        with pytest.raises(UsageError, match="iterable"):
+            dba(5, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            dba([[1.0, 2.0], [1.0, bad]], 2)
+        for dtw in (dtw_distance, dtw_cost):
+            with pytest.raises(UsageError, match="finite"):
+                dtw([1.0, bad], [1.0, 2.0])
+            with pytest.raises(UsageError, match="finite"):
+                dtw([1.0, 2.0], [bad])
+
     def test_template_beats_arithmetic_mean_on_warped_pulses(self):
         rng = np.random.default_rng(5)
         seqs = [warped_pulse(rng) for _ in range(5)]
@@ -165,6 +184,27 @@ class TestKernelMatchesRowOracle:
         assert got.cost == float(table[-1, -1])
         assert list(got.path) == dtw_backtrack(table)
         assert dtw_cost(s, t, metric) == float(table[-1, -1])
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6),
+        levels=st.sampled_from([0, 1, 2, 4]),
+    )
+    def test_one_batch_of_tables_of_different_heights_and_widths(self, seed, shapes, levels):
+        # each table sits at the top left of its entry; the padding below and
+        # to its right holds arbitrary values the table must not read
+        rng = np.random.default_rng(seed)
+        n, m = max(h for h, _ in shapes), max(w for _, w in shapes)
+        table = np.empty((n, m + 1, len(shapes)))
+        table[:, 1:] = rng.normal(size=(n, m, len(shapes))) * 10
+        costs = []
+        for b, (h, w) in enumerate(shapes):
+            costs.append(tied_or_random(rng, (h, w), levels) ** 2)
+            table[:h, 1 : w + 1, b] = costs[-1]
+        cum = _cumulative(table)
+        for b, (h, w) in enumerate(shapes):
+            assert cum[:h, :w, b].tobytes() == dtw_table_rows(costs[b]).tobytes()
 
     @settings(max_examples=budget(40), deadline=None)
     @given(

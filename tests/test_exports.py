@@ -39,6 +39,7 @@ UNREACHED_BY_DESIGN = {
     "butterworth_lowpass": "the definition that tests check the fine-tune filter against",
     "normalized_dtw_score": "the definition that tests and oracles.py check the batched detector's scores against",
     "suppress_overlaps": "the definition that tests and oracles.py check the detector's suppression against",
+    "dtw_distance": "the one public form of the warp-path walk that dba runs on its batched tables; tests check the walk through it",
 }
 
 

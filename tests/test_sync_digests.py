@@ -10,6 +10,13 @@ is held to them bit for bit. The sessions come from numpy's PCG64
 stream (``default_rng``); the digests were taken with numpy 2.4.6 and
 scipy 1.17.1, and a library that changed that stream or scipy's
 ``lfilter`` would change them without a fault in this package.
+
+The gesture template is pinned the same way: the barycenter bytes and
+the objective trace of ``dba_template`` over three fixed exemplar sets,
+each six warped, noisy raise-hold-drop instances of 45-55 samples
+levelled to their first sample, as a testbed records them. Those
+digests were taken with numpy 2.4.6, before barycenter averaging was
+batched.
 """
 
 import hashlib
@@ -17,7 +24,7 @@ import json
 
 import numpy as np
 
-from sensorstack.eventsync import TimeSeries, fine_tune_event
+from sensorstack.eventsync import TimeSeries, dba, dba_template, fine_tune_event
 from sensorstack.timebase import BufferPolicy, SampleStream, SensorSample, StreamDescriptor, align_streams
 
 NS = 1_000_000_000
@@ -107,3 +114,34 @@ def test_sync_outputs_match_pinned_digests():
         streams, starts = session(seed)
         assert frames_digest(streams) == frames, seed
         assert refined_digest(streams, starts, seed) == refined, seed
+
+
+def exemplars(seed: int) -> list[np.ndarray]:
+    """Six recorded gesture instances, each warped and noisy, cut at the onset."""
+    rng = np.random.default_rng([seed, 20])
+    out = []
+    for _ in range(6):
+        length = int(rng.integers(45, 56))
+        x = np.linspace(0, 1, length) ** rng.uniform(0.85, 1.15)
+        recorded = hand_height(x) * rng.uniform(0.95, 1.05) + rng.normal(0, 0.02, length)
+        out.append(recorded - recorded[0])
+    return out
+
+
+def template_digest(seqs) -> str:
+    template = dba_template(seqs, sample_rate_hz=25.0)
+    costs = dba(seqs, 10).costs
+    return hashlib.sha256(template.values.tobytes() + json.dumps(costs).encode()).hexdigest()
+
+
+# seed -> digest of the template's values and objective trace
+PINNED_TEMPLATES = {
+    1: "0c847cba72a3c9f31908daab3759112008df312ab48aa08d12a99d3c2e7d1dba",
+    2: "641c2789a6399e5c1825458760bc41e3f89f7fea09366657b234daed576b9b01",
+    3: "9b636f3112542083721e4fe1b969c3e535d5ae349e99045a27368c50edf1b084",
+}
+
+
+def test_template_matches_pinned_digests():
+    for seed, digest in PINNED_TEMPLATES.items():
+        assert template_digest(exemplars(seed)) == digest, seed

@@ -272,6 +272,24 @@ class TestKalmanUpdate:
         with pytest.raises(ConfigError):
             ClockModel(0.0, 0.0, 0, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_covariance_cell_rejected(self, cell, bad):
+        cov = np.eye(2)
+        cov[cell] = bad
+        with pytest.raises(ConfigError, match="covariance must be finite"):
+            ClockModel(0.0, 0.0, 0, cov)
+        # kalman_update builds its result through _from_filter, which skips
+        # only the symmetry and PSD tests
+        with pytest.raises(ConfigError, match="covariance must be finite"):
+            ClockModel._from_filter(0.0, 0.0, 0, cov)
+        # a model carrying the cell past the constructor spreads it into the
+        # estimate, so the update is refused before any model is built
+        model = ClockModel.initial(0)
+        object.__setattr__(model, "covariance", cov)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            kalman_update(model, (NS, NS))
+
 
 class TestBufferSize:
     def test_floor_applies_when_jitter_small(self):

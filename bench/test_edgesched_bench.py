@@ -64,7 +64,7 @@ def test_schedule_cycle(benchmark, queued_tasks):
 
     def fresh():
         nodes = [NodeState(spec) for spec in TOPOLOGY.nodes]
-        return (TaskQueue(config, queued_tasks), nodes, now_ns, config), {}
+        return (TaskQueue(config, queued_tasks), nodes, now_ns), {}
 
     dispatches = benchmark.pedantic(schedule_cycle, setup=fresh, rounds=20)
     assert 0 < len(dispatches) < len(queued_tasks)

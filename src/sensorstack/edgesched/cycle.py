@@ -66,22 +66,18 @@ class TaskQueue:
         return min((key[0] for key in self._groups), default=math.inf)
 
 
-def schedule_cycle(
-    queue: TaskQueue,
-    nodes: Sequence[NodeState],
-    now_ns: int,
-    config: SchedulerConfig,
-) -> list[Dispatch]:
+def schedule_cycle(queue: TaskQueue, nodes: Sequence[NodeState], now_ns: int) -> list[Dispatch]:
     """Dispatch the most urgent queued tasks onto willing nodes.
 
-    Tasks are taken in urgency order at ``now_ns``, equal urgencies in
-    arrival order ``(entry_time_ns, task_id)``, and each is placed on the
-    node the routing rule picks, provided that node still accepts work
-    (``NodeState.accepts``). Placed tasks leave the queue; each placement
-    occupies its node at once, so later routing sees the load added
-    earlier in the same cycle. A batch opened on a computation unit is
-    due to close ``config.batch_window_ns`` from now; the caller closes
-    it with ``NodeState.close_batch``.
+    Tasks are taken in urgency order at ``now_ns`` under the queue's
+    ``config``, equal urgencies in arrival order ``(entry_time_ns,
+    task_id)``, and each is placed on the node the routing rule picks,
+    provided that node still accepts work (``NodeState.accepts``).
+    Placed tasks leave the queue; each placement occupies its node at
+    once, so later routing sees the load added earlier in the same
+    cycle. A batch opened on a computation unit is due to close the
+    config's ``batch_window_ns`` from now; the caller closes it with
+    ``NodeState.close_batch``.
 
     A task's node depends only on its compute class and node occupancy,
     occupancy only grows within a cycle, and a node that refused a task
@@ -96,8 +92,7 @@ def schedule_cycle(
     """
     if not isinstance(queue, TaskQueue):
         raise UsageError("schedule_cycle takes a TaskQueue")
-    if queue.config != config:
-        raise UsageError("the task queue was built for another scheduler config")
+    config = queue.config
     if now_ns < queue._latest_entry_ns:
         raise UsageError("now precedes the task's entry time")
     groups = queue._groups

@@ -208,7 +208,7 @@ def run_simulation(
 
         elif rank == RANK_CYCLE:
             started = time.perf_counter()
-            dispatches = schedule_cycle(queue, nodes, t_ns, config)
+            dispatches = schedule_cycle(queue, nodes, t_ns)
             overhead_samples.append(time.perf_counter() - started)
 
             remaining_best = queue.best_priority()

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError, UsageError
-from ..timebase import NS_PER_SEC
+from ..timebase import NS_PER_SEC, _REAL_TYPES, _nanoseconds
 
 COMPUTE_CLASSES = ("light", "heavy")
 NODE_KINDS = ("medium", "computation_unit")
@@ -21,7 +21,8 @@ class Task:
 
     ``initial_priority`` follows the urgency convention used throughout
     this module: smaller means more urgent. ``entry_time_ns`` is stamped
-    when the task joins the queue and drives the aging term.
+    when the task joins the queue and drives the aging term. Both times
+    are integers; anything else, or a non-finite priority, is a UsageError.
     """
 
     task_id: str
@@ -34,6 +35,11 @@ class Task:
     def __post_init__(self):
         if self.compute_class not in COMPUTE_CLASSES:
             raise UsageError(f"unknown compute class {self.compute_class!r}")
+        if not (isinstance(self.initial_priority, _REAL_TYPES) and math.isfinite(self.initial_priority)):
+            raise UsageError("initial_priority must be a finite number")
+        if type(self.entry_time_ns) is not int or type(self.service_demand_ns) is not int:
+            _nanoseconds(self.entry_time_ns, "entry_time_ns")
+            _nanoseconds(self.service_demand_ns, "service_demand_ns")
         if self.service_demand_ns <= 0:
             raise UsageError("service_demand_ns must be positive")
 

@@ -25,10 +25,6 @@ class MatchedPair:
     a: EventDetection
     b: EventDetection
 
-    @property
-    def delta_ns(self) -> int:
-        return self.a.start - self.b.start
-
 
 def coarse_align(
     events_a: Sequence[EventDetection],
@@ -156,36 +152,35 @@ def _first_departure(raw: TimeSeries, window_start: int) -> int:
 
 def apply_sync(
     streams: Mapping[str, SampleStream],
-    refined_starts: Mapping[str, int | Sequence[int]],
+    refined_starts: Mapping[str, Sequence[int]],
     reference_stream_id: str,
 ) -> dict[str, SampleStream]:
     """Shift corrected timestamps so refined starts line up.
 
-    Each non-reference stream moves by (reference start - its start).
-    A stream may supply several refined starts, paired by position with
-    the reference's; the shift is then the median of the pairwise
-    differences, which tolerates the odd bad refinement.
+    Every stream supplies a sequence of refined starts, paired by
+    position with the reference's. Each non-reference stream moves by
+    the median of (reference start - its start) over the pairs, which
+    tolerates the odd bad refinement.
     """
     if reference_stream_id not in streams:
         raise UsageError("reference stream missing from streams")
     if reference_stream_id not in refined_starts:
         raise UsageError("reference stream missing from refined starts")
 
-    def as_list(v) -> list[int]:
-        if isinstance(v, (int, np.integer)):
-            return [int(v)]
-        return [int(x) for x in v]
-
-    ref = as_list(refined_starts[reference_stream_id])
+    try:
+        starts = {stream_id: [int(x) for x in value] for stream_id, value in refined_starts.items()}
+    except (TypeError, ValueError):
+        raise UsageError("refined starts must be sequences of integers") from None
+    ref = starts[reference_stream_id]
     out: dict[str, SampleStream] = {reference_stream_id: streams[reference_stream_id]}
     for stream_id, stream in streams.items():
         if stream_id == reference_stream_id:
             continue
-        if stream_id not in refined_starts:
+        if stream_id not in starts:
             raise UsageError(f"no refined start for stream {stream_id}")
-        own = as_list(refined_starts[stream_id])
-        if len(own) != len(ref):
-            raise UsageError("refined start lists must pair up with the reference")
+        own = starts[stream_id]
+        if not own or len(own) != len(ref):
+            raise UsageError("refined start lists must be non-empty and pair up with the reference")
         deltas = [r - o for r, o in zip(ref, own)]
         shift = int(np.median(deltas))
         out[stream_id] = stream.shifted(shift)

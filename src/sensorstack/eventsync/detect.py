@@ -12,31 +12,25 @@ from ..errors import UsageError
 from .dtw import _BLOCK_CELLS, GestureTemplate, _cumulative, dtw_cost
 from .series import TimeSeries
 
-STAGES = ("coarse", "fine")
-
 
 @dataclass(frozen=True)
 class EventDetection:
     """One detected event occurrence within a stream.
 
     ``score`` is the normalized DTW distance of the best window (lower
-    is better); ``stage`` records whether the bounds come from coarse
-    detection or fine refinement.
+    is better).
     """
 
     stream_id: str
     start: int
     end: int
     score: float
-    stage: str = "coarse"
 
     def __post_init__(self):
         if self.start > self.end:
             raise UsageError("event start must not exceed its end")
         if not np.isfinite(self.score):
             raise UsageError("event score must be finite")
-        if self.stage not in STAGES:
-            raise UsageError(f"unknown stage {self.stage!r}")
 
 
 def _scaled(values, template: GestureTemplate) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +54,7 @@ def normalized_dtw_score(window, template: GestureTemplate) -> float:
     """
     values = window.values if isinstance(window, TimeSeries) else window
     scaled, template_scaled = _scaled(values, template)
-    return dtw_cost(scaled, template_scaled, "abs") / len(template.values)
+    return dtw_cost(scaled, template_scaled) / len(template.values)
 
 
 def detect_gesture_video(
@@ -156,7 +150,6 @@ def detect_gesture_video(
                 start=int(ts[first + _onset_row(cells, pos, end, m - 1, (m + 1) * batch, batch)]),
                 end=end_ns,
                 score=score,
-                stage="coarse",
             )
             for _, end_ns, cells, pos, end, first, batch in group
             if not any(k.start < end_ns < k.end for k in kept)

@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UsageError
-from ..timebase import NS_PER_SEC
 
 # cells of one batched DTW table: the detector's blocks of windows and
 # the blocks of dba's medoid pairs stay under it
@@ -26,15 +25,6 @@ def _as_values(seq) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise UsageError("sequence values must be finite")
     return vals
-
-
-def _pairwise_cost(s: np.ndarray, t: np.ndarray, metric: str) -> np.ndarray:
-    diff = s[:, None] - t[None, :]
-    if metric == "abs":
-        return np.abs(diff)
-    if metric == "sqeuclidean":
-        return diff**2
-    raise UsageError(f"unknown point metric {metric!r}")
 
 
 def _cumulative(table: np.ndarray) -> np.ndarray:
@@ -111,31 +101,31 @@ class DtwResult:
     path: tuple[tuple[int, int], ...]
 
 
-def _cumulative_table(s, t, point_metric: str) -> np.ndarray:
-    """Cumulated table of one pair of sequences, laid out as `_cumulative` takes it: (len(s), len(t) + 1, 1)."""
-    d = _pairwise_cost(_as_values(s), _as_values(t), point_metric)
-    table = np.empty((d.shape[0], d.shape[1] + 1, 1))
-    table[:, 1:, 0] = d
+def _cumulative_table(s, t) -> np.ndarray:
+    """Cumulated |s - t| table of one pair of sequences, laid out as `_cumulative` takes it: (len(s), len(t) + 1, 1)."""
+    s, t = _as_values(s), _as_values(t)
+    table = np.empty((len(s), len(t) + 1, 1))
+    table[:, 1:, 0] = np.abs(s[:, None] - t[None, :])
     _cumulative(table)
     return table
 
 
-def dtw_distance(s, t, point_metric: str = "abs") -> DtwResult:
+def dtw_distance(s, t) -> DtwResult:
     """Minimum cumulative warp cost and one optimal path of two 1-d sequences.
 
-    The path starts at (0, 0), ends at (len(s)-1, len(t)-1), and moves
-    by (1,0), (0,1) or (1,1) only. ``point_metric`` is "abs" (absolute
-    difference) or "sqeuclidean" (squared difference).
+    The point cost is the absolute difference. The path starts at
+    (0, 0), ends at (len(s)-1, len(t)-1), and moves by (1,0), (0,1) or
+    (1,1) only.
     """
-    table = _cumulative_table(s, t, point_metric)
+    table = _cumulative_table(s, t)
     n, width = table.shape[:2]
     rows, cols = _warp_path(memoryview(table.reshape(-1)), table.size - 1, n - 1, width - 2, width, 1)
     return DtwResult(cost=float(table[-1, -1, 0]), path=tuple(zip(reversed(rows), reversed(cols))))
 
 
-def dtw_cost(s, t, point_metric: str = "abs") -> float:
+def dtw_cost(s, t) -> float:
     """Cost-only variant; skips path recovery."""
-    return float(_cumulative_table(s, t, point_metric)[-1, -1, 0])
+    return float(_cumulative_table(s, t)[-1, -1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +256,6 @@ class GestureTemplate:
             raise UsageError("dtw threshold must be a positive number")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def duration_ns(self) -> int:
-        return round(len(self.values) / self.sample_rate_hz * NS_PER_SEC)
 
 
 def dba_template(

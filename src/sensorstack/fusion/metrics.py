@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UsageError
-from ..scoring import DetectionScores, greedy_match, prf_scores
+from ..scoring import DetectionScores, _check_non_negative, greedy_match, prf_scores
 from .dedup import checked_threshold, frame_detections, merge_cuts, merge_group, sorted_fused
 from .types import CATEGORIES, Detection, FusedDetection, ObjectTruth
 
@@ -27,8 +27,7 @@ def evaluate_detections(
     truth object absorbs at most one prediction. Categories absent from
     both sides are omitted.
     """
-    if not match_radius >= 0:
-        raise UsageError("match_radius must be non-negative")
+    _check_non_negative(match_radius, "match_radius")
     scores: dict[str, DetectionScores] = {}
     for category in CATEGORIES:
         preds = np.array([f.center for f in fused if f.category == category], dtype=float).reshape(-1, 2)

@@ -6,8 +6,20 @@ import math
 from dataclasses import dataclass
 
 from ..errors import UsageError
+from ..timebase import _REAL_TYPES
 
 CATEGORIES = ("pedestrian", "vehicle")
+
+
+def _point(value, name: str) -> tuple[float, float]:
+    """``value`` as an (x, y) pair of floats; a UsageError unless it is two finite numbers (a string is none)."""
+    try:
+        x, y = value
+        if math.isfinite(x) and math.isfinite(y):
+            return float(x), float(y)
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"{name} must be two finite numbers")
 
 
 @dataclass(frozen=True)
@@ -27,12 +39,9 @@ class Detection:
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise UsageError(f"unknown detection category {self.category!r}")
-        x, y = self.center
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise UsageError("detection center must be finite")
-        object.__setattr__(self, "center", (float(x), float(y)))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise UsageError("confidence must lie in [0, 1]")
+        object.__setattr__(self, "center", _point(self.center, "detection center"))
+        if not (isinstance(self.confidence, _REAL_TYPES) and 0.0 <= self.confidence <= 1.0):
+            raise UsageError("confidence must be a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -43,11 +52,8 @@ class PointPair:
     target: tuple[float, float]
 
     def __post_init__(self):
-        for name, point in (("source", self.source), ("target", self.target)):
-            x, y = point
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise UsageError(f"{name} coordinates must be finite")
-            object.__setattr__(self, name, (float(x), float(y)))
+        object.__setattr__(self, "source", _point(self.source, "source"))
+        object.__setattr__(self, "target", _point(self.target, "target"))
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,9 @@ class FusedDetection:
             raise UsageError(f"unknown detection category {self.category!r}")
         if not self.cameras:
             raise UsageError("a fused detection needs at least one camera")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise UsageError("confidence must lie in [0, 1]")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        if not (isinstance(self.confidence, _REAL_TYPES) and 0.0 <= self.confidence <= 1.0):
+            raise UsageError("confidence must be a number in [0, 1]")
+        object.__setattr__(self, "center", _point(self.center, "fused center"))
         object.__setattr__(self, "cameras", tuple(self.cameras))
 
 
@@ -87,7 +93,4 @@ class ObjectTruth:
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise UsageError(f"unknown category {self.category!r}")
-        x, y = self.center
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise UsageError("truth center must be finite")
-        object.__setattr__(self, "center", (float(x), float(y)))
+        object.__setattr__(self, "center", _point(self.center, "truth center"))

@@ -14,8 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
+from .timebase import _REAL_TYPES
 
 _UINT64_MAX = 2**64 - 1
+
+
+def _check_non_negative(value, name: str):
+    if not (isinstance(value, _REAL_TYPES) and value >= 0):
+        raise UsageError(f"{name} must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,7 @@ def greedy_match(distance, pred_index, truth_index, max_distance) -> list[tuple[
     (pred_index, truth_index) pairs sorted. Cost: O(c log c) for c
     candidates.
     """
-    if not max_distance >= 0:
-        raise UsageError("max_distance must be non-negative")
+    _check_non_negative(max_distance, "max_distance")
     distance = np.asarray(distance)
     keep = distance <= max_distance
     d = distance[keep]
@@ -81,8 +86,7 @@ def match_integers(a: Sequence[int], b: Sequence[int], tolerance) -> list[tuple[
     taken as unsigned 64-bit integers, which hold every such gap
     exactly, and compared with ``tolerance`` rounded down.
     """
-    if not tolerance >= 0:
-        raise UsageError("tolerance must be non-negative")
+    _check_non_negative(tolerance, "tolerance")
     try:
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError
-from ..timebase import MODALITIES, ClockModel, _nanoseconds, correct_timestamp
+from ..timebase import MODALITIES, _nanoseconds
 from .store import MemoryLog
 from .tokens import AccessToken, issue_token, require_role, validate_token
 from .types import (
@@ -42,7 +42,7 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 # a stored capture row, one tuple per sample:
-# (corrected_ts, capture_id, local_ts, modality, payload, location);
+# (local_ts, capture_id, modality, payload, location);
 # the order of a device's capture store and of every query result
 _capture_key = itemgetter(0, 1)
 
@@ -99,10 +99,11 @@ class CoreServices:
     identifiers are used; without one, identifiers are random version-4
     UUIDs drawn a batch at a time.
 
-    Each device's captures are rows ``(corrected_ts, capture_id,
-    local_ts, modality, payload, location)``, kept sorted by their
-    first two fields beside a list of their ``corrected_ts`` values, so
-    a windowed query is two bisections and a slice. Query rows hand out
+    Each device's captures are rows ``(local_ts, capture_id, modality,
+    payload, location)``, kept sorted by their first two fields beside
+    a list of their ``local_ts`` values, so a windowed query is two
+    bisections and a slice. No clock model is applied at capture: a
+    row's ``corrected_ts`` is its ``local_ts``. Query rows hand out
     the stored ``payload`` and ``location`` tuples themselves.
     """
 
@@ -191,6 +192,8 @@ class CoreServices:
         if sync_ts is None:
             sync_ts = self._clock()
         try:
+            if isinstance(sync_ts, bool):
+                raise TypeError("a bool is not a timestamp")
             last_sync = parse_timestamp(sync_ts) if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
@@ -361,12 +364,7 @@ class CoreServices:
 
     # -- capture -----------------------------------------------------
 
-    def capture_ingest(
-        self,
-        device_token: str,
-        samples: Iterable[Mapping],
-        clock_model: ClockModel | None = None,
-    ) -> tuple[str, ...]:
+    def capture_ingest(self, device_token: str, samples: Iterable[Mapping]) -> tuple[str, ...]:
         """Store wire samples as in a ``POST /capture`` body; their capture ids in input order.
 
         The samples are checked before the token, so a malformed batch is
@@ -383,15 +381,13 @@ class CoreServices:
         stray = devices - {device_id}
         if stray:
             raise AuthError(f"sample for {min(stray)!r} submitted with token for {device_id!r}")
-        corrected = local if clock_model is None else [correct_timestamp(ts, clock_model) for ts in local]
-        for column in (local, corrected):
-            if column and not (_INT64_MIN <= min(column) and max(column) <= _INT64_MAX):
-                raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
+        if local and not (_INT64_MIN <= min(local) and max(local) <= _INT64_MAX):
+            raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
 
         location = (record.location.latitude, record.location.longitude)
         capture_ids = self._new_ids(len(local))
         batch = sorted(
-            zip(corrected, capture_ids, local, modalities, payloads, repeat(location)), key=_capture_key
+            zip(local, capture_ids, modalities, payloads, repeat(location)), key=_capture_key
         )
         rows = self._captures.setdefault(device_id, [])
         keys = self._capture_keys.setdefault(device_id, [])
@@ -442,11 +438,11 @@ class CoreServices:
                 "device_id": device_id,
                 "modality": modality,
                 "local_ts": local_ts,
-                "corrected_ts": corrected_ts,
+                "corrected_ts": local_ts,
                 "payload": payload,
                 "location": location,
             }
-            for corrected_ts, capture_id, local_ts, modality, payload, location in hits
+            for local_ts, capture_id, modality, payload, location in hits
         ]
 
     # -- state for replay equality ------------------------------------

@@ -17,8 +17,8 @@ always "offset right now" and the drift term starts from zero again.
 
 A ``SampleStream`` is stored as columns, not as one object per sample:
 an int64 local-timestamp column, an int64 corrected-timestamp column
-with a mask of the samples no clock model has corrected yet, and a
-float payload matrix with one row per sample. Clock correction and
+(None until a clock model has corrected the stream), and a float
+payload matrix with one row per sample. Clock correction and
 shifts are array operations on those columns, and a timestamp that
 would leave the int64 range is a DomainError. ``SensorSample`` objects
 are built only when ``.samples`` is read, once per stream.
@@ -155,11 +155,6 @@ class ClockModel:
         return model
 
     @classmethod
-    def identity(cls, anchor: int = 0) -> "ClockModel":
-        """A no-op clock: corrected timestamps equal local ones."""
-        return cls(0.0, 0.0, anchor, np.zeros((2, 2)))
-
-    @classmethod
     def initial(
         cls,
         anchor: int,
@@ -175,16 +170,6 @@ class ClockModel:
         f = np.array([[1.0, dt], [0.0, 1.0]])
         cov = f @ self.covariance @ f.T
         return ClockModel(self.offset + self.drift_rate * dt, self.drift_rate, anchor, cov)
-
-    def inverse(self) -> "ClockModel":
-        """The clock map from corrected back to local timestamps.
-
-        Exact algebraic inverse of the forward map; the covariance is
-        carried over unchanged as a first-order approximation.
-        """
-        anchor = self.last_sync + round(self.offset * NS_PER_SEC)
-        drift = -self.drift_rate / (1.0 + self.drift_rate)
-        return ClockModel(-self.offset, drift, anchor, self.covariance.copy())
 
 
 def correct_timestamp(local_ts: int, model: ClockModel) -> int:
@@ -291,6 +276,11 @@ def buffer_size(policy: BufferPolicy, arrival_intervals: Sequence[int]) -> int:
 # samples and streams
 
 
+# the number types that checks run per record or per call accept: an isinstance
+# test on them takes about 80 ns, where numbers.Real's ABC test takes about 570 ns
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def _nanoseconds(value, name: str) -> int:
     """An integer timestamp or shift as a Python int.
 
@@ -307,8 +297,7 @@ class SensorSample:
     """One reading from one device.
 
     ``corrected_ts`` stays None until a clock model has been applied.
-    ``location`` is an optional (lat, lon) pair. Timestamps are stored
-    as Python ints.
+    Timestamps are stored as Python ints.
     """
 
     device_id: str
@@ -316,7 +305,6 @@ class SensorSample:
     local_ts: int
     payload: tuple[float, ...]
     corrected_ts: int | None = None
-    location: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -413,12 +401,12 @@ class SampleStream:
     """An ordered run of samples from a single (device, modality).
 
     Stored as columns: ``local_timestamps()`` (int64, non-decreasing),
-    ``corrected_timestamps()`` (int64, with a per-sample mask of the
-    samples not yet corrected; uncorrected entries hold 0) and
-    ``payload_matrix()`` (float, one row per sample), plus the samples'
-    locations when any has one. The accessors return the stored arrays,
-    which are read-only and shared between a stream and the streams
-    ``with_clock`` and ``shifted`` derive from it.
+    ``corrected_timestamps()`` (int64) and ``payload_matrix()`` (float,
+    one row per sample). A stream is corrected as a whole or not at
+    all: its samples all carry a corrected timestamp or none does, and
+    an uncorrected stream has no corrected column. The accessors return
+    the stored arrays, which are read-only and shared between a stream
+    and the streams ``with_clock`` and ``shifted`` derive from it.
 
     ``.samples`` is the tuple the stream was built from, or, for a
     derived stream, a tuple of slotted samples built from the columns
@@ -443,32 +431,29 @@ class SampleStream:
             if prev is not None and s.local_ts < prev:
                 raise UsageError("local timestamps must be non-decreasing")
             prev = s.local_ts
-        locations = tuple(s.location for s in samples)
+        corrected = [s.corrected_ts for s in samples]
+        uncorrected = corrected.count(None)
+        if 0 < uncorrected < len(samples):
+            raise UsageError("a stream's samples must all be corrected or all uncorrected")
         self._set(
             descriptor,
             _timestamp_column([s.local_ts for s in samples], descriptor.key),
-            _timestamp_column([s.corrected_ts or 0 for s in samples], descriptor.key),
-            np.array([s.corrected_ts is None for s in samples], dtype=bool),
+            None if uncorrected else _timestamp_column(corrected, descriptor.key),
             np.array([s.payload for s in samples], dtype=float),
-            None if all(loc is None for loc in locations) else locations,
             samples,
         )
 
-    def _set(self, descriptor, local, corrected, uncorrected, payload, locations, samples=None):
-        for column in (local, corrected, uncorrected, payload):
-            column.flags.writeable = False
+    def _set(self, descriptor, local, corrected, payload, samples=None):
+        for column in (local, corrected, payload):
+            if column is not None:
+                column.flags.writeable = False
         self.__dict__.update(
             descriptor=descriptor,
             _local=local,
             _corrected=corrected,
-            _uncorrected=uncorrected,
             _payload=payload,
-            _locations=locations,
             _samples=samples,
         )
-
-    def _with_corrected(self, corrected: np.ndarray, uncorrected: np.ndarray) -> "SampleStream":
-        return _rebuild_stream(self.descriptor, self._local, corrected, uncorrected, self._payload, self._locations)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -479,9 +464,7 @@ class SampleStream:
     def __reduce__(self):
         # rebuild through _set, so an unpickled or deep-copied stream's
         # columns are read-only too
-        return _rebuild_stream, (
-            self.descriptor, self._local, self._corrected, self._uncorrected, self._payload, self._locations,
-        )
+        return _rebuild_stream, (self.descriptor, self._local, self._corrected, self._payload)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -489,14 +472,13 @@ class SampleStream:
         return (
             self.descriptor == other.descriptor
             and np.array_equal(self._local, other._local)
-            and np.array_equal(self._uncorrected, other._uncorrected)
             and np.array_equal(self._corrected, other._corrected)
             and np.array_equal(self._payload, other._payload, equal_nan=True)
-            and self._locations == other._locations
         )
 
     def __hash__(self):
-        return hash((self.descriptor, self._local.tobytes(), self._corrected.tobytes(), self._uncorrected.tobytes()))
+        corrected = None if self._corrected is None else self._corrected.tobytes()
+        return hash((self.descriptor, self._local.tobytes(), corrected))
 
     def __repr__(self) -> str:
         return f"SampleStream(descriptor={self.descriptor!r}, samples=<{len(self)}>)"
@@ -512,16 +494,10 @@ class SampleStream:
     def samples(self) -> tuple[SensorSample, ...]:
         if self._samples is None:
             d = self.descriptor
-            corrected = [
-                None if missing else ts
-                for ts, missing in zip(self._corrected.tolist(), self._uncorrected.tolist())
-            ]
-            locations = self._locations or (None,) * len(self)
-            set_device, set_modality, set_local, set_payload, set_corrected, set_location = _SAMPLE_SETTERS
+            corrected = [None] * len(self) if self._corrected is None else self._corrected.tolist()
+            set_device, set_modality, set_local, set_payload, set_corrected = _SAMPLE_SETTERS
             built = []
-            for local, payload, ts, location in zip(
-                self._local.tolist(), self._payload.tolist(), corrected, locations
-            ):
+            for local, payload, ts in zip(self._local.tolist(), self._payload.tolist(), corrected):
                 # every field comes from a checked column, so the sample
                 # skips SensorSample's validation, which would triple its cost
                 sample = object.__new__(SensorSample)
@@ -530,7 +506,6 @@ class SampleStream:
                 set_local(sample, local)
                 set_payload(sample, tuple(payload))
                 set_corrected(sample, ts)
-                set_location(sample, location)
                 built.append(sample)
             self.__dict__["_samples"] = tuple(built)
         return self._samples
@@ -539,7 +514,7 @@ class SampleStream:
         return self._local
 
     def corrected_timestamps(self) -> np.ndarray:
-        if self._uncorrected.any():
+        if self._corrected is None:
             raise UsageError(f"stream {self.key} has uncorrected samples")
         return self._corrected
 
@@ -548,24 +523,22 @@ class SampleStream:
 
     def with_clock(self, model: ClockModel) -> "SampleStream":
         """Apply a clock model, filling every sample's corrected timestamp."""
-        return self._with_corrected(_corrected_column(self._local, model), np.zeros(len(self), dtype=bool))
+        return _rebuild_stream(self.descriptor, self._local, _corrected_column(self._local, model), self._payload)
 
     def shifted(self, delta_ns: int) -> "SampleStream":
-        """Shift all corrected timestamps by delta_ns; uncorrected samples stay uncorrected."""
+        """Shift all corrected timestamps by delta_ns; an uncorrected stream stays as it is."""
         delta = _nanoseconds(delta_ns, "shift")
-        if self._uncorrected.all():
+        if self._corrected is None:
             return self
         if not _INT64_MIN <= delta <= _INT64_MAX:
             raise DomainError("shift leaves the int64 range")
-        # an uncorrected entry holds 0, so only corrected ones can overflow
         moved = _checked_add(self._corrected, np.int64(delta), "shifted timestamp")
-        moved[self._uncorrected] = 0
-        return self._with_corrected(moved, self._uncorrected)
+        return _rebuild_stream(self.descriptor, self._local, moved, self._payload)
 
 
-def _rebuild_stream(descriptor, local, corrected, uncorrected, payload, locations) -> SampleStream:
+def _rebuild_stream(descriptor, local, corrected, payload) -> SampleStream:
     stream = object.__new__(SampleStream)
-    stream._set(descriptor, local, corrected, uncorrected, payload, locations)
+    stream._set(descriptor, local, corrected, payload)
     return stream
 
 

@@ -14,7 +14,6 @@ from sensorstack.eventsync.align import SEARCH_HALF_WIDTH_NS
 from sensorstack.eventsync import (
     EventDetection,
     GestureTemplate,
-    MatchedPair,
     TimeSeries,
     apply_sync,
     coarse_align,
@@ -262,9 +261,7 @@ class TestCoarseAlign:
             EventDetection("b", 9_000_000_000, 9_000_000_001, 0.1),
         ]
         pairs = coarse_align(a, b)
-        assert len(pairs) == 2
-        assert pairs[0].delta_ns == -100_000_000
-        assert pairs[1].delta_ns == -300_000_000
+        assert [(p.a.start, p.b.start) for p in pairs] == [(0, 100_000_000), (2_000_000_000, 2_300_000_000)]
 
     def test_one_to_one_matching(self):
         a = [EventDetection("a", 0, 1, 0.1)]
@@ -289,7 +286,7 @@ class TestCoarseAlign:
             pairs = coarse_align(a, b, tolerance_ns=tol)
             assert len({p.a.start for p in pairs}) == len(pairs)
             assert len({p.b.start for p in pairs}) == len(pairs)
-            assert all(abs(p.delta_ns) <= tol for p in pairs)
+            assert all(abs(p.a.start - p.b.start) <= tol for p in pairs)
             cost = np.abs(ta[:, None] - tb[None, :]).astype(float)
             cost[cost > tol] = 1e18
             rows, cols = linear_sum_assignment(cost)
@@ -418,13 +415,24 @@ def corrected_stream(device_id, series):
 
 
 class TestApplySync:
-    def test_scalar_anchors_shift_to_reference(self):
+    def test_single_anchors_shift_to_reference(self):
         base = burst_series(2_000_000_000, seed=2)
         streams = {"ref": corrected_stream("ref", base), "lag": corrected_stream("lag", base).shifted(250_000_000)}
-        anchors = {"ref": 2_000_000_000, "lag": 2_250_000_000}
+        anchors = {"ref": [2_000_000_000], "lag": [2_250_000_000]}
         out = apply_sync(streams, anchors, "ref")
         assert np.array_equal(out["ref"].corrected_timestamps(), base.timestamps)
         assert np.array_equal(out["lag"].corrected_timestamps(), base.timestamps)
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [{"ref": 0, "lag": [0]}, {"ref": [0], "lag": 0}, {"ref": [0], "lag": ["x"]}, {"ref": [], "lag": []}],
+        ids=["scalar_reference", "scalar_stream", "non_integer", "empty"],
+    )
+    def test_anchors_that_are_not_integer_sequences_rejected(self, anchors):
+        base = burst_series(1_000_000_000)
+        streams = {"ref": corrected_stream("ref", base), "lag": corrected_stream("lag", base)}
+        with pytest.raises(UsageError, match="refined start"):
+            apply_sync(streams, anchors, "ref")
 
     def test_list_anchors_use_median_difference(self):
         base = burst_series(1_000_000_000, seed=5)
@@ -437,11 +445,5 @@ class TestApplySync:
     def test_unknown_reference_rejected(self):
         base = corrected_stream("a", burst_series(1_000_000_000))
         with pytest.raises(UsageError):
-            apply_sync({"a": base}, {"a": 0}, "nope")
+            apply_sync({"a": base}, {"a": [0]}, "nope")
 
-
-class TestMatchedPair:
-    def test_delta_sign_convention(self):
-        a = EventDetection("a", 500, 501, 0.0)
-        b = EventDetection("b", 300, 301, 0.0)
-        assert MatchedPair(a, b).delta_ns == 200

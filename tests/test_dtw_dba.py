@@ -20,11 +20,11 @@ def valid_warp_path(path, n, m):
 
 class TestDtwDistance:
     def test_constant_step_example(self):
-        result = dtw_distance([0.0, 0.0], [1.0, 1.0], "abs")
+        result = dtw_distance([0.0, 0.0], [1.0, 1.0])
         assert result.cost == pytest.approx(2.0)
 
     def test_repeated_value_absorbed_for_free(self):
-        result = dtw_distance([1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0], "abs")
+        result = dtw_distance([1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0])
         assert result.cost == 0.0
 
     def test_identical_sequences_diagonal_path(self):
@@ -42,7 +42,7 @@ class TestDtwDistance:
             s = rng.normal(size=n).round(3)
             t = rng.normal(size=m).round(3)
             expected = dtw_enumerate(s, t, lambda a, b: abs(a - b))
-            got = dtw_distance(s, t, "abs")
+            got = dtw_distance(s, t)
             assert got.cost == pytest.approx(expected, abs=1e-12)
             assert valid_warp_path(got.path, n, m)
 
@@ -50,14 +50,7 @@ class TestDtwDistance:
         rng = np.random.default_rng(3)
         s = rng.normal(size=40)
         t = rng.normal(size=55)
-        assert dtw_cost(s, t, "abs") == pytest.approx(dtw_distance(s, t, "abs").cost)
-
-    def test_callable_metric(self):
-        # the metric is "abs" or "sqeuclidean"; a callable or any other name is rejected
-        for metric in (lambda a, b: (a - b) ** 2, "euclidean"):
-            for dtw in (dtw_distance, dtw_cost):
-                with pytest.raises(UsageError, match="point metric"):
-                    dtw([1.0, 2.0], [2.0, 4.0], metric)
+        assert dtw_cost(s, t) == pytest.approx(dtw_distance(s, t).cost)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(UsageError):
@@ -76,8 +69,8 @@ class TestDtwDistance:
     )
     @settings(max_examples=120, deadline=None)
     def test_symmetry_and_path_validity(self, s, t):
-        fwd = dtw_distance(s, t, "abs")
-        rev = dtw_distance(t, s, "abs")
+        fwd = dtw_distance(s, t)
+        rev = dtw_distance(t, s)
         assert fwd.cost == pytest.approx(rev.cost, abs=1e-9)
         assert valid_warp_path(fwd.path, len(s), len(t))
         assert fwd.cost >= 0.0
@@ -152,8 +145,8 @@ class TestDba:
         seqs = [warped_pulse(rng) for _ in range(5)]
         result = dba(seqs, iterations=10)
         mean = np.mean(seqs, axis=0)
-        dba_total = sum(dtw_cost(result.barycenter, s, "abs") for s in seqs)
-        mean_total = sum(dtw_cost(mean, s, "abs") for s in seqs)
+        dba_total = sum(dtw_cost(result.barycenter, s) for s in seqs)
+        mean_total = sum(dtw_cost(mean, s) for s in seqs)
         assert dba_total <= mean_total
 
 
@@ -173,17 +166,15 @@ class TestKernelMatchesRowOracle:
         n=st.integers(1, 9),
         m=st.integers(1, 9),
         levels=st.sampled_from([0, 1, 2, 4]),
-        metric=st.sampled_from(["abs", "sqeuclidean"]),
     )
-    def test_distance_path_and_cost(self, seed, n, m, levels, metric):
+    def test_distance_path_and_cost(self, seed, n, m, levels):
         rng = np.random.default_rng(seed)
         s, t = tied_or_random(rng, n, levels), tied_or_random(rng, m, levels)
-        diff = s[:, None] - t[None, :]
-        table = dtw_table_rows(np.abs(diff) if metric == "abs" else diff**2)
-        got = dtw_distance(s, t, metric)
+        table = dtw_table_rows(np.abs(s[:, None] - t[None, :]))
+        got = dtw_distance(s, t)
         assert got.cost == float(table[-1, -1])
         assert list(got.path) == dtw_backtrack(table)
-        assert dtw_cost(s, t, metric) == float(table[-1, -1])
+        assert dtw_cost(s, t) == float(table[-1, -1])
 
     @settings(max_examples=budget(60), deadline=None)
     @given(

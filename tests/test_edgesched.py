@@ -72,7 +72,7 @@ def cycle(tasks, nodes, now_ns, config):
     """One `schedule_cycle` over a fresh queue of ``tasks``; returns its
     dispatches and the queue."""
     queue = TaskQueue(config, tasks)
-    return schedule_cycle(queue, nodes, now_ns, config), queue
+    return schedule_cycle(queue, nodes, now_ns), queue
 
 
 # -- workloads reused across the experiment tests --------------------------
@@ -314,7 +314,7 @@ class TestScheduleCycle:
         full.busy_slots = 1
         queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0), light("b", 0.0, 2 * NS)])
         with pytest.raises(UsageError):
-            schedule_cycle(queue, [full], NS, SchedulerConfig())
+            schedule_cycle(queue, [full], NS)
         assert [t.task_id for t in queued(queue)] == ["a", "b"]
 
     def test_order_independent_of_queue_permutation(self):
@@ -327,7 +327,7 @@ class TestScheduleCycle:
             queue = TaskQueue(config)
             for task in perm:
                 queue.append(task)
-            out = schedule_cycle(queue, nodes, 1 * NS, config)
+            out = schedule_cycle(queue, nodes, 1 * NS)
             ids = [d.task.task_id for d in out]
             if baseline is None:
                 baseline = ids
@@ -438,7 +438,7 @@ class TestScheduleCycleMatchesSortedWalk:
             filled.append(task)
         for queue in (TaskQueue(config, tasks), filled):
             got_nodes = copy.deepcopy(nodes)
-            assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns, config)) == expected
+            assert outcome(lambda: schedule_cycle(queue, got_nodes, now_ns)) == expected
             assert got_nodes == expected_nodes
             assert queued(queue) == sorted(expected_queue, key=lambda t: t.task_id)
             assert len(queue) == len(expected_queue)
@@ -455,7 +455,7 @@ class TestScheduleCycleMatchesSortedWalk:
         before = copy.deepcopy(nodes)
         queue = TaskQueue(SchedulerConfig(), tasks)
         with pytest.raises(TopologyError):
-            schedule_cycle(queue, nodes, NS, SchedulerConfig())
+            schedule_cycle(queue, nodes, NS)
         assert nodes == before
         assert queued(queue) == tasks
 
@@ -480,13 +480,13 @@ class TestScheduleCycleMatchesSortedWalk:
         monkeypatch.setattr(NodeState, "accepts", counted)
         queue = TaskQueue(config, tasks)
         now = 10 * NS
-        assert schedule_cycle(queue, nodes, now, config) == []
+        assert schedule_cycle(queue, nodes, now) == []
         assert len(calls) <= 4
 
         # two medium slots free up; the units stay full
         nodes[0].busy_slots = 0
         calls.clear()
-        out = schedule_cycle(queue, nodes, now + 100 * MS, config)
+        out = schedule_cycle(queue, nodes, now + 100 * MS)
         assert [d.node_id for d in out] == ["m0", "m0"]
         assert len(calls) <= 2 + 4
         assert len(queue) == len(tasks) - 2
@@ -494,20 +494,22 @@ class TestScheduleCycleMatchesSortedWalk:
         # a free unit slot opens one batch that every heavy task joins
         nodes[4].busy_slots = 3
         calls.clear()
-        out = schedule_cycle(queue, nodes, now + 200 * MS, config)
+        out = schedule_cycle(queue, nodes, now + 200 * MS)
         assert len(out) == len(tasks) // 2
         assert {d.node_id for d in out} == {"cu0"}
         assert [d.opened is not None for d in out].count(True) == 1
         assert len(calls) <= len(out) + 4
 
-    def test_queue_built_for_another_config_rejected(self):
-        queue = TaskQueue(SchedulerConfig(), [light("a", 0.0, 0)])
-        with pytest.raises(UsageError):
-            schedule_cycle(queue, [medium_node()], 0, SchedulerConfig(alpha=2.0))
+    @pytest.mark.parametrize("alpha, order", [(0.0, ["new", "old"]), (1.0, ["old", "new"])])
+    def test_cycle_ages_tasks_by_the_queues_config(self, alpha, order):
+        # after 10 s the old task's urgency is 1 - alpha * ln(11): below the new one's 0.5 only when it ages
+        queue = TaskQueue(SchedulerConfig(alpha=alpha), [light("old", 1.0, 0), light("new", 0.5, 10 * NS)])
+        out = schedule_cycle(queue, [medium_node(capacity=2, threshold=1.0)], 10 * NS)
+        assert [d.task.task_id for d in out] == order
 
     def test_plain_list_rejected(self):
         with pytest.raises(UsageError, match="TaskQueue"):
-            schedule_cycle([light("a", 0.0, 0)], [medium_node()], 0, SchedulerConfig())
+            schedule_cycle([light("a", 0.0, 0)], [medium_node()], 0)
 
 
 class TestValidation:
@@ -516,6 +518,23 @@ class TestValidation:
             Task("t", "enormous", 0.0, 0, 1)
         with pytest.raises(UsageError):
             Task("t", "light", 0.0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "priority, entry, demand",
+        [
+            (math.nan, 0, 5), (math.inf, 0, 5), (-math.inf, 0, 5), ("1", 0, 5), (None, 0, 5),
+            (0.0, 1.5, 5), (0.0, "0", 5), (0.0, True, 5), (0.0, 0, "5"), (0.0, 0, 5.0), (0.0, 0, True),
+        ],
+    )
+    def test_task_rejects_non_finite_priority_and_non_integer_times(self, priority, entry, demand):
+        # a NaN priority compares false both ways, so a queue holding one
+        # dispatched in an order that hung on the order of appends
+        with pytest.raises(UsageError):
+            Task("t", "light", priority, entry, demand)
+
+    def test_task_takes_numpy_numbers(self):
+        task = Task("t", "light", np.float64(1.0), np.int64(0), np.int64(5))
+        assert task.initial_priority == 1.0 and task.service_demand_ns == 5
 
     def test_config_rejects_bad_fields(self):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from oracles import (
     threshold_sweep_per_threshold,
 )
 from sensorstack.errors import FitError, UsageError
+from sensorstack.eventsync import coarse_align
 from sensorstack.fusion import (
     CATEGORIES,
     Detection,
@@ -528,6 +529,27 @@ class TestEvaluateDetections:
         for radius in (-1.0, math.nan):
             with pytest.raises(UsageError):
                 evaluate_detections([], [], match_radius=radius)
+
+
+MALFORMED_FUSION_INPUTS = {
+    "detection-three-element-center": lambda: Detection("c", "vehicle", (1.0, 2.0, 3.0), 0.5, 0),
+    "detection-text-center": lambda: Detection("c", "vehicle", ("1", 2.0), 0.5, 0),
+    "detection-text-confidence": lambda: Detection("c", "vehicle", (1.0, 2.0), "0.5", 0),
+    "point-pair-one-element-source": lambda: PointPair((1,), (0.0, 0.0)),
+    "truth-no-center": lambda: ObjectTruth("pedestrian", None),
+    "fused-one-element-center": lambda: FusedDetection("vehicle", (1.0,), 0.5, ("c",), 2.0),
+    "fused-text-confidence": lambda: FusedDetection("vehicle", (1.0, 2.0), None, ("c",), 2.0),
+    "evaluate-text-radius": lambda: evaluate_detections([], [], "a"),
+    "coarse-align-text-tolerance": lambda: coarse_align([], [], "x"),
+}
+
+
+@pytest.mark.parametrize("make", MALFORMED_FUSION_INPUTS.values(), ids=MALFORMED_FUSION_INPUTS.keys())
+def test_malformed_records_and_settings_raise_usage_errors(make):
+    """Bad shapes, types and values in the fusion records and the matchers'
+    settings are UsageErrors, never bare ValueError, TypeError or IndexError."""
+    with pytest.raises(UsageError):
+        make()
 
 
 def occluded_scene(seed=0, n_objects=14):

@@ -23,7 +23,6 @@ from oracles import CaptureRouterOracle, budget, query_captures_scan
 from sensorstack.errors import (
     AuthError,
     ConflictError,
-    DomainError,
     IntegrityError,
     NotFoundError,
     UsageError,
@@ -46,7 +45,7 @@ from sensorstack.services import (
     serve,
     validate_token,
 )
-from sensorstack.timebase import MODALITIES, ClockModel, correct_timestamp
+from sensorstack.timebase import MODALITIES
 
 KEY = b"unit-test-key"
 
@@ -369,6 +368,16 @@ class TestRegistryLifecycle:
         updates = [r for r in services.log_records() if r["activity_type"] == "update"]
         assert len(updates) == 2
 
+    @pytest.mark.parametrize("stamp", [True, False])
+    def test_update_status_rejects_a_bool_sync_timestamp(self, stamp):
+        # a bool is an int to float(): True was stored as 1970-01-01T00:00:01.0000
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin)
+        with pytest.raises(ValidationError) as err:
+            services.update_status(token.token, "online", stamp)
+        assert err.value.fields == ("last_sync_timestamp",)
+        assert services.device_record("camera-001").last_sync_timestamp == camera_payload()["last_sync_timestamp"]
+
     def test_update_status_rejects_unknown_status(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
@@ -631,14 +640,15 @@ def wire_samples(device_id, count=100):
     ]
 
 
-def response_row(sample, capture_id, corrected_ts, location=(40.0, -70.0)):
-    """The ``GET /capture`` row a stored wire sample should come back as; payload and location are tuples."""
+def response_row(sample, capture_id, location=(40.0, -70.0)):
+    """The ``GET /capture`` row a stored wire sample should come back as: ``corrected_ts`` is
+    its ``local_ts``, and payload and location are tuples."""
     return {
         "capture_id": capture_id,
         "device_id": sample["device_id"],
         "modality": sample["modality"],
         "local_ts": sample["local_ts"],
-        "corrected_ts": corrected_ts,
+        "corrected_ts": sample["local_ts"],
         "payload": tuple(float(v) for v in sample["payload"]),
         "location": tuple(location),
     }
@@ -661,7 +671,7 @@ class TestCapture:
         random.Random(11).shuffle(shuffled)
         ids = services.capture_ingest(token.token, shuffled)
         hits = services.query_captures("camera-001", 0, 10**9, admin)
-        rows = [response_row(s, i, s["local_ts"]) for s, i in zip(shuffled, ids)]
+        rows = [response_row(s, i) for s, i in zip(shuffled, ids)]
         assert hits == sorted(rows, key=lambda r: (r["corrected_ts"], r["capture_id"]))
         assert [list(h) for h in hits] == [list(rows[0])] * 50
 
@@ -670,18 +680,6 @@ class TestCapture:
         token = services.register_device(camera_payload(), admin)
         services.capture_ingest(token.token, wire_samples("camera-001", 1))
         assert services.query_captures("camera-001", 0, 1, admin)[0]["location"] == (40.0, -70.0)
-
-    def test_clock_model_correction_applied(self):
-        services, admin = make_services()
-        token = services.register_device(camera_payload(), admin)
-        model = ClockModel(
-            offset=0.005, drift_rate=1e-6, last_sync=0, covariance=np.eye(2)
-        )
-        sample = {"device_id": "camera-001", "modality": "imu", "local_ts": 2_000_000_000, "payload": [1.0]}
-        services.capture_ingest(token.token, [sample], clock_model=model)
-        (row,) = services.query_captures("camera-001", 0, 2**63, admin)
-        assert row["corrected_ts"] == correct_timestamp(2_000_000_000, model)
-        assert row["local_ts"] == 2_000_000_000
 
     def test_sample_device_must_match_token_subject(self):
         services, admin = make_services()
@@ -789,7 +787,6 @@ CAPTURE_OPS = st.lists(
             st.just("ingest"),
             st.sampled_from(CAPTURE_DEVICES),
             st.lists(st.integers(0, 40), max_size=12),
-            st.booleans(),
         ),
         st.tuples(
             st.just("query"),
@@ -806,13 +803,8 @@ class TestCaptureStore:
     """The sorted store answers every window as a scan and sort of all ingested rows would."""
 
     @settings(max_examples=budget(200), deadline=None)
-    @given(
-        ops=CAPTURE_OPS,
-        id_seed=st.integers(0, 2**16),
-        offset_ns=st.integers(-20, 20),
-        drift=st.floats(-0.05, 0.05),
-    )
-    def test_queries_match_scan_and_sort(self, ops, id_seed, offset_ns, drift):
+    @given(ops=CAPTURE_OPS, id_seed=st.integers(0, 2**16))
+    def test_queries_match_scan_and_sort(self, ops, id_seed):
         # ids from a small pool: ties on corrected_ts are broken by ids
         # that arrive out of order, and sometimes by equal ids
         rng = random.Random(id_seed)
@@ -824,21 +816,20 @@ class TestCaptureStore:
 
         services, admin = make_services(id_factory=ids)
         tokens = {d: services.register_device(camera_payload(d), admin).token for d in CAPTURE_DEVICES}
-        model = ClockModel(offset_ns * 1e-9, drift, 0, np.zeros((2, 2)))
         ingested = {d: [] for d in CAPTURE_DEVICES}
-        for op, device_id, a, b in ops:
+        for op, device_id, *args in ops:
             if op == "ingest":
-                samples = [{"device_id": device_id, "modality": "imu", "local_ts": t, "payload": [float(i)]} for i, t in enumerate(a)]
-                capture_ids = services.capture_ingest(tokens[device_id], samples, clock_model=model if b else None)
+                samples = [
+                    {"device_id": device_id, "modality": "imu", "local_ts": t, "payload": [float(i)]}
+                    for i, t in enumerate(args[0])
+                ]
+                capture_ids = services.capture_ingest(tokens[device_id], samples)
                 # one id per sample, drawn and returned in input order
-                assert capture_ids == tuple(drawn[len(drawn) - len(a):])
-                ingested[device_id].extend(
-                    response_row(s, i, correct_timestamp(s["local_ts"], model) if b else s["local_ts"])
-                    for s, i in zip(samples, capture_ids)
-                )
+                assert capture_ids == tuple(drawn[len(drawn) - len(samples):])
+                ingested[device_id].extend(response_row(s, i) for s, i in zip(samples, capture_ids))
             else:
-                got = services.query_captures(device_id, a, b, admin)
-                assert got == query_captures_scan(ingested[device_id], a, b)
+                got = services.query_captures(device_id, *args, admin)
+                assert got == query_captures_scan(ingested[device_id], *args)
         for device_id in CAPTURE_DEVICES:
             everything = services.query_captures(device_id, -(2**63), 2**63, admin)
             assert everything == query_captures_scan(ingested[device_id], -(2**63), 2**63)
@@ -948,12 +939,8 @@ class TestCaptureStore:
             services.capture_ingest(token, good + [sample("camera-002", 7)])
         with pytest.raises(ValidationError):
             services.capture_ingest(token, good + [sample("camera-001", 2**63)])
-        late = ClockModel(0.0, 0.0, 6, np.zeros((2, 2)))
-        with pytest.raises(DomainError):
-            services.capture_ingest(token, good, clock_model=late)
-        ahead = ClockModel(1.0, 0.0, 0, np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            services.capture_ingest(token, [sample("camera-001", 2**63 - 10)], clock_model=ahead)
+            services.capture_ingest(token, [sample("camera-001", -(2**63) - 1)])
         with pytest.raises(UsageError):
             services.capture_ingest(token, good + [sample("camera-001", 7.0)])
         assert (len(calls), len(services.log_records())) == before
@@ -1256,6 +1243,7 @@ class TestRouter:
         for path, bad, token in (
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": [1]}, device),
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": 1e300}, device),
+            ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": True}, device),
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "soon"}, device),
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "2024-02-30T00:00:00.0000"}, device),
             ("/devices/camera-001/status", {"status": "online", "last_sync_timestamp": "2024-10-05T21:19:45.388"}, device),

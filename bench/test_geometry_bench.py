@@ -8,12 +8,16 @@ pinhole camera 8 m up, 25 degrees down, 800 px focal length. Each pixel
 gets 0.5 px of noise and 12 pairs are mismatched (their ground points
 rotated among themselves), as a testbed's calibration survey is. RANSAC
 runs with a 0.5 m inlier threshold and 200 hypotheses.
+
+The three stages of one block of RANSAC's 200 minimal hypotheses are
+also timed apart: drawing the samples, solving the minimal systems and
+scoring the hypotheses against every pair.
 """
 
 import numpy as np
 import pytest
 
-from sensorstack.fusion import PointPair, fit_homography_dlt, ransac_fit
+from sensorstack.fusion import PointPair, fit_homography_dlt, geometry, ransac_fit
 
 INLIER_THRESHOLD_M = 0.5
 ITERATIONS = 200
@@ -56,3 +60,30 @@ def test_fit_homography_dlt(benchmark, survey):
     inliers = [p for i, p in enumerate(pairs) if i not in set(wrong)]
     transform = benchmark(fit_homography_dlt, inliers)
     assert transform.matrix[2, 2] == 1.0
+
+
+@pytest.fixture(scope="module")
+def minimal_sets(survey):
+    """The survey's pairs as arrays and one block of 200 minimal samples."""
+    src, dst = geometry._as_arrays(survey[0])
+    return src, dst, geometry._draw_samples(np.random.default_rng(0), ITERATIONS, len(src))
+
+
+def test_draw_minimal_samples(benchmark, survey):
+    samples = benchmark(geometry._draw_samples, np.random.default_rng(0), ITERATIONS, len(survey[0]))
+    assert samples.shape == (ITERATIONS, 4)
+    assert all(len(set(row)) == 4 for row in samples.tolist())
+
+
+def test_fit_minimal(benchmark, minimal_sets):
+    src, dst, samples = minimal_sets
+    matrices, code = benchmark(geometry._fit_minimal, src[samples], dst[samples])
+    assert (code == 0).all()
+    assert np.isfinite(matrices).all()
+
+
+def test_score_hypotheses(benchmark, minimal_sets):
+    src, dst, samples = minimal_sets
+    matrices, _ = geometry._fit_minimal(src[samples], dst[samples])
+    errors = benchmark(geometry._errors, matrices, src, dst)
+    assert errors.shape == (ITERATIONS, len(src))

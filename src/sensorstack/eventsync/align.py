@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import UsageError
 from ..scoring import match_integers
-from ..timebase import NS_PER_SEC, SampleStream
+from ..timebase import NS_PER_SEC, SampleStream, _nanoseconds
 from .detect import EventDetection
 from .features import _sliding_entropy
 from .filters import _lowpass
@@ -168,8 +168,10 @@ def apply_sync(
         raise UsageError("reference stream missing from refined starts")
 
     try:
-        starts = {stream_id: [int(x) for x in value] for stream_id, value in refined_starts.items()}
-    except (TypeError, ValueError):
+        starts = {
+            stream_id: [_nanoseconds(x, "a refined start") for x in value] for stream_id, value in refined_starts.items()
+        }
+    except TypeError:
         raise UsageError("refined starts must be sequences of integers") from None
     ref = starts[reference_stream_id]
     out: dict[str, SampleStream] = {reference_stream_id: streams[reference_stream_id]}

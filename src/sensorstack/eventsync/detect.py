@@ -40,7 +40,7 @@ def _scaled(values, template: GestureTemplate) -> tuple[np.ndarray, np.ndarray]:
     return (np.asarray(values, dtype=float) - mu) / sd, (template.values - mu) / sd
 
 
-def normalized_dtw_score(window, template: GestureTemplate) -> float:
+def normalized_dtw_score(window: TimeSeries, template: GestureTemplate) -> float:
     """DTW distance from a window to a template, per template sample.
 
     Both sides are expressed on the template's own amplitude scale (its
@@ -52,8 +52,7 @@ def normalized_dtw_score(window, template: GestureTemplate) -> float:
     sitting at the quiet baseline scores roughly mean/std of the
     template; matching windows score far below that.
     """
-    values = window.values if isinstance(window, TimeSeries) else window
-    scaled, template_scaled = _scaled(values, template)
+    scaled, template_scaled = _scaled(window.values, template)
     return dtw_cost(scaled, template_scaled) / len(template.values)
 
 

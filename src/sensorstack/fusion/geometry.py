@@ -85,7 +85,7 @@ def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return mapped[..., :2] / mapped[..., 2:3]
 
 
-# FitError messages of _fit_dlt's failure codes 1-4, in the order the rules apply
+# FitError messages of the fits' failure codes 1-4, in the order the rules apply
 _DLT_FAILURES = (
     "",
     "point pairs are degenerate: all points coincide",
@@ -95,15 +95,11 @@ _DLT_FAILURES = (
 )
 
 
-def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized DLT on a batch of point sets, one SVD call for all.
+def _dlt_systems(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, 2k, 9) DLT systems of (B, k, 2) point sets in Hartley coordinates.
 
-    ``src`` and ``dst`` are (B, k, 2). Returns (B, 3, 3) matrices scaled
-    to bottom-right entry 1 and a (B,) failure code: 0 where the fit
-    succeeded, else the first rule the set breaks (its matrix is NaN):
-    1, coincident source or target points; 2, ``s[-2] <= 1e-9 s[0]``
-    (collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a non-finite or
-    ``<= 1e-12`` determinant.
+    Also returns both sides' (B, 3, 3) normalisations and a (B,) mask that
+    is False where a set's source or target points all coincide.
     """
     b, k = src.shape[:2]
     t_src, ok_src = _normalizations(src)
@@ -119,9 +115,22 @@ def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[:, :, row, 3 * row + 2] = -1.0
         a[:, :, row, 6:8] = target[..., None] * sn
         a[:, :, row, 8] = target
-    # with 2k >= 9 rows the reduced SVD already holds all of vt and skips the (2k, 2k) U
-    _, s, vt = np.linalg.svd(a.reshape(b, 2 * k, 9), full_matrices=2 * k < 9)
-    h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(b, 3, 3) @ t_src
+    return a.reshape(b, 2 * k, 9), t_src, t_dst, ok_src & ok_dst
+
+
+def _homographies(
+    null: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray, distinct: np.ndarray, deficient: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Un-normalise (B, 9) null vectors of the DLT systems into matrices.
+
+    Returns (B, 3, 3) matrices scaled to bottom-right entry 1 and a (B,)
+    failure code: 0 where the fit succeeded, else the first rule the set
+    breaks (its matrix is NaN): 1, not ``distinct`` (coincident source or
+    target points); 2, ``deficient`` (the system's rank is below 8, as
+    with collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a non-finite
+    or ``<= 1e-12`` determinant.
+    """
+    h = np.linalg.inv(t_dst) @ null.reshape(-1, 3, 3) @ t_src
     scale = h[:, 2, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         h = h / scale[:, None, None]
@@ -130,14 +139,52 @@ def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = h / h[:, 2:, 2:]
     code = np.select(
         [
-            ~(ok_src & ok_dst),
-            s[:, -2] <= 1e-9 * s[:, 0],
+            ~distinct,
+            deficient,
             np.abs(scale) <= 1e-12,
             ~np.isfinite(det) | (np.abs(det) <= 1e-12),
         ],
         [1, 2, 3, 4],
     )
     return np.where(code[:, None, None] == 0, h, np.nan), code
+
+
+def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized DLT on a batch of (B, k, 2) point sets, one SVD call for all.
+
+    The least-squares solution is the right singular vector of the
+    smallest singular value; a set is rank deficient where
+    ``s[-2] <= 1e-9 s[0]``. Returns what `_homographies` does.
+    """
+    a, t_src, t_dst, distinct = _dlt_systems(src, dst)
+    # with 2k >= 9 rows the reduced SVD already holds all of vt and skips the (2k, 2k) U
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[1] < 9)
+    return _homographies(vt[:, -1], t_src, t_dst, distinct, s[:, -2] <= 1e-9 * s[:, 0])
+
+
+def _fit_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact homographies of (B, 4, 2) minimal point sets, one QR call for all.
+
+    A minimal set's 8 x 9 system A has an exact null space, so no SVD is
+    needed: the last column of the complete QR factor Q of Aᵀ is
+    orthogonal to every row of A. A set is rank deficient where R's
+    diagonal holds an entry at most 1e-9 times its largest, as when
+    three sources are collinear and a homography maps them. Returns what
+    `_homographies` does, and also gives code 4 to a model that does not
+    carry each source to within 1e-8 of its target in Hartley units: a
+    singular model can solve the system by sending a source to 0, as
+    when three targets are collinear and the sources are not.
+    """
+    a, t_src, t_dst, distinct = _dlt_systems(src, dst)
+    q, r = np.linalg.qr(a.transpose(0, 2, 1), mode="complete")
+    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    matrices, code = _homographies(q[:, :, -1], t_src, t_dst, distinct, d.min(axis=1) <= 1e-9 * d.max(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = np.abs(_apply_h(matrices, src) - dst).max(axis=(1, 2)) * t_dst[:, 0, 0]
+    astray = (code == 0) & ~(miss <= 1e-8)
+    matrices[astray] = np.nan
+    code[astray] = 4
+    return matrices, code
 
 
 def _fit_one(src: np.ndarray, dst: np.ndarray) -> PerspectiveTransform:
@@ -153,8 +200,8 @@ def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:
     Each pair contributes two rows to the homogeneous system; the
     solution is the right singular vector of the smallest singular
     value. Normalizing both point sets first keeps the system well
-    conditioned at pixel scales. This is ``ransac_fit``'s batched kernel
-    run on one point set.
+    conditioned at pixel scales. This is the batched `_fit_dlt` run on
+    one point set, as ``ransac_fit``'s final refit is.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
@@ -206,6 +253,12 @@ def _check_ransac_args(inlier_threshold, max_iterations, seed) -> float:
     return threshold
 
 
+def _draw_samples(rng: np.random.Generator, draws: int, n: int) -> np.ndarray:
+    """(draws, 4) minimal samples of distinct pair indices, in one call:
+    each row's indices of its 4 smallest of n uniform draws, smallest first."""
+    return np.argsort(rng.random((draws, n)), axis=1)[:, :4]
+
+
 def ransac_fit(
     pairs: Sequence[PointPair],
     inlier_threshold: float = 3.0,
@@ -222,13 +275,14 @@ def ransac_fit(
     Selection: most inliers wins; among equal counts, the lowest mean
     inlier error; if that ties too, the first hypothesis drawn.
 
-    Hypotheses are fitted and scored a block at a time: one SVD call
-    solves every minimal DLT of a block, and one (block, n, 3)
-    reprojection scores them, with block x n at most ``_BLOCK_CELLS``
-    so memory stays bounded whatever ``max_iterations`` and the survey
-    size. The cost is O(max_iterations * n) arithmetic in
-    ``max_iterations * n / _BLOCK_CELLS + 1`` rounds of array calls,
-    plus one ``rng.choice`` per hypothesis.
+    Hypotheses are drawn, fitted and scored a block at a time: one
+    ``rng.random`` call and one argsort draw a block's samples, one QR
+    call solves every minimal DLT of it (`_fit_minimal`), and one
+    (block, n, 3) reprojection scores them, with block x n at most
+    ``_BLOCK_CELLS`` so memory stays bounded whatever ``max_iterations``
+    and the survey size. The cost is O(max_iterations * n log n)
+    arithmetic in ``max_iterations * n / _BLOCK_CELLS + 1`` rounds of
+    array calls.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
@@ -240,9 +294,8 @@ def ransac_fit(
     best_count = 0
     best_error = np.inf
     for b0 in range(0, max_iterations, block):
-        draws = min(block, max_iterations - b0)
-        idx = np.array([rng.choice(len(pairs), size=4, replace=False) for _ in range(draws)])
-        matrices, code = _fit_dlt(src[idx], dst[idx])
+        idx = _draw_samples(rng, min(block, max_iterations - b0), len(pairs))
+        matrices, code = _fit_minimal(src[idx], dst[idx])
         errors = _errors(matrices[code == 0], src, dst)
         mask = errors <= threshold
         counts = mask.sum(axis=1)
@@ -250,9 +303,11 @@ def ransac_fit(
         if count == 0 or count < best_count:
             continue
         # only hypotheses on the top count can win, so only they need a mean error
-        mean_error, first = min((float(errors[c][mask[c]].mean()), c) for c in np.flatnonzero(counts == count))
-        if count > best_count or mean_error < best_error:
-            best_count, best_error, best_mask = count, mean_error, mask[first]
+        top = np.flatnonzero(counts == count)
+        mean_errors = np.where(mask[top], errors[top], 0.0).sum(axis=1) / count
+        first = int(np.argmin(mean_errors))
+        if count > best_count or mean_errors[first] < best_error:
+            best_count, best_error, best_mask = count, float(mean_errors[first]), mask[top[first]]
     if best_mask is None or best_count < 4:
         raise FitError("no consensus model with at least 4 inliers")
     refit = _fit_one(src[best_mask], dst[best_mask])

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import UsageError
-from ..timebase import _REAL_TYPES
+from ..timebase import _REAL_TYPES, _nanoseconds
 
 CATEGORIES = ("pedestrian", "vehicle")
 
@@ -42,6 +42,8 @@ class Detection:
         object.__setattr__(self, "center", _point(self.center, "detection center"))
         if not (isinstance(self.confidence, _REAL_TYPES) and 0.0 <= self.confidence <= 1.0):
             raise UsageError("confidence must be a number in [0, 1]")
+        if type(self.frame_ts) is not int:
+            object.__setattr__(self, "frame_ts", _nanoseconds(self.frame_ts, "frame_ts"))
 
 
 @dataclass(frozen=True)

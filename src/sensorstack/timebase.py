@@ -155,14 +155,9 @@ class ClockModel:
         return model
 
     @classmethod
-    def initial(
-        cls,
-        anchor: int,
-        offset_var: float = 1.0,
-        drift_var: float = 1e-4,
-    ) -> "ClockModel":
-        """A zero estimate with the given prior variances."""
-        return cls(0.0, 0.0, anchor, np.diag([offset_var, drift_var]))
+    def initial(cls, anchor: int) -> "ClockModel":
+        """A zero estimate with prior variances 1 s^2 on the offset and 1e-4 on the drift."""
+        return cls(0.0, 0.0, anchor, np.diag([1.0, 1e-4]))
 
     def at_anchor(self, anchor: int) -> "ClockModel":
         """Re-express the same clock map with the drift term anchored at ``anchor``."""

@@ -6,10 +6,11 @@ agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
 `correct_timestamp`, `suppress_overlaps`, `effective_urgency`,
-`prf_scores`). `suppress_overlaps`, like `normalized_dtw_score` and
-`butterworth_lowpass` that the tests call, stays public in the
-package only as such a definition (``UNREACHED_BY_DESIGN`` in
-test_exports.py). The sync oracles take one-channel series, as
+`prf_scores`, and the SVD fit `_fit_dlt` and the scorer `_errors`
+that ``ransac_fit_reference`` batches with). `suppress_overlaps`, like
+`normalized_dtw_score` and `butterworth_lowpass` that the tests call,
+stays public in the package only as such a definition
+(``UNREACHED_BY_DESIGN`` in test_exports.py). The sync oracles take one-channel series, as
 `TimeSeries` holds. The per-window detector and the per-epoch
 alignment loop are the straightforward versions the batched
 production code replaced, the event-matching loop is the one
@@ -18,8 +19,12 @@ the sorted dispatcher walk is the scheduler
 cycle before per-group queues, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the
-RANSAC loop fits one hypothesis at a time with a row-by-row DLT as
-`ransac_fit` did before it batched them, and the per-sample clock
+RANSAC loop draws, fits and scores one hypothesis at a time, its
+system built row by row and solved by QR, where `ransac_fit` does a
+block at a time, while ``ransac_fit_reference`` is `ransac_fit` before
+it drew a block in one call and solved minimal sets by QR (one
+``rng.choice`` per sample, an SVD per fit), kept as the quality
+reference for that change, and the per-sample clock
 correction and shift and the per-window entropy histograms
 (`shannon_entropy`, one window at a time) are the sync code before the
 columnar stream and the cumulative bin counts, the Kalman step that
@@ -54,6 +59,7 @@ from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, 
 from sensorstack.eventsync import EventDetection, MatchedPair, TimeSeries, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
+from sensorstack.fusion.geometry import _errors, _fit_dlt
 from sensorstack.scoring import prf_scores
 from sensorstack.services import ServiceRouter, format_timestamp
 from sensorstack.timebase import (
@@ -424,28 +430,58 @@ def _map_points(h, pts):
     return mapped[:, :2] / mapped[:, 2:3]
 
 
-def homography_dlt_rows(pairs):
-    """Normalized DLT on one point set, its system built row by row."""
-    if len(pairs) < 4:
-        raise FitError("homography needs at least 4 point pairs")
-    src = np.array([p.source for p in pairs], dtype=float)
-    dst = np.array([p.target for p in pairs], dtype=float)
+def _point_arrays(pairs):
+    return np.array([p.source for p in pairs], dtype=float), np.array([p.target for p in pairs], dtype=float)
+
+
+def _system_rows(src, dst):
+    """The DLT system of one point set in Hartley coordinates, built row
+    by row, with the two normalisations."""
     t_src = _normalization(src)
     t_dst = _normalization(dst)
     rows = []
     for (x, y), (u, v) in zip(_map_points(t_src, src), _map_points(t_dst, dst)):
         rows.append([-x, -y, -1, 0, 0, 0, u * x, u * y, u])
         rows.append([0, 0, 0, -x, -y, -1, v * x, v * y, v])
-    _, s, vt = np.linalg.svd(np.array(rows))
-    if s[-2] <= 1e-9 * s[0]:
-        raise FitError("point pairs are degenerate: three or more source points collinear")
-    h = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
+    return np.array(rows), t_src, t_dst
+
+
+def _transform_from_null(null, t_src, t_dst):
+    h = np.linalg.inv(t_dst) @ null.reshape(3, 3) @ t_src
     if abs(h[2, 2]) <= 1e-12:
         raise FitError("fitted homography is degenerate: vanishing scale entry")
     try:
         return PerspectiveTransform(h / h[2, 2])
     except UsageError as exc:
         raise FitError(f"fitted homography is degenerate: {exc}") from exc
+
+
+def homography_dlt_rows(pairs):
+    """Normalized DLT on one point set, its system built row by row."""
+    if len(pairs) < 4:
+        raise FitError("homography needs at least 4 point pairs")
+    a, t_src, t_dst = _system_rows(*_point_arrays(pairs))
+    _, s, vt = np.linalg.svd(a)
+    if s[-2] <= 1e-9 * s[0]:
+        raise FitError("point pairs are degenerate: three or more source points collinear")
+    return _transform_from_null(vt[-1], t_src, t_dst)
+
+
+def homography_minimal_rows(pairs):
+    """Exact homography of four pairs, its system built row by row and
+    solved from the complete QR of its transpose; a model that does not
+    carry each source to within 1e-8 of its target in Hartley units is
+    refused as singular."""
+    src, dst = _point_arrays(pairs)
+    a, t_src, t_dst = _system_rows(src, dst)
+    q, r = np.linalg.qr(a.T, mode="complete")
+    d = np.abs(np.diag(r))
+    if d.min() <= 1e-9 * d.max():
+        raise FitError("point pairs are degenerate: three or more source points collinear")
+    transform = _transform_from_null(q[:, -1], t_src, t_dst)
+    if not np.abs(_map_points(transform.matrix, src) - dst).max() * t_dst[0, 0] <= 1e-8:
+        raise FitError("fitted homography is degenerate: homography must be non-singular")
+    return transform
 
 
 def _reprojection_errors(transform, pairs):
@@ -459,9 +495,12 @@ def _reprojection_errors(transform, pairs):
 def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
     """RANSAC that draws, fits and scores one minimal sample at a time.
 
-    A sample whose fit raises FitError is skipped; a hypothesis replaces
-    the best so far only with more inliers, or as many with a lower mean
-    inlier error. The winner's inliers are refitted.
+    A sample is the indices of the 4 smallest of ``len(pairs)`` uniform
+    draws, fitted by `homography_minimal_rows`; a sample whose fit raises
+    FitError is skipped. A hypothesis replaces the best so far only with
+    more inliers, or as many with a lower mean inlier error (a masked
+    sum over all pairs, divided by the count). The winner's inliers are
+    refitted.
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
@@ -470,15 +509,15 @@ def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
     best_count = 0
     best_error = np.inf
     for _ in range(max_iterations):
-        idx = rng.choice(len(pairs), size=4, replace=False)
+        idx = np.argsort(rng.random(len(pairs)))[:4]
         try:
-            candidate = homography_dlt_rows([pairs[i] for i in idx])
+            candidate = homography_minimal_rows([pairs[i] for i in idx])
         except FitError:
             continue
         errors = _reprojection_errors(candidate, pairs)
         mask = errors <= inlier_threshold
         count = int(mask.sum())
-        mean_error = float(errors[mask].mean()) if count else np.inf
+        mean_error = float(np.where(mask, errors, 0.0).sum() / count) if count else np.inf
         if count > best_count or (count == best_count and mean_error < best_error):
             best_count = count
             best_error = mean_error
@@ -486,6 +525,29 @@ def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
     if best_mask is None or best_count < 4:
         raise FitError("no consensus model with at least 4 inliers")
     refit = homography_dlt_rows([p for p, keep in zip(pairs, best_mask) if keep])
+    return RansacResult(transform=refit, inlier_mask=_reprojection_errors(refit, pairs) <= inlier_threshold)
+
+
+def ransac_fit_reference(pairs, inlier_threshold, max_iterations, seed):
+    """RANSAC as `ransac_fit` was before it drew a block's samples in one
+    call and solved them by QR: one ``rng.choice`` per sample, all samples
+    fitted by one SVD call (`_fit_dlt`) and scored by `_errors` in one
+    block, the top count's mean inlier errors taken one by one. The
+    quality reference for the sampler and solver that replaced these.
+    """
+    if len(pairs) < 4:
+        raise FitError("homography needs at least 4 point pairs")
+    src, dst = _point_arrays(pairs)
+    rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(len(pairs), size=4, replace=False) for _ in range(max_iterations)])
+    matrices, code = _fit_dlt(src[idx], dst[idx])
+    errors = _errors(matrices[code == 0], src, dst)
+    mask = errors <= inlier_threshold
+    counts = mask.sum(axis=1)
+    if counts.max(initial=0) < 4:
+        raise FitError("no consensus model with at least 4 inliers")
+    _, first = min((float(errors[c][mask[c]].mean()), c) for c in np.flatnonzero(counts == counts.max()))
+    refit = homography_dlt_rows([p for p, keep in zip(pairs, mask[first]) if keep])
     return RansacResult(transform=refit, inlier_mask=_reprojection_errors(refit, pairs) <= inlier_threshold)
 
 

@@ -425,8 +425,15 @@ class TestApplySync:
 
     @pytest.mark.parametrize(
         "anchors",
-        [{"ref": 0, "lag": [0]}, {"ref": [0], "lag": 0}, {"ref": [0], "lag": ["x"]}, {"ref": [], "lag": []}],
-        ids=["scalar_reference", "scalar_stream", "non_integer", "empty"],
+        [
+            {"ref": 0, "lag": [0]},
+            {"ref": [0], "lag": 0},
+            {"ref": [0], "lag": ["x"]},
+            {"ref": [], "lag": []},
+            {"ref": [2.9], "lag": [0.0]},
+            {"ref": [True], "lag": [0]},
+        ],
+        ids=["scalar_reference", "scalar_stream", "non_integer", "empty", "float", "bool"],
     )
     def test_anchors_that_are_not_integer_sequences_rejected(self, anchors):
         base = burst_series(1_000_000_000)

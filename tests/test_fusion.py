@@ -11,7 +11,9 @@ from oracles import (
     deduplicate_pairwise,
     evaluate_detections_pairwise,
     homography_dlt_rows,
+    homography_minimal_rows,
     ransac_fit_loop,
+    ransac_fit_reference,
     threshold_sweep_per_threshold,
 )
 from sensorstack.errors import FitError, UsageError
@@ -325,15 +327,91 @@ class TestBatchedRansacMatchesLoop:
         winners = set()
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            first = next(idx for idx in (rng.choice(12, 4, replace=False) for _ in range(100))
+            first = next(idx for idx in (np.argsort(rng.random(12))[:4] for _ in range(100))
                          if len({i < 6 for i in idx}) == 1)
             for block_cells in (12, 36, 120, 1 << 16):
-                with mock.patch.object(geometry, "_fit_dlt", exact_models), \
+                with mock.patch.object(geometry, "_fit_minimal", exact_models), \
                         mock.patch.object(geometry, "_BLOCK_CELLS", block_cells):
                     result = ransac_fit(pairs, inlier_threshold=0.5, max_iterations=100, seed=seed)
                 assert result.inlier_mask.tolist() == [first[0] < 6] * 6 + [first[0] >= 6] * 6, (seed, block_cells)
             winners.add(bool(first[0] < 6))
         assert winners == {True, False}
+
+
+class TestMinimalFit:
+    """The QR solve of minimal sets: exact where accepted, skipped where degenerate."""
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(surveys(), st.integers(0, 2**32 - 1))
+    def test_accepted_fits_map_their_sources_onto_their_targets(self, pairs, seed):
+        idx = np.argsort(np.random.default_rng(seed).random((20, len(pairs))), axis=1)[:, :4]
+        src = np.array([p.source for p in pairs])[idx]
+        dst = np.array([p.target for p in pairs])[idx]
+        matrices, code = geometry._fit_minimal(src, dst)
+        for s, d, matrix, c in zip(src, dst, matrices, code):
+            looped = fit_outcome(homography_minimal_rows, [PointPair(a, b) for a, b in zip(s, d)])
+            assert_same_fit(PerspectiveTransform(matrix) if c == 0 else repr(FitError(geometry._DLT_FAILURES[c])), looped)
+            if c == 0:
+                assert np.abs(apply_homography(matrix, s) - d).max() <= 1e-6 * max(1.0, np.abs(d).max())
+
+    @pytest.mark.parametrize("targets", ["random", "homography"])
+    def test_three_collinear_sources_skipped(self, targets):
+        """Random targets make the fit singular; targets a homography maps
+        the sources to leave a two-dimensional null space. Either way no
+        model comes out."""
+        rng = np.random.default_rng(8)
+        t = rng.uniform(0, 10, (200, 3, 1))
+        line = rng.uniform(0, 100, (200, 1, 2)) + t * rng.uniform(-1, 1, (200, 1, 2))
+        src = np.concatenate([line, rng.uniform(0, 100, (200, 1, 2))], axis=1)
+        if targets == "random":
+            dst = rng.uniform(0, 100, (200, 4, 2))
+        else:
+            dst = np.array([apply_homography(random_homography(rng), s) for s in src])
+        matrices, code = geometry._fit_minimal(src, dst)
+        assert (code != 0).all()
+        assert np.isnan(matrices).all()
+
+
+def synthetic_survey(seed):
+    """A calibration survey of 12-120 pairs with 0.2 units of noise, 5-40%
+    of them mismatched by rotating their targets among themselves."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 121))
+    src = rng.uniform(0, 100, (n, 2))
+    dst = apply_homography(random_homography(rng, scale=0.05), src) + rng.normal(0, 0.2, (n, 2))
+    wrong = rng.choice(n, size=max(2, round(rng.uniform(0.05, 0.4) * n)), replace=False)
+    dst[wrong] = dst[np.roll(wrong, 1)]
+    mismatched = np.zeros(n, dtype=bool)
+    mismatched[wrong] = True
+    return [PointPair(tuple(a), tuple(b)) for a, b in zip(src, dst)], mismatched
+
+
+class TestRansacAgainstReference:
+    """`ransac_fit` against the fit it replaced: one ``rng.choice`` per
+    sample and an SVD per minimal set (``ransac_fit_reference``)."""
+
+    def test_benchmark_rigs_fit_bit_identically(self, perfbench_scenes):
+        """perfbench's eight fixed cameras, with its 0.5 m threshold, 200
+        hypotheses and the seeds 0-4 it gives its cameras."""
+        fits = 0
+        for workload in ("parking_lot", "intersection"):
+            for camera in perfbench_scenes.make_scene(workload, 0, 0).cameras:
+                for seed in range(5):
+                    assert_same_fit(ransac_fit(camera.survey, 0.5, 200, seed), ransac_fit_reference(camera.survey, 0.5, 200, seed))
+                    fits += 1
+        assert fits == 40
+
+    def test_keeps_as_many_true_inliers_and_no_more_mismatches(self):
+        kept = {ransac_fit: [0, 0], ransac_fit_reference: [0, 0]}
+        for seed in range(200):
+            pairs, mismatched = synthetic_survey(seed)
+            for fit, totals in kept.items():
+                mask = fit(pairs, 1.0, 200, seed).inlier_mask
+                totals[0] += int((mask & ~mismatched).sum())
+                totals[1] += int((mask & mismatched).sum())
+        (inliers, mismatches), (reference_inliers, reference_mismatches) = kept.values()
+        assert inliers >= reference_inliers
+        assert mismatches <= reference_mismatches
 
 
 class TestProjection:
@@ -535,6 +613,9 @@ MALFORMED_FUSION_INPUTS = {
     "detection-three-element-center": lambda: Detection("c", "vehicle", (1.0, 2.0, 3.0), 0.5, 0),
     "detection-text-center": lambda: Detection("c", "vehicle", ("1", 2.0), 0.5, 0),
     "detection-text-confidence": lambda: Detection("c", "vehicle", (1.0, 2.0), "0.5", 0),
+    "detection-float-frame-ts": lambda: Detection("c", "vehicle", (0.0, 0.0), 0.5, 2.9),
+    "detection-bool-frame-ts": lambda: Detection("c", "vehicle", (0.0, 0.0), 0.5, True),
+    "detection-text-frame-ts": lambda: Detection("c", "vehicle", (0.0, 0.0), 0.5, "x"),
     "point-pair-one-element-source": lambda: PointPair((1,), (0.0, 0.0)),
     "truth-no-center": lambda: ObjectTruth("pedestrian", None),
     "fused-one-element-center": lambda: FusedDetection("vehicle", (1.0,), 0.5, ("c",), 2.0),
@@ -550,6 +631,11 @@ def test_malformed_records_and_settings_raise_usage_errors(make):
     settings are UsageErrors, never bare ValueError, TypeError or IndexError."""
     with pytest.raises(UsageError):
         make()
+
+
+def test_numpy_integer_frame_ts_becomes_a_python_int():
+    detection = Detection("c", "vehicle", (0.0, 0.0), 0.5, np.int64(7))
+    assert type(detection.frame_ts) is int and detection.frame_ts == 7
 
 
 def occluded_scene(seed=0, n_objects=14):

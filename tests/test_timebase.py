@@ -1,10 +1,7 @@
 import copy
 import dataclasses
-import importlib.util
 import math
 import pickle
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +114,7 @@ class TestKalmanUpdate:
         truth_offset, truth_drift = 0.25, 5e-4
         times = [round(i * 60 / 19 * 500) * 2_000_000 for i in range(20)]
         obs = [(t, t + 250_000_000 + round(truth_drift * t)) for t in times]
-        model = ClockModel.initial(0, offset_var=1e8, drift_var=1e2)
+        model = ClockModel(0.0, 0.0, 0, np.diag([1e8, 1e2]))
         noise = NoiseConfig(0.0, 0.0, 1e-12)
         model = run_filter(obs, model, noise)
         at_origin = model.at_anchor(0)
@@ -134,7 +131,7 @@ class TestKalmanUpdate:
         times = spaced_times(rng, count=100, period_s=1.2)
         noise = rng.normal(0.0, 0.005, size=100)
         obs = linear_observations(0.4, -2e-5, times, noise)
-        model = ClockModel.initial(0, offset_var=1e8, drift_var=1e2)
+        model = ClockModel(0.0, 0.0, 0, np.diag([1e8, 1e2]))
         model = run_filter(obs, model, NoiseConfig(0.0, 0.0, 1e-4))
         taus = [(local / NS) for local, _ in obs]
         zs = [(ref - local) / NS for local, ref in obs]
@@ -164,7 +161,7 @@ class TestKalmanUpdate:
             times = spaced_times(rng, count=n, period_s=1.8)
             noise = rng.normal(0.0, sigma, size=n)
             obs = linear_observations(truth_offset, truth_drift, times, noise)
-            model = ClockModel.initial(0, offset_var=1e8, drift_var=1e2)
+            model = ClockModel(0.0, 0.0, 0, np.diag([1e8, 1e2]))
             model = run_filter(obs, model, NoiseConfig(0.0, 0.0, sigma**2))
             centroid = int(np.mean([local for local, _ in obs]))
             est = model.at_anchor(centroid).offset
@@ -172,19 +169,13 @@ class TestKalmanUpdate:
             errors.append(abs(est - truth_at_centroid))
         assert float(np.mean(errors)) < 3 * sigma / math.sqrt(n)
 
-    def test_identical_to_the_checked_constructor_on_benchmark_exchanges(self):
+    def test_identical_to_the_checked_constructor_on_benchmark_exchanges(self, perfbench_scenes):
         # the clock exchanges of perfbench's scenes, seeds 1-3 of both
         # workloads, folded in with its noise setting and the default one
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-        spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
-        scenes = importlib.util.module_from_spec(spec)
-        # dataclasses look their module up in sys.modules
-        sys.modules[spec.name] = scenes
-        spec.loader.exec_module(scenes)
         steps = 0
         for workload in ("parking_lot", "intersection"):
             for seed in (1, 2, 3):
-                for session in scenes.make_scene(workload, seed, 0).sessions:
+                for session in perfbench_scenes.make_scene(workload, seed, 0).sessions:
                     for exchanges in session.exchanges.values():
                         for noise in (NoiseConfig(measurement_var=(2e-3) ** 2), NoiseConfig()):
                             fast = slow = ClockModel.initial(exchanges[0][0])
@@ -226,7 +217,7 @@ class TestKalmanUpdate:
             model = ClockModel(rng.normal(), rng.uniform(-0.05, 0.05), local, root @ root.T)
         else:
             variances = {"initial": (1.0, 1e-4), "wide": (1e8, 1e2), "zero": (0.0, 0.0)}[prior]
-            model = ClockModel.initial(local, *variances)
+            model = ClockModel(0.0, 0.0, local, np.diag(variances))
         fast = slow = model
         for _ in range(steps):
             local += int(rng.choice([0, rng.integers(1, 10**6), rng.integers(10**8, 3 * 10**9)]))

@@ -15,7 +15,7 @@ from .routing import UtilizationIndex, route
 from .types import Batch, NodeState, SchedulerConfig, Task
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dispatch:
     """A placed task; ``opened`` is the batch it opened on a computation unit."""
 
@@ -48,12 +48,14 @@ class TaskQueue:
             self.append(task)
 
     def append(self, task: Task):
-        self._latest_entry_ns = max(self._latest_entry_ns, task.entry_time_ns)
+        entry_ns = task.entry_time_ns
+        if entry_ns > self._latest_entry_ns:
+            self._latest_entry_ns = entry_ns
         key = (task.initial_priority, task.compute_class, task.stage)
         group = self._groups.get(key)
         if group is None:
             self._groups[key] = deque([task])
-        elif _arrival(task) >= _arrival(group[-1]):
+        elif (entry_ns, task.task_id) >= _arrival(group[-1]):
             group.append(task)
         else:
             insort(group, task, key=_arrival)
@@ -119,13 +121,13 @@ def schedule_cycle(queue: TaskQueue, nodes: Sequence[NodeState], now_ns: int) ->
     dispatches: list[Dispatch] = []
     while heads:
         sort_key, rank, group_key, task = heads[0]
-        placed = route(task, mediums.least(), units.least())
+        placed = route(task, mediums, units)
         if placed is None or not placed[0].accepts(task):
             heapq.heappop(heads)
             continue
         node, redirected = placed
         opened = node.occupy(task, close_t_ns)
-        dispatches.append(Dispatch(task, node.node_id, sort_key[0], redirected, opened))
+        dispatches.append(Dispatch(task, node.spec.node_id, sort_key[0], redirected, opened))
         group = groups[group_key]
         group.popleft()
         if group:

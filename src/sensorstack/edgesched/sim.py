@@ -1,24 +1,27 @@
 """Deterministic discrete-event simulation of the scheduler.
 
-Arrivals, dispatcher cycles, batch windows, and completions run off a
-single event heap keyed by (time, kind rank, insertion order), so the
-same workload, topology, config, and seed always produce the same
-event log byte for byte. Wall-clock is touched only to time the
-scheduling computation itself; that measurement goes into the metrics,
-never into the log.
+Events are ordered by (time, kind rank, insertion order). Arrivals are
+drawn before the run starts, rank first, and are read off one sorted
+run: the next event is the next arrival whenever its time is at or
+before the earliest pending event. Dispatcher cycles, batch windows and
+completions run off an event heap with that key. So the same workload,
+topology, config, and seed always produce the same event log byte for
+byte. Wall-clock is touched only to time the scheduling computation
+itself; that measurement goes into the metrics, never into the log.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
-import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from time import perf_counter
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..timebase import NS_PER_SEC
+from ..timebase import _REAL_TYPES, NS_PER_SEC
 from .cycle import TaskQueue, schedule_cycle
 from .routing import MonitorSnapshot, monitor_snapshot
 from .types import (
@@ -31,7 +34,8 @@ from .types import (
     TopologySpec,
 )
 
-RANK_ARRIVAL = 0
+# ranks order events at equal times; arrivals, which never enter the
+# heap, come before every ranked event
 RANK_COMPLETE = 1
 RANK_CYCLE = 2
 RANK_BATCH_CLOSE = 3
@@ -49,14 +53,20 @@ class StageSpec:
     arrival_rate_hz: float
 
     def __post_init__(self):
+        # every field a Task takes from its stage is checked here as Task
+        # checks it, so the simulator builds the stage's tasks unchecked
         if self.compute_class not in COMPUTE_CLASSES:
             raise ConfigError(f"unknown compute class {self.compute_class!r}")
-        if self.service_demand_ns <= 0:
+        demand = self.service_demand_ns
+        if not isinstance(demand, (int, np.integer)) or isinstance(demand, bool):
+            raise ConfigError(f"service_demand_ns must be an integer, not {type(demand).__name__}")
+        if demand <= 0:
             raise ConfigError("service_demand_ns must be positive")
-        if not math.isfinite(self.arrival_rate_hz) or self.arrival_rate_hz < 0:
-            raise ConfigError("arrival_rate_hz must be finite and non-negative")
-        if not math.isfinite(self.initial_priority):
-            raise ConfigError("initial_priority must be finite")
+        rate = self.arrival_rate_hz
+        if not (isinstance(rate, _REAL_TYPES) and math.isfinite(rate) and rate >= 0):
+            raise ConfigError("arrival_rate_hz must be a finite non-negative number")
+        if not (isinstance(self.initial_priority, _REAL_TYPES) and math.isfinite(self.initial_priority)):
+            raise ConfigError("initial_priority must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -82,32 +92,67 @@ class SimResult:
     snapshots: tuple[MonitorSnapshot, ...]
 
 
-def _generate_arrivals(workload: WorkloadSpec, rng: np.random.Generator) -> list[Task]:
-    tasks = []
+def _arrival_times(rate_hz: float, duration_ns: int, rng: np.random.Generator) -> list[int]:
+    """One stage's Poisson arrival times before ``duration_ns``, in ns.
+
+    The times, and the generator's state afterwards, are those of a clock
+    that adds one ``rng.exponential(1 / rate_hz)`` gap at a time and rounds
+    each sum to the nanosecond until a sum lands at or past the end. The
+    gaps are drawn in blocks from a saved state: `np.cumsum` adds them in
+    the clock's order and `np.rint` rounds half to even, as `round` does.
+    Once the first late sum is found, the state is restored and exactly
+    the gaps the clock would draw are drawn again.
+    """
+    mean_gap = 1.0 / rate_hz
+    end = float(duration_ns)
+    if end < duration_ns:  # the double next above, so "rounded sum >= end" stays exact
+        end = math.nextafter(end, math.inf)
+    saved = rng.bit_generator.state
+    block = int(rate_hz * duration_ns / NS_PER_SEC) + 1  # the expected count; doubled while short
+    clock = 0.0
+    kept = 0
+    while True:
+        gaps = rng.exponential(mean_gap, block)
+        gaps[0] += clock
+        sums = np.cumsum(gaps)
+        late = int(np.searchsorted(np.rint(sums * NS_PER_SEC), end))
+        kept += late
+        if late < block:
+            break
+        clock = float(sums[-1])
+        block *= 2
+    rng.bit_generator.state = saved
+    sums = np.cumsum(rng.exponential(mean_gap, kept + 1)[:kept])
+    return np.rint(sums * NS_PER_SEC).astype(np.int64).tolist()
+
+
+def _generate_arrivals(workload: WorkloadSpec, rng: np.random.Generator) -> list[tuple[int, str, Task]]:
+    """Every stage's arrivals as ``(entry_time_ns, task_id, task)``, sorted.
+
+    Stages draw in workload order from ``rng``; task ids are unique, so
+    the tuples sort without comparing tasks.
+    """
+    arrivals = []
     for stage in workload.stages:
         if stage.arrival_rate_hz == 0:
             continue
-        t = 0.0
-        index = 0
-        mean_gap = 1.0 / stage.arrival_rate_hz
-        while True:
-            t += rng.exponential(mean_gap)
-            t_ns = int(round(t * NS_PER_SEC))
-            if t_ns >= workload.duration_ns:
-                break
-            tasks.append(
-                Task(
-                    task_id=f"{stage.name}-{index:05d}",
-                    compute_class=stage.compute_class,
-                    initial_priority=stage.initial_priority,
-                    entry_time_ns=t_ns,
-                    service_demand_ns=stage.service_demand_ns,
-                    stage=stage.name,
-                )
+        name, compute_class = stage.name, stage.compute_class
+        priority, demand = stage.initial_priority, stage.service_demand_ns
+        for index, t_ns in enumerate(_arrival_times(stage.arrival_rate_hz, workload.duration_ns, rng)):
+            task_id = f"{name}-{index:05d}"
+            # StageSpec checked every field as Task would, and t_ns is an int
+            task = object.__new__(Task)
+            task.__dict__.update(
+                task_id=task_id,
+                compute_class=compute_class,
+                initial_priority=priority,
+                entry_time_ns=t_ns,
+                service_demand_ns=demand,
+                stage=name,
             )
-            index += 1
-    tasks.sort(key=lambda task: (task.entry_time_ns, task.task_id))
-    return tasks
+            arrivals.append((t_ns, task_id, task))
+    arrivals.sort()
+    return arrivals
 
 
 def _validate_topology(workload: WorkloadSpec, topology: TopologySpec):
@@ -136,23 +181,20 @@ def run_simulation(
     """
     _validate_topology(workload, topology)
     rng = np.random.default_rng(seed)
-    arrivals = _generate_arrivals(workload, rng)
+    # arrivals rank first, so the next arrival is the next event whenever
+    # it is due no later than the heap's top; the sentinel never is, since
+    # the end event pops first
+    arrivals = iter(_generate_arrivals(workload, rng) + [(math.inf, None, None)])
+    arrival_ns, _, arriving = next(arrivals)
 
     nodes = [NodeState(spec=spec) for spec in sorted(topology.nodes, key=lambda s: s.node_id)]
     by_id = {n.node_id: n for n in nodes}
 
-    heap: list[tuple[int, int, int, object]] = []
-    seq = 0
-
-    def push(t_ns: int, rank: int, payload):
-        nonlocal seq
-        heapq.heappush(heap, (t_ns, rank, seq, payload))
-        seq += 1
-
-    for task in arrivals:
-        push(task.entry_time_ns, RANK_ARRIVAL, task)
-    push(0, RANK_CYCLE, None)
-    push(workload.duration_ns, RANK_END, None)
+    seq = itertools.count()
+    heap: list[tuple[int, int, int, object]] = [
+        (0, RANK_CYCLE, next(seq), None),
+        (workload.duration_ns, RANK_END, next(seq), None),
+    ]
 
     queue = TaskQueue(config)
     records: list[dict] = []
@@ -166,88 +208,90 @@ def run_simulation(
     latencies_by_class: dict[float, list[int]] = {}
     overhead_samples: list[float] = []
 
-    while heap:
-        t_ns, rank, _, payload = heapq.heappop(heap)
-
-        if rank == RANK_ARRIVAL:
-            task = payload
-            queue.append(task)
+    while True:
+        next_ns = heap[0][0]
+        while arrival_ns <= next_ns:
+            queue.append(arriving)
             records.append(
                 {
-                    "t_ns": t_ns,
+                    "t_ns": arrival_ns,
                     "event": "arrival",
-                    "task_id": task.task_id,
+                    "task_id": arriving.task_id,
                     "node_id": None,
                     "p_eff": None,
-                    "stage": task.stage,
-                    "compute_class": task.compute_class,
-                    "p_initial": task.initial_priority,
-                    "demand_ns": task.service_demand_ns,
+                    "stage": arriving.stage,
+                    "compute_class": arriving.compute_class,
+                    "p_initial": arriving.initial_priority,
+                    "demand_ns": arriving.service_demand_ns,
                 }
             )
+            arrival_ns, _, arriving = next(arrivals)
 
-        elif rank == RANK_COMPLETE:
+        t_ns, rank, _, payload = heappop(heap)
+
+        if rank == RANK_COMPLETE:
             node, tasks = payload
+            node_id = node.spec.node_id
+            completions += len(tasks)
             for task in tasks:
-                completions += 1
-                latencies_by_class.setdefault(task.initial_priority, []).append(
-                    t_ns - task.entry_time_ns
-                )
+                latencies_by_class.setdefault(task.initial_priority, []).append(t_ns - task.entry_time_ns)
                 records.append(
                     {
                         "t_ns": t_ns,
                         "event": "complete",
                         "task_id": task.task_id,
-                        "node_id": node.node_id,
+                        "node_id": node_id,
                         "p_eff": None,
                     }
                 )
             batch = node.release(len(tasks))
             if batch is not None:
-                push(t_ns + batch.demand_ns, RANK_COMPLETE, (node, tuple(batch.tasks)))
+                heappush(heap, (t_ns + batch.demand_ns, RANK_COMPLETE, next(seq), (node, tuple(batch.tasks))))
 
         elif rank == RANK_CYCLE:
-            started = time.perf_counter()
+            started = perf_counter()
             dispatches = schedule_cycle(queue, nodes, t_ns)
-            overhead_samples.append(time.perf_counter() - started)
+            overhead_samples.append(perf_counter() - started)
 
             remaining_best = queue.best_priority()
+            dispatch_count += len(dispatches)
             for item in dispatches:
-                dispatch_count += 1
+                task = item.task
                 node = by_id[item.node_id]
-                if node.kind == "computation_unit":
+                kind = node.spec.kind
+                priority = task.initial_priority
+                wait_ns = t_ns - task.entry_time_ns
+                if kind == "medium":
+                    heappush(heap, (t_ns + task.service_demand_ns, RANK_COMPLETE, next(seq), (node, (task,))))
+                else:
                     offload_count += 1
-                if remaining_best < item.task.initial_priority:
+                if remaining_best < priority:
                     inversion_count += 1
-                waits_by_class.setdefault(item.task.initial_priority, []).append(
-                    t_ns - item.task.entry_time_ns
-                )
-                if node.kind == "medium":
-                    push(t_ns + item.task.service_demand_ns, RANK_COMPLETE, (node, (item.task,)))
+                waits_by_class.setdefault(priority, []).append(wait_ns)
                 if item.opened is not None:
-                    push(item.opened.close_t_ns, RANK_BATCH_CLOSE, (node, item.opened))
+                    heappush(heap, (item.opened.close_t_ns, RANK_BATCH_CLOSE, next(seq), (node, item.opened)))
                 records.append(
                     {
                         "t_ns": t_ns,
                         "event": "dispatch",
-                        "task_id": item.task.task_id,
+                        "task_id": task.task_id,
                         "node_id": item.node_id,
                         "p_eff": item.p_eff,
-                        "node_kind": node.kind,
+                        "node_kind": kind,
                         "redirected": item.redirected,
-                        "wait_ns": t_ns - item.task.entry_time_ns,
-                        "p_initial": item.task.initial_priority,
+                        "wait_ns": wait_ns,
+                        "p_initial": priority,
                     }
                 )
             snapshots.append(monitor_snapshot(nodes, t_ns))
             next_cycle = t_ns + config.cycle_period_ns
             if next_cycle < workload.duration_ns:
-                push(next_cycle, RANK_CYCLE, None)
+                heappush(heap, (next_cycle, RANK_CYCLE, next(seq), None))
 
         elif rank == RANK_BATCH_CLOSE:
             node, batch = payload
             if node.close_batch(batch):
-                push(t_ns + batch.demand_ns, RANK_COMPLETE, (node, tuple(batch.tasks)))
+                heappush(heap, (t_ns + batch.demand_ns, RANK_COMPLETE, next(seq), (node, tuple(batch.tasks))))
 
         else:
             records.append(

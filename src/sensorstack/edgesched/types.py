@@ -149,16 +149,17 @@ class NodeState:
         is neither running nor promised to a waiting or open batch.
         Taking work never makes a node accept a task it refused.
         """
-        if self.kind == "medium":
-            return self.busy_slots < self.capacity
+        spec = self.spec
+        if spec.kind == "medium":
+            return self.busy_slots < spec.capacity
         if task.stage in self.open_batches:
             return True
-        return self.busy_slots + len(self.waiting_batches) + len(self.open_batches) < self.capacity
+        return self.busy_slots + len(self.waiting_batches) + len(self.open_batches) < spec.capacity
 
     def occupy(self, task: Task, close_t_ns: int) -> Batch | None:
         """Take ``task``; returns the batch it opened, to close at ``close_t_ns``."""
         self.in_flight += 1
-        if self.kind == "medium":
+        if self.spec.kind == "medium":
             self.busy_slots += 1
             return None
         self.queue_length += 1

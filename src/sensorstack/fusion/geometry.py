@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -25,8 +26,7 @@ class PerspectiveTransform:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise UsageError("homography must be a 3x3 matrix")
-        det = float(np.linalg.det(m))
-        if not np.isfinite(det) or abs(det) <= 1e-12:
+        if _singular(m):
             raise UsageError("homography must be non-singular")
         if abs(m[2, 2]) <= 1e-12:
             raise UsageError("homography bottom-right entry must be nonzero")
@@ -50,6 +50,27 @@ class PerspectiveTransform:
         out = np.full((len(pts), 2), np.nan)
         out[valid] = h[valid, :2] / w[valid, None]
         return out, valid
+
+
+# the determinant's six terms: term k multiplies row r's entry in column _PERMUTATIONS[k, r]
+_ROWS = np.arange(3)
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+
+
+def _singular(m: np.ndarray) -> np.ndarray:
+    """Whether (..., 3, 3) matrices are singular, whatever their scale.
+
+    A determinant is a signed sum of six products of entries; rounding
+    leaves a singular matrix's determinant near 1e-16 of those products'
+    magnitudes. A matrix is singular when it holds a non-finite entry or
+    its determinant is at most 1e-12 of that magnitude sum. Scaling the
+    matrix, a row or a column (a change of units on either side) scales
+    both alike. The plain determinant passed a rank-2 matrix with large
+    entries and refused a sound one with small.
+    """
+    with np.errstate(invalid="ignore"):
+        magnitude = np.abs(m)[..., _ROWS, _PERMUTATIONS].prod(axis=-1).sum(axis=-1)
+        return ~(np.abs(np.linalg.det(m)) > 1e-12 * magnitude)
 
 
 def _as_arrays(pairs: Sequence[PointPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +148,14 @@ def _homographies(
     failure code: 0 where the fit succeeded, else the first rule the set
     breaks (its matrix is NaN): 1, not ``distinct`` (coincident source or
     target points); 2, ``deficient`` (the system's rank is below 8, as
-    with collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a non-finite
-    or ``<= 1e-12`` determinant.
+    with collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a `_singular`
+    matrix.
     """
     h = np.linalg.inv(t_dst) @ null.reshape(-1, 3, 3) @ t_src
     scale = h[:, 2, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         h = h / scale[:, None, None]
-        det = np.linalg.det(h)
+        singular = _singular(h)
         # a PerspectiveTransform divides by its [2, 2] entry once more: score what it would hold
         h = h / h[:, 2:, 2:]
     code = np.select(
@@ -142,7 +163,7 @@ def _homographies(
             ~distinct,
             deficient,
             np.abs(scale) <= 1e-12,
-            ~np.isfinite(det) | (np.abs(det) <= 1e-12),
+            singular,
         ],
         [1, 2, 3, 4],
     )
@@ -153,13 +174,14 @@ def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized DLT on a batch of (B, k, 2) point sets, one SVD call for all.
 
     The least-squares solution is the right singular vector of the
-    smallest singular value; a set is rank deficient where
-    ``s[-2] <= 1e-9 s[0]``. Returns what `_homographies` does.
+    smallest singular value; a set is rank deficient where its eighth
+    singular value ``s[7] <= 1e-9 s[0]`` (four pairs give only eight).
+    Returns what `_homographies` does.
     """
     a, t_src, t_dst, distinct = _dlt_systems(src, dst)
     # with 2k >= 9 rows the reduced SVD already holds all of vt and skips the (2k, 2k) U
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[1] < 9)
-    return _homographies(vt[:, -1], t_src, t_dst, distinct, s[:, -2] <= 1e-9 * s[:, 0])
+    return _homographies(vt[:, -1], t_src, t_dst, distinct, s[:, 7] <= 1e-9 * s[:, 0])
 
 
 def _fit_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

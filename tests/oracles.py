@@ -16,7 +16,9 @@ alignment loop are the straightforward versions the batched
 production code replaced, the event-matching loop is the one
 `coarse_align` carried before it called the shared greedy matcher,
 the sorted dispatcher walk is the scheduler
-cycle before per-group queues, and the pairwise merge loop, the
+cycle before per-group queues, the scalar arrival loop is the
+simulator's arrival generator before it drew each stage's gaps in
+array calls, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the
 RANSAC loop draws, fits and scores one hypothesis at a time, its
@@ -54,7 +56,7 @@ import numpy as np
 from hypothesis import settings
 from scipy import signal
 
-from sensorstack.edgesched import Dispatch, effective_urgency
+from sensorstack.edgesched import Dispatch, Task, effective_urgency
 from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, TopologyError, UsageError, ValidationError
 from sensorstack.eventsync import EventDetection, MatchedPair, TimeSeries, suppress_overlaps
 from sensorstack.eventsync.features import ENTROPY_BINS
@@ -462,7 +464,7 @@ def homography_dlt_rows(pairs):
         raise FitError("homography needs at least 4 point pairs")
     a, t_src, t_dst = _system_rows(*_point_arrays(pairs))
     _, s, vt = np.linalg.svd(a)
-    if s[-2] <= 1e-9 * s[0]:
+    if s[7] <= 1e-9 * s[0]:
         raise FitError("point pairs are degenerate: three or more source points collinear")
     return _transform_from_null(vt[-1], t_src, t_dst)
 
@@ -569,6 +571,38 @@ def route_by_scan(task, nodes):
     if medium.utilization <= medium.spec.overload_threshold:
         return medium, False
     return None if unit is None else (unit, True)
+
+
+def generate_arrivals_scalar(workload, rng):
+    """Every stage's Poisson arrivals, one ``rng.exponential`` gap at a
+    time: a float clock adds each gap and is rounded to the nanosecond,
+    until it lands at or past the end; each task is built through `Task`'s
+    checks, and the whole list sorted by (entry time, task id)."""
+    tasks = []
+    for stage in workload.stages:
+        if stage.arrival_rate_hz == 0:
+            continue
+        t = 0.0
+        index = 0
+        mean_gap = 1.0 / stage.arrival_rate_hz
+        while True:
+            t += rng.exponential(mean_gap)
+            t_ns = int(round(t * NS_PER_SEC))
+            if t_ns >= workload.duration_ns:
+                break
+            tasks.append(
+                Task(
+                    task_id=f"{stage.name}-{index:05d}",
+                    compute_class=stage.compute_class,
+                    initial_priority=stage.initial_priority,
+                    entry_time_ns=t_ns,
+                    service_demand_ns=stage.service_demand_ns,
+                    stage=stage.name,
+                )
+            )
+            index += 1
+    tasks.sort(key=lambda task: (task.entry_time_ns, task.task_id))
+    return tasks
 
 
 def schedule_cycle_sorted(queue, nodes, now_ns, config):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget, schedule_cycle_sorted
+from oracles import budget, generate_arrivals_scalar, schedule_cycle_sorted
 from sensorstack.edgesched import (
     COMPUTE_CLASSES,
     ClassStats,
@@ -35,6 +35,7 @@ from sensorstack.edgesched import (
     schedule_cycle,
 )
 from sensorstack.edgesched.routing import UtilizationIndex, route
+from sensorstack.edgesched.sim import _generate_arrivals
 from sensorstack.edgesched.types import Batch
 from sensorstack.errors import ConfigError, IntegrityError, SensorStackError, TopologyError, UsageError
 
@@ -60,7 +61,7 @@ def unit_node(node_id="cu0", capacity=1):
 
 def route_over(task, nodes):
     """`route` over the least-utilized node of each kind, as a cycle calls it."""
-    return route(task, UtilizationIndex(nodes, "medium").least(), UtilizationIndex(nodes, "computation_unit").least())
+    return route(task, UtilizationIndex(nodes, "medium"), UtilizationIndex(nodes, "computation_unit"))
 
 
 def queued(queue):
@@ -77,23 +78,24 @@ def cycle(tasks, nodes, now_ns, config):
 
 # -- workloads reused across the experiment tests --------------------------
 
-def decomposed_pipeline(duration_ns=10 * NS):
-    """Eight stages at 30/s each: six light filters and two heavy steps."""
+def decomposed_pipeline(duration_ns=10 * NS, scale=1):
+    """Eight stages at 30/s each (x scale): six light filters and two heavy steps."""
+    rate = 30.0 * scale
     stages = tuple(
-        [StageSpec(f"filter{i}", "light", 30 * MS, 2.0, 30.0) for i in range(6)]
+        [StageSpec(f"filter{i}", "light", 30 * MS, 2.0, rate) for i in range(6)]
         + [
-            StageSpec("detect", "heavy", 45 * MS, 1.0, 30.0),
-            StageSpec("fuse", "heavy", 200 * MS, 1.0, 30.0),
+            StageSpec("detect", "heavy", 45 * MS, 1.0, rate),
+            StageSpec("fuse", "heavy", 200 * MS, 1.0, rate),
         ]
     )
     return WorkloadSpec(stages=stages, duration_ns=duration_ns)
 
 
-def tiered_topology():
+def tiered_topology(scale=1):
     return TopologySpec(
         nodes=tuple(
-            [NodeSpec(f"m{i}", "medium", 2) for i in range(4)]
-            + [NodeSpec(f"cu{i}", "computation_unit", 4) for i in range(2)]
+            [NodeSpec(f"m{i}", "medium", 2) for i in range(4 * scale)]
+            + [NodeSpec(f"cu{i}", "computation_unit", 4) for i in range(2 * scale)]
         )
     )
 
@@ -570,6 +572,31 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StageSpec("s", "nuclear", 1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("priority", ["x", None, (1.0,)])
+    def test_stage_spec_rejects_a_non_number_priority(self, priority):
+        with pytest.raises(ConfigError, match="initial_priority"):
+            StageSpec("s", "light", 10**6, priority, 5.0)
+
+    @pytest.mark.parametrize("rate", ["x", None, (5.0,)])
+    def test_stage_spec_rejects_a_non_number_rate(self, rate):
+        with pytest.raises(ConfigError, match="arrival_rate_hz"):
+            StageSpec("s", "light", 10**6, 1.0, rate)
+
+    @pytest.mark.parametrize("demand", ["7", 1.5e6, 1e6, True, np.float64(1e6)])
+    def test_stage_spec_rejects_a_demand_that_is_not_an_integer(self, demand):
+        with pytest.raises(ConfigError, match="service_demand_ns"):
+            StageSpec("s", "light", demand, 1.0, 5.0)
+
+    def test_stage_spec_takes_numpy_numbers_and_its_tasks_pass_task_checks(self):
+        """The simulator builds a stage's tasks without `Task`'s checks;
+        every field a stage accepts must pass them."""
+        stage = StageSpec("s", "heavy", np.int64(3 * MS), np.float32(1.5), np.float64(40.0))
+        arrivals = _generate_arrivals(WorkloadSpec(stages=(stage,), duration_ns=NS), np.random.default_rng(3))
+        assert arrivals
+        for t_ns, task_id, task in arrivals:
+            assert type(t_ns) is int and (t_ns, task_id) == (task.entry_time_ns, task.task_id)
+            assert task == Task(task_id, "heavy", stage.initial_priority, t_ns, stage.service_demand_ns, "s")
+
     def test_workload_rejects_bad_shape(self):
         stage = StageSpec("s", "light", 1, 0.0, 1.0)
         with pytest.raises(ConfigError):
@@ -706,6 +733,18 @@ class TestSimulation:
         stages = {r["stage"] for r in result.records if r["event"] == "arrival"}
         assert stages == {"on"}
 
+    def test_arrivals_at_one_instant_go_in_task_id_order(self):
+        """At 0.8 arrivals per ns per stage, stages share entry times; the
+        log takes arrivals by (entry time, task id)."""
+        stages = tuple(StageSpec(name, "light", MS, 0.0, 8e8) for name in ("b", "a"))
+        result = run_simulation(WorkloadSpec(stages=stages, duration_ns=1_000), tiered_topology(), SchedulerConfig(), seed=2)
+        arrivals = [(r["t_ns"], r["task_id"]) for r in result.records if r["event"] == "arrival"]
+        assert arrivals == sorted(arrivals)
+        stages_at = {}
+        for t_ns, task_id in arrivals:
+            stages_at.setdefault(t_ns, set()).add(task_id[0])
+        assert any(len(names) == 2 for names in stages_at.values())
+
     def test_log_ends_with_end_record(self):
         result = run_simulation(offload_mix_workload(NS), offload_mix_topology(), SchedulerConfig(), seed=0)
         assert result.records[-1]["event"] == "end"
@@ -755,7 +794,52 @@ PINNED_DIGESTS = {
 }
 
 
+@st.composite
+def arrival_workloads(draw):
+    """One to four stages over a short or long run, each expecting 0-1,500
+    arrivals; a run of a few hundred ns packs several arrivals into one
+    nanosecond, within and across stages. (Below about 1e-290 Hz the
+    scalar clock overflows; that is no workload.)"""
+    duration_ns = draw(st.sampled_from([1, 300, 10_000, NS]) | st.integers(1, 3 * NS))
+    stages = []
+    for i in range(draw(st.integers(1, 4))):
+        expected = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-6, 1_500.0))
+        stages.append(
+            StageSpec(
+                f"s{i}",
+                draw(st.sampled_from(COMPUTE_CLASSES)),
+                draw(st.integers(1, NS)),
+                draw(st.sampled_from([0.0, 1.0, 2.5])),
+                expected * NS / duration_ns,
+            )
+        )
+    return WorkloadSpec(stages=tuple(stages), duration_ns=duration_ns)
+
+
+class TestArrivalsMatchScalarLoop:
+    """Gaps drawn in array calls give the scalar loop's tasks, and leave
+    the generator where the loop leaves it."""
+
+    @settings(max_examples=budget(100), deadline=None)
+    @given(arrival_workloads(), st.integers(0, 2**32))
+    def test_identical_arrivals_and_generator_state(self, workload, seed):
+        rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        arrivals = _generate_arrivals(workload, rng)
+        expected = generate_arrivals_scalar(workload, scalar_rng)
+        assert [task for _, _, task in arrivals] == expected
+        assert [(t_ns, task_id) for t_ns, task_id, _ in arrivals] == [(t.entry_time_ns, t.task_id) for t in expected]
+        assert all(type(task.entry_time_ns) is int for _, _, task in arrivals)
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 class TestDeterminism:
+    def test_intersection_scale_output_matches_pinned_digest(self):
+        """The x16 pipeline that bench/test_edgesched_bench.py times and
+        perfbench's intersection runs: 3,800-odd arrivals in 1 s on 96
+        nodes, seed 11. Pinned under numpy 2.4.6, as below."""
+        result = run_simulation(decomposed_pipeline(NS, scale=16), tiered_topology(scale=16), SchedulerConfig(), seed=11)
+        assert output_digest(result) == "e6f096a84d627d0c58bc173e2df2194ec20eb951d884f7081a426a50cacebdae"
+
     def test_outputs_match_pinned_digests(self):
         """Logs and snapshots stay byte-identical across scheduler changes.
 

@@ -102,6 +102,15 @@ class TestHomographyFit:
         with pytest.raises(FitError, match="collinear|degenerate"):
             fit_homography_dlt(pairs)
 
+    def test_four_pairs_with_three_collinear_sources_rejected(self):
+        """Four pairs give eight singular values; three collinear sources
+        that a homography maps leave the eighth at zero (rank 7), so the
+        fit has no unique answer and must be refused, not guessed."""
+        truth = random_homography(np.random.default_rng(4))
+        pairs = pairs_from_matrix(truth, np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, 3.0)]))
+        with pytest.raises(FitError, match="collinear"):
+            fit_homography_dlt(pairs)
+
     def test_coincident_points_rejected(self):
         pairs = [PointPair((1.0, 1.0), (2.0, 2.0))] * 5
         with pytest.raises(FitError):
@@ -168,8 +177,9 @@ class TestRansac:
             ransac_fit(pairs, inlier_threshold=1.0, max_iterations=50, seed=0)
 
     def test_singular_minimal_sample_is_skipped(self):
-        """Four general-position sources surveyed onto one line give a
-        singular homography; sampling them must not end the fit."""
+        """Four general-position sources surveyed onto one line admit only
+        singular maps, a two-dimensional family of them, so the fit is
+        refused as rank deficient; sampling them must not end the fit."""
         rng = np.random.default_rng(6)
         truth = random_homography(rng, scale=0.05)
         line = [
@@ -177,7 +187,7 @@ class TestRansac:
             for source, t in zip([(10.0, 80.0), (70.0, 15.0), (40.0, 60.0), (90.0, 90.0)],
                                  [5.0, 20.0, 35.0, 50.0])
         ]
-        with pytest.raises(FitError, match="non-singular"):
+        with pytest.raises(FitError, match="degenerate"):
             fit_homography_dlt(line)
         pairs = self.exact_pairs(rng, truth, 8) + line
         for seed in range(10):
@@ -470,6 +480,18 @@ class TestProjection:
     def test_singular_matrix_rejected(self):
         with pytest.raises(UsageError):
             PerspectiveTransform(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_singularity_does_not_depend_on_scale(self, scale):
+        """A rank-2 matrix is refused at any scale, though its plain
+        determinant reads about 1e-5 at 1e3; a sound matrix is kept at any
+        scale and in any units, though diag(1e-7, 1e-7, 1) reads 1e-14."""
+        rank_two = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]) * scale
+        with pytest.raises(UsageError, match="non-singular"):
+            PerspectiveTransform(rank_two)
+        sound = np.diag([1e-7, 1e-7, 1.0]) * scale
+        assert geometry._singular(np.stack([rank_two, sound])).tolist() == [True, False]
+        assert PerspectiveTransform(sound).matrix[2, 2] == 1.0
 
 
 def ped(camera, x, y, conf, ts=0):

@@ -9,8 +9,13 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import UsageError
+from ..timebase import _nanoseconds
 from .dtw import _BLOCK_CELLS, GestureTemplate, _cumulative, dtw_cost
 from .series import TimeSeries
+
+# relative margin by which a window's range bound must exceed the total
+# cost at the threshold before the window is pruned; see detect_gesture_video
+_PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,30 +85,49 @@ def detect_gesture_video(
     gesture spans the last window index paired with template index 0
     through the first index paired with the final template index.
 
-    The scores come from one batched DTW per block of windows: the
-    series is scaled once, each window's rows are cut from it and
-    padded to the longest window, and the cumulative tables of the
-    whole block advance together row by row. A window's cost is read
-    at its own last row, which the padding below it cannot reach.
-    Scores and bounds are those of each window on its own.
+    The scores come from one batched DTW per block of windows. The
+    series is scaled once. A window can only score under the threshold
+    if its range bound (`_range_bounds`) allows it, so windows whose
+    bound rules them out are pruned before any DTW. A window's row i is
+    sample ``lo + i``, whose running cost sums along the template are
+    the same in every window holding it: they are summed once per block
+    for the samples its windows cover, and each window's table takes
+    its rows from them, padded to the longest window. The cumulative
+    tables of the block then advance together row by row (`_cumulative`).
+    A window's cost is read at its own last row, which the padding below
+    it cannot reach. Scores and bounds are those of each window on its
+    own.
 
-    Only candidates that suppression may keep are walked. A
+    Only candidates that suppression may keep are walked to the end. A
     candidate's end is read for the whole block at once (`_end_rows`),
-    and candidates are taken in suppression order; one whose end lies
-    inside a kept event overlaps it and is dropped unwalked. The rest
-    walk from their end to column 0 (`_onset_row`).
+    and candidates are taken in suppression order. A kept event that
+    starts before a candidate's end overlaps it exactly when it ends
+    after the candidate's start, so the candidate is rejected exactly
+    when it starts before the latest end of those events. Its walk from
+    its end to column 0 (`_onset_row`) stops as soon as it passes that
+    end's row, at once when the end lies inside a kept event, and no
+    detection is built for it.
     """
+    if not isinstance(z_series, TimeSeries):
+        raise UsageError(f"detection input must be a TimeSeries, not {type(z_series).__name__}")
+    if not isinstance(template, GestureTemplate):
+        raise UsageError(f"template must be a GestureTemplate, not {type(template).__name__}")
+    window_ns = _nanoseconds(window_ns, "window_ns")
+    stride_ns = _nanoseconds(stride_ns, "stride_ns")
+    if not isinstance(stream_id, str):
+        raise UsageError(f"stream_id must be a string, not {type(stream_id).__name__}")
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
     if not np.all(np.isfinite(z_series.values)):
         raise UsageError("detection input must be finite")
     ts = z_series.timestamps
+    t0 = int(ts[0])
     period = z_series.median_period_ns()
-    if int(ts[-1]) - int(ts[0]) + period < window_ns:
+    if int(ts[-1]) - t0 + period < window_ns:
         raise UsageError("series is shorter than the detection window")
 
     last_start = int(ts[-1]) - window_ns + period
-    starts = np.arange(int(ts[0]), last_start + 1, stride_ns, dtype=np.int64)
+    starts = np.arange(t0, last_start + 1, stride_ns, dtype=np.int64)
     lo = np.searchsorted(ts, starts, side="left")
     hi = np.searchsorted(ts, starts + window_ns, side="left")
     keep = hi - lo >= 4
@@ -113,20 +137,46 @@ def detect_gesture_video(
 
     scaled, template_scaled = _scaled(z_series.values, template)
     m = len(template_scaled)
+    column = template_scaled[:, None]
     last_row = len(scaled) - 1
-    # a block of windows holding a candidate is kept until suppression ends
-    block = max(1, _BLOCK_CELLS // (int(n_rows.max()) * (m + 1)))
+    n_max = int(n_rows.max())
+    # a block of windows holding a candidate is kept until suppression ends;
+    # a block's windows start within `reach` samples of its first, so its
+    # running sums hold at most _BLOCK_CELLS + m * n_max cells
+    block = max(1, _BLOCK_CELLS // (n_max * (m + 1)))
+    reach = max(1, _BLOCK_CELLS // m)
+    # Pruning keeps every candidate. A window is dropped only when its range
+    # bound exceeds the threshold's total cost by the relative margin
+    # _PRUNE_MARGIN. The exact bound never exceeds the exact DTW cost. The
+    # float bound and the kernel's float cost each add at most n * m of the
+    # table's costs, so they are off by about n * m * eps of those costs,
+    # under 3e-10 of them at _BLOCK_CELLS. The margin is far above that for
+    # any threshold not itself below about 1e-4 of the scaled template's range.
+    limit = template.dtw_threshold * m * (1 + _PRUNE_MARGIN)
 
     # (score, end time, flat table, end cell index, end row, first sample, batch)
     candidates = []
-    for b0 in range(0, len(lo), block):
-        b_lo, b_n = lo[b0 : b0 + block], n_rows[b0 : b0 + block]
-        batch, n_max = len(b_lo), int(b_n.max())
-        rows = np.minimum(np.arange(n_max)[:, None] + b_lo, last_row)
-        table = np.empty((n_max, m + 1, batch))
-        cost = table[:, 1:]
-        np.subtract(scaled[rows][:, None, :], template_scaled[:, None], out=cost)
-        np.abs(cost, out=cost)
+    b0 = 0
+    while b0 < len(lo):
+        b1 = min(b0 + block, int(lo.searchsorted(lo[b0] + reach)))
+        b_lo, b_n = lo[b0:b1], n_rows[b0:b1]
+        b0 = b1
+        rows = np.minimum(np.arange(int(b_n.max()))[:, None] + b_lo, last_row)
+        values = scaled[rows]
+        alive = _range_bounds(values.min(axis=0), values.max(axis=0), column) <= limit
+        if not alive.any():
+            continue
+        b_lo, b_n = b_lo[alive], b_n[alive]
+        batch, height = len(b_lo), int(b_n.max())
+        rows = rows[:height, alive]
+        base = int(b_lo[0])
+        sums = np.subtract(column, scaled[base : int(rows[-1, -1]) + 1])
+        np.abs(sums, out=sums)
+        np.cumsum(sums, axis=0, out=sums)
+        table = np.empty((height, m + 1, batch))
+        # every index is in range; "clip" writes to the table unbuffered
+        for local, cost in zip(rows - base, table[:, 1:]):
+            sums.take(local, axis=1, out=cost, mode="clip")
         cum = _cumulative(table)
         scores = cum[b_n - 1, m - 1, np.arange(batch)] / m
         matched = np.flatnonzero(scores < template.dtw_threshold)
@@ -143,20 +193,34 @@ def detect_gesture_video(
     candidates.sort(key=lambda c: c[0])
     kept: list[EventDetection] = []
     for score, group in groupby(candidates, key=lambda c: c[0]):
-        hits = [
-            EventDetection(
-                stream_id=stream_id,
-                start=int(ts[first + _onset_row(cells, pos, end, m - 1, (m + 1) * batch, batch)]),
-                end=end_ns,
-                score=score,
-            )
-            for _, end_ns, cells, pos, end, first, batch in group
-            if not any(k.start < end_ns < k.end for k in kept)
-        ]
+        hits = []
+        for _, end_ns, cells, pos, end, first, batch in group:
+            # a kept event that starts before this end overlaps the hit exactly
+            # when it ends after the hit's start: the hit is rejected when its
+            # onset is below row `stop`, where the latest of those ends lies
+            latest = max((k.end for k in kept if k.start < end_ns), default=t0)
+            stop = int(ts.searchsorted(latest)) - first
+            onset = _onset_row(cells, pos, end, m - 1, (m + 1) * batch, batch, stop)
+            if onset >= stop:
+                hits.append(EventDetection(stream_id=stream_id, start=int(ts[first + onset]), end=end_ns, score=score))
         hits.sort(key=lambda h: h.start)
         _keep_clear(hits, kept)
     kept.sort(key=lambda h: h.start)
     return tuple(kept)
+
+
+def _range_bounds(low: np.ndarray, high: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Lower bound on the DTW cost between ``column`` and each window whose values lie in [low, high].
+
+    ``column`` is the template as an (m, 1) array and ``low`` and
+    ``high`` hold one entry per window. Every template point is paired
+    with at least one sample of the window, at a cost of at least the
+    point's distance to the window's range, so the sum of those
+    distances is at most the window's DTW cost: the column-envelope
+    bound of unconstrained DTW, the relative of LB_Keogh. A wider range
+    only lowers it.
+    """
+    return (np.maximum(column - high, 0.0) + np.maximum(low - column, 0.0)).sum(axis=0)
 
 
 def _end_rows(cum: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
@@ -179,7 +243,7 @@ def _end_rows(cum: np.ndarray, n_rows: np.ndarray) -> np.ndarray:
     return stops[n_rows - 2, np.arange(cum.shape[2])]
 
 
-def _onset_row(cells, pos: int, i: int, j: int, up: int, left: int) -> int:
+def _onset_row(cells, pos: int, i: int, j: int, up: int, left: int, stop: int = 0) -> int:
     """Row where the warp path through cell (i, j) first reaches column 0.
 
     ``cells`` is a flat table, ``pos`` the cell's index in it, and
@@ -187,9 +251,14 @@ def _onset_row(cells, pos: int, i: int, j: int, up: int, left: int) -> int:
     the left. The path is walked back as `dtw._warp_path` walks it,
     preferring the diagonal, then up, then left on ties; once it
     reaches row 0 it runs left along it, so its onset is row 0.
+
+    The walk's row never increases, so once it is below ``stop`` the
+    onset is too: the walk ends there and returns that row. An onset at
+    or above ``stop`` is returned exactly.
     """
     diag = up + left
-    while i and j:
+    floor = max(stop - 1, 0)
+    while i > floor and j:
         d, u, l = cells[pos - diag], cells[pos - up], cells[pos - left]
         if d <= u and d <= l:
             i -= 1

@@ -32,24 +32,26 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
 
     ``table`` is laid out (row, column, batch), so that each step works
     on whole contiguous rows with the batch innermost. Columns 1.. hold
-    one (n, m) pairwise cost table per batch entry; column 0 is
-    padding, set here to +inf beside the table, so min(prev[0],
-    prev[-1]) is prev[0]. The costs are overwritten with their
-    cumulative costs, and the view ``table[:, 1:]`` is returned.
+    one (n, m) table per batch entry of each row's running cost sums:
+    cell (i, j) holds d[i, 0] + ... + d[i, j], added in that order, of
+    the pairwise costs d. Callers build the sums, so that a row shared
+    by several tables is summed once (`detect.detect_gesture_video`).
+    Column 0 is padding, set here to +inf beside the table, so
+    min(prev[0], prev[-1]) is prev[0]. The sums are overwritten with
+    their cumulative costs, and the view ``table[:, 1:]`` is returned.
 
     Each row is computed with a prefix-scan: within a row the
-    recurrence D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to a
-    cumulative sum plus a running minimum, so every table in the batch
-    advances by one vectorized row update per step instead of a scalar
-    double loop. Cell (i, j) reads only cells above it and to its left,
-    so the top-left (k, l) corner of a table is the cumulative cost of
-    the first k rows and l columns of its input alone: tables of
-    different heights and different widths can share one batch, padded
-    below and to the right to the tallest and widest.
+    recurrence D[i,j] = d[i,j] + min(M[j], D[i,j-1]) collapses to the
+    row's running sum plus a running minimum, so every table in the
+    batch advances by one vectorized row update per step instead of a
+    scalar double loop. Cell (i, j) reads only cells above it and to its
+    left, so the top-left (k, l) corner of a table is the cumulative
+    cost of the first k rows and l columns of its input alone: tables
+    of different heights and different widths can share one batch,
+    padded below and to the right to the tallest and widest.
     """
     table[:, 0] = np.inf
     cost = table[:, 1:]
-    np.cumsum(cost, axis=1, out=cost)
     step = np.empty_like(table[0, 1:])
     # column j's running minimum starts from the row's sum before j;
     # column 0 has none, so its entry keeps min(M[0], inf) unchanged
@@ -105,7 +107,7 @@ def _cumulative_table(s, t) -> np.ndarray:
     """Cumulated |s - t| table of one pair of sequences, laid out as `_cumulative` takes it: (len(s), len(t) + 1, 1)."""
     s, t = _as_values(s), _as_values(t)
     table = np.empty((len(s), len(t) + 1, 1))
-    table[:, 1:, 0] = np.abs(s[:, None] - t[None, :])
+    table[:, 1:, 0] = np.cumsum(np.abs(s[:, None] - t[None, :]), axis=1)
     _cumulative(table)
     return table
 
@@ -155,6 +157,7 @@ def _sqeuclidean_tables(lefts: list[np.ndarray], rights: list[np.ndarray]) -> tu
     cost = table[:, 1:]
     np.subtract(rows[:, None], cols, out=cost)
     np.square(cost, out=cost)
+    np.cumsum(cost, axis=1, out=cost)
     ends = _cumulative(table)[[len(a) - 1 for a in lefts], [len(b) - 1 for b in rights], np.arange(batch)]
     return table, ends.tolist()
 

@@ -110,7 +110,7 @@ def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
 _DLT_FAILURES = (
     "",
     "point pairs are degenerate: all points coincide",
-    "point pairs are degenerate: three or more source points collinear",
+    "point pairs are degenerate: they do not determine a homography",
     "fitted homography is degenerate: vanishing scale entry",
     "fitted homography is degenerate: homography must be non-singular",
 )

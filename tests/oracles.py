@@ -465,7 +465,7 @@ def homography_dlt_rows(pairs):
     a, t_src, t_dst = _system_rows(*_point_arrays(pairs))
     _, s, vt = np.linalg.svd(a)
     if s[7] <= 1e-9 * s[0]:
-        raise FitError("point pairs are degenerate: three or more source points collinear")
+        raise FitError("point pairs are degenerate: they do not determine a homography")
     return _transform_from_null(vt[-1], t_src, t_dst)
 
 
@@ -479,7 +479,7 @@ def homography_minimal_rows(pairs):
     q, r = np.linalg.qr(a.T, mode="complete")
     d = np.abs(np.diag(r))
     if d.min() <= 1e-9 * d.max():
-        raise FitError("point pairs are degenerate: three or more source points collinear")
+        raise FitError("point pairs are degenerate: they do not determine a homography")
     transform = _transform_from_null(q[:, -1], t_src, t_dst)
     if not np.abs(_map_points(transform.matrix, src) - dst).max() * t_dst[0, 0] <= 1e-8:
         raise FitError("fitted homography is degenerate: homography must be non-singular")

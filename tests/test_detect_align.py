@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import budget, coarse_align_loop, detect_gesture_per_window, dtw_backtrack, greedy_match_callable
+from oracles import (
+    budget,
+    coarse_align_loop,
+    detect_gesture_per_window,
+    dtw_backtrack,
+    dtw_table_rows,
+    greedy_match_callable,
+)
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import detect as detect_module
 from sensorstack.eventsync.align import SEARCH_HALF_WIDTH_NS
@@ -117,6 +125,33 @@ class TestDetection:
         with pytest.raises(UsageError, match="finite"):
             detect_gesture_video(TimeSeries(series.timestamps, values), gesture_template())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"window_ns": "x"},
+            {"stride_ns": None},
+            {"window_ns": 2.4e9},
+            {"window_ns": True},
+            {"stream_id": 5},
+            {"z_series": None},
+            {"z_series": np.zeros(500)},
+            {"template": None},
+            {"template": raise_hold_drop(50)},
+        ],
+        ids=["window-str", "stride-none", "window-float", "window-bool", "stream-id-int",
+             "series-none", "series-ndarray", "template-none", "template-ndarray"],
+    )
+    def test_bad_arguments_rejected(self, args):
+        call = {"z_series": series_with_gesture(200), "template": gesture_template(), **args}
+        with pytest.raises(UsageError):
+            detect_gesture_video(**call)
+
+    def test_numpy_integer_times_accepted(self):
+        series = series_with_gesture(200)
+        expected = detect_gesture_video(series, gesture_template(), 4_000_000_000, 250_000_000)
+        got = detect_gesture_video(series, gesture_template(), np.int64(4_000_000_000), np.int32(250_000_000))
+        assert got == expected and len(got) == 1
+
     def test_suppression_keeps_best_of_overlapping_run(self):
         mk = lambda s, score: EventDetection("cam", s, s + 10, score)
         kept = suppress_overlaps((mk(0, 0.5), mk(5, 0.2), mk(8, 0.9), mk(30, 0.1)))
@@ -140,6 +175,19 @@ def jittered_gesture_series(seed, total, jitter_ns, gap_at, gestures, amp):
         at = int(rng.integers(0, total - length))
         values[at : at + length] += amp * raise_hold_drop(length)
     return TimeSeries(ts, values)
+
+
+# a window and a template for the range bound, drawn from one family of
+# values: tied small integers, floats near +-1e150, or small floats. The
+# row-scan tables lose small costs beside huge ones, so the families are
+# not mixed within one draw.
+BOUND_CASES = st.sampled_from(
+    [
+        st.integers(-3, 3).map(float),
+        st.floats(0.999e150, 1.001e150) | st.floats(-1.001e150, -0.999e150),
+        st.floats(-4.0, 4.0),
+    ]
+).flatmap(lambda values: st.tuples(st.lists(values, min_size=4, max_size=12), st.lists(values, min_size=2, max_size=8)))
 
 
 class TestBatchedDetectionMatchesPerWindow:
@@ -224,6 +272,60 @@ class TestBatchedDetectionMatchesPerWindow:
             TimeSeries(ts, np.zeros((200, 2)))
 
 
+class TestPruning:
+    """The range bound drops only windows that cannot be candidates, a block at a time."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(case=BOUND_CASES)
+    def test_range_bound_never_exceeds_the_dtw_cost(self, case):
+        x, t = map(np.array, case)
+        bound = detect_module._range_bounds(x.min(), x.max(), t[:, None])
+        cost = dtw_table_rows(np.abs(x[:, None] - t[None, :]))[-1, -1]
+        # exact where the costs add without rounding; otherwise within the
+        # margin the detector allows for rounding
+        assert bound <= cost * (1 + detect_module._PRUNE_MARGIN)
+        if np.all(np.abs(x) <= 3) and np.all(x == np.round(x)) and np.all(t == np.round(t)):
+            assert bound <= cost
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_threshold_at_a_window_score_is_not_a_candidate(self, seed):
+        # the one window of a flat series of four samples holds one value and
+        # fewer samples than the template has points, so its range bound is
+        # its DTW cost, added up in another order: only the margin keeps the
+        # window from being pruned when the threshold is just above its score
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=int(rng.integers(8, 40)))
+        series = TimeSeries(np.arange(4, dtype=np.int64) * PERIOD_NS, np.full(4, rng.normal(0, 2)))
+        args = (4 * PERIOD_NS, PERIOD_NS, "cam")
+        (loose,) = detect_gesture_per_window(series, GestureTemplate(values, RATE, 1e9), *args)
+        score = loose.score
+        at_score = GestureTemplate(values, RATE, score)
+        assert detect_gesture_video(series, at_score, *args) == detect_gesture_per_window(series, at_score, *args) == ()
+        above = GestureTemplate(values, RATE, float(np.nextafter(score, np.inf)))
+        expected = detect_gesture_per_window(series, above, *args)
+        assert expected
+        assert detect_gesture_video(series, above, *args) == expected
+
+    @pytest.mark.parametrize(
+        "stride_ns, threshold, count",
+        [(250_000_000, 0.8, 1), (100_000_000_000, 1e9, 80)],
+        ids=["one-gesture", "sparse-windows-all-candidates"],
+    )
+    def test_peak_memory_stays_within_a_few_blocks_on_a_long_series(self, stride_ns, threshold, count):
+        # 80 min of a quiet 25 Hz series with one gesture: windows are pruned,
+        # summed and scored a block at a time, never for the whole series,
+        # also when a block's windows lie far apart
+        series = series_with_gesture(120_000, total=200_000, seed=5)
+        tracemalloc.start()
+        try:
+            events = detect_gesture_video(series, gesture_template(threshold=threshold), 2_400_000_000, stride_ns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == count
+        assert peak <= 3 * detect_module._BLOCK_CELLS * 8
+
+
 class TestBoundsWalk:
     """Onset and end rows read without a full path match `dtw_backtrack`'s path."""
 
@@ -250,6 +352,26 @@ class TestBoundsWalk:
             assert ends[w] == end
             pos = (end * m + m - 1) * batch + w
             assert detect_module._onset_row(cells, pos, end, m - 1, m * batch, batch) == onset
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_max=st.integers(2, 10),
+        m=st.integers(2, 6),
+        levels=st.sampled_from([0, 1, 2, 3]),
+        stop=st.integers(-2, 11),
+    )
+    def test_walk_stops_below_the_stop_row(self, seed, n_max, m, levels, stop):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, levels + 1, (n_max, m)).astype(float) if levels else rng.normal(size=(n_max, m))
+        path = dtw_backtrack(table)
+        onset = max(i for i, j in path if j == 0)
+        cells = memoryview(table.reshape(-1))
+        got = detect_module._onset_row(cells, table.size - 1, n_max - 1, m - 1, m, 1, stop)
+        if onset >= stop:
+            assert got == onset
+        else:
+            assert got < stop
 
 
 class TestCoarseAlign:

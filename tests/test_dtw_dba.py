@@ -183,8 +183,8 @@ class TestKernelMatchesRowOracle:
         levels=st.sampled_from([0, 1, 2, 4]),
     )
     def test_one_batch_of_tables_of_different_heights_and_widths(self, seed, shapes, levels):
-        # each table sits at the top left of its entry; the padding below and
-        # to its right holds arbitrary values the table must not read
+        # each table's row sums sit at the top left of its entry; the padding
+        # below and to its right holds arbitrary values the table must not read
         rng = np.random.default_rng(seed)
         n, m = max(h for h, _ in shapes), max(w for _, w in shapes)
         table = np.empty((n, m + 1, len(shapes)))
@@ -192,7 +192,7 @@ class TestKernelMatchesRowOracle:
         costs = []
         for b, (h, w) in enumerate(shapes):
             costs.append(tied_or_random(rng, (h, w), levels) ** 2)
-            table[:h, 1 : w + 1, b] = costs[-1]
+            table[:h, 1 : w + 1, b] = np.cumsum(costs[-1], axis=1)
         cum = _cumulative(table)
         for b, (h, w) in enumerate(shapes):
             assert cum[:h, :w, b].tobytes() == dtw_table_rows(costs[b]).tobytes()

@@ -99,7 +99,7 @@ class TestHomographyFit:
 
     def test_collinear_sources_rejected(self):
         pairs = [PointPair((float(i), float(i)), (float(i), 2.0 * i)) for i in range(5)]
-        with pytest.raises(FitError, match="collinear|degenerate"):
+        with pytest.raises(FitError, match="do not determine a homography"):
             fit_homography_dlt(pairs)
 
     def test_four_pairs_with_three_collinear_sources_rejected(self):
@@ -108,7 +108,7 @@ class TestHomographyFit:
         fit has no unique answer and must be refused, not guessed."""
         truth = random_homography(np.random.default_rng(4))
         pairs = pairs_from_matrix(truth, np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, 3.0)]))
-        with pytest.raises(FitError, match="collinear"):
+        with pytest.raises(FitError, match="do not determine a homography"):
             fit_homography_dlt(pairs)
 
     def test_coincident_points_rejected(self):

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the capture plane on an intersection-sized store.
+"""Micro-benchmarks of the capture plane on an intersection-sized store,
+and of a parking lot's many small requests.
 
     PYTHONPATH=src python -m pytest bench                      # timed
     PYTHONPATH=src python -m pytest bench --benchmark-disable  # one call each
@@ -10,6 +11,12 @@ testbed's capture is: in process through ``capture_ingest``, and as
 ``POST /capture`` requests through ``ServiceRouter``. The queries are
 400 windows of 6 s, each on a random device and starting anywhere from
 1 s before one of its sessions to 1 s past its last full window.
+
+The parking lot posts its capture in small bodies, so per-request work
+dominates: 4 devices, each with two 20 s sessions of 25 Hz one-channel
+samples, sent as 400 ``POST /capture``s of 10 samples, session by
+session and device by device, every request carrying the same bearer
+token for its device.
 """
 
 import bisect
@@ -30,6 +37,10 @@ SESSION_GAP_NS = 34 * NS
 BATCH = 500
 WINDOWS = 400
 WINDOW_NS = 6 * NS
+LOT_DEVICES = 4
+LOT_SESSIONS = 2
+LOT_SESSION_NS = 20 * NS
+LOT_BATCH = 10
 
 
 def registration(device_id: str) -> dict:
@@ -169,3 +180,54 @@ def test_capture_get(benchmark, captures, windows):
     assert len(gc.get_objects()) - tracked < 1_000
     assert sum(map(len, kept)) > 50_000
     benchmark(get_all)
+
+
+@pytest.fixture(scope="module")
+def lot_bodies():
+    """The parking lot's 400 ``POST /capture`` bodies, in the order it sends them."""
+    rng = np.random.default_rng(11)
+    n = LOT_SESSION_NS // PERIOD_NS
+    bodies = []
+    for k in range(LOT_SESSIONS):
+        for d in range(LOT_DEVICES):
+            device_id = f"dev{d}"
+            local = 100 * NS + k * (LOT_SESSION_NS + 10 * NS) + np.arange(n, dtype=np.int64) * PERIOD_NS
+            samples = [
+                {"device_id": device_id, "modality": "wearable", "local_ts": int(t), "payload": [float(v)]}
+                for t, v in zip(local, rng.normal(size=n))
+            ]
+            bodies.extend((device_id, samples[i:i + LOT_BATCH]) for i in range(0, n, LOT_BATCH))
+    assert len(bodies) == 400
+    return bodies
+
+
+def post_lot(services, tokens, bodies):
+    router = ServiceRouter(services)
+    headers = {device_id: {"Authorization": f"Bearer {token}"} for device_id, token in tokens.items()}
+    for device_id, samples in bodies:
+        status, _ = router.handle("POST", "/capture", {"samples": samples}, headers[device_id])
+        assert status == 201
+    return services
+
+
+def test_capture_post_small_batches(benchmark, lot_bodies):
+    services = benchmark.pedantic(
+        post_lot, setup=lambda: (registered_services() + (lot_bodies,), {}), rounds=20
+    )
+    app = services.issue_token("app", ("app",), 3600.0).token
+    for d in range(LOT_DEVICES):
+        hits = services.query_captures(f"dev{d}", -(2**63), 2**63, app)
+        assert len(hits) == LOT_SESSIONS * LOT_SESSION_NS // PERIOD_NS
+
+
+def test_validate_repeated_token(benchmark):
+    """``CoreServices.validate`` of one device token, as each of its requests validates it."""
+    services, tokens = registered_services()
+    token = tokens["dev0"]
+
+    def validate_many():
+        for _ in range(1_000):
+            claims = services.validate(token)
+        return claims
+
+    assert benchmark(validate_many)["subject"] == "dev0"

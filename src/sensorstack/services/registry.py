@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError
 from ..timebase import MODALITIES, _nanoseconds
 from .store import MemoryLog
-from .tokens import AccessToken, issue_token, require_role, validate_token
+from .tokens import AccessToken, _check_key, _check_unexpired, issue_token, require_role, validate_token
 from .types import (
     DEVICE_STATUSES,
     ActionCommand,
@@ -41,6 +41,14 @@ RETRY_BASE_DELAY_S = 0.1
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+# the most tokens one CoreServices keeps verified claims for; past it the
+# longest-held entry makes room
+_VERIFIED_TOKENS = 1024
+
+# os.urandom bytes with the version-4 and the RFC 4122 variant bits set
+_VERSION_4 = bytes(b & 0x0F | 0x40 for b in range(256))
+_VARIANT_RFC_4122 = bytes(b & 0x3F | 0x80 for b in range(256))
+
 # a stored capture row, one tuple per sample:
 # (local_ts, capture_id, modality, payload, location);
 # the order of a device's capture store and of every query result
@@ -50,13 +58,25 @@ _capture_key = itemgetter(0, 1)
 def _random_ids(n: int) -> list[str]:
     """``n`` random RFC 4122 version-4 UUID strings from one ``os.urandom`` call."""
     raw = bytearray(os.urandom(16 * n))
-    raw[6::16] = bytes(b & 0x0F | 0x40 for b in raw[6::16])  # version 4
-    raw[8::16] = bytes(b & 0x3F | 0x80 for b in raw[8::16])  # variant RFC 4122
+    raw[6::16] = raw[6::16].translate(_VERSION_4)
+    raw[8::16] = raw[8::16].translate(_VARIANT_RFC_4122)
     h = raw.hex()
     return [
         f"{h[i:i + 8]}-{h[i + 8:i + 12]}-{h[i + 12:i + 16]}-{h[i + 16:i + 20]}-{h[i + 20:i + 32]}"
         for i in range(0, 32 * n, 32)
     ]
+
+
+def _issued_shape(claims: dict) -> bool:
+    """Whether ``claims`` hold just what ``issue_token`` signs: a subject and a list of role strings
+    beside the expiry, so that a copy of the dict and its role list shares nothing mutable."""
+    roles = claims.get("roles")
+    return (
+        len(claims) == 3
+        and type(claims["subject"]) is str
+        and type(roles) is list
+        and all(type(role) is str for role in roles)
+    )
 
 
 def _parse_samples(samples: Iterable[Mapping]) -> tuple[set, list, list, list]:
@@ -105,6 +125,11 @@ class CoreServices:
     bisections and a slice. No clock model is applied at capture: a
     row's ``corrected_ts`` is its ``local_ts``. Query rows hand out
     the stored ``payload`` and ``location`` tuples themselves.
+
+    A token's MAC, base64 and JSON are verified once per instance: the
+    claims ``validate_token`` returned are kept by exact token string,
+    for at most ``_VERIFIED_TOKENS`` tokens. Expiry is checked on every
+    use, against one clock read per call.
     """
 
     def __init__(
@@ -116,9 +141,10 @@ class CoreServices:
         id_factory: Callable[[], str] | None = None,
         device_ttl_s: float = DEFAULT_DEVICE_TTL_S,
     ):
-        if not key:
-            raise UsageError("signing key must not be empty")
-        self._key = key
+        _check_key(key)
+        # kept claims were verified under the key as given: a bytearray
+        # changed later must not change it here
+        self._key = bytes(key)
         self._log = log if log is not None else MemoryLog()
         self._clock = clock or time.time
         self._sleep = sleeper or time.sleep
@@ -132,6 +158,7 @@ class CoreServices:
         self._pending: dict[str, list[str]] = {}
         self._captures: dict[str, list[tuple]] = {}
         self._capture_keys: dict[str, list[int]] = {}
+        self._verified: dict[str, dict] = {}
 
     def _new_ids(self, n: int) -> list[str]:
         if self._id_factory is None:
@@ -147,14 +174,33 @@ class CoreServices:
         return issue_token(subject, roles, ttl_s, self._key, now=self._clock())
 
     def validate(self, token: str) -> dict:
-        return validate_token(token, self._key, now=self._clock())
+        """``validate_token(token, key, now=clock())``, with the MAC checked once per token.
+
+        Kept claims are dropped once seen expired, a failure is never
+        kept, and every call hands out a dict of its own.
+        """
+        now = self._clock()
+        claims = self._verified.get(token) if type(token) is str else None
+        if claims is None:
+            claims = validate_token(token, self._key, now=now)
+            if not _issued_shape(claims):
+                return claims
+            if len(self._verified) >= _VERIFIED_TOKENS:
+                del self._verified[next(iter(self._verified))]
+            self._verified[token] = claims
+        else:
+            try:
+                _check_unexpired(claims, now)
+            except AuthError:
+                del self._verified[token]
+                raise
+        return dict(claims, roles=list(claims["roles"]))
 
     # -- log plumbing ------------------------------------------------
 
-    def _record(self, stamp: str, activity_type: str, details: dict) -> ActivityLogEntry:
-        entry = ActivityLogEntry(stamp, activity_type, details)
-        self._log.append(entry.to_record())
-        return entry
+    def _record(self, stamp: str, activity_type: str, details: dict):
+        """Append one activity record; the log keeps ``details``, which no caller holds on to."""
+        self._log.append({"timestamp": stamp, "activity_type": activity_type, "details": details})
 
     def log_records(self) -> tuple[dict, ...]:
         return self._log.records()
@@ -202,11 +248,9 @@ class CoreServices:
             ) from exc
         self._devices[device_id] = replace(record, status=status, last_sync_timestamp=last_sync)
         stamp = format_timestamp(self._clock())
-        return self._record(stamp, "update", {
-            "device_id": device_id,
-            "status": status,
-            "last_sync_timestamp": last_sync,
-        })
+        details = {"device_id": device_id, "status": status, "last_sync_timestamp": last_sync}
+        self._record(stamp, "update", details)
+        return ActivityLogEntry(stamp, "update", details)
 
     def device_record(self, device_id: str) -> DeviceRecord:
         record = self._devices.get(device_id) if isinstance(device_id, str) else None
@@ -271,7 +315,8 @@ class CoreServices:
             self._configs[device_id] = snapshot.config_json
             self._current_version[device_id] = target_version_id
         stamp = format_timestamp(self._clock())
-        return self._record(stamp, "rollback", details)
+        self._record(stamp, "rollback", details)
+        return ActivityLogEntry(stamp, "rollback", details)
 
     # -- action queue ------------------------------------------------
 

@@ -68,6 +68,8 @@ class ServiceRouter:
         headers: Mapping | None = None,
         query: Mapping | None = None,
     ) -> tuple[int, dict]:
+        if not isinstance(path, str):
+            return 400, {"error": "request path must be text"}
         body = body or {}
         if not isinstance(body, Mapping):
             return 400, {"error": "request body must be a JSON object"}

@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..errors import UsageError, ValidationError
@@ -25,9 +26,25 @@ _ACTION_TRANSITIONS = {
 }
 
 
+@lru_cache(maxsize=64)
+def _calendar_second(whole: int) -> str:
+    """The ``YYYY-MM-DDTHH:MM:SS`` of a whole UTC epoch second.
+
+    Stamps taken close together share their second, so each is
+    formatted once; a second outside the calendar raises and is not kept.
+    """
+    return datetime.fromtimestamp(whole, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+
+
 def format_timestamp(epoch_s: float) -> str:
     """ISO-8601 with exactly four fractional digits, no zone suffix."""
-    if not math.isfinite(epoch_s):
+    try:
+        finite = math.isfinite(epoch_s)
+    except TypeError:
+        raise UsageError(f"timestamp must be a number, not {type(epoch_s).__name__}") from None
+    except OverflowError as exc:  # an int past the float range
+        raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
+    if not finite:
         raise UsageError("timestamp must be finite")
     whole = int(epoch_s // 1)
     frac = round((epoch_s - whole) * 10_000)
@@ -35,18 +52,18 @@ def format_timestamp(epoch_s: float) -> str:
         whole += 1
         frac = 0
     try:
-        stamp = datetime.fromtimestamp(whole, tz=timezone.utc)
+        second = _calendar_second(whole)
     except (OverflowError, OSError, ValueError) as exc:
         raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
-    return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:04d}"
+    return f"{second}.{frac:04d}"
 
 
 def parse_timestamp(stamp: str) -> str:
     """``stamp`` itself if it is a calendar time in ``format_timestamp``'s layout.
 
-    Anything else raises ``ValueError``.
+    Anything else, a value that is not a string included, raises ``ValueError``.
     """
-    if not _TIMESTAMP_LAYOUT.fullmatch(stamp):
+    if not isinstance(stamp, str) or not _TIMESTAMP_LAYOUT.fullmatch(stamp):
         raise ValueError(f"timestamp {stamp!r} is not laid out as YYYY-MM-DDTHH:MM:SS.ffff")
     datetime.strptime(stamp[:19], "%Y-%m-%dT%H:%M:%S")
     return stamp

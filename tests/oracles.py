@@ -42,7 +42,8 @@ capture query is the capture store before it was kept sorted, and
 the store kept plain rows: the router builds a ``SensorSample`` per wire
 sample, ingest stamps a frozen ``CaptureRecord`` per sample into a
 sorted store, and a query answers ``CaptureRecord.to_record`` per hit;
-every other route is ``ServiceRouter``'s own.
+every other route is ``ServiceRouter``'s own. ``format_timestamp_strftime``
+is ``format_timestamp`` before it formatted each calendar second once.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 from operator import attrgetter
 
 import numpy as np
@@ -790,6 +792,22 @@ def _query_int(value, name):
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"field {name!r} must be an integer") from exc
+
+
+def format_timestamp_strftime(epoch_s: float) -> str:
+    """``format_timestamp`` with a ``datetime`` built and formatted per call."""
+    if not math.isfinite(epoch_s):
+        raise UsageError("timestamp must be finite")
+    whole = int(epoch_s // 1)
+    frac = round((epoch_s - whole) * 10_000)
+    if frac == 10_000:
+        whole += 1
+        frac = 0
+    try:
+        stamp = datetime.fromtimestamp(whole, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
+    return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{frac:04d}"
 
 
 class CaptureRouterOracle(ServiceRouter):

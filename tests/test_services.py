@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import base64
 import copy
 import gc
+import hashlib
+import hmac
 import itertools
 import json
 import math
@@ -13,18 +16,21 @@ import threading
 import time
 import urllib.request
 import uuid
+from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CaptureRouterOracle, budget, query_captures_scan
+from oracles import CaptureRouterOracle, budget, format_timestamp_strftime, query_captures_scan
 from sensorstack.errors import (
     AuthError,
     ConflictError,
     IntegrityError,
     NotFoundError,
+    SensorStackError,
     UsageError,
     ValidationError,
 )
@@ -45,6 +51,8 @@ from sensorstack.services import (
     serve,
     validate_token,
 )
+from sensorstack.services import registry
+from sensorstack.services.types import parse_timestamp
 from sensorstack.timebase import MODALITIES
 
 KEY = b"unit-test-key"
@@ -71,6 +79,25 @@ def ticking_clock(start=1_700_000_000.0, step=0.25):
         return state["t"]
 
     return clock
+
+
+def counting_clock(start=1_000.0):
+    """A clock the test moves by hand, and the number of times it was read."""
+    state = {"t": start, "reads": 0}
+
+    def clock():
+        state["reads"] += 1
+        return state["t"]
+
+    return clock, state
+
+
+def outcome(call):
+    """``("value", result)`` of ``call()``, or the type and message of the stack error it raised."""
+    try:
+        return "value", call()
+    except SensorStackError as error:
+        return type(error), str(error)
 
 
 def sequential_ids(prefix="id"):
@@ -124,6 +151,11 @@ def actuator_payload(device_id="gate-007"):
     }
 
 
+# the unusable values every services entry point is tried with
+BAD_VALUES = [None, "x", [], {}, (1,), b"\x00"]
+BAD_IDS = ["none", "text", "list", "dict", "tuple", "bytes"]
+
+
 class TestTimestamps:
     def test_exactly_four_fraction_digits(self):
         assert format_timestamp(1_699_363_442.09234) == "2023-11-07T13:24:02.0923"
@@ -144,6 +176,31 @@ class TestTimestamps:
             format_timestamp(float("nan"))
         with pytest.raises(UsageError):
             format_timestamp(float("inf"))
+
+    @settings(max_examples=budget(500), deadline=None)
+    @given(
+        st.one_of(
+            st.floats(),
+            st.floats(-1e10, 1e10),
+            # within 5e-5 s of a whole second, where the fraction carries
+            st.builds(add, st.integers(-10**10, 10**10).map(float), st.floats(-5e-5, 5e-5)),
+            # around the first and the last second of the calendar
+            st.sampled_from([-62_135_596_800.0, 253_402_300_799.0]).flatmap(
+                lambda edge: st.builds(add, st.just(edge), st.floats(-2.0, 2.0))
+            ),
+        )
+    )
+    def test_matches_per_call_strftime(self, epoch_s):
+        expected = outcome(lambda: format_timestamp_strftime(epoch_s))
+        # the second call finds the second's prefix formatted, or its error not kept
+        assert outcome(lambda: format_timestamp(epoch_s)) == expected
+        assert outcome(lambda: format_timestamp(epoch_s)) == expected
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_parse_refuses_non_text_with_value_error(self, value):
+        # both callers turn a ValueError into their own stack error
+        with pytest.raises(ValueError):
+            parse_timestamp(value)
 
 
 class TestTokens:
@@ -229,6 +286,160 @@ class TestTokens:
             require_role(claims, "admin")
         with pytest.raises(AuthError):
             require_role({"subject": "x"}, "device")
+        for roles in ("administrator", 5, None):
+            with pytest.raises(AuthError):
+                require_role({"subject": "ops", "roles": roles}, "admin")
+
+
+def signed(claims, key=KEY):
+    """A token over any JSON claims, signed as ``issue_token`` signs."""
+    payload = json.dumps(claims, sort_keys=True, separators=(",", ":")).encode()
+    return f"{base64.urlsafe_b64encode(payload).decode()}.{hmac.new(key, payload, hashlib.sha256).hexdigest()}"
+
+
+# claims only a key holder could sign, each a shape issue_token never writes
+CRAFTED_CLAIMS = [
+    lambda t: {"subject": "crafted", "expires_at": t, "extra": [1, 2]},
+    lambda t: {"subject": "crafted", "roles": "admin", "expires_at": t},
+    lambda t: {"subject": ["crafted"], "roles": ["app"], "expires_at": t},
+    lambda t: {"subject": "crafted", "roles": ["app"], "expires_at": str(t)},
+    lambda t: {"subject": "crafted", "expires_at": t},
+]
+
+TOKEN_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("issue"), st.sampled_from(["admin", "app", "device"]), st.floats(0, 10)),
+        st.tuples(st.just("foreign"), st.floats(0, 10)),
+        st.tuples(st.just("crafted"), st.integers(0, len(CRAFTED_CLAIMS) - 1), st.floats(0, 10)),
+        st.tuples(st.just("tamper"), st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 7)),
+        st.tuples(st.just("advance"), st.floats(0, 4)),
+        st.tuples(st.just("validate"), st.integers(0, 2**16)),
+        st.tuples(st.just("validate"), st.integers(0, 2**16)),
+    ),
+    max_size=60,
+)
+
+
+class TestVerifiedTokens:
+    """``CoreServices.validate`` answers as ``validate_token`` does at the clock's reading."""
+
+    @settings(max_examples=budget(300), deadline=None)
+    @given(ops=TOKEN_OPS, bound=st.integers(1, 6))
+    def test_validate_matches_validate_token(self, ops, bound):
+        clock, state = counting_clock()
+        services = CoreServices(KEY, clock=clock)
+        pool = [None, 5, ["x"], "", "x.y"]
+        with mock.patch.object(registry, "_VERIFIED_TOKENS", bound):
+            for op, *args in ops:
+                now = state["t"]
+                if op == "issue":
+                    role, ttl = args
+                    pool.append(issue_token(f"s{len(pool) % 3}", (role,), ttl, KEY, now=now).token)
+                elif op == "foreign":
+                    pool.append(issue_token("s0", ("admin",), args[0], b"other-key", now=now).token)
+                elif op == "crafted":
+                    shape, ttl = args
+                    pool.append(signed(CRAFTED_CLAIMS[shape](now + ttl)))
+                elif op == "tamper":
+                    which, index, bit = args
+                    token = pool[which % len(pool)]
+                    if isinstance(token, str) and token:
+                        raw = bytearray(token.encode("latin-1"))
+                        raw[index % len(raw)] ^= 1 << bit
+                        pool.append(raw.decode("latin-1"))
+                elif op == "advance":
+                    state["t"] += args[0]
+                else:
+                    token = pool[args[0] % len(pool)]
+                    reads = state["reads"]
+                    got = outcome(lambda: services.validate(token))
+                    assert state["reads"] == reads + 1
+                    assert got == outcome(lambda: validate_token(token, KEY, now=now))
+                    if got[0] == "value":
+                        # what a caller does to its claims reaches no later call
+                        got[1]["subject"] = "mallory"
+                        if isinstance(got[1].get("roles"), list):
+                            got[1]["roles"].append("admin")
+                assert len(services._verified) <= bound
+
+    def test_verified_tokens_stay_bounded(self):
+        services = CoreServices(KEY, clock=lambda: 1_000.0)
+        tokens = [
+            issue_token(f"s{i}", ("app",), 60.0, KEY, now=1_000.0).token
+            for i in range(registry._VERIFIED_TOKENS + 100)
+        ]
+        # the first tokens are dropped to make room, then verified afresh
+        for token in tokens + tokens[:10]:
+            assert services.validate(token) == validate_token(token, KEY, now=1_000.0)
+        assert len(services._verified) == registry._VERIFIED_TOKENS
+
+    def test_expired_entry_is_dropped_and_stays_refused(self):
+        clock, state = counting_clock()
+        services = CoreServices(KEY, clock=clock)
+        token = services.issue_token("camera-001", ("device",), 10.0).token
+        assert services.validate(token)["subject"] == "camera-001"
+        state["t"] += 10.0
+        for _ in range(2):
+            with pytest.raises(AuthError, match="^token expired$"):
+                services.validate(token)
+        assert token not in services._verified
+
+
+class TestEntryPointsRaiseStackErrors:
+    """An unusable argument is a stack error, never a bare Python exception."""
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_format_timestamp(self, value):
+        with pytest.raises(UsageError, match="must be a number"):
+            format_timestamp(value)
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_issue_token(self, value):
+        with pytest.raises(UsageError):
+            issue_token("x", (), value, KEY, now=1_000.0)
+        if value is not None:  # no time means the wall clock's
+            with pytest.raises(UsageError):
+                issue_token("x", (), 10.0, KEY, now=value)
+        if value != b"\x00":  # one zero byte is a usable key
+            with pytest.raises(UsageError):
+                issue_token("x", (), 10.0, value, now=1_000.0)
+
+    @pytest.mark.parametrize("roles", [-1, None, 2.5])
+    def test_issue_token_roles_not_iterable(self, roles):
+        with pytest.raises(UsageError, match="roles must be strings"):
+            issue_token("x", roles, 10.0, KEY, now=1_000.0)
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_validate_token(self, value):
+        token = issue_token("x", ("app",), 10.0, KEY, now=1_000.0).token
+        if value is not None:
+            with pytest.raises(UsageError):
+                validate_token(token, KEY, now=value)
+        if value != b"\x00":
+            with pytest.raises(UsageError):
+                validate_token(token, value, now=1_000.0)
+
+    def test_nan_time_is_refused(self):
+        # a NaN would never compare as expired
+        with pytest.raises(UsageError):
+            issue_token("x", ("app",), 10.0, KEY, now=math.nan)
+        token = issue_token("x", ("app",), 10.0, KEY, now=1_000.0).token
+        with pytest.raises(UsageError):
+            validate_token(token, KEY, now=math.nan)
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_require_role(self, value):
+        with pytest.raises(AuthError if isinstance(value, dict) else UsageError):
+            require_role(value, "admin")
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+    def test_router_path(self, value):
+        services, admin = make_services()
+        status, payload = ServiceRouter(services).handle("GET", value, None, {"Authorization": f"Bearer {admin}"})
+        if isinstance(value, str):
+            assert (status, payload) == (404, {"error": "no route for GET x"})
+        else:
+            assert (status, payload) == (400, {"error": "request path must be text"})
 
 
 class TestDeviceRecords:
@@ -351,6 +562,21 @@ class TestRegistryLifecycle:
         assert record["details"]["status"] == "maintenance"
         assert record["details"]["last_sync_timestamp"] == "2024-10-05T21:19:45.3880"
         assert services.device_record("camera-001").status == "maintenance"
+
+    def test_returned_entries_do_not_alias_the_log(self):
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin).token
+        entry = services.update_status(token, "maintenance", None)
+        assert entry.to_record() == services.log_records()[-1]
+        entry.details["status"] = "offline"
+        version = services.state()["current_version"]["camera-001"]
+        rollback = services.rollback("camera-001", version, admin)
+        assert rollback.to_record() == services.log_records()[-1]
+        rollback.details["no_op"] = False
+        assert [r["details"].get("status", r["details"].get("no_op")) for r in services.log_records()[1:]] == [
+            "maintenance",
+            True,
+        ]
 
     def test_update_status_numeric_and_default_sync(self):
         services, admin = make_services()
@@ -899,6 +1125,16 @@ class TestCaptureStore:
             assert str(parsed) == capture_id
         version_id = services.state()["current_version"]["camera-001"]
         assert uuid.UUID(version_id).version == 4
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 300])
+    def test_random_ids_are_distinct_version_4_uuids(self, n):
+        ids = registry._random_ids(n)
+        assert len(set(ids)) == len(ids) == n
+        for capture_id in ids:
+            parsed = uuid.UUID(capture_id)
+            assert parsed.version == 4
+            assert parsed.variant == uuid.RFC_4122
+            assert str(parsed) == capture_id
 
     def test_injected_id_factory_called_once_per_stored_sample_in_order(self):
         calls = []

@@ -118,6 +118,13 @@ def dtw_distance(s, t) -> DtwResult:
     The point cost is the absolute difference. The path starts at
     (0, 0), ends at (len(s)-1, len(t)-1), and moves by (1,0), (0,1) or
     (1,1) only.
+
+    Input bound: values whose magnitudes differ by more than about 1e15
+    lose small costs. The kernel adds each row's costs into running sums
+    (`_cumulative`), and a double drops any part below about 1e-16 of a
+    sum it joins: ``dtw_cost([0, 0, -1e17, 0], [1, -1e17, 0])`` reads
+    0.0, where the cheapest warp path costs 2. Sensor readings lie far
+    inside this bound.
     """
     table = _cumulative_table(s, t)
     n, width = table.shape[:2]
@@ -126,7 +133,7 @@ def dtw_distance(s, t) -> DtwResult:
 
 
 def dtw_cost(s, t) -> float:
-    """Cost-only variant; skips path recovery."""
+    """Cost-only variant; skips path recovery. `dtw_distance`'s input bound holds."""
     return float(_cumulative_table(s, t)[-1, -1, 0])
 
 
@@ -195,7 +202,15 @@ def dba(sequences: Sequence, iterations: int) -> DbaResult:
     Each step is one batched DTW: the medoid's k * k pairs share a
     kernel call (split only past ``_BLOCK_CELLS``), and each iteration's
     k (barycenter, sequence) tables give both the objective of the
-    barycenter and its next alignment.
+    barycenter and its next alignment. A pass whose barycenter comes out
+    byte for byte as it went in has reached a fixed point (Petitjean et
+    al., Pattern Recognition 2011): every later pass would repeat its
+    tables, so the run stops there and repeats its cost for each pass
+    left. A -0.0 that the mean turns into 0.0 is a change.
+
+    Input bound: as for `dtw_distance`, but on squared costs, so values
+    whose magnitudes differ by more than about 3e7 (their squares by
+    about 1e15) lose small costs.
     """
     try:
         seqs = [_as_values(s) for s in sequences]
@@ -223,7 +238,11 @@ def dba(sequences: Sequence, iterations: int) -> DbaResult:
     for _ in range(iterations):
         table, ends = _sqeuclidean_tables([barycenter] * k, seqs)
         costs.append(sum(ends))
-        barycenter = _aligned_mean(table, seqs)
+        barycenter, previous = _aligned_mean(table, seqs), barycenter
+        if barycenter.tobytes() == previous.tobytes():
+            # a fixed point: every later pass would rebuild these tables and this cost
+            costs += costs[-1:] * (iterations + 1 - len(costs))
+            return DbaResult(barycenter=barycenter, costs=tuple(costs))
     costs.append(sum(_sqeuclidean_tables([barycenter] * k, seqs)[1]))
     return DbaResult(barycenter=barycenter, costs=tuple(costs))
 

@@ -116,17 +116,28 @@ _DLT_FAILURES = (
 )
 
 
+def _normalized(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, k, 2) source and target sets in Hartley coordinates, in one batch.
+
+    Returns the (2B, k, 2) normalised points and their (2B, 3, 3)
+    normalisations, the B source sets first, and a (B,) mask that is
+    False where a set's source or target points all coincide.
+    """
+    points = np.concatenate([src, dst])
+    t, ok = _normalizations(points)
+    b = len(src)
+    return _apply_h(t, points), t, ok[:b] & ok[b:]
+
+
 def _dlt_systems(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (B, 2k, 9) DLT systems of (B, k, 2) point sets in Hartley coordinates.
 
-    Also returns both sides' (B, 3, 3) normalisations and a (B,) mask that
-    is False where a set's source or target points all coincide.
+    Also returns both sides' (B, 3, 3) normalisations and the mask of
+    `_normalized`.
     """
     b, k = src.shape[:2]
-    t_src, ok_src = _normalizations(src)
-    t_dst, ok_dst = _normalizations(dst)
-    sn = _apply_h(t_src, src)
-    dn = _apply_h(t_dst, dst)
+    points, t, distinct = _normalized(src, dst)
+    sn, dn = points[:b], points[b:]
 
     # two rows per pair: [-x, -y, -1, 0, 0, 0, ux, uy, u] and [0, 0, 0, -x, -y, -1, vx, vy, v]
     a = np.zeros((b, k, 2, 9))
@@ -136,20 +147,22 @@ def _dlt_systems(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
         a[:, :, row, 3 * row + 2] = -1.0
         a[:, :, row, 6:8] = target[..., None] * sn
         a[:, :, row, 8] = target
-    return a.reshape(b, 2 * k, 9), t_src, t_dst, ok_src & ok_dst
+    return a.reshape(b, 2 * k, 9), t[:b], t[b:], distinct
 
 
 def _homographies(
     null: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray, distinct: np.ndarray, deficient: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Un-normalise (B, 9) null vectors of the DLT systems into matrices.
+    """Un-normalise (B, 9) unit-norm homographies in Hartley coordinates
+    (the DLT systems' null vectors, or `_fit_minimal`'s closed forms)
+    into matrices.
 
     Returns (B, 3, 3) matrices scaled to bottom-right entry 1 and a (B,)
     failure code: 0 where the fit succeeded, else the first rule the set
     breaks (its matrix is NaN): 1, not ``distinct`` (coincident source or
-    target points); 2, ``deficient`` (the system's rank is below 8, as
-    with collinear sources); 3, ``|h[2,2]| <= 1e-12``; 4, a `_singular`
-    matrix.
+    target points); 2, ``deficient`` (the set determines no homography:
+    a DLT system of rank below 8, or three collinear points of a minimal
+    set); 3, ``|h[2,2]| <= 1e-12``; 4, a `_singular` matrix.
     """
     h = np.linalg.inv(t_dst) @ null.reshape(-1, 3, 3) @ t_src
     scale = h[:, 2, 2]
@@ -184,24 +197,70 @@ def _fit_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _homographies(vt[:, -1], t_src, t_dst, distinct, s[:, 7] <= 1e-9 * s[:, 0])
 
 
-def _fit_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact homographies of (B, 4, 2) minimal point sets, one QR call for all.
+# the triple of a set's four points that leaves out point j, for j = 0..3
+_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
-    A minimal set's 8 x 9 system A has an exact null space, so no SVD is
-    needed: the last column of the complete QR factor Q of Aᵀ is
-    orthogonal to every row of A. A set is rank deficient where R's
-    diagonal holds an entry at most 1e-9 times its largest, as when
-    three sources are collinear and a homography maps them. Returns what
-    `_homographies` does, and also gives code 4 to a model that does not
-    carry each source to within 1e-8 of its target in Hartley units: a
-    singular model can solve the system by sending a source to 0, as
-    when three targets are collinear and the sources are not.
+
+def _bases(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The projective bases of (B, 4, 2) point sets.
+
+    With p_j = (x_j, y_j, 1), each set's basis matrix is [p_1 p_2 p_3]
+    with column i scaled by l_i = (adj([p_1 p_2 p_3]) p_4)_i: it sends
+    the canonical frame e_1, e_2, e_3, (1, 1, 1) onto the four points,
+    up to scale (Hartley & Zisserman, Multiple View Geometry, 4.1).
+    Returns the (B, 3, 3) bases, their (B, 3, 3) adjugates and a (B,)
+    mask that is True where three of the four points are collinear: the
+    determinant of one triple is at most 1e-9 of the sum of its six
+    products' magnitudes, a test that scaling either axis leaves
+    unchanged, as `_singular`'s does. l_i is the determinant of the
+    triple that leaves out p_i, and det [p_1 p_2 p_3] that of the last.
     """
-    a, t_src, t_dst, distinct = _dlt_systems(src, dst)
-    q, r = np.linalg.qr(a.transpose(0, 2, 1), mode="complete")
-    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    matrices, code = _homographies(q[:, :, -1], t_src, t_dst, distinct, d.min(axis=1) <= 1e-9 * d.max(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    x, y = points[..., 0], points[..., 1]
+    # row i of adj([p_1 p_2 p_3]) is p_a x p_b, for (a, b) = (2, 3), (3, 1), (1, 2)
+    xa, ya, xb, yb = x[:, [1, 2, 0]], y[:, [1, 2, 0]], x[:, [2, 0, 1]], y[:, [2, 0, 1]]
+    adj = np.stack([ya - yb, xb - xa, xa * yb - ya * xb], axis=2)
+    scale = adj[..., 0] * x[:, 3:] + adj[..., 1] * y[:, 3:] + adj[..., 2]
+    det = adj[:, 0, 0] * x[:, 0] + adj[:, 0, 1] * y[:, 0] + adj[:, 0, 2]
+    # a triple's six products are |x_a y_b| over its ordered pairs a != b
+    ax, ay = np.abs(x)[:, _TRIPLES], np.abs(y)[:, _TRIPLES]
+    magnitude = ax.sum(axis=2) * ay.sum(axis=2) - (ax * ay).sum(axis=2)
+    dets = np.abs(np.concatenate([scale, det[:, None]], axis=1))
+    collinear = ~(dets > 1e-9 * magnitude).all(axis=1)
+
+    basis = np.empty((len(points), 3, 3))
+    basis[:, 0] = x[:, :3] * scale
+    basis[:, 1] = y[:, :3] * scale
+    basis[:, 2] = scale
+    # adj(M diag(l)) = diag(l_2 l_3, l_1 l_3, l_1 l_2) adj(M)
+    cofactors = scale[:, [1, 0, 0]] * scale[:, [2, 2, 1]]
+    return basis, adj * cofactors[..., None], collinear
+
+
+def _fit_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact homographies of (B, 4, 2) minimal point sets, in closed form.
+
+    On each side's Hartley coordinates `_bases` gives the basis B that
+    sends the canonical frame onto the four points; B_dst adj(B_src)
+    sends each source onto its target, up to scale, and is formed entry
+    by entry over the whole block, with no solver call. A set with three
+    collinear points on either side determines no homography and gets
+    code 2. Returns what `_homographies` does, and also gives code 4 to
+    a model that does not carry each source to within 1e-8 of its target
+    in Hartley units.
+    """
+    b = len(src)
+    points, t, distinct = _normalized(src, dst)
+    # coincident points keep their raw coordinates, which may overflow here
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        basis, adj, collinear = _bases(points)
+        basis_dst, adj_src = basis[b:], adj[:b]
+        h = basis_dst[:, :, 0, None] * adj_src[:, None, 0]
+        h += basis_dst[:, :, 1, None] * adj_src[:, None, 1]
+        h += basis_dst[:, :, 2, None] * adj_src[:, None, 2]
+        # unit norm, as a null vector of the system is, so that code 3's bound reads the same
+        h /= np.sqrt(np.square(h).sum(axis=(1, 2)))[:, None, None]
+        t_src, t_dst = t[:b], t[b:]
+        matrices, code = _homographies(h.reshape(b, 9), t_src, t_dst, distinct, collinear[:b] | collinear[b:])
         miss = np.abs(_apply_h(matrices, src) - dst).max(axis=(1, 2)) * t_dst[:, 0, 0]
     astray = (code == 0) & ~(miss <= 1e-8)
     matrices[astray] = np.nan
@@ -232,13 +291,18 @@ def fit_homography_dlt(pairs: Sequence[PointPair]) -> PerspectiveTransform:
 
 def _errors(matrices: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """(B, n) reprojection errors of (B, 3, 3) homographies, inf where a
-    mapped point's homogeneous scale falls below W_EPSILON."""
-    h = np.hstack([src, np.ones((len(src), 1))]) @ matrices.transpose(0, 2, 1)
-    w = h[..., 2]
-    valid = np.abs(w) >= W_EPSILON
+    mapped point's homogeneous scale falls below W_EPSILON.
+
+    One (3B, 3) @ (3, n) product maps every pair through every matrix;
+    its three (B, n) planes are the mapped points' homogeneous
+    coordinates u, v and w, so the result comes out C-contiguous.
+    """
+    b = len(matrices)
+    u, v, w = (matrices.transpose(1, 0, 2).reshape(3 * b, 3) @ np.vstack([src.T, np.ones(len(src))])).reshape(3, b, len(src))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mapped = h[..., :2] / w[..., None]
-    return np.where(valid, np.linalg.norm(mapped - dst, axis=-1), np.inf)
+        dx = u / w - dst[:, 0]
+        dy = v / w - dst[:, 1]
+    return np.where(np.abs(w) >= W_EPSILON, np.sqrt(dx * dx + dy * dy), np.inf)
 
 
 def reprojection_errors(transform: PerspectiveTransform, pairs: Sequence[PointPair]) -> np.ndarray:
@@ -256,7 +320,7 @@ class RansacResult:
     inlier_mask: np.ndarray
 
 
-# hypotheses in a block times pairs scored; bounds the (block, pairs, 3) reprojection
+# hypotheses in a block times pairs scored; bounds the (3, block, pairs) reprojection
 _BLOCK_CELLS = 1 << 16
 
 
@@ -298,9 +362,9 @@ def ransac_fit(
     inlier error; if that ties too, the first hypothesis drawn.
 
     Hypotheses are drawn, fitted and scored a block at a time: one
-    ``rng.random`` call and one argsort draw a block's samples, one QR
-    call solves every minimal DLT of it (`_fit_minimal`), and one
-    (block, n, 3) reprojection scores them, with block x n at most
+    ``rng.random`` call and one argsort draw a block's samples, closed
+    forms over the whole block solve its minimal sets (`_fit_minimal`),
+    and one matrix product scores them (`_errors`), with block x n at most
     ``_BLOCK_CELLS`` so memory stays bounded whatever ``max_iterations``
     and the survey size. The cost is O(max_iterations * n log n)
     arithmetic in ``max_iterations * n / _BLOCK_CELLS + 1`` rounds of

@@ -465,9 +465,12 @@ class CoreServices:
         start_ns = _nanoseconds(start_ns, "start_ns")
         end_ns = _nanoseconds(end_ns, "end_ns")
         claims = self.validate(token)
-        if "admin" not in claims.get("roles", []) and "app" not in claims.get("roles", []):
-            if claims["subject"] != device_id:
-                raise AuthError("capture queries need the app or admin role")
+        roles = claims.get("roles")
+        # an exact role, as `require_role` asks: a text claim such as
+        # "appliance" holds "app" only as a substring; claims come from
+        # JSON, so a list is the only sequence they can hold
+        if claims["subject"] != device_id and (type(roles) is not list or ("app" not in roles and "admin" not in roles)):
+            raise AuthError("capture queries need the app or admin role")
         self.device_record(device_id)
         keys = self._capture_keys.get(device_id, [])
         hits = self._captures.get(device_id, [])[bisect_left(keys, start_ns):bisect_left(keys, end_ns)]

@@ -6,8 +6,11 @@ agreement with the production code is meaningful. Nothing here imports
 the algorithms under test: besides data types, the only package code
 used is what the faster paths keep unchanged (`buffer_size`,
 `correct_timestamp`, `suppress_overlaps`, `effective_urgency`,
-`prf_scores`, and the SVD fit `_fit_dlt` and the scorer `_errors`
-that ``ransac_fit_reference`` batches with). `suppress_overlaps`, like
+`prf_scores`, the SVD fit `_fit_dlt` that ``ransac_fit_reference``
+batches with, the DLT system builder `_dlt_systems`, `_homographies`
+and `_apply_h` that the batched QR solve ``fit_minimal_qr`` is made
+of, and `dba`'s batched tables `_sqeuclidean_tables` and
+`_aligned_mean` that ``dba_every_pass`` runs). `suppress_overlaps`, like
 `normalized_dtw_score` and `butterworth_lowpass` that the tests call,
 stays public in the package only as such a definition
 (``UNREACHED_BY_DESIGN`` in test_exports.py). The sync oracles take one-channel series, as
@@ -22,11 +25,13 @@ array calls, and the pairwise merge loop, the
 per-threshold sweep and the matcher over a distance callable are the
 fusion code before the merge graph and the array matcher, and the
 RANSAC loop draws, fits and scores one hypothesis at a time, its
-system built row by row and solved by QR, where `ransac_fit` does a
-block at a time, while ``ransac_fit_reference`` is `ransac_fit` before
-it drew a block in one call and solved minimal sets by QR (one
-``rng.choice`` per sample, an SVD per fit), kept as the quality
-reference for that change, and the per-sample clock
+minimal fit the closed form written out entry by entry, where
+`ransac_fit` does a block at a time, while ``ransac_fit_reference`` is
+`ransac_fit` before it drew a block in one call and solved minimal sets
+by QR (one ``rng.choice`` per sample, an SVD per fit), kept as the
+quality reference for that change; ``fit_minimal_qr`` is the minimal
+solve before its closed form and ``errors_per_matrix`` the scorer
+before its one matrix product, and the per-sample clock
 correction and shift and the per-window entropy histograms
 (`shannon_entropy`, one window at a time) are the sync code before the
 columnar stream and the cumulative bin counts, the Kalman step that
@@ -37,7 +42,8 @@ its products with the measurement row, scipy's ``butter`` and
 numpy, and the scan-and-sort
 capture query is the capture store before it was kept sorted, and
 ``dba_rows`` restates `dba` over the one-table row kernel
-(``dtw_table_rows``); all are kept here as references.
+(``dtw_table_rows``), while ``dba_every_pass`` is `dba` before it
+stopped at a fixed point; all are kept here as references.
 ``CaptureRouterOracle`` is ``POST``/``GET /capture`` as they were before
 the store kept plain rows: the router builds a ``SensorSample`` per wire
 sample, ingest stamps a frozen ``CaptureRecord`` per sample into a
@@ -48,6 +54,7 @@ is ``format_timestamp`` before it formatted each calendar second once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -61,9 +68,10 @@ from scipy import signal
 from sensorstack.edgesched import Dispatch, Task, effective_urgency
 from sensorstack.errors import AuthError, DomainError, FitError, NotFoundError, TopologyError, UsageError, ValidationError
 from sensorstack.eventsync import EventDetection, MatchedPair, TimeSeries, suppress_overlaps
+from sensorstack.eventsync.dtw import _aligned_mean, _sqeuclidean_tables
 from sensorstack.eventsync.features import ENTROPY_BINS
 from sensorstack.fusion import CATEGORIES, FusedDetection, PerspectiveTransform, RansacResult, SweepRow
-from sensorstack.fusion.geometry import _errors, _fit_dlt
+from sensorstack.fusion.geometry import W_EPSILON, _apply_h, _dlt_systems, _fit_dlt, _homographies
 from sensorstack.scoring import prf_scores
 from sensorstack.services import ServiceRouter, format_timestamp
 from sensorstack.timebase import (
@@ -229,6 +237,24 @@ def dba_rows(sequences, iterations):
                 counts[i] += 1
         barycenter = sums / counts
         costs.append(objective(barycenter))
+    return barycenter, tuple(costs)
+
+
+def dba_every_pass(sequences, iterations):
+    """`dba` before it stopped at a fixed point: the medoid in one batch
+    of its k * k pairs, then all ``iterations`` passes, each recording
+    its barycenter's objective and aligning every sequence to it, and
+    the last barycenter's objective. Returns the barycenter and costs."""
+    seqs = [np.asarray(s, dtype=float) for s in sequences]
+    k = len(seqs)
+    pair_costs = _sqeuclidean_tables([a for a in seqs for _ in seqs], seqs * k)[1]
+    barycenter = seqs[int(np.argmin([sum(pair_costs[i : i + k]) for i in range(0, k * k, k)]))].copy()
+    costs = []
+    for _ in range(iterations):
+        table, ends = _sqeuclidean_tables([barycenter] * k, seqs)
+        costs.append(sum(ends))
+        barycenter = _aligned_mean(table, seqs)
+    costs.append(sum(_sqeuclidean_tables([barycenter] * k, seqs)[1]))
     return barycenter, tuple(costs)
 
 
@@ -471,21 +497,82 @@ def homography_dlt_rows(pairs):
     return _transform_from_null(vt[-1], t_src, t_dst)
 
 
-def homography_minimal_rows(pairs):
-    """Exact homography of four pairs, its system built row by row and
-    solved from the complete QR of its transpose; a model that does not
-    carry each source to within 1e-8 of its target in Hartley units is
-    refused as singular."""
+def _triple_collinear(points):
+    """Whether three of four points are collinear: the determinant of one
+    triple's homogeneous 3 x 3 matrix is at most 1e-9 of the sum of its
+    six products' magnitudes."""
+    for triple in itertools.combinations(points, 3):
+        m = np.vstack([np.array(triple).T, np.ones(3)])
+        magnitude = sum(abs(m[0, a] * m[1, b] * m[2, c]) for a, b, c in itertools.permutations(range(3)))
+        if not abs(np.linalg.det(m)) > 1e-9 * magnitude:
+            return True
+    return False
+
+
+def _basis(points):
+    """The basis matrix of four points and its adjugate, entry by entry:
+    column i of [p_1 p_2 p_3] scaled by l_i = (adj([p_1 p_2 p_3]) p_4)_i."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points.tolist()
+    xs, ys = (x0, x1, x2), (y0, y1, y2)
+    adj = [[ys[a] - ys[b], xs[b] - xs[a], xs[a] * ys[b] - ys[a] * xs[b]] for a, b in ((1, 2), (2, 0), (0, 1))]
+    scale = [row[0] * x3 + row[1] * y3 + row[2] for row in adj]
+    basis = [[xs[i] * scale[i] for i in range(3)], [ys[i] * scale[i] for i in range(3)], scale]
+    cofactors = (scale[1] * scale[2], scale[0] * scale[2], scale[0] * scale[1])
+    return basis, [[entry * cofactors[i] for entry in adj[i]] for i in range(3)]
+
+
+def homography_minimal_closed_form(pairs):
+    """Exact homography of four pairs in closed form, one entry at a time.
+
+    In Hartley coordinates B_dst adj(B_src), with B a side's basis
+    (`_basis`), carries each source onto its target; scaled to unit norm
+    and un-normalised it is the model. Four pairs with three collinear
+    points on either side are refused as degenerate, and a model that
+    does not carry each source to within 1e-8 of its target in Hartley
+    units as singular.
+    """
     src, dst = _point_arrays(pairs)
-    a, t_src, t_dst = _system_rows(src, dst)
-    q, r = np.linalg.qr(a.T, mode="complete")
-    d = np.abs(np.diag(r))
-    if d.min() <= 1e-9 * d.max():
+    t_src, t_dst = _normalization(src), _normalization(dst)
+    sn, dn = _map_points(t_src, src), _map_points(t_dst, dst)
+    if _triple_collinear(sn) or _triple_collinear(dn):
         raise FitError("point pairs are degenerate: they do not determine a homography")
-    transform = _transform_from_null(q[:, -1], t_src, t_dst)
+    basis, _ = _basis(dn)
+    _, adj = _basis(sn)
+    h = np.array([[basis[r][0] * adj[0][c] + basis[r][1] * adj[1][c] + basis[r][2] * adj[2][c] for c in range(3)] for r in range(3)])
+    transform = _transform_from_null(h / np.sqrt(np.square(h).sum()), t_src, t_dst)
     if not np.abs(_map_points(transform.matrix, src) - dst).max() * t_dst[0, 0] <= 1e-8:
         raise FitError("fitted homography is degenerate: homography must be non-singular")
     return transform
+
+
+def fit_minimal_qr(src, dst):
+    """`_fit_minimal` before its closed form: every minimal set's 8 x 9
+    DLT system solved by one batched complete QR of its transpose, whose
+    last column of Q is the exact null vector. A set is rank deficient
+    where R's diagonal holds an entry at most 1e-9 times its largest.
+    Returns what `_fit_minimal` does, with the same mapping check."""
+    a, t_src, t_dst, distinct = _dlt_systems(src, dst)
+    q, r = np.linalg.qr(a.transpose(0, 2, 1), mode="complete")
+    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    matrices, code = _homographies(q[:, :, -1], t_src, t_dst, distinct, d.min(axis=1) <= 1e-9 * d.max(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = np.abs(_apply_h(matrices, src) - dst).max(axis=(1, 2)) * t_dst[:, 0, 0]
+    astray = (code == 0) & ~(miss <= 1e-8)
+    matrices[astray] = np.nan
+    code[astray] = 4
+    return matrices, code
+
+
+def errors_per_matrix(matrices, src, dst):
+    """`_errors` before its one matrix product: a (B, n, 3) batch of B
+    (n, 3) @ (3, 3) products, its points divided out and measured by
+    `np.linalg.norm`, inf where the scale falls below W_EPSILON."""
+    h = np.hstack([src, np.ones((len(src), 1))]) @ matrices.transpose(0, 2, 1)
+    w = h[..., 2]
+    valid = np.abs(w) >= W_EPSILON
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = h[..., :2] / w[..., None]
+    return np.where(valid, np.linalg.norm(mapped - dst, axis=-1), np.inf)
 
 
 def _reprojection_errors(transform, pairs):
@@ -500,7 +587,7 @@ def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
     """RANSAC that draws, fits and scores one minimal sample at a time.
 
     A sample is the indices of the 4 smallest of ``len(pairs)`` uniform
-    draws, fitted by `homography_minimal_rows`; a sample whose fit raises
+    draws, fitted by `homography_minimal_closed_form`; a sample whose fit raises
     FitError is skipped. A hypothesis replaces the best so far only with
     more inliers, or as many with a lower mean inlier error (a masked
     sum over all pairs, divided by the count). The winner's inliers are
@@ -515,7 +602,7 @@ def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
     for _ in range(max_iterations):
         idx = np.argsort(rng.random(len(pairs)))[:4]
         try:
-            candidate = homography_minimal_rows([pairs[i] for i in idx])
+            candidate = homography_minimal_closed_form([pairs[i] for i in idx])
         except FitError:
             continue
         errors = _reprojection_errors(candidate, pairs)
@@ -535,7 +622,7 @@ def ransac_fit_loop(pairs, inlier_threshold, max_iterations, seed):
 def ransac_fit_reference(pairs, inlier_threshold, max_iterations, seed):
     """RANSAC as `ransac_fit` was before it drew a block's samples in one
     call and solved them by QR: one ``rng.choice`` per sample, all samples
-    fitted by one SVD call (`_fit_dlt`) and scored by `_errors` in one
+    fitted by one SVD call (`_fit_dlt`) and scored by `errors_per_matrix` in one
     block, the top count's mean inlier errors taken one by one. The
     quality reference for the sampler and solver that replaced these.
     """
@@ -545,7 +632,7 @@ def ransac_fit_reference(pairs, inlier_threshold, max_iterations, seed):
     rng = np.random.default_rng(seed)
     idx = np.array([rng.choice(len(pairs), size=4, replace=False) for _ in range(max_iterations)])
     matrices, code = _fit_dlt(src[idx], dst[idx])
-    errors = _errors(matrices[code == 0], src, dst)
+    errors = errors_per_matrix(matrices[code == 0], src, dst)
     mask = errors <= inlier_threshold
     counts = mask.sum(axis=1)
     if counts.max(initial=0) < 4:

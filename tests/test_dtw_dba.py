@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
+from oracles import budget, dba_every_pass, dba_rows, dtw_backtrack, dtw_enumerate, dtw_table_rows
 from sensorstack.errors import UsageError
 from sensorstack.eventsync import GestureTemplate, TimeSeries, dba, dtw_distance
+from sensorstack.eventsync import dtw
 from sensorstack.eventsync.dtw import _cumulative, dtw_cost
 
 
@@ -139,6 +142,39 @@ class TestDba:
                 dtw([1.0, bad], [1.0, 2.0])
             with pytest.raises(UsageError, match="finite"):
                 dtw([1.0, 2.0], [bad])
+
+    @pytest.mark.parametrize("case", ["converging", "not_converging", "signed_zero"])
+    def test_stopping_at_the_fixed_point_matches_every_pass(self, case):
+        """Once a pass leaves the barycenter byte for byte as it was, the
+        skipped passes would repeat its cost. A -0.0 that the mean turns
+        into 0.0 is a change, so the run goes on past it."""
+        rng = np.random.default_rng(5)
+        iterations = 10
+        if case == "converging":
+            seqs = [warped_pulse(rng) for _ in range(5)]
+        elif case == "not_converging":
+            seqs, iterations = [rng.normal(size=30) for _ in range(6)], 1
+        else:
+            seqs = [np.array([-0.0, 1.0, -0.0, 2.0, -0.0])] * 3
+        barycenter, costs = dba_every_pass(seqs, iterations)
+        with mock.patch.object(dtw, "_aligned_mean", wraps=dtw._aligned_mean) as passes:
+            result = dba(seqs, iterations)
+        assert result.barycenter.tobytes() == barycenter.tobytes()
+        assert result.costs == costs
+        # the pulses settle after 7 passes; the zeros need a second pass to confirm 0.0
+        assert passes.call_count == {"converging": 7, "not_converging": 1, "signed_zero": 2}[case]
+        if case == "signed_zero":
+            assert not np.signbit(result.barycenter).any()
+
+    @settings(max_examples=budget(40), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), levels=st.sampled_from([0, 1, 3]), iterations=st.integers(1, 12))
+    def test_equals_every_pass(self, seed, count, levels, iterations):
+        rng = np.random.default_rng(seed)
+        seqs = [tied_or_random(rng, int(rng.integers(2, 12)), levels) for _ in range(count)]
+        barycenter, costs = dba_every_pass(seqs, iterations)
+        result = dba(seqs, iterations)
+        assert result.barycenter.tobytes() == barycenter.tobytes()
+        assert result.costs == costs
 
     def test_template_beats_arithmetic_mean_on_warped_pulses(self):
         rng = np.random.default_rng(5)

@@ -18,6 +18,8 @@ from oracles import budget, generate_arrivals_scalar, schedule_cycle_sorted
 from sensorstack.edgesched import (
     COMPUTE_CLASSES,
     ClassStats,
+    MonitorSnapshot,
+    NodeSnapshot,
     NodeSpec,
     NodeState,
     SchedulerConfig,
@@ -267,6 +269,29 @@ class TestRouting:
         assert snap.nodes[1].utilization == 1.0
         assert snap.nodes[0].utilization == 0.0
         assert sum(n.in_flight for n in snap.nodes) == 5
+
+    def test_monitor_snapshot_equals_its_dataclasses_built_by_init(self):
+        """The snapshots filled in without ``__init__`` compare, hash and
+        print as the frozen dataclasses built field by field, and stay frozen."""
+        rng = np.random.default_rng(9)
+        nodes = [medium_node(f"m{i}", capacity=int(rng.integers(1, 5))) for i in range(7)]
+        nodes += [unit_node(f"cu{i}", capacity=int(rng.integers(1, 5))) for i in range(5)]
+        for node in nodes:
+            node.busy_slots, node.in_flight, node.queue_length = (int(v) for v in rng.integers(0, 9, 3))
+        rng.shuffle(nodes)
+        snap = monitor_snapshot(nodes, 123)
+        built = MonitorSnapshot(taken_at_ns=123, nodes=tuple(
+            NodeSnapshot(n.node_id, n.kind, n.utilization, n.busy_slots, n.in_flight, n.queue_length)
+            for n in sorted(nodes, key=lambda n: n.node_id)
+        ))
+        assert snap == built
+        assert hash(snap) == hash(built)
+        assert repr(snap) == repr(built)
+        assert [vars(n) for n in snap.nodes] == [vars(n) for n in built.nodes]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.nodes[0].busy_slots = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.taken_at_ns = 0
 
 
 class TestScheduleCycle:

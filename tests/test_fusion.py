@@ -10,8 +10,10 @@ from oracles import (
     budget,
     deduplicate_pairwise,
     evaluate_detections_pairwise,
+    errors_per_matrix,
+    fit_minimal_qr,
     homography_dlt_rows,
-    homography_minimal_rows,
+    homography_minimal_closed_form,
     ransac_fit_loop,
     ransac_fit_reference,
     threshold_sweep_per_threshold,
@@ -349,7 +351,7 @@ class TestBatchedRansacMatchesLoop:
 
 
 class TestMinimalFit:
-    """The QR solve of minimal sets: exact where accepted, skipped where degenerate."""
+    """The closed-form solve of minimal sets: exact where accepted, skipped where degenerate."""
 
     @settings(max_examples=budget(60), deadline=None)
     @given(surveys(), st.integers(0, 2**32 - 1))
@@ -359,7 +361,7 @@ class TestMinimalFit:
         dst = np.array([p.target for p in pairs])[idx]
         matrices, code = geometry._fit_minimal(src, dst)
         for s, d, matrix, c in zip(src, dst, matrices, code):
-            looped = fit_outcome(homography_minimal_rows, [PointPair(a, b) for a, b in zip(s, d)])
+            looped = fit_outcome(homography_minimal_closed_form, [PointPair(a, b) for a, b in zip(s, d)])
             assert_same_fit(PerspectiveTransform(matrix) if c == 0 else repr(FitError(geometry._DLT_FAILURES[c])), looped)
             if c == 0:
                 assert np.abs(apply_homography(matrix, s) - d).max() <= 1e-6 * max(1.0, np.abs(d).max())
@@ -380,6 +382,67 @@ class TestMinimalFit:
         matrices, code = geometry._fit_minimal(src, dst)
         assert (code != 0).all()
         assert np.isnan(matrices).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_each_degenerate_class_refused_with_its_code(self, scale):
+        """Coincident points on either side give code 1; three collinear
+        points on either side, two coincident ones among them, give code
+        2, at every unit on either axis."""
+        rng = np.random.default_rng(3)
+        good = rng.uniform(0, 100, (2, 4, 2))
+        line = np.array([[0.0, 1.0], [2.0, 5.0], [7.0, 0.5], [3.0, 7.0]])
+        line[2] = line[0] + 0.37 * (line[1] - line[0])
+        pinched = good[0].copy()
+        pinched[3] = pinched[1]
+        same = np.full((4, 2), 4.0)
+        cases = [(same, good[1], 1), (good[0], same, 1), (line, good[1], 2), (good[0], line, 2),
+                 (pinched, good[1], 2), (good[0], pinched, 2), (good[0], good[1], 0)]
+        src = np.array([c[0] for c in cases]) * [1.0, scale]
+        dst = np.array([c[1] for c in cases]) * [scale, 1.0]
+        matrices, code = geometry._fit_minimal(src, dst)
+        assert code.tolist() == [c[2] for c in cases]
+        assert np.isnan(matrices[:-1]).all() and np.isfinite(matrices[-1]).all()
+
+    def test_closed_form_and_qr_final_fits_are_equal(self, perfbench_scenes):
+        """Minimal hypotheses differ in their last bits, but the refit of
+        the winning inliers is the same on perfbench's 40 rig fits and on
+        the 200 synthetic surveys."""
+        fits = []
+        for workload in ("parking_lot", "intersection"):
+            for camera in perfbench_scenes.make_scene(workload, 0, 0).cameras:
+                fits += [(camera.survey, 0.5, seed) for seed in range(5)]
+        fits += [(synthetic_survey(seed)[0], 1.0, seed) for seed in range(200)]
+        assert len(fits) == 240
+        for pairs, threshold, seed in fits:
+            closed = ransac_fit(pairs, threshold, 200, seed)
+            with mock.patch.object(geometry, "_fit_minimal", fit_minimal_qr):
+                qr = ransac_fit(pairs, threshold, 200, seed)
+            assert_same_fit(closed, qr)
+
+
+class TestScoring:
+    """`_errors`' one matrix product against the (B, n, 3) batch of products it replaced."""
+
+    @settings(max_examples=budget(60), deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 30), st.sampled_from((1e-3, 1.0, 1e3)))
+    def test_bit_identical_to_the_product_per_matrix(self, seed, hypotheses, n, spread):
+        rng = np.random.default_rng(seed)
+        src = rng.uniform(-spread, spread, (n, 2))
+        dst = rng.uniform(-spread, spread, (n, 2))
+        matrices = rng.normal(size=(hypotheses, 3, 3))
+        # put some mapped points on or next to the plane at infinity
+        onto = rng.random(hypotheses) < 0.3
+        last = -(matrices[:, 2, :2] @ src[0])
+        matrices[onto, 2, 2] = last[onto] + rng.choice([0.0, 0.5e-9, 2e-9], onto.sum())
+        errors = geometry._errors(matrices, src, dst)
+        assert errors.flags.c_contiguous
+        assert errors.tobytes() == errors_per_matrix(matrices, src, dst).tobytes()
+
+    def test_minimal_hypotheses_score_bit_identically(self):
+        src, dst = geometry._as_arrays(synthetic_survey(5)[0])
+        idx = geometry._draw_samples(np.random.default_rng(5), 200, len(src))
+        matrices, code = geometry._fit_minimal(src[idx], dst[idx])
+        assert geometry._errors(matrices[code == 0], src, dst).tobytes() == errors_per_matrix(matrices[code == 0], src, dst).tobytes()
 
 
 def synthetic_survey(seed):

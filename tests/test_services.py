@@ -933,6 +933,22 @@ class TestCapture:
         with pytest.raises(AuthError):
             services.query_captures("camera-a", 0, 10, cam_b.token)
 
+    @pytest.mark.parametrize("roles", ["appliance", "administrator", ["application"], 5, None])
+    def test_query_of_another_device_needs_an_exact_role(self, roles):
+        """Key-signed claims whose roles hold "app" or "admin" only as a
+        substring, or are no list at all, read no other device's captures;
+        the same claims read the subject's own."""
+        services, admin = make_services()
+        services.register_device(camera_payload("camera-a"), admin)
+        services.register_device(camera_payload("someone"), admin)
+        expires = 1_700_000_000.0 + 86_400.0
+        token = signed({"subject": "someone", "roles": roles, "expires_at": expires})
+        with pytest.raises(AuthError, match="^capture queries need the app or admin role$"):
+            services.query_captures("camera-a", 0, 10, token)
+        assert services.query_captures("someone", 0, 10, token) == []
+        exact = signed({"subject": "someone", "roles": ["app"], "expires_at": expires})
+        assert services.query_captures("camera-a", 0, 10, exact) == []
+
     def test_ingest_writes_one_access_entry(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)

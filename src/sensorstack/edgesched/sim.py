@@ -20,8 +20,8 @@ from time import perf_counter
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..timebase import _REAL_TYPES, NS_PER_SEC
+from ..errors import ConfigError, UsageError, checked_int, checked_real
+from ..timebase import NS_PER_SEC
 from .cycle import TaskQueue, schedule_cycle
 from .routing import MonitorSnapshot, monitor_snapshot
 from .types import (
@@ -57,15 +57,11 @@ class StageSpec:
         # checks it, so the simulator builds the stage's tasks unchecked
         if self.compute_class not in COMPUTE_CLASSES:
             raise ConfigError(f"unknown compute class {self.compute_class!r}")
-        demand = self.service_demand_ns
-        if not isinstance(demand, (int, np.integer)) or isinstance(demand, bool):
-            raise ConfigError(f"service_demand_ns must be an integer, not {type(demand).__name__}")
-        if demand <= 0:
+        if checked_int(self.service_demand_ns, "service_demand_ns", ConfigError) <= 0:
             raise ConfigError("service_demand_ns must be positive")
-        rate = self.arrival_rate_hz
-        if not (isinstance(rate, _REAL_TYPES) and math.isfinite(rate) and rate >= 0):
+        if not 0 <= checked_real(self.arrival_rate_hz, "arrival_rate_hz", ConfigError) < math.inf:
             raise ConfigError("arrival_rate_hz must be a finite non-negative number")
-        if not (isinstance(self.initial_priority, _REAL_TYPES) and math.isfinite(self.initial_priority)):
+        if not math.isfinite(checked_real(self.initial_priority, "initial_priority", ConfigError)):
             raise ConfigError("initial_priority must be a finite number")
 
 
@@ -81,7 +77,7 @@ class WorkloadSpec:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ConfigError("stage names must be unique")
-        if self.duration_ns <= 0:
+        if checked_int(self.duration_ns, "duration_ns", ConfigError) <= 0:
             raise ConfigError("duration_ns must be positive")
 
 
@@ -179,6 +175,8 @@ def run_simulation(
     carries enough to recompute them all independently (except the
     wall-clock scheduling overhead).
     """
+    if checked_int(seed, "seed", UsageError) < 0:
+        raise UsageError("seed must be non-negative")
     _validate_topology(workload, topology)
     rng = np.random.default_rng(seed)
     # arrivals rank first, so the next arrival is the next event whenever

@@ -8,8 +8,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, UsageError
-from ..timebase import NS_PER_SEC, _REAL_TYPES, _nanoseconds
+from ..errors import ConfigError, UsageError, checked_int, checked_real
+from ..timebase import NS_PER_SEC
 
 COMPUTE_CLASSES = ("light", "heavy")
 NODE_KINDS = ("medium", "computation_unit")
@@ -35,11 +35,11 @@ class Task:
     def __post_init__(self):
         if self.compute_class not in COMPUTE_CLASSES:
             raise UsageError(f"unknown compute class {self.compute_class!r}")
-        if not (isinstance(self.initial_priority, _REAL_TYPES) and math.isfinite(self.initial_priority)):
+        if not math.isfinite(checked_real(self.initial_priority, "initial_priority", UsageError)):
             raise UsageError("initial_priority must be a finite number")
         if type(self.entry_time_ns) is not int or type(self.service_demand_ns) is not int:
-            _nanoseconds(self.entry_time_ns, "entry_time_ns")
-            _nanoseconds(self.service_demand_ns, "service_demand_ns")
+            checked_int(self.entry_time_ns, "entry_time_ns", UsageError)
+            checked_int(self.service_demand_ns, "service_demand_ns", UsageError)
         if self.service_demand_ns <= 0:
             raise UsageError("service_demand_ns must be positive")
 
@@ -57,11 +57,11 @@ class SchedulerConfig:
     batch_window_ns: int = 100_000_000
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha < 0:
+        if not 0 <= checked_real(self.alpha, "alpha", ConfigError) < math.inf:
             raise ConfigError("alpha must be finite and non-negative")
-        if self.cycle_period_ns <= 0:
+        if checked_int(self.cycle_period_ns, "cycle_period_ns", ConfigError) <= 0:
             raise ConfigError("cycle_period_ns must be positive")
-        if self.batch_window_ns < 0:
+        if checked_int(self.batch_window_ns, "batch_window_ns", ConfigError) < 0:
             raise ConfigError("batch_window_ns must be non-negative")
 
 
@@ -75,9 +75,9 @@ class NodeSpec:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ConfigError(f"unknown node kind {self.kind!r}")
-        if self.capacity < 1:
+        if checked_int(self.capacity, "capacity", ConfigError) < 1:
             raise ConfigError("capacity must be at least 1")
-        if not 0.0 <= self.overload_threshold <= 1.0:
+        if not 0.0 <= checked_real(self.overload_threshold, "overload_threshold", ConfigError) <= 1.0:
             raise ConfigError("overload_threshold must lie in [0, 1]")
 
 
@@ -204,7 +204,9 @@ class ClassStats:
     wait_variance_s2: float
 
     def __post_init__(self):
-        if self.wait_variance_s2 < 0:
+        checked_int(self.count, "count", UsageError)
+        checked_real(self.mean_latency_s, "mean_latency_s", UsageError)
+        if checked_real(self.wait_variance_s2, "wait_variance_s2", UsageError) < 0:
             raise UsageError("variance cannot be negative")
 
     @classmethod

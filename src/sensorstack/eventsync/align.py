@@ -7,9 +7,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import UsageError, checked_int
 from ..scoring import match_integers
-from ..timebase import NS_PER_SEC, SampleStream, _nanoseconds
+from ..timebase import NS_PER_SEC, SampleStream
 from .detect import EventDetection
 from .features import _sliding_entropy
 from .filters import _lowpass
@@ -169,7 +169,8 @@ def apply_sync(
 
     try:
         starts = {
-            stream_id: [_nanoseconds(x, "a refined start") for x in value] for stream_id, value in refined_starts.items()
+            stream_id: [checked_int(x, "a refined start", UsageError) for x in value]
+            for stream_id, value in refined_starts.items()
         }
     except TypeError:
         raise UsageError("refined starts must be sequences of integers") from None

@@ -8,8 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import UsageError
-from ..timebase import _nanoseconds
+from ..errors import UsageError, checked_int, checked_real, checked_series
 from .dtw import _BLOCK_CELLS, GestureTemplate, _cumulative, dtw_cost
 from .series import TimeSeries
 
@@ -32,9 +31,9 @@ class EventDetection:
     score: float
 
     def __post_init__(self):
-        if self.start > self.end:
+        if checked_int(self.start, "event start", UsageError) > checked_int(self.end, "event end", UsageError):
             raise UsageError("event start must not exceed its end")
-        if not np.isfinite(self.score):
+        if not np.isfinite(checked_real(self.score, "event score", UsageError)):
             raise UsageError("event score must be finite")
 
 
@@ -112,14 +111,13 @@ def detect_gesture_video(
         raise UsageError(f"detection input must be a TimeSeries, not {type(z_series).__name__}")
     if not isinstance(template, GestureTemplate):
         raise UsageError(f"template must be a GestureTemplate, not {type(template).__name__}")
-    window_ns = _nanoseconds(window_ns, "window_ns")
-    stride_ns = _nanoseconds(stride_ns, "stride_ns")
+    window_ns = checked_int(window_ns, "window_ns", UsageError)
+    stride_ns = checked_int(stride_ns, "stride_ns", UsageError)
     if not isinstance(stream_id, str):
         raise UsageError(f"stream_id must be a string, not {type(stream_id).__name__}")
     if window_ns <= 0 or stride_ns <= 0:
         raise UsageError("window and stride must be positive")
-    if not np.all(np.isfinite(z_series.values)):
-        raise UsageError("detection input must be finite")
+    checked_series(z_series.values, "detection input", UsageError)
     ts = z_series.timestamps
     t0 = int(ts[0])
     period = z_series.median_period_ns()

@@ -3,28 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import UsageError, checked_int, checked_real, checked_series
 
 # cells of one batched DTW table: the detector's blocks of windows and
 # the blocks of dba's medoid pairs stay under it
 _BLOCK_CELLS = 1 << 20
-
-
-def _as_values(seq) -> np.ndarray:
-    try:
-        vals = np.asarray(seq, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"sequence must hold numbers: {exc}") from None
-    if vals.ndim != 1 or len(vals) == 0:
-        raise UsageError("sequence must be a non-empty 1-d array")
-    if not np.isfinite(vals).all():
-        raise UsageError("sequence values must be finite")
-    return vals
 
 
 def _cumulative(table: np.ndarray) -> np.ndarray:
@@ -105,7 +92,7 @@ class DtwResult:
 
 def _cumulative_table(s, t) -> np.ndarray:
     """Cumulated |s - t| table of one pair of sequences, laid out as `_cumulative` takes it: (len(s), len(t) + 1, 1)."""
-    s, t = _as_values(s), _as_values(t)
+    s, t = checked_series(s, "sequence", UsageError), checked_series(t, "sequence", UsageError)
     table = np.empty((len(s), len(t) + 1, 1))
     table[:, 1:, 0] = np.cumsum(np.abs(s[:, None] - t[None, :]), axis=1)
     _cumulative(table)
@@ -213,14 +200,12 @@ def dba(sequences: Sequence, iterations: int) -> DbaResult:
     about 1e15) lose small costs.
     """
     try:
-        seqs = [_as_values(s) for s in sequences]
+        seqs = [checked_series(s, "sequence", UsageError) for s in sequences]
     except TypeError:
         raise UsageError("sequences must be an iterable of sequences") from None
     if not seqs:
         raise UsageError("need at least one sequence")
-    if isinstance(iterations, bool) or not isinstance(iterations, Integral):
-        raise UsageError("iterations must be an integer")
-    if iterations < 1:
+    if checked_int(iterations, "iterations", UsageError) < 1:
         raise UsageError("iterations must be at least 1")
 
     k = len(seqs)
@@ -262,20 +247,15 @@ class GestureTemplate:
     dtw_threshold: float = 0.8
 
     def __post_init__(self):
-        try:
-            vals = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"template values must be numbers: {exc}") from None
-        if vals.ndim != 1 or len(vals) < 2:
+        vals = checked_series(self.values, "template values", UsageError)
+        if len(vals) < 2:
             raise UsageError("template needs at least two scalar values")
-        if not np.all(np.isfinite(vals)):
-            raise UsageError("template values must be finite")
         if float(vals.std()) == 0.0:
             raise UsageError("template values must not be constant")
-        if not (isinstance(self.sample_rate_hz, Real) and self.sample_rate_hz > 0):
-            raise UsageError("template sample rate must be a positive number")
-        if not (isinstance(self.dtw_threshold, Real) and self.dtw_threshold > 0):
-            raise UsageError("dtw threshold must be a positive number")
+        if not 0 < checked_real(self.sample_rate_hz, "template sample rate", UsageError) < np.inf:
+            raise UsageError("template sample rate must be a positive finite number")
+        if not 0 < checked_real(self.dtw_threshold, "dtw threshold", UsageError) < np.inf:
+            raise UsageError("dtw threshold must be a positive finite number")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, UsageError
+from ..errors import DomainError, UsageError, checked_series
+from ..timebase import INT64_MAX
 from .series import TimeSeries
 
 ENTROPY_BINS = 16
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _TOO_SHORT = "series too short for the requested entropy window"
 
 
@@ -40,15 +40,14 @@ def _sliding_entropy(series: TimeSeries, window_ns: int, stride_ns: int, period:
         raise UsageError("window and stride must be positive")
     if window_ns < 3 * period:
         raise UsageError("entropy window must span at least three samples")
-    if not np.all(np.isfinite(series.values)):
-        raise UsageError("entropy input must be finite")
+    checked_series(series.values, "entropy input", UsageError)
 
     ts = series.timestamps
     first = int(ts[0])
     count = (int(ts[-1]) - window_ns + period - first) // stride_ns + 1
     if count <= 0:
         raise UsageError(_TOO_SHORT)
-    if first + (count - 1) * stride_ns + window_ns > _INT64_MAX:
+    if first + (count - 1) * stride_ns + window_ns > INT64_MAX:
         raise DomainError("entropy windows must end within the int64 range")
     starts = np.array(range(first, first + count * stride_ns, stride_ns), dtype=np.int64)
     lo = np.searchsorted(ts, starts, side="left")

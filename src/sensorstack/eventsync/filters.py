@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal
 
-from ..errors import ConfigError
-from ..timebase import _integer_setting, _real_setting
+from ..errors import ConfigError, checked_int, checked_real
 from .series import TimeSeries
 
 
@@ -35,15 +34,13 @@ def design_lowpass(order: int, cutoff_hz: float, sample_rate_hz: float):
     expansion of ``order`` zeros at -1, ``a`` the expansion of the
     poles, which come in conjugate pairs, so it is real.
     """
-    order = _integer_setting(order, "filter order")
-    cutoff_hz = _real_setting(cutoff_hz, "cutoff")
-    sample_rate_hz = _real_setting(sample_rate_hz, "sample rate")
+    order = checked_int(order, "filter order", ConfigError)
+    cutoff_hz = checked_real(cutoff_hz, "cutoff", ConfigError)
+    sample_rate_hz = checked_real(sample_rate_hz, "sample rate", ConfigError)
     if order < 1:
         raise ConfigError("filter order must be at least 1")
-    if cutoff_hz <= 0:
-        raise ConfigError("cutoff must be positive")
-    if cutoff_hz >= sample_rate_hz / 2:
-        raise ConfigError("cutoff must stay below the Nyquist frequency")
+    if not 0 < cutoff_hz < sample_rate_hz / 2 < np.inf:
+        raise ConfigError("cutoff must be positive and below the Nyquist frequency of a finite sample rate")
 
     m = np.arange(-order + 1, order, 2, dtype=np.float64)
     prototype = -np.exp(1j * np.pi * m / (2 * order))

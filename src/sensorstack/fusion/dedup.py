@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..errors import UsageError
+from ..errors import UsageError, checked_real
 from .types import CATEGORIES, Detection, FusedDetection
 
 
@@ -44,17 +44,6 @@ class _Components:
         if ra != rb:
             self.parent[rb] = ra
             self.members[ra] = tuple(sorted(self.members[ra] + self.members.pop(rb)))
-
-
-def checked_threshold(threshold) -> float:
-    """A merge threshold as a float; negative, NaN or non-numeric is a UsageError."""
-    try:
-        value = float(threshold)
-    except (TypeError, ValueError) as exc:
-        raise UsageError("threshold must be a number") from exc
-    if not value >= 0:
-        raise UsageError("threshold must be non-negative")
-    return value
 
 
 def frame_detections(detections: Sequence[Detection]) -> list[Detection]:
@@ -171,7 +160,9 @@ def deduplicate(detections: Sequence[Detection], threshold: float) -> tuple[Fuse
     Cost: O(n log n + k) for n detections and k pairs within
     ``threshold`` of each other per coordinate, plus the merges.
     """
-    threshold = checked_threshold(threshold)
+    threshold = checked_real(threshold, "threshold", UsageError)
+    if threshold < 0:
+        raise UsageError("threshold must be non-negative")
     dets = frame_detections(detections)
     [(_, groups)] = merge_cuts(dets, (threshold,))
     return sorted_fused([merge_group(dets, members, threshold) for members in groups])

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import FitError, UsageError
+from ..errors import FitError, UsageError, checked_int, checked_real
 from .types import Detection, PointPair
 
 W_EPSILON = 1e-9
@@ -23,7 +22,10 @@ class PerspectiveTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        try:
+            m = np.asarray(self.matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"homography must be a 3x3 matrix of numbers: {exc}") from None
         if m.shape != (3, 3):
             raise UsageError("homography must be a 3x3 matrix")
         if _singular(m):
@@ -324,21 +326,6 @@ class RansacResult:
 _BLOCK_CELLS = 1 << 16
 
 
-def _check_ransac_args(inlier_threshold, max_iterations, seed) -> float:
-    if isinstance(inlier_threshold, bool) or not isinstance(inlier_threshold, numbers.Real):
-        raise UsageError(f"inlier threshold must be a real number, not {inlier_threshold!r}")
-    try:
-        threshold = float(inlier_threshold)
-    except OverflowError:
-        threshold = math.inf
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise UsageError(f"inlier threshold must be finite and positive, not {inlier_threshold!r}")
-    for name, value, least in (("max_iterations", max_iterations, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise UsageError(f"{name} must be an integer of at least {least}, not {value!r}")
-    return threshold
-
-
 def _draw_samples(rng: np.random.Generator, draws: int, n: int) -> np.ndarray:
     """(draws, 4) minimal samples of distinct pair indices, in one call:
     each row's indices of its 4 smallest of n uniform draws, smallest first."""
@@ -372,7 +359,13 @@ def ransac_fit(
     """
     if len(pairs) < 4:
         raise FitError("homography needs at least 4 point pairs")
-    threshold = _check_ransac_args(inlier_threshold, max_iterations, seed)
+    threshold = checked_real(inlier_threshold, "inlier threshold", UsageError)
+    if not 0 < threshold < math.inf:
+        raise UsageError(f"inlier threshold must be finite and positive, not {inlier_threshold!r}")
+    if checked_int(max_iterations, "max_iterations", UsageError) < 1:
+        raise UsageError(f"max_iterations must be at least 1, not {max_iterations!r}")
+    if checked_int(seed, "seed", UsageError) < 0:
+        raise UsageError(f"seed must be at least 0, not {seed!r}")
     src, dst = _as_arrays(pairs)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_CELLS // len(pairs))

@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import UsageError
-from ..scoring import DetectionScores, _check_non_negative, greedy_match, prf_scores
-from .dedup import checked_threshold, frame_detections, merge_cuts, merge_group, sorted_fused
+from ..errors import UsageError, checked_real
+from ..scoring import DetectionScores, greedy_match, prf_scores
+from .dedup import frame_detections, merge_cuts, merge_group, sorted_fused
 from .types import CATEGORIES, Detection, FusedDetection, ObjectTruth
 
 DEFAULT_MATCH_RADIUS = 2.0
@@ -27,7 +27,8 @@ def evaluate_detections(
     truth object absorbs at most one prediction. Categories absent from
     both sides are omitted.
     """
-    _check_non_negative(match_radius, "match_radius")
+    if not checked_real(match_radius, "match_radius", UsageError) >= 0:
+        raise UsageError("match_radius must be a non-negative number")
     scores: dict[str, DetectionScores] = {}
     for category in CATEGORIES:
         preds = np.array([f.center for f in fused if f.category == category], dtype=float).reshape(-1, 2)
@@ -81,9 +82,11 @@ def threshold_sweep(
     """
     if thresholds is None:
         thresholds = DEFAULT_SWEEP_THRESHOLDS
-    thresholds = tuple(checked_threshold(t) for t in thresholds)
+    thresholds = tuple(checked_real(t, "threshold", UsageError) for t in thresholds)
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
+    if min(thresholds) < 0:
+        raise UsageError("threshold must be non-negative")
     dets = frame_detections(detections)
     merged: dict[tuple[int, ...], FusedDetection] = {}
     scores_at = {}

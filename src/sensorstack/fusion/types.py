@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import UsageError
-from ..timebase import _REAL_TYPES, _nanoseconds
+from ..errors import UsageError, checked_int, checked_real
 
 CATEGORIES = ("pedestrian", "vehicle")
 
@@ -40,10 +39,10 @@ class Detection:
         if self.category not in CATEGORIES:
             raise UsageError(f"unknown detection category {self.category!r}")
         object.__setattr__(self, "center", _point(self.center, "detection center"))
-        if not (isinstance(self.confidence, _REAL_TYPES) and 0.0 <= self.confidence <= 1.0):
+        if not 0.0 <= checked_real(self.confidence, "confidence", UsageError) <= 1.0:
             raise UsageError("confidence must be a number in [0, 1]")
         if type(self.frame_ts) is not int:
-            object.__setattr__(self, "frame_ts", _nanoseconds(self.frame_ts, "frame_ts"))
+            object.__setattr__(self, "frame_ts", checked_int(self.frame_ts, "frame_ts", UsageError))
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class FusedDetection:
             raise UsageError(f"unknown detection category {self.category!r}")
         if not self.cameras:
             raise UsageError("a fused detection needs at least one camera")
-        if not (isinstance(self.confidence, _REAL_TYPES) and 0.0 <= self.confidence <= 1.0):
+        if not 0.0 <= checked_real(self.confidence, "confidence", UsageError) <= 1.0:
             raise UsageError("confidence must be a number in [0, 1]")
         object.__setattr__(self, "center", _point(self.center, "fused center"))
         object.__setattr__(self, "cameras", tuple(self.cameras))

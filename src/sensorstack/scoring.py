@@ -13,15 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
-from .timebase import _REAL_TYPES
+from .errors import UsageError, checked_int, checked_real
 
 _UINT64_MAX = 2**64 - 1
-
-
-def _check_non_negative(value, name: str):
-    if not (isinstance(value, _REAL_TYPES) and value >= 0):
-        raise UsageError(f"{name} must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -39,8 +33,12 @@ def prf_scores(tp: int, fp: int, fn: int) -> DetectionScores:
 
     Vacuous cases follow the usual convention: no predictions means no
     false alarms (precision 1), no truth means nothing was missed
-    (recall 1).
+    (recall 1). The counts must be non-negative integers.
     """
+    if not (type(tp) is type(fp) is type(fn) is int):
+        tp, fp, fn = (checked_int(count, "a count", UsageError) for count in (tp, fp, fn))
+    if tp < 0 or fp < 0 or fn < 0:
+        raise UsageError("counts must be non-negative")
     precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
     recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
@@ -59,7 +57,8 @@ def greedy_match(distance, pred_index, truth_index, max_distance) -> list[tuple[
     (pred_index, truth_index) pairs sorted. Cost: O(c log c) for c
     candidates.
     """
-    _check_non_negative(max_distance, "max_distance")
+    if not checked_real(max_distance, "max_distance", UsageError) >= 0:
+        raise UsageError("max_distance must be a non-negative number")
     distance = np.asarray(distance)
     keep = distance <= max_distance
     d = distance[keep]
@@ -86,12 +85,16 @@ def match_integers(a: Sequence[int], b: Sequence[int], tolerance) -> list[tuple[
     taken as unsigned 64-bit integers, which hold every such gap
     exactly, and compared with ``tolerance`` rounded down.
     """
-    _check_non_negative(tolerance, "tolerance")
+    if not checked_real(tolerance, "tolerance", UsageError) >= 0:
+        raise UsageError("tolerance must be a non-negative number")
     try:
-        a = np.array(a, dtype=np.int64)
-        b = np.array(b, dtype=np.int64)
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     except OverflowError as exc:
         raise UsageError("values must fit in a signed 64-bit integer") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"values must be integers: {exc}") from exc
+    if a.ndim != 1 or b.ndim != 1:
+        raise UsageError("values must be 1-d sequences of integers")
     # a - b modulo 2**64, negated where b is the larger
     diff = a.astype(np.uint64)[:, None] - b.astype(np.uint64)
     gap = np.where(a[:, None] >= b, diff, -diff)

@@ -17,8 +17,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError
-from ..timebase import MODALITIES, _nanoseconds
+from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError, checked_int
+from ..timebase import INT64_MAX, INT64_MIN, MODALITIES
 from .store import MemoryLog
 from .tokens import AccessToken, _check_key, _check_unexpired, issue_token, require_role, validate_token
 from .types import (
@@ -36,10 +36,6 @@ from .types import (
 DEFAULT_DEVICE_TTL_S = 30 * 86_400
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY_S = 0.1
-
-# capture timestamps are stored as int64 downstream (SampleStream columns)
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 # the most tokens one CoreServices keeps verified claims for; past it the
 # longest-held entry makes room
@@ -97,7 +93,7 @@ def _parse_samples(samples: Iterable[Mapping]) -> tuple[set, list, list, list]:
             if modality not in MODALITIES:
                 raise UsageError(f"unknown modality {modality!r}")
             if type(local_ts) is not int:
-                local_ts = _nanoseconds(local_ts, "capture sample local_ts")
+                local_ts = checked_int(local_ts, "capture sample local_ts", UsageError)
             devices.add(device_id)
             modalities.append(modality)
             local.append(local_ts)
@@ -238,10 +234,8 @@ class CoreServices:
         if sync_ts is None:
             sync_ts = self._clock()
         try:
-            if isinstance(sync_ts, bool):
-                raise TypeError("a bool is not a timestamp")
-            last_sync = parse_timestamp(sync_ts) if isinstance(sync_ts, str) else format_timestamp(float(sync_ts))
-        except (TypeError, ValueError, OverflowError) as exc:
+            last_sync = parse_timestamp(sync_ts) if isinstance(sync_ts, str) else format_timestamp(sync_ts)
+        except (ValueError, UsageError) as exc:
             raise ValidationError(
                 "last_sync_timestamp must be a timestamp string or epoch seconds",
                 fields=("last_sync_timestamp",),
@@ -426,7 +420,7 @@ class CoreServices:
         stray = devices - {device_id}
         if stray:
             raise AuthError(f"sample for {min(stray)!r} submitted with token for {device_id!r}")
-        if local and not (_INT64_MIN <= min(local) and max(local) <= _INT64_MAX):
+        if local and not (INT64_MIN <= min(local) and max(local) <= INT64_MAX):
             raise ValidationError("capture timestamps must fit in int64", fields=("local_ts",))
 
         location = (record.location.latitude, record.location.longitude)
@@ -462,8 +456,8 @@ class CoreServices:
         tuples is never tracked by the garbage collector, so a large
         result adds nothing for a collection to walk.
         """
-        start_ns = _nanoseconds(start_ns, "start_ns")
-        end_ns = _nanoseconds(end_ns, "end_ns")
+        start_ns = checked_int(start_ns, "start_ns", UsageError)
+        end_ns = checked_int(end_ns, "end_ns", UsageError)
         claims = self.validate(token)
         roles = claims.get("roles")
         # an exact role, as `require_role` asks: a text claim such as

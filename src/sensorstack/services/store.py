@@ -8,9 +8,10 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
-from ..errors import IntegrityError
+from ..errors import IntegrityError, UsageError
 
 
 class MemoryLog:
@@ -38,6 +39,8 @@ class FileLog:
     """
 
     def __init__(self, path):
+        if not isinstance(path, (str, os.PathLike)):
+            raise UsageError(f"log path must be text or a path, not {type(path).__name__}")
         self._path = Path(path)
         data = self._path.read_bytes() if self._path.exists() else b""
         complete = data[: data.rfind(b"\n") + 1]

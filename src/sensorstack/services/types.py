@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from ..errors import UsageError, ValidationError
+from ..errors import UsageError, ValidationError, checked_real
 
 DEVICE_TYPES = ("sensor", "actuator")
 DEVICE_STATUSES = ("online", "offline", "maintenance")
@@ -38,13 +38,8 @@ def _calendar_second(whole: int) -> str:
 
 def format_timestamp(epoch_s: float) -> str:
     """ISO-8601 with exactly four fractional digits, no zone suffix."""
-    try:
-        finite = math.isfinite(epoch_s)
-    except TypeError:
-        raise UsageError(f"timestamp must be a number, not {type(epoch_s).__name__}") from None
-    except OverflowError as exc:  # an int past the float range
-        raise UsageError(f"timestamp {epoch_s!r} is outside the calendar") from exc
-    if not finite:
+    epoch_s = checked_real(epoch_s, "timestamp", UsageError)
+    if not math.isfinite(epoch_s):
         raise UsageError("timestamp must be finite")
     whole = int(epoch_s // 1)
     frac = round((epoch_s - whole) * 10_000)
@@ -70,8 +65,11 @@ def parse_timestamp(stamp: str) -> str:
 
 
 def canonical_json(value) -> str:
-    """The single serialization used wherever bytes must compare equal."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """The single serialization used wherever bytes must compare equal; a value JSON cannot hold is a UsageError."""
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"value is not JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

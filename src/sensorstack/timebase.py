@@ -32,14 +32,13 @@ dict.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError, UsageError, checked_int, checked_real
 
 NS_PER_SEC = 1_000_000_000
 
@@ -47,8 +46,9 @@ MODALITIES = ("camera_series", "imu", "wearable", "detection")
 
 MAX_DRIFT_RATE = 0.1
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# the range of the int64 columns that timestamps are stored in
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 # the smallest float64 beyond the int64 range
 _FLOAT_INT64_BOUND = 2.0**63
 
@@ -72,31 +72,14 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("process_offset_var", "process_drift_var", "measurement_var"):
-            _real_setting(getattr(self, name), name)
-        if self.measurement_var <= 0:
+            if not 0 <= checked_real(getattr(self, name), name, ConfigError) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
+        if self.measurement_var == 0:
             raise ConfigError("measurement variance must be positive")
-        if self.process_offset_var < 0 or self.process_drift_var < 0:
-            raise ConfigError("process noise variances must be non-negative")
         # the per-step process noise matrix, built once for every update
         q = np.diag([self.process_offset_var, self.process_drift_var])
         q.flags.writeable = False
         object.__setattr__(self, "_process_noise", q)
-
-
-def _real_setting(value, name: str) -> float:
-    """``value`` as a float; a ConfigError for a bool, a non-number or a non-finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, not {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
-    return float(value)
-
-
-def _integer_setting(value, name: str) -> int:
-    """``value`` as a Python int; a ConfigError for a bool or a non-integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, not {type(value).__name__}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -115,7 +98,14 @@ class ClockModel:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = self._checked(self.offset, self.drift_rate, np.array(self.covariance, dtype=float))
+        offset = checked_real(self.offset, "offset", ConfigError)
+        drift_rate = checked_real(self.drift_rate, "drift_rate", ConfigError)
+        checked_int(self.last_sync, "last_sync", ConfigError)
+        try:
+            cov = np.array(self.covariance, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"covariance must be a 2x2 matrix of numbers: {exc}") from None
+        cov = self._checked(offset, drift_rate, cov)
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-9 * (1 + np.abs(cov).max())):
             raise ConfigError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -190,9 +180,15 @@ def kalman_update(
     measurement update in Joseph form, and returns a model re-anchored at
     the observation's local timestamp.
     """
-    local, reference = observation
-    if not (math.isfinite(local) and math.isfinite(reference)):
-        raise DomainError("observation timestamps must be finite")
+    try:
+        local, reference = observation
+    except (TypeError, ValueError):
+        raise UsageError("observation must be a (local, reference) pair") from None
+    if type(local) is not int or type(reference) is not int:
+        # the integer pairs the stack passes skip the shared check: an int is always finite
+        for value in (local, reference):
+            if not math.isfinite(checked_real(value, "an observation timestamp", UsageError)):
+                raise DomainError("observation timestamps must be finite")
     if local < model.last_sync:
         raise DomainError("observation precedes sync anchor")
 
@@ -239,13 +235,12 @@ class BufferPolicy:
     window: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "b_min", _integer_setting(self.b_min, "b_min"))
-        object.__setattr__(self, "window", _integer_setting(self.window, "window"))
-        _real_setting(self.beta, "beta")
-        if not 0 < self.b_min <= _INT64_MAX:
+        object.__setattr__(self, "b_min", checked_int(self.b_min, "b_min", ConfigError))
+        object.__setattr__(self, "window", checked_int(self.window, "window", ConfigError))
+        if not 0 < self.b_min <= INT64_MAX:
             raise ConfigError("b_min must be positive and fit in int64")
-        if self.beta < 0:
-            raise ConfigError("beta must be non-negative")
+        if not 0 <= checked_real(self.beta, "beta", ConfigError) < math.inf:
+            raise ConfigError("beta must be non-negative and finite")
         if self.window < 2:
             raise ConfigError("window must be at least 2")
 
@@ -263,28 +258,12 @@ def buffer_size(policy: BufferPolicy, arrival_intervals: Sequence[int]) -> int:
         return policy.b_min
     scaled = policy.beta * float(np.std(recent, ddof=1))
     if scaled >= _FLOAT_INT64_BOUND:
-        return _INT64_MAX
+        return INT64_MAX
     return max(policy.b_min, round(scaled))
 
 
 # ---------------------------------------------------------------------------
 # samples and streams
-
-
-# the number types that checks run per record or per call accept: an isinstance
-# test on them takes about 80 ns, where numbers.Real's ABC test takes about 570 ns
-_REAL_TYPES = (int, float, np.integer, np.floating)
-
-
-def _nanoseconds(value, name: str) -> int:
-    """An integer timestamp or shift as a Python int.
-
-    Accepts ``int`` and numpy integers; a bool or a non-integral number
-    is a UsageError rather than a silently truncated count.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise UsageError(f"{name} must be an integer number of nanoseconds, not {type(value).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,9 +286,9 @@ class SensorSample:
         if not isinstance(self.device_id, str) or not self.device_id:
             raise UsageError("device_id must be a non-empty string")
         if type(self.local_ts) is not int:
-            object.__setattr__(self, "local_ts", _nanoseconds(self.local_ts, "local_ts"))
+            object.__setattr__(self, "local_ts", checked_int(self.local_ts, "local_ts", UsageError))
         if self.corrected_ts is not None and type(self.corrected_ts) is not int:
-            object.__setattr__(self, "corrected_ts", _nanoseconds(self.corrected_ts, "corrected_ts"))
+            object.__setattr__(self, "corrected_ts", checked_int(self.corrected_ts, "corrected_ts", UsageError))
         object.__setattr__(self, "payload", tuple(map(float, self.payload)))
 
 
@@ -327,8 +306,8 @@ class StreamDescriptor:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise UsageError(f"unknown modality {self.modality!r}")
-        if not self.nominal_rate_hz > 0:
-            raise ConfigError("nominal rate must be positive")
+        if not 0 < checked_real(self.nominal_rate_hz, "nominal_rate_hz", ConfigError) < math.inf:
+            raise ConfigError("nominal rate must be positive and finite")
 
     @property
     def key(self) -> str:
@@ -374,7 +353,7 @@ def _corrected_column(local: np.ndarray, model: ClockModel) -> np.ndarray:
     if head < 0:
         raise DomainError("sample precedes sync anchor")
     limit = anchor + _EXACT_SPAN_NS
-    split = len(local) if limit > _INT64_MAX else int(np.searchsorted(local, limit))
+    split = len(local) if limit > INT64_MAX else int(np.searchsorted(local, limit))
     parts = []
     if split:
         near = local[:split]
@@ -386,7 +365,7 @@ def _corrected_column(local: np.ndarray, model: ClockModel) -> np.ndarray:
         parts.append(_checked_add(near, shift.astype(np.int64), "corrected timestamp"))
     if split < len(local):
         far = [correct_timestamp(t, model) for t in local[split:].tolist()]
-        if not all(_INT64_MIN <= t <= _INT64_MAX for t in far):
+        if not all(INT64_MIN <= t <= INT64_MAX for t in far):
             raise DomainError("corrected timestamp leaves the int64 range")
         parts.append(np.array(far, dtype=np.int64))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -522,10 +501,10 @@ class SampleStream:
 
     def shifted(self, delta_ns: int) -> "SampleStream":
         """Shift all corrected timestamps by delta_ns; an uncorrected stream stays as it is."""
-        delta = _nanoseconds(delta_ns, "shift")
+        delta = checked_int(delta_ns, "shift", UsageError)
         if self._corrected is None:
             return self
-        if not _INT64_MIN <= delta <= _INT64_MAX:
+        if not INT64_MIN <= delta <= INT64_MAX:
             raise DomainError("shift leaves the int64 range")
         moved = _checked_add(self._corrected, np.int64(delta), "shifted timestamp")
         return _rebuild_stream(self.descriptor, self._local, moved, self._payload)
@@ -593,7 +572,7 @@ def _scaled_limits(sd: np.ndarray, policy: BufferPolicy) -> np.ndarray:
         scaled = np.rint(policy.beta * sd)
     saturated = scaled >= _FLOAT_INT64_BOUND
     limits = np.where(saturated, 0.0, scaled).astype(np.int64)
-    limits[saturated] = _INT64_MAX
+    limits[saturated] = INT64_MAX
     return np.maximum(limits, policy.b_min)
 
 
@@ -616,6 +595,7 @@ def align_streams(
     the grid as one array.
     The frames are then assembled from those per-stream columns.
     """
+    epoch_ns = checked_int(epoch_ns, "epoch_ns", UsageError)
     if epoch_ns <= 0:
         raise ConfigError("epoch must be positive")
     if not streams:

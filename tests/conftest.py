@@ -9,8 +9,9 @@ from hypothesis import settings
 
 # CI runs with --hypothesis-profile=ci: every Hypothesis test without its
 # own budget, and every oracle-equivalence test through oracles.budget,
-# draws ten times as many examples as a local run.
-settings.register_profile("ci", max_examples=1000)
+# draws ten times as many examples as a local run. A failure prints the
+# @reproduce_failure blob that replays it under the same Hypothesis version.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,8 @@ capture query is the capture store before it was kept sorted, and
 ``dba_rows`` restates `dba` over the one-table row kernel
 (``dtw_table_rows``), while ``dba_every_pass`` is `dba` before it
 stopped at a fixed point; all are kept here as references.
+``dtw_cost_exact`` is ``dtw_table_rows``' recurrence in exact rational
+arithmetic, for bounds that a float table's rounding would hide.
 ``CaptureRouterOracle`` is ``POST``/``GET /capture`` as they were before
 the store kept plain rows: the router builds a ``SensorSample`` per wire
 sample, ingest stamps a frozen ``CaptureRecord`` per sample into a
@@ -59,6 +61,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
@@ -191,6 +194,30 @@ def dtw_table_rows(d):
         prev = cs + np.minimum.accumulate(m_arr - shifted)
         out[i] = prev
     return out
+
+
+def dtw_cost_exact(s, t) -> Fraction:
+    """DTW cost of two sequences of floats under the |s - t| point cost, with no rounding.
+
+    The recurrence of ``dtw_table_rows``, every double taken as the
+    Fraction it equals. A float table rounds each cell to about
+    n * m * eps of the table's largest cost, which can exceed a tiny
+    cost beside large ones; this one is exact.
+    """
+    s, t = [Fraction(v) for v in s], [Fraction(v) for v in t]
+    prev = None
+    for a in s:
+        row = []
+        for j, b in enumerate(t):
+            if prev is None:
+                best = row[-1] if j else 0
+            elif j == 0:
+                best = prev[0]
+            else:
+                best = min(prev[j - 1], prev[j], row[-1])
+            row.append(abs(a - b) + best)
+        prev = row
+    return prev[-1]
 
 
 def dtw_backtrack(table):

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -13,7 +14,7 @@ from oracles import (
     coarse_align_loop,
     detect_gesture_per_window,
     dtw_backtrack,
-    dtw_table_rows,
+    dtw_cost_exact,
     greedy_match_callable,
 )
 from sensorstack.errors import UsageError
@@ -152,6 +153,15 @@ class TestDetection:
         got = detect_gesture_video(series, gesture_template(), np.int64(4_000_000_000), np.int32(250_000_000))
         assert got == expected and len(got) == 1
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"start": 1.5}, {"start": True}, {"end": "x"}, {"score": "0.1"}, {"score": math.nan}, {"score": None}],
+        ids=repr,
+    )
+    def test_event_fields_of_the_wrong_kind_rejected(self, fields):
+        with pytest.raises(UsageError, match=f"event {next(iter(fields))}"):
+            EventDetection(**{"stream_id": "a", "start": 0, "end": 1, "score": 0.1, **fields})
+
     def test_suppression_keeps_best_of_overlapping_run(self):
         mk = lambda s, score: EventDetection("cam", s, s + 10, score)
         kept = suppress_overlaps((mk(0, 0.5), mk(5, 0.2), mk(8, 0.9), mk(30, 0.1)))
@@ -277,13 +287,17 @@ class TestPruning:
 
     @settings(max_examples=budget(300), deadline=None)
     @given(case=BOUND_CASES)
+    # a float DTW table reads this cost as 1.52571e-11, below the exact bound
+    # 1.52576e-11: its rounding is relative to the table's largest cost
+    @example(case=([0.0, 0.0, 0.0, -4.0], [0.0, 1.5258e-11, -4.0]))
     def test_range_bound_never_exceeds_the_dtw_cost(self, case):
         x, t = map(np.array, case)
-        bound = detect_module._range_bounds(x.min(), x.max(), t[:, None])
-        cost = dtw_table_rows(np.abs(x[:, None] - t[None, :]))[-1, -1]
-        # exact where the costs add without rounding; otherwise within the
-        # margin the detector allows for rounding
-        assert bound <= cost * (1 + detect_module._PRUNE_MARGIN)
+        (bound,) = detect_module._range_bounds(x.min(), x.max(), t[:, None])
+        bound = Fraction(float(bound))
+        cost = dtw_cost_exact(x.tolist(), t.tolist())
+        # exact where the bound's terms add without rounding; otherwise within
+        # the margin the detector allows for the bound's own rounding
+        assert bound <= cost * (1 + Fraction(detect_module._PRUNE_MARGIN))
         if np.all(np.abs(x) <= 3) and np.all(x == np.round(x)) and np.all(t == np.round(t)):
             assert bound <= cost
 

@@ -97,6 +97,22 @@ def test_bad_values_raise_usage_error(case):
         BAD_SERIES_AND_TEMPLATES[case]()
 
 
+@pytest.mark.parametrize("field", ["sample_rate_hz", "dtw_threshold"])
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.inf, np.nan, 0.0, -1.0, None, 10**400],
+    ids=["bool", "inf", "nan", "zero", "negative", "none", "huge"],
+)
+def test_template_rate_and_threshold_must_be_positive_finite_numbers(field, bad):
+    with pytest.raises(UsageError, match="rate" if field == "sample_rate_hz" else "threshold"):
+        GestureTemplate([0.0, 1.0], **{"sample_rate_hz": 25.0, field: bad})
+
+
+def test_template_takes_numpy_numbers():
+    template = GestureTemplate(np.array([0.0, 1.0], dtype=np.float32), np.int64(25), np.float32(0.8))
+    assert template.values.dtype == float and template.sample_rate_hz == 25
+
+
 def warped_pulse(rng, length=60):
     """A smooth pulse with a random time warp applied."""
     base = np.linspace(0, 1, length)

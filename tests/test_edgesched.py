@@ -631,6 +631,57 @@ class TestValidation:
         with pytest.raises(ConfigError):
             WorkloadSpec(stages=(stage,), duration_ns=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"capacity": 2.5},
+            {"capacity": True},
+            {"capacity": "x"},
+            {"capacity": np.float64(2.0)},
+            {"overload_threshold": "x"},
+            {"overload_threshold": True},
+            {"overload_threshold": math.nan},
+            {"overload_threshold": None},
+        ],
+        ids=repr,
+    )
+    def test_node_spec_rejects_fields_that_are_not_numbers_of_their_kind(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            NodeSpec("n", "medium", **{"capacity": 1, **kwargs})
+
+    @pytest.mark.parametrize("duration", [1.5e8, 1e9, True, "x", None, np.float64(1e9)], ids=repr)
+    def test_workload_rejects_a_duration_that_is_not_an_integer(self, duration):
+        with pytest.raises(ConfigError, match="duration_ns"):
+            WorkloadSpec(stages=(StageSpec("s", "light", MS, 0.0, 1.0),), duration_ns=duration)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": True},
+            {"alpha": "x"},
+            {"alpha": None},
+            {"cycle_period_ns": 5e7},
+            {"cycle_period_ns": True},
+            {"batch_window_ns": 1e8},
+            {"batch_window_ns": "x"},
+        ],
+        ids=repr,
+    )
+    def test_scheduler_config_rejects_fields_that_are_not_numbers_of_their_kind(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            SchedulerConfig(**kwargs)
+
+    def test_numpy_numbers_are_accepted_as_settings(self):
+        NodeSpec("n", "medium", np.int64(2), np.float32(0.5))
+        WorkloadSpec(stages=(StageSpec("s", "light", MS, 0.0, 1.0),), duration_ns=np.int64(NS))
+        SchedulerConfig(np.float64(0.5), np.int64(10**8), np.uint32(0))
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None, -1], ids=repr)
+    def test_simulation_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        workload = WorkloadSpec(stages=(StageSpec("l", "light", MS, 0.0, 1.0),), duration_ns=NS)
+        with pytest.raises(UsageError, match="seed"):
+            run_simulation(workload, TopologySpec(nodes=(NodeSpec("m0", "medium", 1),)), SchedulerConfig(), seed=seed)
+
     def test_simulation_demands_matching_topology(self):
         heavy_only = WorkloadSpec(stages=(StageSpec("h", "heavy", 1 * MS, 0.0, 1.0),), duration_ns=NS)
         light_only = WorkloadSpec(stages=(StageSpec("l", "light", 1 * MS, 0.0, 1.0),), duration_ns=NS)
@@ -644,6 +695,9 @@ class TestValidation:
     def test_metrics_types_validate(self):
         with pytest.raises(UsageError):
             ClassStats(count=1, mean_latency_s=0.1, wait_variance_s2=-0.5)
+        for bad in ({"count": 1.0}, {"mean_latency_s": "x"}, {"wait_variance_s2": None}):
+            with pytest.raises(UsageError, match=next(iter(bad))):
+                ClassStats(**{"count": 1, "mean_latency_s": 0.1, "wait_variance_s2": 0.0, **bad})
         with pytest.raises(UsageError):
             SimMetrics(duration_s=1.0, completed=0, throughput_per_s=0.0, inversion_rate=1.5)
 

@@ -544,6 +544,11 @@ class TestProjection:
         with pytest.raises(UsageError):
             PerspectiveTransform(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("matrix", ["x", {"a": 1}, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]], ids=repr)
+    def test_matrix_that_is_not_numbers_rejected(self, matrix):
+        with pytest.raises(UsageError, match="3x3"):
+            PerspectiveTransform(matrix)
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_singularity_does_not_depend_on_scale(self, scale):
         """A rank-2 matrix is refused at any scale, though its plain
@@ -647,6 +652,16 @@ class TestDeduplicate:
         for threshold in (-1.0, math.nan):
             with pytest.raises(UsageError):
                 deduplicate([ped("a", 0, 0, 0.5)], threshold)
+
+    @pytest.mark.parametrize(
+        "threshold", ["2.5", True, None, b"2", 10**400], ids=["text", "bool", "none", "bytes", "huge"]
+    )
+    def test_threshold_that_is_not_a_real_number_rejected(self, threshold):
+        truth = [ObjectTruth("pedestrian", (0, 0))]
+        with pytest.raises(UsageError, match="threshold"):
+            deduplicate([ped("a", 0, 0, 0.5)], threshold)
+        with pytest.raises(UsageError, match="threshold"):
+            threshold_sweep([ped("a", 0, 0, 0.5)], truth, thresholds=(2.0, threshold))
 
 
 class TestEvaluateDetections:

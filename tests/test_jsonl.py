@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorstack.errors import IntegrityError, SensorStackError
+from sensorstack.errors import IntegrityError, SensorStackError, UsageError
 from sensorstack.services import FileLog
 
 
@@ -103,6 +103,12 @@ def test_writer_layout_is_compact_in_record_order(tmp_path):
     log.append({})
     log.close()
     assert path.read_bytes() == b'{"b":1,"a":[1.5,null]}\n{}\n'
+
+
+@pytest.mark.parametrize("path", [None, 3, b"activity.ndjson", ["activity.ndjson"]], ids=repr)
+def test_path_that_is_not_text_or_a_path_rejected(path):
+    with pytest.raises(UsageError, match="log path"):
+        FileLog(path)
 
 
 def test_reader_skips_blank_lines_and_keeps_order():

@@ -7,7 +7,19 @@ from hypothesis import strategies as st
 
 from oracles import budget, greedy_match_callable
 from sensorstack.errors import UsageError
-from sensorstack.scoring import greedy_match, match_integers
+from sensorstack.scoring import greedy_match, match_integers, prf_scores
+
+
+class TestPrfScores:
+    @pytest.mark.parametrize(
+        "counts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1.0, 0, 0), (0, True, 0), (0, 0, "1"), (None, 0, 0)], ids=repr
+    )
+    def test_counts_that_are_not_non_negative_integers_rejected(self, counts):
+        with pytest.raises(UsageError):
+            prf_scores(*counts)
+
+    def test_numpy_counts_score_as_ints_do(self):
+        assert prf_scores(np.int64(3), np.int32(1), np.uint8(2)) == prf_scores(3, 1, 2)
 
 
 class TestGreedyMatch:
@@ -45,6 +57,11 @@ class TestMatchIntegers:
     def test_fractional_tolerance_rounds_down(self):
         assert match_integers([0], [3], 2.999) == []
         assert match_integers([0], [3], 3.0) == [(0, 0)]
+
+    @pytest.mark.parametrize("a", [2, 2.5, [[1, 2]], ["x"], [None]], ids=repr)
+    def test_values_that_are_not_a_sequence_of_integers_rejected(self, a):
+        with pytest.raises(UsageError, match="values"):
+            match_integers(a, [1], 5)
 
     def test_values_outside_int64_or_nan_tolerance_rejected(self):
         for a, b, tolerance in (([2**63], [0], 5), ([0], [-(2**63) - 1], 5), ([0], [0], math.nan)):

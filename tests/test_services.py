@@ -604,6 +604,17 @@ class TestRegistryLifecycle:
         assert err.value.fields == ("last_sync_timestamp",)
         assert services.device_record("camera-001").last_sync_timestamp == camera_payload()["last_sync_timestamp"]
 
+    @pytest.mark.parametrize(
+        "stamp", [math.inf, math.nan, 1e300, 10**400, b"1"], ids=["inf", "nan", "huge", "huge-int", "bytes"]
+    )
+    def test_update_status_rejects_a_sync_timestamp_that_is_no_calendar_time(self, stamp):
+        # an infinite or out-of-calendar time escaped as a UsageError without its field
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin)
+        with pytest.raises(ValidationError) as err:
+            services.update_status(token.token, "online", stamp)
+        assert err.value.fields == ("last_sync_timestamp",)
+
     def test_update_status_rejects_unknown_status(self):
         services, admin = make_services()
         token = services.register_device(camera_payload(), admin)
@@ -652,6 +663,17 @@ class TestVersions:
         assert entry.activity_type == "rollback"
         assert list(entry.details) == ["device_id", "old_version_id", "new_version_id"]
         assert entry.details["new_version_id"] == first.version_id
+
+    @pytest.mark.parametrize("value", [b"\x00", {1, 2}, object()], ids=["bytes", "set", "object"])
+    def test_config_that_is_not_json_rejected_and_not_stored(self, value):
+        services, admin = make_services()
+        services.register_device(camera_payload(), admin)
+        before = services.state()
+        with pytest.raises(UsageError, match="not JSON"):
+            canonical_json({"blob": value})
+        with pytest.raises(UsageError, match="not JSON"):
+            services.snapshot_config("camera-001", {"blob": value})
+        assert services.state() == before
 
     def test_snapshot_bytes_ignore_key_insertion_order(self):
         services, admin = make_services()

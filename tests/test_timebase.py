@@ -199,6 +199,25 @@ class TestKalmanUpdate:
         with pytest.raises(DomainError):
             kalman_update(zero_model(anchor=NS), (NS - 5, NS), NoiseConfig())
 
+    @pytest.mark.parametrize("observation", [None, 5, (NS,), (NS, NS, NS), "abc", {}], ids=repr)
+    def test_observation_that_is_not_a_pair_rejected(self, observation):
+        with pytest.raises(UsageError, match="pair"):
+            kalman_update(zero_model(), observation)
+
+    @pytest.mark.parametrize("observation", [(NS, "x"), ([NS], NS), (True, NS), (NS, math.nan)], ids=repr)
+    def test_observation_timestamps_that_are_not_numbers_rejected(self, observation):
+        with pytest.raises(UsageError, match="observation timestamp"):
+            kalman_update(zero_model(), observation)
+
+    def test_float_and_numpy_observations_update_as_ints_do(self):
+        expected = kalman_update(zero_model(), (3 * NS, 3 * NS + 1000))
+        for observation in ((3.0 * NS, 3 * NS + 1000), (np.int64(3 * NS), np.int64(3 * NS + 1000))):
+            got = kalman_update(zero_model(), observation)
+            assert (got.offset, got.drift_rate) == (expected.offset, expected.drift_rate)
+            assert np.array_equal(got.covariance, expected.covariance)
+        with pytest.raises(DomainError, match="finite"):
+            kalman_update(zero_model(), (math.inf, NS))
+
     @settings(max_examples=budget(100), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -253,6 +272,25 @@ class TestKalmanUpdate:
     def test_non_finite_or_non_numeric_noise_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             NoiseConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"offset": "0"},
+            {"offset": True},
+            {"offset": math.nan},
+            {"drift_rate": None},
+            {"last_sync": 1.5},
+            {"last_sync": True},
+            {"last_sync": "0"},
+            {"covariance": "x"},
+            {"covariance": [[1.0, 0.0], [0.0]]},
+        ],
+        ids=repr,
+    )
+    def test_model_fields_of_the_wrong_kind_rejected(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            ClockModel(**{"offset": 0.0, "drift_rate": 0.0, "last_sync": 0, "covariance": np.eye(2), **fields})
 
     def test_covariance_must_be_psd(self):
         with pytest.raises(ConfigError):
@@ -384,6 +422,17 @@ class TestAlignStreams:
         with pytest.raises(UsageError, match="uncorrected"):
             align_streams([raw], BufferPolicy(b_min=1, beta=0.0), epoch_ns=10)
 
+    @pytest.mark.parametrize("epoch", [10.0, 2.5, True, "10", None], ids=repr)
+    def test_epoch_that_is_not_an_integer_rejected(self, epoch):
+        stream = make_stream("imu-1", "imu", [0, 10])
+        with pytest.raises(UsageError, match="epoch_ns"):
+            align_streams([stream], BufferPolicy(b_min=1, beta=0.0), epoch_ns=epoch)
+
+    def test_numpy_integer_epoch_gives_the_int_epochs_frames(self):
+        stream = make_stream("imu-1", "imu", [0, 10, 25])
+        policy = BufferPolicy(b_min=20, beta=0.0)
+        assert align_streams([stream], policy, np.int64(10)) == align_streams([stream], policy, 10)
+
     def test_matches_full_sort_oracle_on_jittered_streams(self):
         rng = np.random.default_rng(42)
         policy = BufferPolicy(b_min=60_000_000, beta=3.0, window=30)
@@ -497,6 +546,11 @@ class TestBatchedBufferLimits:
 
 
 class TestStreamsAndIo:
+    @pytest.mark.parametrize("rate", [math.inf, True, "x", None, math.nan, 0.0], ids=repr)
+    def test_descriptor_rejects_a_rate_that_is_not_a_positive_finite_number(self, rate):
+        with pytest.raises(ConfigError, match="rate"):
+            StreamDescriptor("d", "imu", rate)
+
     def test_stream_validation(self):
         with pytest.raises(UsageError):
             make_stream("d", "imu", [10, 5])

@@ -17,6 +17,10 @@ dominates: 4 devices, each with two 20 s sessions of 25 Hz one-channel
 samples, sent as 400 ``POST /capture``s of 10 samples, session by
 session and device by device, every request carrying the same bearer
 token for its device.
+
+Random ids are timed at the batch sizes the stack draws them in: one
+for a registration's version id, 10 for a parking lot's ``POST`` and
+300 for an intersection's.
 """
 
 import bisect
@@ -25,7 +29,7 @@ import gc
 import numpy as np
 import pytest
 
-from sensorstack.services import CoreServices, ServiceRouter
+from sensorstack.services import CoreServices, ServiceRouter, registry
 
 NS = 1_000_000_000
 PERIOD_NS = 40_000_000
@@ -231,3 +235,9 @@ def test_validate_repeated_token(benchmark):
         return claims
 
     assert benchmark(validate_many)["subject"] == "dev0"
+
+
+@pytest.mark.parametrize("n", [1, 10, 300])
+def test_random_ids(benchmark, n):
+    ids = benchmark(registry._random_ids, n)
+    assert len(set(ids)) == n

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError, checked_int, checked_real
+from .timebase import INT64_MAX, INT64_MIN
 
 _UINT64_MAX = 2**64 - 1
 
@@ -81,23 +82,36 @@ def greedy_match(distance, pred_index, truth_index, max_distance) -> list[tuple[
 def match_integers(a: Sequence[int], b: Sequence[int], tolerance) -> list[tuple[int, int]]:
     """``greedy_match`` of integers by their exact gap ``|a[i] - b[j]|``.
 
-    The values must fit in a signed 64-bit integer. Their gaps are
+    The values are ints or numpy integers, never bools or floats, and
+    must fit in a signed 64-bit integer. Their gaps are
     taken as unsigned 64-bit integers, which hold every such gap
     exactly, and compared with ``tolerance`` rounded down.
     """
     if not checked_real(tolerance, "tolerance", UsageError) >= 0:
         raise UsageError("tolerance must be a non-negative number")
-    try:
-        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    except OverflowError as exc:
-        raise UsageError("values must fit in a signed 64-bit integer") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"values must be integers: {exc}") from exc
-    if a.ndim != 1 or b.ndim != 1:
-        raise UsageError("values must be 1-d sequences of integers")
+    a, b = _int64_values(a), _int64_values(b)
     # a - b modulo 2**64, negated where b is the larger
     diff = a.astype(np.uint64)[:, None] - b.astype(np.uint64)
     gap = np.where(a[:, None] >= b, diff, -diff)
     limit = np.uint64(_UINT64_MAX if tolerance >= _UINT64_MAX else math.floor(tolerance))
     i, j = np.nonzero(gap <= limit)
     return greedy_match(gap[i, j], i, j, limit)
+
+
+def _int64_values(values) -> np.ndarray:
+    """``values`` as a 1-d int64 array: a numpy integer array by its dtype, anything else
+    element by element under ``checked_int``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.ndim != 1:
+            raise UsageError("values must be a 1-d sequence of integers")
+        if values.size and not (INT64_MIN <= values.min() and values.max() <= INT64_MAX):
+            raise UsageError("values must fit in a signed 64-bit integer")
+        return values.astype(np.int64)
+    try:
+        ints = [checked_int(v, "values", UsageError) for v in values]
+    except TypeError as exc:
+        raise UsageError(f"values must be a sequence of integers: {exc}") from None
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        raise UsageError("values must fit in a signed 64-bit integer") from None

@@ -13,11 +13,13 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import repeat
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..errors import AuthError, ConflictError, NotFoundError, UsageError, ValidationError, checked_int
+import numpy as np
+
+from ..errors import AuthError, ConflictError, IntegrityError, NotFoundError, UsageError, ValidationError, checked_int
 from ..timebase import INT64_MAX, INT64_MIN, MODALITIES
 from .store import MemoryLog
 from .tokens import AccessToken, _check_key, _check_unexpired, issue_token, require_role, validate_token
@@ -44,6 +46,12 @@ _VERIFIED_TOKENS = 1024
 # os.urandom bytes with the version-4 and the RFC 4122 variant bits set
 _VERSION_4 = bytes(b & 0x0F | 0x40 for b in range(256))
 _VARIANT_RFC_4122 = bytes(b & 0x3F | 0x80 for b in range(256))
+# a UUID's text from a row of its 32 hex digits, a dash (column 32) and a
+# space (column 33): 8-4-4-4-12 digits, and the space that ends it
+_UUID_COLUMNS = np.array(
+    [*range(8), 32, *range(8, 12), 32, *range(12, 16), 32, *range(16, 20), 32, *range(20, 32), 33], np.intp
+)
+_DASH_SPACE = np.frombuffer(b"- ", np.uint8)
 
 # a stored capture row, one tuple per sample:
 # (local_ts, capture_id, modality, payload, location);
@@ -56,11 +64,20 @@ def _random_ids(n: int) -> list[str]:
     raw = bytearray(os.urandom(16 * n))
     raw[6::16] = raw[6::16].translate(_VERSION_4)
     raw[8::16] = raw[8::16].translate(_VARIANT_RFC_4122)
-    h = raw.hex()
-    return [
-        f"{h[i:i + 8]}-{h[i + 8:i + 12]}-{h[i + 12:i + 16]}-{h[i + 16:i + 20]}-{h[i + 20:i + 32]}"
-        for i in range(0, 32 * n, 32)
-    ]
+    return _format_ids(raw)
+
+
+def _format_ids(raw: bytes) -> list[str]:
+    """The 8-4-4-4-12 hex text of each 16 bytes of ``raw``, as ``str(uuid.UUID(bytes=...))`` writes it.
+
+    Each id's 32 hex digits are one row, with a dash and a space column
+    appended; one ``take`` lays every row out as its id and a space.
+    """
+    n = len(raw) // 16
+    rows = np.empty((n, 34), np.uint8)
+    rows[:, :32] = np.frombuffer(raw.hex().encode(), np.uint8).reshape(n, 32)
+    rows[:, 32:] = _DASH_SPACE
+    return rows.take(_UUID_COLUMNS, axis=1).tobytes().decode().split()
 
 
 def _issued_shape(claims: dict) -> bool:
@@ -118,7 +135,9 @@ class CoreServices:
     Each device's captures are rows ``(local_ts, capture_id, modality,
     payload, location)``, kept sorted by their first two fields beside
     a list of their ``local_ts`` values, so a windowed query is two
-    bisections and a slice. No clock model is applied at capture: a
+    bisections and a slice. An ingested batch is sorted only when its
+    ``local_ts`` do not strictly increase; when they do, input order is
+    already key order. No clock model is applied at capture: a
     row's ``corrected_ts`` is its ``local_ts``. Query rows hand out
     the stored ``payload`` and ``location`` tuples themselves.
 
@@ -425,9 +444,11 @@ class CoreServices:
 
         location = (record.location.latitude, record.location.longitude)
         capture_ids = self._new_ids(len(local))
-        batch = sorted(
-            zip(local, capture_ids, modalities, payloads, repeat(location)), key=_capture_key
-        )
+        batch = list(zip(local, capture_ids, modalities, payloads, repeat(location)))
+        if not all(map(lt, local, islice(local, 1, None))):
+            # a tie or a fall: key order is not input order
+            batch.sort(key=_capture_key)
+            local.sort()
         rows = self._captures.setdefault(device_id, [])
         keys = self._capture_keys.setdefault(device_id, [])
         if batch and rows and _capture_key(batch[0]) < _capture_key(rows[-1]):
@@ -437,7 +458,7 @@ class CoreServices:
             keys[:] = [row[0] for row in rows]
         else:
             rows.extend(batch)
-            keys.extend(row[0] for row in batch)
+            keys.extend(local)
         stamp = format_timestamp(self._clock())
         self._record(stamp, "data_access", {
             "device_id": device_id,
@@ -511,7 +532,9 @@ def replay_log(records: Sequence[Mapping]) -> dict:
 
     Returns the same shape as ``CoreServices.state`` so the two can be
     compared directly. Data-access entries carry no control state and
-    are skipped.
+    are skipped. A record that is not a mapping with a ``details``
+    mapping, that lacks a field, or that names a device or version no
+    earlier record made, is an IntegrityError naming its position.
     """
     devices: dict[str, dict] = {}
     configs: dict[str, str] = {}
@@ -519,43 +542,53 @@ def replay_log(records: Sequence[Mapping]) -> dict:
     versions: dict[str, dict] = {}
     actions: dict[str, str] = {}
 
-    for record in records:
-        details = record["details"]
-        kind = record["activity_type"]
-        if kind == "register":
-            device_id = details["device_id"]
-            devices[device_id] = dict(details["record"])
-            blob = canonical_json(details["record"])
-            versions[details["version_id"]] = {
-                "device_id": device_id,
-                "config_json": blob,
-                "created_at": record["timestamp"],
-            }
-            configs[device_id] = blob
-            current_version[device_id] = details["version_id"]
-        elif kind == "update" and "status" in details:
-            device_id = details["device_id"]
-            devices[device_id] = dict(devices[device_id])
-            devices[device_id]["status"] = details["status"]
-            devices[device_id]["last_sync_timestamp"] = details["last_sync_timestamp"]
-        elif kind == "update" and "version_id" in details:
-            device_id = details["device_id"]
-            blob = canonical_json(details["config"])
-            versions[details["version_id"]] = {
-                "device_id": device_id,
-                "config_json": blob,
-                "created_at": record["timestamp"],
-            }
-            configs[device_id] = blob
-            current_version[device_id] = details["version_id"]
-        elif kind == "rollback":
-            if not details.get("no_op"):
+    try:
+        numbered = enumerate(records)
+    except TypeError:
+        raise UsageError(f"records must be a sequence of activity records, not {type(records).__name__}") from None
+    for position, record in numbered:
+        details = record.get("details") if isinstance(record, Mapping) else None
+        if not isinstance(details, Mapping):
+            raise IntegrityError(f"activity record {position} is not an activity record: {record!r:.80}")
+        try:
+            kind = record["activity_type"]
+            if kind == "register":
                 device_id = details["device_id"]
-                target = details["new_version_id"]
-                configs[device_id] = versions[target]["config_json"]
-                current_version[device_id] = target
-        elif kind == "action":
-            actions[details["action_id"]] = details["state"]
+                devices[device_id] = dict(details["record"])
+                blob = canonical_json(details["record"])
+                versions[details["version_id"]] = {
+                    "device_id": device_id,
+                    "config_json": blob,
+                    "created_at": record["timestamp"],
+                }
+                configs[device_id] = blob
+                current_version[device_id] = details["version_id"]
+            elif kind == "update" and "status" in details:
+                device_id = details["device_id"]
+                devices[device_id] = dict(devices[device_id])
+                devices[device_id]["status"] = details["status"]
+                devices[device_id]["last_sync_timestamp"] = details["last_sync_timestamp"]
+            elif kind == "update" and "version_id" in details:
+                device_id = details["device_id"]
+                blob = canonical_json(details["config"])
+                versions[details["version_id"]] = {
+                    "device_id": device_id,
+                    "config_json": blob,
+                    "created_at": record["timestamp"],
+                }
+                configs[device_id] = blob
+                current_version[device_id] = details["version_id"]
+            elif kind == "rollback":
+                if not details.get("no_op"):
+                    device_id = details["device_id"]
+                    target = details["new_version_id"]
+                    configs[device_id] = versions[target]["config_json"]
+                    current_version[device_id] = target
+            elif kind == "action":
+                actions[details["action_id"]] = details["state"]
+        except (KeyError, TypeError, ValueError) as exc:
+            # a field missing or of the wrong type, or a device or version no earlier record made
+            raise IntegrityError(f"activity record {position} is malformed: {exc!r}") from None
 
     return {
         "devices": devices,

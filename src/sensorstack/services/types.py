@@ -132,7 +132,10 @@ def record_from_payload(payload: Mapping, default_timestamp: str) -> DeviceRecor
 
     Timestamps may be omitted; they default to the supplied stamp. A
     timestamp that is present must be in ``format_timestamp``'s layout.
+    A payload that is not a mapping is a UsageError.
     """
+    if not isinstance(payload, Mapping):
+        raise UsageError(f"a registration payload must be an object, not {type(payload).__name__}")
     bad: list[str] = []
 
     def text(name, container=payload, prefix=""):

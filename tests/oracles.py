@@ -51,7 +51,9 @@ the store kept plain rows: the router builds a ``SensorSample`` per wire
 sample, ingest stamps a frozen ``CaptureRecord`` per sample into a
 sorted store, and a query answers ``CaptureRecord.to_record`` per hit;
 every other route is ``ServiceRouter``'s own. ``format_timestamp_strftime``
-is ``format_timestamp`` before it formatted each calendar second once.
+is ``format_timestamp`` before it formatted each calendar second once,
+and ``format_ids_fstring`` is the capture-id formatter before it laid a
+batch's hex digits out in one array ``take``.
 """
 
 from __future__ import annotations
@@ -906,6 +908,15 @@ def _query_int(value, name):
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"field {name!r} must be an integer") from exc
+
+
+def format_ids_fstring(raw: bytes) -> list[str]:
+    """The UUID text of each 16 bytes of ``raw``, five hex slices per id in an f-string."""
+    h = raw.hex()
+    return [
+        f"{h[i:i + 8]}-{h[i + 8:i + 12]}-{h[i + 12:i + 16]}-{h[i + 16:i + 20]}-{h[i + 20:i + 32]}"
+        for i in range(0, len(h), 32)
+    ]
 
 
 def format_timestamp_strftime(epoch_s: float) -> str:

@@ -143,8 +143,6 @@ DUCK_TYPED = {
     "fusion.ransac_fit": "pairs are PointPair records",
     "fusion.reprojection_errors": "transform is a PerspectiveTransform and pairs PointPair records",
     "fusion.threshold_sweep": "detections are Detection records",
-    "services.record_from_payload": "payload is a registration record, read by key",
-    "services.replay_log": "records are activity log records",
     "services.serve": "router is a ServiceRouter, first read per request; a call binds a listening socket",
     "timebase.SampleStream": "descriptor is a StreamDescriptor and samples SensorSample records",
     "timebase.buffer_size": "policy is a BufferPolicy record",

@@ -58,12 +58,21 @@ class TestMatchIntegers:
         assert match_integers([0], [3], 2.999) == []
         assert match_integers([0], [3], 3.0) == [(0, 0)]
 
-    @pytest.mark.parametrize("a", [2, 2.5, [[1, 2]], ["x"], [None]], ids=repr)
+    # a fraction is not truncated, nor a bool taken for an integer
+    @pytest.mark.parametrize("a", [2, 2.5, [[1, 2]], ["x"], [None], [2.9], [True]], ids=repr)
     def test_values_that_are_not_a_sequence_of_integers_rejected(self, a):
         with pytest.raises(UsageError, match="values"):
             match_integers(a, [1], 5)
 
     def test_values_outside_int64_or_nan_tolerance_rejected(self):
-        for a, b, tolerance in (([2**63], [0], 5), ([0], [-(2**63) - 1], 5), ([0], [0], math.nan)):
+        # an unsigned array beyond int64 is not wrapped
+        beyond = np.array([2**63], dtype=np.uint64)
+        for a, b, tolerance in (([2**63], [0], 5), ([0], [-(2**63) - 1], 5), (beyond, [-(2**63)], 0), ([0], [0], math.nan)):
             with pytest.raises(UsageError):
                 match_integers(a, b, tolerance)
+
+    def test_numpy_integer_values_match_as_ints_do(self):
+        expected = match_integers([5, 9, -3], [9, 5], 0)
+        assert expected == [(0, 1), (1, 0)]
+        assert match_integers(np.array([5, 9, -3], dtype=np.int32), [np.uint8(9), np.int64(5)], 0) == expected
+        assert match_integers(np.array([5, 9], dtype=np.uint64), np.array([9, 5]), 0) == expected[:2]

@@ -21,10 +21,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import CaptureRouterOracle, budget, format_timestamp_strftime, query_captures_scan
+from oracles import (
+    CaptureRouterOracle,
+    budget,
+    format_ids_fstring,
+    format_timestamp_strftime,
+    query_captures_scan,
+)
 from sensorstack.errors import (
     AuthError,
     ConflictError,
@@ -486,6 +492,11 @@ class TestDeviceRecords:
             "location.longitude",
             "location.description",
         } <= fields
+
+    @pytest.mark.parametrize("payload", [None, "x", [("device_id", "camera-001")]], ids=repr)
+    def test_payload_that_is_not_a_mapping_is_a_usage_error(self, payload):
+        with pytest.raises(UsageError, match="registration payload"):
+            record_from_payload(payload, default_timestamp="x")
 
     def test_boolean_latitude_is_not_a_number(self):
         payload = camera_payload()
@@ -1063,11 +1074,41 @@ CAPTURE_OPS = st.lists(
 )
 
 
+def check_capture_ops(services, admin, tokens, ops, drawn=None):
+    """Run ``ops`` against ``services`` and hold every query, and each device's whole store at the
+    end, to a scan and sort of the rows ingested; ``drawn`` lists the ids an injected factory made."""
+    ingested = {d: [] for d in tokens}
+    for op, device_id, *args in ops:
+        if op == "ingest":
+            samples = [
+                {"device_id": device_id, "modality": "imu", "local_ts": t, "payload": [float(i)]}
+                for i, t in enumerate(args[0])
+            ]
+            capture_ids = services.capture_ingest(tokens[device_id], samples)
+            if drawn is not None:
+                # one id per sample, drawn and returned in input order
+                assert capture_ids == tuple(drawn[len(drawn) - len(samples):])
+            ingested[device_id].extend(response_row(s, i) for s, i in zip(samples, capture_ids))
+        else:
+            got = services.query_captures(device_id, *args, admin)
+            assert got == query_captures_scan(ingested[device_id], *args)
+    for device_id in tokens:
+        everything = services.query_captures(device_id, -(2**63), 2**63, admin)
+        assert everything == query_captures_scan(ingested[device_id], -(2**63), 2**63)
+        assert len(everything) == len(ingested[device_id])
+
+
 class TestCaptureStore:
     """The sorted store answers every window as a scan and sort of all ingested rows would."""
 
     @settings(max_examples=budget(200), deadline=None)
     @given(ops=CAPTURE_OPS, id_seed=st.integers(0, 2**16))
+    # a strictly increasing batch that lands before stored rows: the merge path
+    @example(ops=[("ingest", "camera-a", [20, 30]), ("ingest", "camera-a", [5, 25, 26]), ("query", "camera-a", 0, 27)], id_seed=1)
+    # tied timestamps, whose order is their ids'
+    @example(ops=[("ingest", "camera-a", [7, 7, 7, 8, 8]), ("ingest", "camera-a", [8, 8]), ("query", "camera-a", 7, 9)], id_seed=2)
+    # a falling batch, alone and after stored rows
+    @example(ops=[("ingest", "camera-b", [9, 4, 1]), ("ingest", "camera-b", [40, 12, 3]), ("query", "camera-b", 2, 13)], id_seed=3)
     def test_queries_match_scan_and_sort(self, ops, id_seed):
         # ids from a small pool: ties on corrected_ts are broken by ids
         # that arrive out of order, and sometimes by equal ids
@@ -1080,24 +1121,14 @@ class TestCaptureStore:
 
         services, admin = make_services(id_factory=ids)
         tokens = {d: services.register_device(camera_payload(d), admin).token for d in CAPTURE_DEVICES}
-        ingested = {d: [] for d in CAPTURE_DEVICES}
-        for op, device_id, *args in ops:
-            if op == "ingest":
-                samples = [
-                    {"device_id": device_id, "modality": "imu", "local_ts": t, "payload": [float(i)]}
-                    for i, t in enumerate(args[0])
-                ]
-                capture_ids = services.capture_ingest(tokens[device_id], samples)
-                # one id per sample, drawn and returned in input order
-                assert capture_ids == tuple(drawn[len(drawn) - len(samples):])
-                ingested[device_id].extend(response_row(s, i) for s, i in zip(samples, capture_ids))
-            else:
-                got = services.query_captures(device_id, *args, admin)
-                assert got == query_captures_scan(ingested[device_id], *args)
-        for device_id in CAPTURE_DEVICES:
-            everything = services.query_captures(device_id, -(2**63), 2**63, admin)
-            assert everything == query_captures_scan(ingested[device_id], -(2**63), 2**63)
-            assert len(everything) == len(ingested[device_id])
+        check_capture_ops(services, admin, tokens, ops, drawn)
+
+    @settings(max_examples=budget(50), deadline=None)
+    @given(ops=CAPTURE_OPS)
+    def test_queries_with_default_ids_match_scan_and_sort(self, ops):
+        services, admin = make_services(id_factory=None)
+        tokens = {d: services.register_device(camera_payload(d), admin).token for d in CAPTURE_DEVICES}
+        check_capture_ops(services, admin, tokens, ops)
 
     def test_response_rows_do_not_alias_the_store(self):
         services, admin = make_services()
@@ -1173,6 +1204,15 @@ class TestCaptureStore:
             assert parsed.version == 4
             assert parsed.variant == uuid.RFC_4122
             assert str(parsed) == capture_id
+
+    @settings(max_examples=budget(100), deadline=None)
+    @given(raw=st.integers(0, 600).flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
+    @example(raw=b"")
+    @example(raw=bytes(range(16)))
+    def test_format_ids_matches_fstring_and_uuid(self, raw):
+        ids = registry._format_ids(raw)
+        assert ids == format_ids_fstring(raw)
+        assert ids == [str(uuid.UUID(bytes=raw[i:i + 16])) for i in range(0, len(raw), 16)]
 
     def test_injected_id_factory_called_once_per_stored_sample_in_order(self):
         calls = []
@@ -1288,6 +1328,29 @@ class TestEventSourcing:
         empty = replay_log(())
         assert empty["devices"] == {}
         assert empty["actions"] == {}
+
+    @pytest.mark.parametrize("bad", [None, {}, "x", [1.0], {"details": None, "activity_type": "register"}], ids=repr)
+    def test_replay_refuses_a_record_that_is_not_an_activity_record(self, bad):
+        services, admin = make_services()
+        services.register_device(camera_payload(), admin)
+        records = list(services.log_records())
+        with pytest.raises(IntegrityError, match="activity record 1 "):
+            replay_log(records + [bad])
+
+    def test_replay_refuses_a_log_that_lacks_its_first_records(self):
+        services, admin = make_services()
+        token = services.register_device(camera_payload(), admin).token
+        services.update_status(token, "offline", None)
+        # the update names a device whose registration is not in the log
+        with pytest.raises(IntegrityError, match="activity record 0 .*camera-001"):
+            replay_log(services.log_records()[1:])
+        with pytest.raises(IntegrityError, match="activity record 0 .*device_id"):
+            replay_log([{"timestamp": "t", "activity_type": "register", "details": {}}])
+
+    @pytest.mark.parametrize("records", [None, 3, math.nan], ids=repr)
+    def test_replay_of_a_value_that_is_no_sequence_is_a_usage_error(self, records):
+        with pytest.raises(UsageError):
+            replay_log(records)
 
     def test_identical_inputs_give_byte_identical_logs(self):
         lines = []
